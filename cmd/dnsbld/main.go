@@ -842,24 +842,32 @@ func run(ctx context.Context, args []string) error {
 		ckptC = tick.C
 	}
 
+	// Graceful shutdown, once Serve has drained accepted queries: a final
+	// checkpoint records everything observed.
+	shutdown := func() error {
+		drainTCP()
+		saveCheckpoint(o, tr)
+		st := srv.Snapshot()
+		fmt.Printf("shutdown: %d queries (%d listed, %d malformed, %d dropped, %d shed)\n",
+			st.Queries, st.Hits, st.Malformed, st.Dropped, st.Shed)
+		if mesh != nil {
+			ms := mesh.Status()
+			fmt.Printf("mesh: round %d, %d/%d feeds healthy, %d merged blocks\n",
+				ms.Round, ms.HealthyFeeds, ms.TotalFeeds, ms.MergedBlocks)
+		}
+		return nil
+	}
 	for {
 		select {
 		case <-ctx.Done():
-			// Graceful shutdown: Serve drains accepted queries, then a
-			// final checkpoint records everything observed.
 			<-serveErr
-			drainTCP()
-			saveCheckpoint(o, tr)
-			st := srv.Snapshot()
-			fmt.Printf("shutdown: %d queries (%d listed, %d malformed, %d dropped, %d shed)\n",
-				st.Queries, st.Hits, st.Malformed, st.Dropped, st.Shed)
-			if mesh != nil {
-				ms := mesh.Status()
-				fmt.Printf("mesh: round %d, %d/%d feeds healthy, %d merged blocks\n",
-					ms.Round, ms.HealthyFeeds, ms.TotalFeeds, ms.MergedBlocks)
-			}
-			return nil
+			return shutdown()
 		case err := <-serveErr:
+			if err == nil {
+				// A clean stop: a cancellation that lands mid-reload can
+				// reach this case before ctx.Done.
+				return shutdown()
+			}
 			// The socket died underneath us: grab the evidence on the way
 			// down — this is exactly the state a post-mortem wants.
 			captureBundle("fatal", err.Error(), nil)

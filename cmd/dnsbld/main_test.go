@@ -756,3 +756,38 @@ func TestRunAnalyticsScoreboardEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// A shutdown that lands while a reload is in flight must still take the
+// graceful path. With a 1ms reload the loop is nearly always inside a
+// reload when the context is cancelled, so by its next select both the
+// cancellation and the serve loop's nil return are ready; run must drain,
+// checkpoint and return nil whichever it picks.
+func TestRunShutdownDuringReload(t *testing.T) {
+	dir := t.TempDir()
+	writeReports(t, dir)
+	for i := 0; i < 20; i++ {
+		ckpt := filepath.Join(t.TempDir(), "tracker.ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := time.AfterFunc(time.Duration(20+i)*time.Millisecond, cancel)
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("run %d panicked on shutdown: %v", i, r)
+				}
+			}()
+			err = run(ctx, []string{
+				"-listen", "127.0.0.1:0", "-reports", dir, "-checkpoint", ckpt,
+				"-threshold", "0.5", "-selfcheck", "0", "-reload", "1ms",
+			})
+		}()
+		stop.Stop()
+		cancel()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if _, err := tracker.LoadFile(ckpt); err != nil {
+			t.Fatalf("run %d: final checkpoint unreadable: %v", i, err)
+		}
+	}
+}

@@ -334,22 +334,85 @@ func (m *Model) SampleAddr(rng *stats.RNG) netaddr.Addr {
 	return n.Host(rng.Intn(n.Hosts))
 }
 
-// SampleAddrSet draws size distinct active addresses. It panics if size
-// exceeds the total active host population.
+// SampleAddrSet draws size distinct active addresses: SampleAddr draws,
+// in order, with repeats rejected. It panics if size exceeds the total
+// active host population.
+//
+// Two structures exist only for the call. A bitset over every active host
+// drops repeats; a host's bit is its network's offset in a dense
+// numbering of all active hosts plus its host index. A guide table
+// narrows each cumulative-weight search. Neither changes a draw, so the
+// RNG stream and the set are exactly those of repeated SampleAddr calls.
 func (m *Model) SampleAddrSet(size int, rng *stats.RNG) ipset.Set {
-	if size > m.TotalHosts() {
-		panic(fmt.Sprintf("netmodel: sample %d exceeds population %d", size, m.TotalHosts()))
+	// Networks are distinct /24s of at most 254 hosts, so every host
+	// number fits in a uint32.
+	offsets := make([]uint32, len(m.nets))
+	total := 0
+	for i := range m.nets {
+		offsets[i] = uint32(total)
+		total += m.nets[i].Hosts
 	}
+	if size > total {
+		panic(fmt.Sprintf("netmodel: sample %d exceeds population %d", size, total))
+	}
+	g := newGuide(m.cum, m.totalMass)
+	seen := make([]uint64, (total+63)/64)
 	b := ipset.NewBuilder(size)
-	seen := make(map[netaddr.Addr]struct{}, size)
-	for len(seen) < size {
-		a := m.SampleAddr(rng)
-		if _, dup := seen[a]; !dup {
-			seen[a] = struct{}{}
-			b.Add(a)
+	for drawn := 0; drawn < size; {
+		i := g.search(rng.Float64() * m.totalMass)
+		n := &m.nets[i]
+		h := rng.Intn(n.Hosts)
+		bit := offsets[i] + uint32(h)
+		word, mask := bit/64, uint64(1)<<(bit%64)
+		if seen[word]&mask != 0 {
+			continue
 		}
+		seen[word] |= mask
+		b.Add(n.Host(h))
+		drawn++
 	}
 	return b.Build()
+}
+
+// guide answers sort.SearchFloat64s(cum, u) for a strictly increasing cum
+// and u in [0, cum[len(cum)-1]] in a few steps instead of a full binary
+// search. The weight range is cut into len(cum) equal buckets, as wide as
+// the mean weight; start[j] is the first index whose cumulative weight
+// reaches bucket j's lower edge, so the answer for a u in bucket j lies
+// at or a few steps after start[j].
+type guide struct {
+	cum   []float64
+	start []uint32
+	scale float64 // buckets per unit of weight
+}
+
+func newGuide(cum []float64, total float64) guide {
+	g := guide{cum: cum, start: make([]uint32, len(cum)), scale: float64(len(cum)) / total}
+	i := 0
+	for j := range g.start {
+		edge := float64(j) / g.scale
+		for i < len(cum)-1 && cum[i] < edge {
+			i++
+		}
+		g.start[j] = uint32(i)
+	}
+	return g
+}
+
+// search returns sort.SearchFloat64s(g.cum, u). The guided candidate i is
+// returned only when cum[i-1] < u <= cum[i], which makes it that answer;
+// when rounding in the bucket arithmetic puts it past the answer, the
+// full search runs instead.
+func (g guide) search(u float64) int {
+	last := len(g.cum) - 1
+	i := int(g.start[min(int(u*g.scale), last)])
+	for i < last && g.cum[i] < u {
+		i++
+	}
+	if u <= g.cum[i] && (i == 0 || g.cum[i-1] < u) {
+		return i
+	}
+	return sort.SearchFloat64s(g.cum, u)
 }
 
 // TotalHosts returns the total active host population.

@@ -1,8 +1,11 @@
 package netmodel
 
 import (
+	"math"
+	"sort"
 	"testing"
 
+	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/stats"
 )
@@ -254,5 +257,146 @@ func TestTotalHostsPositive(t *testing.T) {
 	m := buildSmall(t, 21)
 	if m.TotalHosts() < m.NetworkCount() {
 		t.Fatalf("TotalHosts %d < NetworkCount %d", m.TotalHosts(), m.NetworkCount())
+	}
+}
+
+// referenceSampleAddrSet is the sampler SampleAddrSet replaced: SampleAddr
+// draws, with a map dropping repeats. SampleAddr searches the cumulative
+// weights with sort.SearchFloat64s.
+func referenceSampleAddrSet(m *Model, size int, rng *stats.RNG) ipset.Set {
+	b := ipset.NewBuilder(size)
+	seen := make(map[netaddr.Addr]struct{}, size)
+	for len(seen) < size {
+		a := m.SampleAddr(rng)
+		if _, dup := seen[a]; !dup {
+			seen[a] = struct{}{}
+			b.Add(a)
+		}
+	}
+	return b.Build()
+}
+
+func TestSampleAddrSetMatchesReference(t *testing.T) {
+	for _, networks := range []int{300, 3000, 12000} {
+		cfg := smallConfig()
+		cfg.TargetNetworks = networks
+		m, err := New(cfg, stats.NewRNG(uint64(networks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := m.TotalHosts() / 2
+		for _, seed := range []uint64{1, 2, 3} {
+			gotRNG, wantRNG := stats.NewRNG(seed), stats.NewRNG(seed)
+			got := m.SampleAddrSet(size, gotRNG)
+			want := referenceSampleAddrSet(m, size, wantRNG)
+			if got.Len() != size || !got.Equal(want) {
+				t.Fatalf("%d networks, seed %d: sets differ (%d vs %d addresses)", m.NetworkCount(), seed, got.Len(), want.Len())
+			}
+			if a, b := gotRNG.Uint64(), wantRNG.Uint64(); a != b {
+				t.Fatalf("%d networks, seed %d: RNG streams diverged", m.NetworkCount(), seed)
+			}
+		}
+	}
+}
+
+// checkGuide compares the guided search with sort.SearchFloat64s at u.
+func checkGuide(t *testing.T, label string, g guide, u float64) {
+	t.Helper()
+	if got, want := g.search(u), sort.SearchFloat64s(g.cum, u); got != want {
+		t.Fatalf("%s: search(%v) = %d, sort.SearchFloat64s = %d", label, u, got, want)
+	}
+}
+
+func TestGuideMatchesSearchFloat64s(t *testing.T) {
+	type weights struct {
+		name  string
+		cum   []float64
+		total float64
+	}
+	m := buildSmall(t, 23)
+	models := []weights{{"model", m.cum, m.totalMass}}
+	// Synthetic weight profiles that stress the bucket arithmetic.
+	for _, p := range []struct {
+		name   string
+		weight func(i int) float64
+	}{
+		{"equal", func(int) float64 { return 1 }},
+		{"geometric", func(i int) float64 { return math.Pow(1.05, float64(i%400)) }},
+		{"one-giant", func(i int) float64 {
+			if i == 17 {
+				return 1e9
+			}
+			return 0.5
+		}},
+		{"tiny-and-huge", func(i int) float64 {
+			if i%7 == 0 {
+				return 762
+			}
+			return 1e-6
+		}},
+	} {
+		cum := make([]float64, 1000)
+		total := 0.0
+		for i := range cum {
+			total += p.weight(i)
+			cum[i] = total
+		}
+		models = append(models, weights{p.name, cum, total})
+	}
+	rng := stats.NewRNG(24)
+	for _, c := range models {
+		g := newGuide(c.cum, c.total)
+		draws := 1_000_000
+		if c.name != "model" {
+			draws = 100_000
+		}
+		for i := 0; i < draws; i++ {
+			checkGuide(t, c.name, g, rng.Float64()*c.total)
+		}
+		// Every bucket edge and every cumulative weight, with both
+		// neighbouring floats.
+		var points []float64
+		for j := range g.start {
+			points = append(points, float64(j)/g.scale)
+		}
+		points = append(points, c.cum...)
+		for _, p := range points {
+			for _, u := range []float64{math.Nextafter(p, 0), p, math.Nextafter(p, math.Inf(1))} {
+				if u >= 0 && u <= c.total {
+					checkGuide(t, c.name, g, u)
+				}
+			}
+		}
+		checkGuide(t, c.name, g, 0)
+		checkGuide(t, c.name, g, math.Nextafter(c.total, 0))
+		checkGuide(t, c.name, g, c.total)
+	}
+}
+
+var sampleSink ipset.Set
+
+// BenchmarkSampleAddrSet draws half the active population, against the
+// reference sampler.
+func BenchmarkSampleAddrSet(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.TargetNetworks = 20000
+	m, err := New(cfg, stats.NewRNG(25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := m.TotalHosts() / 2
+	for _, impl := range []struct {
+		name   string
+		sample func(int, *stats.RNG) ipset.Set
+	}{
+		{"guided", m.SampleAddrSet},
+		{"reference", func(size int, rng *stats.RNG) ipset.Set { return referenceSampleAddrSet(m, size, rng) }},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sampleSink = impl.sample(size, stats.NewRNG(uint64(i)))
+			}
+			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "addrs/s")
+		})
 	}
 }

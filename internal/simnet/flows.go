@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"slices"
 	"time"
 
 	"unclean/internal/ipset"
@@ -24,8 +23,10 @@ type FlowOptions struct {
 	// day's synthesis holds before spilling a sorted run to a temp
 	// segment file (see spill.go). Zero keeps whole days in memory.
 	// StreamFlows honors the budget; SynthesizeFlows, which returns the
-	// complete log anyway, ignores it. Peak synthesis memory is roughly
-	// workers × SpillBudget.
+	// complete log anyway, ignores it. Sorting a run takes 24 bytes of
+	// scratch per record on top of the record's own size
+	// (recordMemBytes), so peak synthesis memory is roughly
+	// workers × SpillBudget × (1 + 24/recordMemBytes).
 	SpillBudget int
 	// SpillDir is where spill segments are created; empty means the
 	// system temp directory. Segments are removed as they are consumed.
@@ -59,16 +60,6 @@ func (w *World) SynthesizeFlows(from, to time.Time, opts FlowOptions) []netflow.
 		perDay[i] = day
 	})
 	return mergeByTime(perDay)
-}
-
-// sortByTime stable-sorts one day's records by flow start time. Stable,
-// so records with equal timestamps keep generation order — which is what
-// the old whole-log sort.SliceStable preserved, making the per-day
-// sort + merge pipeline byte-identical to it.
-func sortByTime(records []netflow.Record) {
-	slices.SortStableFunc(records, func(a, b netflow.Record) int {
-		return a.First.Compare(b.First)
-	})
 }
 
 // mergeByTime merges already-sorted per-day slices into one

@@ -15,11 +15,12 @@ import (
 // millions of ~90-byte records; holding a whole day (let alone a
 // worker-pool batch of days) in memory is what capped the old pipeline.
 // With FlowOptions.SpillBudget set, synthesis accumulates records until
-// the budget is exceeded, stable-sorts the run, and spills it to a temp
-// segment file in the compact netflow segment encoding. The day is then
-// reconstructed as a k-way merge of its sorted runs — segment files
-// stream back through buffered readers, so peak memory per day is the
-// budget plus one read buffer per run, regardless of day size.
+// the budget is exceeded, then spills the run to a temp segment file in
+// the compact netflow segment encoding, written in stable time order
+// (timeOrder). The day is then reconstructed as a k-way merge of its
+// sorted runs — segment files stream back through buffered readers, so
+// peak memory per day is the budget, the run's sort scratch, and one read
+// buffer per run, regardless of day size.
 //
 // Byte-identity with the in-memory path: runs are spilled in generation
 // order and the merge breaks timestamp ties by run index, which is
@@ -45,7 +46,7 @@ type daySpiller struct {
 }
 
 // checkpoint is called between generator invocations: when the
-// in-memory run exceeds the budget it is sorted, spilled, and the
+// in-memory run exceeds the budget it is spilled in time order and the
 // (emptied) buffer returned. On spill failure the error is recorded and
 // synthesis continues unspilled; the caller surfaces sp.err at day end.
 func (sp *daySpiller) checkpoint(out []netflow.Record) []netflow.Record {
@@ -62,7 +63,6 @@ func (sp *daySpiller) spill(out []netflow.Record) []netflow.Record {
 	if len(out) == 0 {
 		return out
 	}
-	sortByTime(out)
 	f, err := os.CreateTemp(sp.dir, "unclean-spill-*.seg")
 	if err != nil {
 		sp.err = fmt.Errorf("simnet: creating spill segment: %w", err)
@@ -70,7 +70,8 @@ func (sp *daySpiller) spill(out []netflow.Record) []netflow.Record {
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var buf [netflow.SegmentRecordSize]byte
-	for i := range out {
+	// The run is encoded in time order without moving its records.
+	for _, i := range timeOrder(out) {
 		netflow.EncodeSegmentRecord(buf[:], &out[i])
 		if _, err := bw.Write(buf[:]); err != nil {
 			sp.err = fmt.Errorf("simnet: writing spill segment: %w", err)
