@@ -58,6 +58,14 @@ func EncodeSegmentRecord(buf []byte, r *Record) {
 	buf[53], buf[54], buf[55] = 0, 0, 0
 }
 
+// SegmentRecordFirst returns the First timestamp, in Unix nanoseconds,
+// of the encoded record at the start of buf, without decoding the rest:
+// the key a merge of time-ordered segments compares. buf must hold at
+// least SegmentRecordSize bytes.
+func SegmentRecordFirst(buf []byte) int64 {
+	return int64(segLE.Uint64(buf[24:32]))
+}
+
 // DecodeSegmentRecord parses one spill record from buf. Timestamps come
 // back in UTC; they compare Equal to (and format identically to) the
 // times that were encoded.

@@ -67,7 +67,7 @@ func (w *World) SynthesizeFlows(from, to time.Time, opts FlowOptions) []netflow.
 // index, mirroring concatenation order under a stable sort. Every
 // generator emits a day's flows with First inside that day, so in
 // practice consecutive days never overlap and the merge is a straight
-// concatenation; the heap path keeps the merge correct if a future
+// concatenation; the runMerge path keeps the merge correct if a future
 // generator crosses midnight.
 func mergeByTime(perDay [][]netflow.Record) []netflow.Record {
 	total := 0
@@ -92,15 +92,13 @@ func mergeByTime(perDay [][]netflow.Record) []netflow.Record {
 		}
 		return out
 	}
-	curs := make([]*runCursor, len(perDay))
+	runs := make([]runCursor, len(perDay))
 	for i := range perDay {
-		curs[i] = newMemCursor(perDay[i])
+		runs[i].setMem(perDay[i])
 	}
+	out = out[:total]
 	// In-memory cursors never error.
-	mergeCursors(curs, func(r *netflow.Record) error {
-		out = append(out, *r)
-		return nil
-	})
+	_, _ = newRunMerge(runs).fill(out)
 	return out
 }
 
@@ -113,22 +111,21 @@ func mergeByTime(perDay [][]netflow.Record) []netflow.Record {
 // chunks — fn may then see several calls with the same day timestamp,
 // and peak memory stays near workers × SpillBudget regardless of day
 // size. Either way, concatenating the records across calls reproduces
-// SynthesizeFlows byte for byte. A non-nil error from fn aborts the
-// stream and is returned.
+// SynthesizeFlows byte for byte. The records passed to fn are valid
+// only until fn returns: the spilled stream reuses its buffers, so fn
+// must copy what it keeps. A non-nil error from fn aborts the stream
+// and is returned.
 func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
 	lo, hi := w.clampDays(from, to)
 	if hi < lo {
 		return nil
 	}
 	window := stats.Workers(hi - lo + 1)
+	if opts.SpillBudget > 0 {
+		return w.streamSpilled(lo, hi, window, opts, fn)
+	}
 	for base := lo; base <= hi; base += window {
 		n := min(window, hi-base+1)
-		if opts.SpillBudget > 0 {
-			if err := w.streamSpilled(base, n, opts, fn); err != nil {
-				return err
-			}
-			continue
-		}
 		chunk := make([][]netflow.Record, n)
 		stats.Parallel(n, func(_, i int) {
 			day := w.synthesizeDay(base+i, opts, nil, nil)
@@ -145,52 +142,69 @@ func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day ti
 	return nil
 }
 
-// streamSpilled synthesizes one batch of days under the spill budget and
-// delivers each day's merged runs in order.
-func (w *World) streamSpilled(base, n int, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
-	runs := make([]*dayRuns, n)
-	errs := make([]error, n)
-	stats.Parallel(n, func(_, i int) {
-		runs[i], errs[i] = w.synthesizeDayRuns(base+i, opts)
-	})
-	// On any failure, drop every day's segments before reporting.
-	fail := func(err error) error {
-		for _, r := range runs {
-			if r != nil {
-				r.cleanup()
+// daySlot is what one in-flight day of a spilled stream keeps from batch
+// to batch: the run buffer its synthesis appends to and the scratch that
+// puts each run in time order. Both grow to the largest run the slot has
+// held, so later days reuse them instead of regrowing from nothing.
+type daySlot struct {
+	run   []netflow.Record
+	order timeScratch
+}
+
+// streamSpilled streams days [lo, hi] under the spill budget, window
+// days at a time: a batch is synthesized in parallel, day i of it in
+// slots[i], then its days' merged runs are delivered in order. A day's
+// in-memory remainder still lives in its slot's run buffer while it is
+// delivered, which is before the next batch reuses the slot. One
+// delivery chunk serves every day.
+func (w *World) streamSpilled(lo, hi, window int, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
+	slots := make([]daySlot, window)
+	runs := make([]dayRuns, window)
+	errs := make([]error, window)
+	chunk := make([]netflow.Record, spillChunkRecords)
+	for base := lo; base <= hi; base += window {
+		batch := runs[:min(window, hi-base+1)]
+		stats.Parallel(len(batch), func(_, i int) {
+			batch[i], errs[i] = w.synthesizeDayRuns(base+i, opts, &slots[i])
+		})
+		var err error
+		for _, e := range errs[:len(batch)] {
+			if e != nil {
+				err = e
+				break
 			}
 		}
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return fail(err)
+		for i := 0; i < len(batch) && err == nil; i++ {
+			day := w.Date(base + i)
+			err = batch[i].deliver(chunk, func(recs []netflow.Record) error {
+				return fn(day, recs)
+			})
 		}
-	}
-	for i := range runs {
-		day := w.Date(base + i)
-		err := runs[i].deliver(func(recs []netflow.Record) error {
-			return fn(day, recs)
-		})
-		runs[i] = nil
 		if err != nil {
-			return fail(err)
+			// Delivered and failed days have removed their segments
+			// already; drop the rest before reporting.
+			for i := range batch {
+				batch[i].cleanup()
+			}
+			return err
 		}
 	}
 	return nil
 }
 
-// synthesizeDayRuns synthesizes one day under the spill budget,
-// returning its sorted runs.
-func (w *World) synthesizeDayRuns(d int, opts FlowOptions) (*dayRuns, error) {
-	sp := &daySpiller{dir: opts.SpillDir, budget: opts.SpillBudget}
-	out := w.synthesizeDay(d, opts, nil, sp)
+// synthesizeDayRuns synthesizes one day under the spill budget into
+// slot's buffers, returning its sorted runs; the in-memory run is the
+// slot's run buffer.
+func (w *World) synthesizeDayRuns(d int, opts FlowOptions, slot *daySlot) (dayRuns, error) {
+	sp := &daySpiller{dir: opts.SpillDir, budget: opts.SpillBudget, order: &slot.order}
+	out := w.synthesizeDay(d, opts, slot.run[:0], sp)
+	slot.run = out
 	if sp.err != nil {
 		sp.cleanup()
-		return nil, sp.err
+		return dayRuns{}, sp.err
 	}
-	sortByTime(out)
-	return &dayRuns{mem: out, paths: sp.paths, counts: sp.counts}, nil
+	slot.order.sortByTime(out)
+	return dayRuns{mem: out, paths: sp.paths, counts: sp.counts}, nil
 }
 
 // synthesizeDay generates one day's records. sp may be nil (keep

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"bufio"
-	"container/heap"
 	"fmt"
 	"io"
 	"os"
@@ -18,9 +17,9 @@ import (
 // the budget is exceeded, then spills the run to a temp segment file in
 // the compact netflow segment encoding, written in stable time order
 // (timeOrder). The day is then reconstructed as a k-way merge of its
-// sorted runs — segment files stream back through buffered readers, so
-// peak memory per day is the budget, the run's sort scratch, and one read
-// buffer per run, regardless of day size.
+// sorted runs — segment files are read back a block at a time, so peak
+// memory per day is the budget, the run's sort scratch, one block per
+// segment and the delivery chunk, regardless of day size.
 //
 // Byte-identity with the in-memory path: runs are spilled in generation
 // order and the merge breaks timestamp ties by run index, which is
@@ -35,11 +34,16 @@ var recordMemBytes = int(unsafe.Sizeof(netflow.Record{}))
 // spillChunkRecords is the delivery granularity of a merged spilled day.
 const spillChunkRecords = 8192
 
+// segmentBlockRecords is how many records a segment cursor reads from
+// its file at a time: 224 KiB per open segment.
+const segmentBlockRecords = 4096
+
 // daySpiller accumulates one day's spilled runs. A nil spiller is valid
 // and never spills — the in-memory path.
 type daySpiller struct {
 	dir    string
 	budget int
+	order  *timeScratch // orders each run for its encode
 	paths  []string
 	counts []int
 	err    error
@@ -71,7 +75,7 @@ func (sp *daySpiller) spill(out []netflow.Record) []netflow.Record {
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var buf [netflow.SegmentRecordSize]byte
 	// The run is encoded in time order without moving its records.
-	for _, i := range timeOrder(out) {
+	for _, i := range sp.order.timeOrder(out) {
 		netflow.EncodeSegmentRecord(buf[:], &out[i])
 		if _, err := bw.Write(buf[:]); err != nil {
 			sp.err = fmt.Errorf("simnet: writing spill segment: %w", err)
@@ -119,180 +123,201 @@ func (r *dayRuns) cleanup() {
 	r.paths = nil
 }
 
-// deliver merges the day's runs in time order and hands the records to
-// fn in bounded chunks. Segment files are consumed through buffered
-// readers and removed afterwards. fn is called at least once, so empty
-// days still announce themselves, matching the in-memory path.
-func (r *dayRuns) deliver(fn func(records []netflow.Record) error) error {
+// deliver merges the day's runs in time order into chunk and hands it to
+// fn each time it fills, then once more with the rest. fn is called at
+// least once, so empty days still announce themselves, matching the
+// in-memory path. chunk is reused from call to call, so fn must not keep
+// it. The day's segment files are removed on return, whether or not the
+// merge succeeded.
+func (r *dayRuns) deliver(chunk []netflow.Record, fn func(records []netflow.Record) error) error {
 	if len(r.paths) == 0 {
 		return fn(r.mem)
 	}
-	curs := make([]*runCursor, 0, len(r.paths)+1)
+	defer r.cleanup()
+	runs := make([]runCursor, len(r.paths)+1)
 	defer func() {
-		for _, c := range curs {
-			c.close()
+		for i := range runs {
+			runs[i].close()
 		}
 	}()
+	const blockBytes = segmentBlockRecords * netflow.SegmentRecordSize
+	blocks := make([]byte, len(r.paths)*blockBytes)
 	for i, p := range r.paths {
-		c, err := openSegmentCursor(p, r.counts[i])
-		if err != nil {
+		if err := runs[i].openSegment(p, r.counts[i], blocks[i*blockBytes:(i+1)*blockBytes]); err != nil {
 			return err
 		}
-		curs = append(curs, c)
 	}
 	// The in-memory remainder is the youngest run, so it merges last on
 	// timestamp ties — the order a whole-day stable sort would produce.
-	curs = append(curs, newMemCursor(r.mem))
+	runs[len(r.paths)].setMem(r.mem)
 
-	chunk := make([]netflow.Record, 0, spillChunkRecords)
+	m := newRunMerge(runs)
 	delivered := false
-	err := mergeCursors(curs, func(rec *netflow.Record) error {
-		chunk = append(chunk, *rec)
-		if len(chunk) == spillChunkRecords {
-			if err := fn(chunk); err != nil {
-				return err
-			}
-			delivered = true
-			chunk = make([]netflow.Record, 0, spillChunkRecords)
+	for {
+		n, err := m.fill(chunk)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		if n == 0 && delivered {
+			return nil
+		}
+		if err := fn(chunk[:n]); err != nil {
+			return err
+		}
+		delivered = true
+		if n < len(chunk) {
+			return nil
+		}
 	}
-	if len(chunk) > 0 || !delivered {
-		return fn(chunk)
-	}
-	return nil
 }
 
-// runCursor walks one sorted run: an in-memory slice, or a spill
-// segment streamed through a buffered reader.
+// runCursor walks one sorted run: an in-memory slice, or a spill segment
+// read a block at a time into buf. While live, key is the current
+// record's First in Unix nanoseconds.
 type runCursor struct {
-	// In-memory run.
+	key  int64
+	live bool
+	// In-memory run: recs[pos] is the current record.
 	recs []netflow.Record
 	pos  int
-	// Segment-backed run.
-	path      string
+	// Segment-backed run: block holds the unconsumed records of the last
+	// block read, the current one first; remaining counts the records
+	// still in the file.
 	f         *os.File
-	br        *bufio.Reader
+	path      string
+	buf       []byte
+	block     []byte
 	remaining int
-	rec       netflow.Record
-
-	valid bool
 }
 
-func newMemCursor(recs []netflow.Record) *runCursor {
-	return &runCursor{recs: recs, valid: len(recs) > 0}
+// setMem points the cursor at an in-memory run.
+func (c *runCursor) setMem(recs []netflow.Record) {
+	*c = runCursor{recs: recs, live: len(recs) > 0}
+	if c.live {
+		c.key = recs[0].First.UnixNano()
+	}
 }
 
-func openSegmentCursor(path string, count int) (*runCursor, error) {
+// openSegment points the cursor at a segment file of count records and
+// reads its first block into buf, which holds segmentBlockRecords.
+func (c *runCursor) openSegment(path string, count int, buf []byte) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("simnet: opening spill segment: %w", err)
+		return fmt.Errorf("simnet: opening spill segment: %w", err)
 	}
-	c := &runCursor{path: path, f: f, br: bufio.NewReaderSize(f, 1<<20), remaining: count}
-	if err := c.advance(); err != nil {
-		c.close()
-		return nil, err
-	}
-	return c, nil
+	*c = runCursor{f: f, path: path, buf: buf, remaining: count}
+	return c.readBlock()
 }
 
-// cur returns the cursor's current record; valid until the next advance.
-func (c *runCursor) cur() *netflow.Record {
-	if c.f != nil {
-		return &c.rec
-	}
-	return &c.recs[c.pos]
-}
-
-// advance moves to the next record, clearing valid at run end.
-func (c *runCursor) advance() error {
-	if c.f == nil {
-		if c.valid {
-			c.pos++
-		}
-		c.valid = c.pos < len(c.recs)
+// readBlock reads the segment's next block, clearing live at its end.
+func (c *runCursor) readBlock() error {
+	n := min(c.remaining, segmentBlockRecords)
+	if n == 0 {
+		c.live = false
 		return nil
 	}
-	if c.remaining == 0 {
-		c.valid = false
-		return nil
-	}
-	var buf [netflow.SegmentRecordSize]byte
-	if _, err := io.ReadFull(c.br, buf[:]); err != nil {
-		c.valid = false
+	c.block = c.buf[:n*netflow.SegmentRecordSize]
+	if _, err := io.ReadFull(c.f, c.block); err != nil {
 		return fmt.Errorf("simnet: reading spill segment %s: %w", c.path, err)
 	}
-	if err := netflow.DecodeSegmentRecord(buf[:], &c.rec); err != nil {
-		c.valid = false
-		return err
-	}
-	c.remaining--
-	c.valid = true
+	c.remaining -= n
+	c.key = netflow.SegmentRecordFirst(c.block)
+	c.live = true
 	return nil
 }
 
-// close releases a segment-backed cursor and deletes its file.
+// take writes the current record to dst, decoding it if it comes from a
+// segment, and moves to the next one.
+func (c *runCursor) take(dst *netflow.Record) error {
+	if c.f == nil {
+		*dst = c.recs[c.pos]
+		c.pos++
+		if c.live = c.pos < len(c.recs); c.live {
+			c.key = c.recs[c.pos].First.UnixNano()
+		}
+		return nil
+	}
+	// The block holds whole records, so the decode cannot fail.
+	_ = netflow.DecodeSegmentRecord(c.block, dst)
+	c.block = c.block[netflow.SegmentRecordSize:]
+	if len(c.block) == 0 {
+		return c.readBlock()
+	}
+	c.key = netflow.SegmentRecordFirst(c.block)
+	return nil
+}
+
+// close releases a segment-backed cursor's file.
 func (c *runCursor) close() {
 	if c.f != nil {
 		c.f.Close()
-		os.Remove(c.path)
 		c.f = nil
 	}
-	c.valid = false
 }
 
-// mergeCursors streams the union of the sorted runs to emit in time
-// order, breaking timestamp ties by cursor index (run order). This is
-// the k-way merge shared by cross-day merging (in-memory cursors) and
-// spilled-day reconstruction (segment cursors).
-func mergeCursors(curs []*runCursor, emit func(*netflow.Record) error) error {
-	h := &recordHeap{curs: curs}
-	for i := range curs {
-		if curs[i].valid {
-			h.order = append(h.order, i)
-		}
-	}
-	heap.Init(h)
-	for len(h.order) > 0 {
-		i := h.order[0]
-		if err := emit(curs[i].cur()); err != nil {
-			return err
-		}
-		if err := curs[i].advance(); err != nil {
-			return err
-		}
-		if !curs[i].valid {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-	}
-	return nil
+// runMerge is the k-way merge of sorted runs by First, breaking ties by
+// run index: the order one stable sort of the runs' concatenation
+// produces. It serves both spilled-day reconstruction (segment cursors
+// plus the in-memory remainder) and cross-day merging (in-memory
+// cursors). The runs are the leaves k..2k-1 of a loser tree in heap
+// layout: tree[n], for each internal node n ≥ 1, holds the run that lost
+// the match played there, and tree[0] the overall winner. Taking the
+// winner's record replays only the matches on its leaf's path to the
+// root, about log2(k) key compares.
+type runMerge struct {
+	runs []runCursor
+	tree []int
 }
 
-// recordHeap is a min-heap of cursor indices ordered by each cursor's
-// current record (ties by cursor index, preserving stability).
-type recordHeap struct {
-	curs  []*runCursor
-	order []int
+// newRunMerge plays the initial tournament over one or more runs.
+func newRunMerge(runs []runCursor) *runMerge {
+	k := len(runs)
+	m := &runMerge{runs: runs, tree: make([]int, k)}
+	win := make([]int, 2*k) // win[n]: the winner of node n's subtree
+	for i := range runs {
+		win[k+i] = i
+	}
+	for n := k - 1; n > 0; n-- {
+		a, b := win[2*n], win[2*n+1]
+		if m.less(b, a) {
+			a, b = b, a
+		}
+		win[n], m.tree[n] = a, b
+	}
+	m.tree[0] = win[1]
+	return m
 }
 
-func (h *recordHeap) Len() int { return len(h.order) }
-func (h *recordHeap) Less(a, b int) bool {
-	i, j := h.order[a], h.order[b]
-	ri, rj := h.curs[i].cur(), h.curs[j].cur()
-	if !ri.First.Equal(rj.First) {
-		return ri.First.Before(rj.First)
+// less reports whether run a's current record comes before run b's: a
+// live run before an exhausted one, then the earlier key, then the lower
+// run index. Exhaustion is a flag, not a sentinel key, so no record's
+// timestamp can tie with an exhausted run.
+func (m *runMerge) less(a, b int) bool {
+	ra, rb := &m.runs[a], &m.runs[b]
+	if !ra.live || !rb.live {
+		return ra.live
 	}
-	return i < j
+	return ra.key < rb.key || ra.key == rb.key && a < b
 }
-func (h *recordHeap) Swap(a, b int) { h.order[a], h.order[b] = h.order[b], h.order[a] }
-func (h *recordHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
-func (h *recordHeap) Pop() any {
-	x := h.order[len(h.order)-1]
-	h.order = h.order[:len(h.order)-1]
-	return x
+
+// fill writes the next records in merge order to dst and returns how
+// many it wrote: len(dst) unless the runs ran out first.
+func (m *runMerge) fill(dst []netflow.Record) (int, error) {
+	k := len(m.runs)
+	for i := range dst {
+		w := m.tree[0]
+		if !m.runs[w].live {
+			return i, nil
+		}
+		if err := m.runs[w].take(&dst[i]); err != nil {
+			return i, err
+		}
+		for n := (w + k) / 2; n > 0; n /= 2 {
+			if l := m.tree[n]; m.less(l, w) {
+				m.tree[n], w = w, l
+			}
+		}
+		m.tree[0] = w
+	}
+	return len(dst), nil
 }

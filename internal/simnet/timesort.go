@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/bits"
+	"slices"
 
 	"unclean/internal/netflow"
 )
@@ -15,19 +16,27 @@ import (
 // records then move once — or, for a spilled run, never: the run is
 // encoded straight through the order.
 
+// timeScratch is timeOrder's working memory, 24 bytes per record: two
+// key buffers and two index buffers for the ping-pong passes. It grows
+// to the largest run it has ordered and is reused from run to run.
+type timeScratch struct {
+	keys []uint64
+	idx  []uint32
+}
+
 // timeOrder returns the permutation that stable-sorts records by First:
 // records[perm[0]], records[perm[1]], ... run in time order, and records
 // with equal First keep their relative order. Keys are First.UnixNano()
 // minus the minimum, sorted a byte at a time over only as many bytes as
 // the key span needs; a byte that is the same for every key is skipped.
 // Synthesized and decoded times carry no monotonic clock reading, so
-// UnixNano order is First.Compare order.
-// Scratch is 24 bytes per record: two key buffers and two index buffers
-// for the ping-pong passes.
-func timeOrder(records []netflow.Record) []uint32 {
+// UnixNano order is First.Compare order. The permutation lives in s and
+// is valid until s orders another run.
+func (s *timeScratch) timeOrder(records []netflow.Record) []uint32 {
 	n := len(records)
-	keys := make([]uint64, 2*n)
-	idx := make([]uint32, 2*n)
+	s.keys = slices.Grow(s.keys[:0], 2*n)
+	s.idx = slices.Grow(s.idx[:0], 2*n)
+	keys, idx := s.keys[:2*n], s.idx[:2*n]
 	k, tk := keys[:n], keys[n:]
 	p, tp := idx[:n], idx[n:]
 	if n == 0 {
@@ -100,9 +109,16 @@ func permute(records []netflow.Record, perm []uint32) {
 	}
 }
 
-// sortByTime stable-sorts records by flow start time in place. Stable,
-// so records with equal timestamps keep generation order: per-day sorts
-// followed by mergeByTime reproduce one stable sort of the whole log.
+// sortByTime stable-sorts records by flow start time in place, with
+// scratch from s. Stable, so records with equal timestamps keep
+// generation order: per-day sorts followed by mergeByTime reproduce one
+// stable sort of the whole log.
+func (s *timeScratch) sortByTime(records []netflow.Record) {
+	permute(records, s.timeOrder(records))
+}
+
+// sortByTime is timeScratch.sortByTime with scratch of its own.
 func sortByTime(records []netflow.Record) {
-	permute(records, timeOrder(records))
+	var s timeScratch
+	s.sortByTime(records)
 }

@@ -34,7 +34,7 @@ func encodeRecords(records []netflow.Record) []byte {
 // spillBytes spills records as one run and returns the segment file.
 func spillBytes(t *testing.T, records []netflow.Record) []byte {
 	t.Helper()
-	sp := &daySpiller{dir: t.TempDir()}
+	sp := &daySpiller{dir: t.TempDir(), order: new(timeScratch)}
 	sp.spill(records)
 	if sp.err != nil {
 		t.Fatal(sp.err)
