@@ -13,8 +13,8 @@
 // shutdown — and recovered at startup, so a dead feed plus a restart
 // still yields a serving daemon.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the server drains queries
-// already accepted, a final checkpoint is written, and the serving
+// SIGINT/SIGTERM trigger a graceful shutdown: the shards finish the
+// batch in hand, a final checkpoint is written, and the serving
 // counters are printed.
 //
 // With -metrics the daemon exposes its observability surface over HTTP:
@@ -41,12 +41,12 @@
 //	curl -s http://127.0.0.1:9090/readyz
 //	curl -s 'http://127.0.0.1:9090/debug/events?kind=query&n=10'
 //
-// With -shards the daemon serves through the batched sharded path
-// instead of the legacy worker pool: N SO_REUSEPORT sockets (where the
-// platform supports them), recvmmsg/sendmmsg batches of -batch
-// datagrams, and a per-shard verdict cache. -tcp adds a TCP listener on
-// the same address for TC-bit retries, and -max-udp shrinks the UDP
-// response limit that triggers them.
+// UDP queries are served by batched shard loops: -shards SO_REUSEPORT
+// sockets (one per core by default, one shared socket where the
+// platform lacks SO_REUSEPORT), each moving -batch datagrams per
+// recvmmsg/sendmmsg syscall. -tcp adds a TCP listener on the same
+// address for TC-bit retries, and -max-udp shrinks the UDP response
+// limit that triggers them.
 //
 // With repeated -feed NAME=PATH flags the daemon serves the feed mesh
 // instead of a single tracker: each named source (a report directory or
@@ -62,7 +62,7 @@
 //	dnsbld [-listen ADDR] [-zone bl.unclean.example] [-threshold 0.6]
 //	       [-scale N] [-seed N] [-selfcheck N] [-metrics ADDR]
 //	       [-reports DIR] [-reload DUR] [-checkpoint PATH]
-//	       [-checkpoint-every DUR] [-halflife DUR] [-workers N] [-queue N]
+//	       [-checkpoint-every DUR] [-halflife DUR]
 //	       [-shards N] [-batch N] [-tcp] [-max-udp N] [-analytics-sample N]
 //	       [-feed NAME=PATH ...] [-mesh-threshold F]
 //	       [-log-format text|json] [-log-level LEVEL] [-flight-dump PATH]
@@ -142,7 +142,6 @@ type options struct {
 	checkpoint      string
 	checkpointEvery time.Duration
 	halfLife        time.Duration
-	workers, queue  int
 	shards, batch   int
 	maxUDP          int
 	analyticsSample int
@@ -173,10 +172,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "crash-safe tracker checkpoint path (loaded at startup if present)")
 	fs.DurationVar(&o.checkpointEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint interval")
 	fs.DurationVar(&o.halfLife, "halflife", 42*24*time.Hour, "tracker evidence half-life")
-	fs.IntVar(&o.workers, "workers", 0, "server worker pool size (0 = GOMAXPROCS; legacy path only)")
-	fs.IntVar(&o.queue, "queue", 0, "server packet queue length (0 = default; legacy path only)")
-	fs.IntVar(&o.shards, "shards", 0, "serve with this many batched SO_REUSEPORT shards (-1 = one per core, 0 = legacy worker pool)")
-	fs.IntVar(&o.batch, "batch", 0, "datagrams per batched syscall on the sharded path (0 = default)")
+	fs.IntVar(&o.shards, "shards", 0, "serve with this many batched SO_REUSEPORT shards (0 = one per core)")
+	fs.IntVar(&o.batch, "batch", 0, "datagrams per batched syscall (0 = default)")
 	fs.IntVar(&o.maxUDP, "max-udp", 0, "UDP response size limit; larger answers are truncated with TC set (0 = 512)")
 	fs.IntVar(&o.analyticsSample, "analytics-sample", 64,
 		"sample 1 in N packets into the query-analytics sketches, rounded to a power of two (0 disables analytics and /debug/topk)")
@@ -209,11 +206,11 @@ func parseFlags(args []string) (*options, error) {
 	if o.threshold < 0 || o.threshold > 1 {
 		return nil, fmt.Errorf("-threshold must be in [0, 1]")
 	}
-	// The serving knobs all use documented sentinels (-1 = one shard per
-	// core, 0 = default/disabled); anything below those is a typo worth
-	// naming rather than a mode.
-	if o.shards < -1 {
-		return nil, fmt.Errorf("-shards must be -1 (one per core), 0 (legacy worker pool), or a positive shard count; got %d", o.shards)
+	// The serving knobs all use documented sentinels (0 = default or
+	// disabled); anything below those is a typo worth naming rather than
+	// a mode.
+	if o.shards < 0 {
+		return nil, fmt.Errorf("-shards must be 0 (one per core) or a positive shard count; got %d", o.shards)
 	}
 	if o.batch < 0 {
 		return nil, fmt.Errorf("-batch must be 0 (default) or a positive batch size; got %d", o.batch)
@@ -223,9 +220,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.checkpointEvery < 0 {
 		return nil, fmt.Errorf("-checkpoint-every must be 0 (disabled) or a positive interval; got %s", o.checkpointEvery)
-	}
-	if o.workers < 0 || o.queue < 0 {
-		return nil, fmt.Errorf("-workers and -queue must be 0 (default) or positive")
 	}
 	if o.selfcheck < 0 {
 		return nil, fmt.Errorf("-selfcheck must be 0 (serve forever) or a positive probe count; got %d", o.selfcheck)
@@ -499,8 +493,8 @@ func saveCheckpoint(o *options, tr *tracker.Tracker) {
 }
 
 // shedUnreadyRate is the one-minute shed fraction above which /readyz
-// reports the instance overloaded: shedding more than half of incoming
-// queries means a balancer should stop sending new ones.
+// reports the instance overloaded: failing to send more than half of
+// its answers means a balancer should stop sending new queries.
 const shedUnreadyRate = 0.5
 
 // buildHealth wires the daemon's readiness checks: breaker state, feed
@@ -549,7 +543,7 @@ func defaultWatchRules(o *options) []watchdog.Rule {
 		// Error budget burning >10x on the five-minute window: the SLO
 		// will be gone within the hour.
 		"slo-burn: dnsbl_slo_burn_5m > 10 hold=3 cooldown=10m",
-		// The overload valve shedding a fifth of traffic for 30s.
+		// A fifth of answers shed on send faults for 30s.
 		"shed: dnsbl_shed_frac_1m > 0.2 hold=3 cooldown=10m",
 		// Any handler panic since the last tick.
 		"panic: dnsbl_panics_total > 0 over=1 cooldown=5m",
@@ -630,16 +624,8 @@ func run(ctx context.Context, args []string) error {
 		list = listFromTracker(tr, o.threshold)
 	}
 
-	// Bind the serving sockets: one PacketConn for the legacy worker
-	// pool, or a SO_REUSEPORT group for the sharded batched path.
-	var conns []net.PacketConn
-	if o.shards != 0 {
-		conns, err = dnsbl.ListenShards(o.listen, o.shards)
-	} else {
-		var c net.PacketConn
-		c, err = net.ListenPacket("udp", o.listen)
-		conns = []net.PacketConn{c}
-	}
+	// Bind the serving sockets: one SO_REUSEPORT socket per shard.
+	conns, err := dnsbl.ListenShards(o.listen, o.shards)
 	if err != nil {
 		return err
 	}
@@ -661,7 +647,6 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	srv.SetConcurrency(o.workers, o.queue)
 	srv.SetMaxUDPSize(o.maxUDP)
 	// The analytics tap must exist before the shard loops start (they
 	// capture it once); the mesh's contributor map attributes confirmed
@@ -791,11 +776,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	serveErr := make(chan error, 1)
 	go func() {
-		if o.shards != 0 {
-			serveErr <- srv.ServeConns(sctx, conns, dnsbl.ShardConfig{Shards: o.shards, Batch: o.batch})
-		} else {
-			serveErr <- srv.Serve(sctx, conns[0])
-		}
+		serveErr <- srv.ServeConns(sctx, conns, dnsbl.ShardConfig{Shards: o.shards, Batch: o.batch})
 	}()
 
 	// The TCP listener binds the address the UDP sockets resolved to, so
@@ -842,8 +823,8 @@ func run(ctx context.Context, args []string) error {
 		ckptC = tick.C
 	}
 
-	// Graceful shutdown, once Serve has drained accepted queries: a final
-	// checkpoint records everything observed.
+	// Graceful shutdown, once ServeConns has returned: a final checkpoint
+	// records everything observed.
 	shutdown := func() error {
 		drainTCP()
 		saveCheckpoint(o, tr)

@@ -325,14 +325,49 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 	}
 
 	// Phase 2: real queries through the UDP socket /readyz advertised.
-	listed, _, err := dnsbl.Lookup(udpAddr, "bl.unclean.example",
-		netaddr.MustParseAddr("10.1.1.9"), 2*time.Second)
-	if err != nil || !listed {
-		t.Fatalf("lookup listed probe: listed=%v err=%v", listed, err)
+	// A shard records a wide event for one in 64 healthy answers, so
+	// each probe is asked 64 times in a row from one client socket: one
+	// 4-tuple lands on one shard, and 64 consecutive packets there hold
+	// exactly one sampled answer.
+	client, err := net.Dial("udp", udpAddr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if listed, _, err = dnsbl.Lookup(udpAddr, "bl.unclean.example",
-		netaddr.MustParseAddr("192.0.2.1"), 2*time.Second); err != nil || listed {
-		t.Fatalf("lookup unlisted probe: listed=%v err=%v", listed, err)
+	defer client.Close()
+	buf := make([]byte, 512)
+	ask := func(id uint16, probe string) bool {
+		t.Helper()
+		q := &dnsbl.Message{ID: id, Questions: []dnsbl.Question{{
+			Name: dnsbl.QueryName(netaddr.MustParseAddr(probe), "bl.unclean.example"),
+			Type: dnsbl.TypeA, Class: dnsbl.ClassIN,
+		}}}
+		pkt, err := q.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := client.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+		n, err := client.Read(buf)
+		if err != nil {
+			t.Fatalf("query %s: %v", probe, err)
+		}
+		resp, err := dnsbl.Decode(buf[:n])
+		if err != nil || resp.ID != id {
+			t.Fatalf("query %s: bad response (err=%v)", probe, err)
+		}
+		return resp.RCode != dnsbl.RCodeNXDomain
+	}
+	for i := 0; i < 64; i++ {
+		if !ask(uint16(1+i), "10.1.1.9") {
+			t.Fatal("lookup listed probe: not listed")
+		}
+	}
+	for i := 0; i < 64; i++ {
+		if ask(uint16(65+i), "192.0.2.1") {
+			t.Fatal("lookup unlisted probe: listed")
+		}
 	}
 
 	// Phase 3: the feed goes bad; after three failed reloads the breaker
@@ -414,12 +449,11 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-log-format", "xml"},
 		{"-log-level", "verbose"},
 		// Below the documented sentinels: typos, not modes.
+		{"-shards", "-1"},
 		{"-shards", "-2"},
 		{"-batch", "-1"},
 		{"-reload", "-1s"},
 		{"-checkpoint-every", "-1s"},
-		{"-workers", "-1"},
-		{"-queue", "-1"},
 		{"-selfcheck", "-1"},
 		{"-max-udp", "-1"},
 		{"-mesh-threshold", "0"},
@@ -441,7 +475,6 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 
 	// The sentinels themselves stay legal.
 	good := [][]string{
-		{"-shards", "-1"},
 		{"-shards", "0"},
 		{"-batch", "0"},
 		{"-reload", "0"},
@@ -608,7 +641,8 @@ func TestRunMeshModeSurvivesDeadFeed(t *testing.T) {
 	}
 }
 
-// The sharded path must also shut down gracefully from serving mode.
+// One shard per core, with the TCP listener beside it, must also shut
+// down gracefully from serving mode.
 func TestRunShardedGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	writeReports(t, dir)
@@ -617,7 +651,7 @@ func TestRunShardedGracefulShutdown(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-listen", "127.0.0.1:0", "-reports", dir, "-threshold", "0.5",
-			"-selfcheck", "0", "-shards", "-1", "-tcp",
+			"-selfcheck", "0", "-shards", "0", "-tcp",
 		})
 	}()
 	time.Sleep(200 * time.Millisecond)

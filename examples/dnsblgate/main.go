@@ -53,7 +53,7 @@ func main() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go srv.Serve(ctx, conn) //nolint:errcheck // returns on close
+	go srv.ServeConns(ctx, []net.PacketConn{conn}, dnsbl.ShardConfig{}) //nolint:errcheck // returns on close
 	fmt.Printf("DNSBL %s serving %d aggregated rules on %s\n", zone, list.Len(), conn.LocalAddr())
 
 	// The gateway: every distinct SMTP sender in the traffic gets one

@@ -92,24 +92,18 @@ func ceilLog2(n int) uint {
 // /debug/topk rendering.
 type Attributor func(netaddr.Addr) []string
 
-// Analytics is a server's query-analytics state: one tap per shard
-// (plus a shared, mutex-guarded tap for the legacy worker-pool path)
-// and the prediction scoreboard fed by SetList sweeps. Obtain one with
+// Analytics is a server's query-analytics state: one tap per shard and
+// the prediction scoreboard fed by SetList sweeps. Obtain one with
 // Server.EnableAnalytics before serving.
 type Analytics struct {
 	zone       string
 	cfg        AnalyticsConfig
 	sampleMask uint32
 
-	// mu guards tap registration, shared-tap sketch writes (the legacy
-	// path has many workers), the predicted-block summary, and
+	// mu guards tap registration and the predicted-block summary, and
 	// serializes sweeps.
-	mu     sync.Mutex
-	taps   []*tap
-	shared *tap
-	// sharedTick is the legacy path's sampling counter (the sharded
-	// path uses the per-shard tick, shared with flight-event sampling).
-	sharedTick atomic.Uint32
+	mu   sync.Mutex
+	taps []*tap
 
 	// pred24 summarizes the /24s of confirmed predictions (exact
 	// counts — sweeps see every ring entry, no sampling).
@@ -129,8 +123,8 @@ type Analytics struct {
 
 // EnableAnalytics switches on the query-analytics tap and prediction
 // scoreboard, registering the unclean_analytics_* series on the
-// server's metrics registry. Call before Serve or ServeConns (the
-// shard loops capture the tap at startup); calling again returns the
+// server's metrics registry. Call before ServeConns (the shard loops
+// capture the tap at startup); calling again returns the
 // existing instance. Mount Analytics.Handler at /debug/topk to read
 // the merged view.
 func (s *Server) EnableAnalytics(cfg AnalyticsConfig) *Analytics {
@@ -158,7 +152,6 @@ func (s *Server) EnableAnalytics(cfg AnalyticsConfig) *Analytics {
 		"Distinct querying clients among sampled packets (HLL estimate).", a.zl...)
 	a.gPending = s.metrics.Gauge("unclean_analytics_pending_misses",
 		"Recent not-listed answers awaiting the next scoreboard sweep.", a.zl...)
-	a.shared = a.newTap()
 	s.analytics = a
 	return a
 }
@@ -178,11 +171,9 @@ func (a *Analytics) SetAttributor(fn Attributor) {
 // SampleN reports the effective sketch sampling rate.
 func (a *Analytics) SampleN() int { return a.cfg.SampleN }
 
-// tap is one writer's analytics state. Shard taps are single-writer
-// (the shard goroutine); the shared tap serves the legacy worker pool
-// with sketch writes serialized by Analytics.mu. The miss ring is
-// multi-writer-safe either way: a claim is one atomic add, a record
-// one atomic store.
+// tap is one shard's analytics state, written only by the shard
+// goroutine. Sweeps read and consume the miss ring concurrently, so
+// its cells are atomic; the write position is the shard's alone.
 type tap struct {
 	clients *sketch.TopK // querying clients
 	hot24   *sketch.TopK // queried /24s
@@ -197,7 +188,7 @@ type tap struct {
 	// 0 is the empty/consumed sentinel.
 	ring     []atomic.Uint64
 	ringMask uint32
-	pos      atomic.Uint32
+	pos      uint32
 }
 
 // newTap builds a tap and registers it for sweeps and scrapes.
@@ -219,18 +210,17 @@ func (a *Analytics) newTap() *tap {
 	return t
 }
 
-// recordMiss drops a not-listed answer into the prediction ring:
-// one atomic add, one atomic store, no branches worth counting. Every
-// miss is recorded (not sampled) — the scoreboard's evidence should
-// not depend on the sampling rate.
+// recordMiss drops a not-listed answer into the prediction ring: one
+// atomic store, no branches worth counting. Every miss is recorded
+// (not sampled) — the scoreboard's evidence should not depend on the
+// sampling rate.
 func (t *tap) recordMiss(addr netaddr.Addr, nowMS uint32) {
-	p := t.pos.Add(1) - 1
-	t.ring[p&t.ringMask].Store(uint64(addr)<<32 | uint64(nowMS))
+	t.ring[t.pos&t.ringMask].Store(uint64(addr)<<32 | uint64(nowMS))
+	t.pos++
 }
 
-// observe feeds one sampled packet into the sketches. Callers must
-// hold the tap's write role: the owning shard goroutine, or
-// Analytics.mu for the shared tap.
+// observe feeds one sampled packet into the sketches. Only the owning
+// shard goroutine calls it.
 func (t *tap) observe(client, subject netaddr.Addr, listed bool) {
 	if client != 0 {
 		t.hll.Add(uint32(client))
@@ -244,22 +234,6 @@ func (t *tap) observe(client, subject netaddr.Addr, listed bool) {
 		t.hit16.Inc(uint32(subject.Mask(16)))
 		t.hit24.Inc(b24)
 	}
-}
-
-// observeSlow is the legacy worker-pool (and shard slow-path fallback)
-// entry point: misses always enter the shared prediction ring; 1 in
-// SampleN packets update the shared sketches under the lock.
-func (a *Analytics) observeSlow(client, subject netaddr.Addr, listed bool, nowMS uint32) {
-	if !listed {
-		a.shared.recordMiss(subject, nowMS)
-	}
-	if a.sharedTick.Add(1)&a.sampleMask != 0 {
-		return
-	}
-	a.cSampled.Inc()
-	a.mu.Lock()
-	a.shared.observe(client, subject, listed)
-	a.mu.Unlock()
 }
 
 // sweep diffs every tap's miss ring against a freshly swapped list:

@@ -3,7 +3,6 @@ package dnsbl
 import (
 	"context"
 	"encoding/json"
-	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -174,32 +173,6 @@ func TestAnalyticsSharesShardSamplingCounter(t *testing.T) {
 	}
 	if got := a.cSampled.Value(); got != 4 {
 		t.Fatalf("sampled observations = %d, want 4", got)
-	}
-}
-
-func TestAnalyticsLegacyServePath(t *testing.T) {
-	srv, err := NewServer("bl.legacy.example", shardTestList(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := srv.EnableAnalytics(AnalyticsConfig{SampleN: 1})
-	var arena flight.Arena
-	q := testQuery(t, "bl.legacy.example", "10.77.0.9")
-	peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
-	for i := 0; i < 3; i++ {
-		bp := srv.bufs.Get().(*[]byte)
-		copy(*bp, q)
-		srv.serveOne(nullConn{}, packet{data: bp, n: len(q), peer: peer}, &arena)
-	}
-	nl := shardTestList()
-	nl.Insert(netaddr.MustParseBlock("10.77.0.0/24"), "bot")
-	srv.SetList(nl)
-	if got := a.Predicted(); got != 3 {
-		t.Fatalf("Predicted via legacy path = %d, want 3", got)
-	}
-	doc := a.Snapshot(10)
-	if doc.Sampled != 3 || len(doc.TopClients) != 1 {
-		t.Fatalf("legacy path not sampled: sampled=%d clients=%+v", doc.Sampled, doc.TopClients)
 	}
 }
 

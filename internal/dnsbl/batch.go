@@ -68,8 +68,8 @@ func newBatcher(conn net.PacketConn, ms []batchMsg) batchIO {
 // connBatcher is the portable fallback: one ReadFrom/WriteTo syscall
 // per datagram over any net.PacketConn. Batches degenerate to size 1 on
 // the read side — there is no portable way to ask "how many datagrams
-// are queued" without deadline games — but the shard loop, verdict
-// cache, and zero-copy encode all still apply.
+// are queued" without deadline games — but the shard loop and the
+// zero-copy encode still apply.
 type connBatcher struct {
 	conn net.PacketConn
 }
@@ -94,7 +94,12 @@ func (b *connBatcher) WriteBatch(ms []batchMsg) error {
 		}
 		if _, err := b.conn.WriteTo(m.out[:m.outN], m.peer); err != nil {
 			if errors.Is(err, net.ErrClosed) {
-				m.sendErr = true
+				// Nothing left in the batch can go out either; mark it
+				// all, as the mmsg path does, so every lost response
+				// is counted.
+				for j := i; j < len(ms); j++ {
+					ms[j].sendErr = ms[j].outN > 0
+				}
 				return err
 			}
 			var nerr net.Error

@@ -9,7 +9,6 @@ package dnsbl
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -75,11 +74,11 @@ func startChaosServer(t *testing.T, list *blocklist.Trie, cfg faults.ConnConfig,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, flaky) }()
+	go func() { done <- srv.ServeConns(ctx, []net.PacketConn{flaky}, ShardConfig{}) }()
 	stop := func() {
 		cancel()
 		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
+			t.Errorf("ServeConns: %v", err)
 		}
 		conn.Close()
 	}
@@ -310,65 +309,4 @@ func TestChaosCrashAtCheckpointLeavesReadableFlightDump(t *testing.T) {
 	if rec2.BlockCount() != 2 {
 		t.Errorf("recovered %d blocks, want 2", rec2.BlockCount())
 	}
-}
-
-// TestChaosOverloadShedsNotBlocks floods a deliberately tiny server with
-// a parked worker: excess packets must be shed (counted, dropped) rather
-// than wedging the read loop, and the server must answer again once the
-// worker resumes.
-func TestChaosOverloadShedsNotBlocks(t *testing.T) {
-	tr := chaosTracker(t)
-	srv, err := NewServer("bl.chaos.example", chaosList(tr), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetConcurrency(1, 2)
-	block := make(chan struct{})
-	parked := make(chan struct{})
-	first := true
-	srv.handleHook = func() {
-		if first {
-			first = false
-			close(parked)
-			<-block
-		}
-	}
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, conn) }()
-
-	cl, err := net.Dial("udp", conn.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	q := encodeQuery(t, 1, "10.1.1.9", "bl.chaos.example")
-	cl.Write(q)
-	<-parked
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Snapshot().Shed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no shedding under sustained overload")
-		}
-		cl.Write(q)
-	}
-	close(block)
-
-	// Back under capacity: the server must respond again.
-	p := retry.Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, Jitter: 1}
-	listed, _, err := LookupCtx(context.Background(), conn.LocalAddr().String(),
-		"bl.chaos.example", netaddr.MustParseAddr("10.1.1.9"), 300*time.Millisecond, p)
-	if err != nil || !listed {
-		t.Fatalf("post-overload lookup: listed=%v err=%v", listed, err)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Errorf("Serve: %v", err)
-	}
-	conn.Close()
-	fmt.Fprintf(os.Stderr, "chaos overload: shed=%d queries=%d\n", srv.Snapshot().Shed, srv.Snapshot().Queries)
 }

@@ -150,7 +150,7 @@ func startDNSBL(t *testing.T, list *blocklist.Trie) (addr string, srv *Server, s
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Serve(ctx, conn) //nolint:errcheck // returns on close
+		srv.ServeConns(ctx, []net.PacketConn{conn}, ShardConfig{}) //nolint:errcheck // returns on close
 	}()
 	return conn.LocalAddr().String(), srv, func() {
 		cancel()
@@ -239,6 +239,14 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer("z", list, 0); err == nil {
 		t.Error("zero TTL accepted")
+	}
+	// A zone whose query names overflow the DNS name limit: the fast
+	// codec would answer queries the slow path cannot encode.
+	if _, err := NewServer(longestZone+"dddddddddddddddd", list, time.Minute); err == nil {
+		t.Error("zone too long for 255.255.255.255 queries accepted")
+	}
+	if _, err := NewServer(longestZone, list, time.Minute); err != nil {
+		t.Errorf("longest legal zone rejected: %v", err)
 	}
 }
 

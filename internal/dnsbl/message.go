@@ -45,9 +45,9 @@ type Answer struct {
 
 // Message is a DNS message restricted to what a DNSBL needs.
 type Message struct {
-	ID                 uint16
-	Response           bool
-	Authoritative      bool
+	ID            uint16
+	Response      bool
+	Authoritative bool
 	// Truncated is the TC bit: the responder had more data than the
 	// transport allowed, and the client should retry over TCP.
 	Truncated          bool

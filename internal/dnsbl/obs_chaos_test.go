@@ -1,6 +1,6 @@
 package dnsbl
 
-// Observability acceptance run: drives the chaos scenarios (overload
+// Observability acceptance run: drives the chaos scenarios (send-fault
 // shedding, a tripping feed breaker, checkpoint corruption recovery,
 // real UDP query traffic) and asserts the whole story is visible
 // through one /metrics scrape — shed, breaker-trip, and
@@ -19,9 +19,11 @@ import (
 	"testing"
 	"time"
 
+	"unclean/internal/faults"
 	"unclean/internal/netaddr"
 	"unclean/internal/obs"
 	"unclean/internal/retry"
+	"unclean/internal/stats"
 	"unclean/internal/tracker"
 )
 
@@ -66,7 +68,7 @@ func TestChaosPipelineObservability(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, conn) }()
+	go func() { done <- srv.ServeConns(ctx, []net.PacketConn{conn}, ShardConfig{}) }()
 	for i := 0; i < 40; i++ {
 		probe := netaddr.MustParseAddr("10.1.1.9") + netaddr.Addr(i%5)
 		if _, _, err := Lookup(conn.LocalAddr().String(), "bl.obs.example", probe, time.Second); err != nil {
@@ -75,47 +77,34 @@ func TestChaosPipelineObservability(t *testing.T) {
 	}
 	spServe.End()
 
-	// Stage 2: overload — a parked worker over a tiny queue forces the
-	// reader to shed.
+	// Stage 2: overload — a socket that refuses 40% of response writes
+	// with a transient error forces the shard to shed those answers
+	// while it keeps serving; the client's retries get every lookup
+	// through.
 	spOverload := trace.Start("chaos/overload")
 	over, err := NewServer("bl.overload.example", chaosList(tr), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	over.SetConcurrency(1, 2)
-	block := make(chan struct{})
-	parked := make(chan struct{})
-	first := true
-	over.handleHook = func() {
-		if first {
-			first = false
-			close(parked)
-			<-block
-		}
-	}
 	oconn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	flaky := faults.NewFlakyConn(oconn, faults.ConnConfig{WriteErr: 0.4}, 20061014)
 	octx, ocancel := context.WithCancel(context.Background())
 	odone := make(chan error, 1)
-	go func() { odone <- over.Serve(octx, oconn) }()
-	cl, err := net.Dial("udp", oconn.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := encodeQuery(t, 1, "10.1.1.9", "bl.overload.example")
-	cl.Write(q)
-	<-parked
-	deadline := time.Now().Add(5 * time.Second)
-	for over.Snapshot().Shed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no shedding under sustained overload")
+	go func() { odone <- over.ServeConns(octx, []net.PacketConn{flaky}, ShardConfig{}) }()
+	p := retry.Policy{MaxAttempts: 10, BaseDelay: 5 * time.Millisecond,
+		MaxDelay: 40 * time.Millisecond, Jitter: 1, RNG: stats.NewRNG(7)}
+	for i := 0; over.Snapshot().Shed == 0; i++ {
+		if i == 50 {
+			t.Fatal("no shedding under send faults")
 		}
-		cl.Write(q)
+		if _, _, err := LookupCtx(context.Background(), oconn.LocalAddr().String(), "bl.overload.example",
+			netaddr.MustParseAddr("10.1.1.9"), 200*time.Millisecond, p); err != nil {
+			t.Fatalf("lookup under send faults: %v", err)
+		}
 	}
-	close(block)
-	cl.Close()
 	spOverload.End()
 
 	// Stage 3: a feed that stays broken trips the circuit breaker.
@@ -161,10 +150,10 @@ func TestChaosPipelineObservability(t *testing.T) {
 	cancel()
 	ocancel()
 	if err := <-done; err != nil {
-		t.Errorf("Serve: %v", err)
+		t.Errorf("ServeConns: %v", err)
 	}
 	if err := <-odone; err != nil {
-		t.Errorf("overload Serve: %v", err)
+		t.Errorf("overload ServeConns: %v", err)
 	}
 	conn.Close()
 	oconn.Close()

@@ -1,11 +1,8 @@
 package dnsbl
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,14 +19,14 @@ import (
 // "scan", "spam" or "phish" map to the corresponding 127.0.0.x code,
 // anything else to the generic code.
 //
-// The serving path is built for hostile conditions: a bounded worker
-// pool with explicit load shedding (saturation drops packets and counts
-// them instead of blocking the reader), per-request panic recovery (one
-// poisoned packet cannot take the daemon down), and context-based
-// graceful shutdown that drains queued work before returning. The hot
-// path is lock-free: counters are obs atomics and the blocklist hangs
-// off an atomic pointer, so live reloads and metric scrapes never
-// contend with queries.
+// UDP queries are served by ServeConns, batched shard loops over one
+// or more sockets (shard.go), and TCP retries by ServeTCP. The serving
+// path is built for hostile conditions: per-slot panic recovery (one
+// poisoned packet cannot take the daemon down or its batch with it),
+// send faults counted rather than fatal, and context-based graceful
+// shutdown. The hot path is lock-free: counters are obs atomics and the
+// blocklist hangs off an atomic pointer, so live reloads and metric
+// scrapes never contend with queries.
 //
 // Each server owns a private obs.Registry (series labeled with its
 // zone), so several servers in one process keep independent counters;
@@ -39,9 +36,6 @@ type Server struct {
 	ttl  uint32
 
 	list atomic.Pointer[compiledList]
-
-	workers  int
-	queueLen int
 
 	// maxUDP bounds UDP responses: anything larger is truncated to
 	// header + question with the TC bit set, telling the client to
@@ -54,8 +48,8 @@ type Server struct {
 	// path can match query names without allocating.
 	zoneWire []byte
 
-	// shards is set by ServeConns for ShardSnapshots; nil when serving
-	// through the legacy single-socket worker pool.
+	// shards is set by ServeConns for ShardSnapshots; nil before the
+	// first ServeConns call.
 	shardsMu sync.Mutex
 	shards   []*shard
 
@@ -64,9 +58,8 @@ type Server struct {
 	hits      *obs.Counter   // queries that matched a listing
 	malformed *obs.Counter   // undecodable or non-query packets
 	dropped   *obs.Counter   // responses lost to write errors or panics
-	shed      *obs.Counter   // packets dropped because the queue was full
-	panics    *obs.Counter   // recovered per-request panics (also dropped)
-	inflight  *obs.Gauge     // packets currently inside a worker
+	shed      *obs.Counter   // responses abandoned on transient send faults
+	panics    *obs.Counter   // recovered per-slot panics (also dropped)
 	latency   *obs.Histogram // per-query handling latency
 
 	// Rolling-window views of the same serving signals (1m/5m/1h), plus
@@ -74,14 +67,13 @@ type Server struct {
 	// per-window handled count (every handled packet observes exactly
 	// one latency); wBad counts failures (panic, write drop, encode
 	// error) on the rare path, so the common case pays one windowed
-	// observe, not three windowed writes; wShed the overload-valve
-	// drops.
+	// observe, not three windowed writes; wShed the send-side sheds.
 	wBad     *obs.WindowedCounter
 	wShed    *obs.WindowedCounter
 	wLatency *obs.WindowedHistogram
 	slo      *obs.SLO
 
-	// events receives one wide event per packet (and per shed decision);
+	// events receives the sampled and anomalous per-packet wide events;
 	// defaults to the process flight recorder.
 	events *flight.Recorder
 
@@ -90,25 +82,20 @@ type Server struct {
 	// before serving, like the flight recorder.
 	analytics *Analytics
 
-	// handleHook, when set, runs inside each worker just before the
-	// packet is handled — the seam chaos tests use to inject latency and
-	// panics into the request path.
+	// handleHook, when set, runs once per batch slot on the shard loop,
+	// inside the slot's panic isolation, just before the packet is
+	// handled — the seam tests use to inject latency and panics into
+	// the request path. nil in production.
 	handleHook func()
-
-	bufs sync.Pool
 }
 
 // compiledList pairs the source trie (kept for List and re-export) with
-// its compiled matcher (what queries actually probe) and a monotonically
-// increasing generation number. All three swap together under one atomic
-// pointer, so a reload is a single compile + store, the hot path never
-// sees a trie/matcher mismatch, and the shards' verdict caches — keyed
-// on (address, generation) — invalidate wholesale on the generation
-// bump without a flush.
+// its compiled matcher (what queries actually probe). Both swap together
+// under one atomic pointer, so a reload is a single compile + store and
+// the hot path never sees a trie/matcher mismatch.
 type compiledList struct {
 	trie    *blocklist.Trie
 	matcher *blocklist.Matcher
-	gen     uint32
 }
 
 // ServerStats is a point-in-time snapshot of the serving counters and
@@ -121,22 +108,21 @@ type ServerStats struct {
 	// query; they are dropped silently, as real servers do.
 	Malformed uint64
 	// Dropped counts responses lost after handling: write failures and
-	// recovered per-request panics.
+	// recovered per-slot panics.
 	Dropped uint64
-	// Shed counts packets discarded unhandled because the worker queue
-	// was full — the overload valve.
+	// Shed counts answered queries whose response was abandoned on a
+	// transient send fault (socket buffer pressure, injected loss).
+	// Receive-side overload is not counted here: the shard loops never
+	// stop reading, so excess queries drop in the kernel socket buffer.
 	Shed uint64
-	// Panics counts recovered per-request panics (a subset of Dropped).
+	// Panics counts recovered per-slot panics (a subset of Dropped).
 	Panics uint64
-	// InFlight is the number of packets currently inside workers.
-	InFlight int64
 	// Latency summarizes the per-query handling latency distribution.
 	Latency obs.HistSnapshot
 }
 
-// NewServer builds a server for zone backed by list. The worker pool
-// defaults to GOMAXPROCS workers over a 1024-packet queue; tune with
-// SetConcurrency before calling Serve.
+// NewServer builds a server for zone backed by list; serve it with
+// ServeConns (UDP) and ServeTCP.
 func NewServer(zone string, list *blocklist.Trie, ttl time.Duration) (*Server, error) {
 	if zone == "" {
 		return nil, fmt.Errorf("dnsbl: empty zone")
@@ -148,31 +134,33 @@ func NewServer(zone string, list *blocklist.Trie, ttl time.Duration) (*Server, e
 		return nil, fmt.Errorf("dnsbl: TTL below one second")
 	}
 	s := &Server{
-		zone:     strings.TrimSuffix(zone, "."),
-		ttl:      uint32(ttl / time.Second),
-		workers:  runtime.GOMAXPROCS(0),
-		queueLen: 1024,
-		maxUDP:   maxMessage,
+		zone:   strings.TrimSuffix(zone, "."),
+		ttl:    uint32(ttl / time.Second),
+		maxUDP: maxMessage,
 	}
 	zw, err := encodeName(s.zone)
 	if err != nil {
 		return nil, fmt.Errorf("dnsbl: bad zone: %w", err)
 	}
+	// Every query name, up to 255.255.255.255.<zone>, must fit the DNS
+	// name limit: otherwise the slow path could not echo a question the
+	// fast path answers.
+	if _, err := encodeName(QueryName(netaddr.Addr(^uint32(0)), s.zone)); err != nil {
+		return nil, fmt.Errorf("dnsbl: zone too long for a query name: %w", err)
+	}
 	s.zoneWire = toLowerWire(zw)
-	s.list.Store(&compiledList{trie: list, matcher: blocklist.Compile(list), gen: 1})
-	s.bufs.New = func() any { b := make([]byte, maxMessage); return &b }
+	s.list.Store(&compiledList{trie: list, matcher: blocklist.Compile(list)})
 	s.metrics = obs.NewRegistry()
 	z := []string{"zone", s.zone}
 	s.queries = s.metrics.Counter("unclean_dnsbl_queries_total", "Well-formed DNSBL queries handled.", z...)
 	s.hits = s.metrics.Counter("unclean_dnsbl_hits_total", "Queries that matched a listing.", z...)
 	s.malformed = s.metrics.Counter("unclean_dnsbl_malformed_total", "Undecodable or non-query packets dropped.", z...)
 	s.dropped = s.metrics.Counter("unclean_dnsbl_dropped_total", "Responses lost to write errors or recovered panics.", z...)
-	s.shed = s.metrics.Counter("unclean_dnsbl_shed_total", "Packets shed unhandled because the worker queue was full.", z...)
-	s.panics = s.metrics.Counter("unclean_dnsbl_panics_total", "Per-request panics recovered on the serving path.", z...)
-	s.inflight = s.metrics.Gauge("unclean_dnsbl_inflight", "Packets currently inside workers.", z...)
-	s.latency = s.metrics.Histogram("unclean_dnsbl_query_seconds", "Per-query handling latency (dequeue to response written).", z...)
+	s.shed = s.metrics.Counter("unclean_dnsbl_shed_total", "Responses abandoned on transient send faults.", z...)
+	s.panics = s.metrics.Counter("unclean_dnsbl_panics_total", "Per-slot panics recovered on the serving path.", z...)
+	s.latency = s.metrics.Histogram("unclean_dnsbl_query_seconds", "Per-query handling latency (batch received to response sent).", z...)
 	s.wBad = s.metrics.WindowedCounter("unclean_dnsbl_window_bad_total", "Packets that failed handling (panic, write drop, encode error), per rolling window.", z...)
-	s.wShed = s.metrics.WindowedCounter("unclean_dnsbl_window_shed_total", "Packets shed unhandled, per rolling window.", z...)
+	s.wShed = s.metrics.WindowedCounter("unclean_dnsbl_window_shed_total", "Responses abandoned on transient send faults, per rolling window.", z...)
 	s.wLatency = s.metrics.WindowedHistogram("unclean_dnsbl_window_query_seconds", "Per-query handling latency, per rolling window.", z...)
 	s.slo = s.metrics.RegisterSLO(&obs.SLO{
 		Name:   "unclean_dnsbl_availability",
@@ -189,24 +177,10 @@ func NewServer(zone string, list *blocklist.Trie, ttl time.Duration) (*Server, e
 // on an obs exposition handler alongside the Default registry.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
-// SetConcurrency sizes the worker pool and its queue; it must be called
-// before Serve. Values below 1 keep the current setting.
-func (s *Server) SetConcurrency(workers, queue int) {
-	if workers >= 1 {
-		s.workers = workers
-	}
-	if queue >= 1 {
-		s.queueLen = queue
-	}
-}
-
 // SetList atomically replaces the served blocklist (live reload). The
 // list is compiled off the serving path, then swapped in with one atomic
-// store. It is safe to call while Serve is running; in-flight queries
-// finish against whichever compiled list they started with. The swap
-// bumps the list generation, which invalidates every shard's verdict
-// cache at once: a cache entry is only trusted when its recorded
-// generation matches the live list's.
+// store. It is safe to call while serving; each batch is answered
+// against the compiled list it loaded when it started.
 // After the swap, the analytics scoreboard (when enabled) sweeps its
 // recent-miss rings against the new matcher: every address that was
 // queried before this list contained it is counted as a confirmed
@@ -214,8 +188,7 @@ func (s *Server) SetConcurrency(workers, queue int) {
 // serve path.
 func (s *Server) SetList(list *blocklist.Trie) {
 	if list != nil {
-		old := s.list.Load()
-		nl := &compiledList{trie: list, matcher: blocklist.Compile(list), gen: old.gen + 1}
+		nl := &compiledList{trie: list, matcher: blocklist.Compile(list)}
 		s.list.Store(nl)
 		if a := s.analytics; a != nil {
 			a.sweep(s.events, nl)
@@ -226,16 +199,12 @@ func (s *Server) SetList(list *blocklist.Trie) {
 // SetMaxUDPSize lowers the UDP response size limit (default 512 bytes).
 // Responses that exceed it are truncated to header + question with the
 // TC bit set, steering the client to TCP. Values below the 12-byte
-// header or above 512 are ignored. Call before Serve.
+// header or above 512 are ignored. Call before serving.
 func (s *Server) SetMaxUDPSize(n int) {
 	if n >= 12 && n <= maxMessage {
 		s.maxUDP = n
 	}
 }
-
-// Generation returns the current blocklist generation (bumped by every
-// SetList). Exposed for tests asserting cache invalidation.
-func (s *Server) Generation() uint32 { return s.list.Load().gen }
 
 // toLowerWire lowercases the label bytes of a wire-format name in place
 // and returns it (label lengths are < 'A', so a blanket byte lowercase
@@ -263,15 +232,14 @@ func (s *Server) Snapshot() ServerStats {
 		Dropped:   s.dropped.Value(),
 		Shed:      s.shed.Value(),
 		Panics:    s.panics.Value(),
-		InFlight:  s.inflight.Value(),
 		Latency:   s.latency.Snapshot(),
 	}
 }
 
-// ShedRate reports the fraction of packets shed by the overload valve
-// over the trailing window (0 when the server saw no traffic). It is
-// the signal /readyz uses: a server shedding heavily is up but not
-// ready for more load.
+// ShedRate reports the fraction of answered packets shed on transient
+// send faults over the trailing window (0 when the server saw no
+// traffic). It is the signal /readyz uses: a server that cannot get
+// its answers out is up but not ready for more load.
 func (s *Server) ShedRate(window time.Duration) float64 {
 	shed := s.wShed.Total(window)
 	total := shed + s.wLatency.Count(window)
@@ -297,178 +265,11 @@ func (s *Server) WatchSignals(register func(name string, fn func() float64)) {
 }
 
 // SetFlightRecorder redirects the server's wide events to r (tests and
-// multi-server processes that keep separate rings). Call before Serve.
+// multi-server processes that keep separate rings). Call before serving.
 func (s *Server) SetFlightRecorder(r *flight.Recorder) {
 	if r != nil {
 		s.events = r
 	}
-}
-
-// packet is one received datagram handed from the reader to a worker.
-// data aliases a pooled buffer returned to the pool after handling.
-type packet struct {
-	data *[]byte
-	n    int
-	peer net.Addr
-}
-
-// Serve answers queries on conn until the connection is closed or ctx is
-// canceled. On cancellation the connection is closed — that is the
-// wakeup: the blocked ReadFrom returns net.ErrClosed, which is treated
-// as a clean exit. Workers then finish handling every packet already
-// queued; responses whose write races the close are counted Dropped
-// rather than silently lost, so Queries - Dropped always equals the
-// responses that actually left the socket. Closing conn without
-// canceling also returns nil.
-//
-// Serve is the legacy single-socket worker-pool path (one ReadFrom
-// syscall per packet, explicit shed valve on queue overflow). The
-// batched sharded path — ServeConns over ListenShards — is the
-// line-rate replacement; this path remains for callers that need the
-// worker-queue overload semantics or hand in an arbitrary PacketConn.
-func (s *Server) Serve(ctx context.Context, conn net.PacketConn) error {
-	queue := make(chan packet, s.queueLen)
-	var wg sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns an event arena, so the wide event costs a
-			// bump pointer, not a malloc, on the per-packet path.
-			var arena flight.Arena
-			for pkt := range queue {
-				s.serveOne(conn, pkt, &arena)
-			}
-		}()
-	}
-
-	// The closer: cancellation closes the conn, which is the one
-	// portable way to interrupt a blocked ReadFrom (deadlines are the
-	// caller's, and poking them raced with legitimate use).
-	stopCloser := make(chan struct{})
-	var closerWG sync.WaitGroup
-	closerWG.Add(1)
-	go func() {
-		defer closerWG.Done()
-		select {
-		case <-ctx.Done():
-			conn.Close() //nolint:errcheck // best effort; read loop observes ErrClosed
-		case <-stopCloser:
-		}
-	}()
-
-	var readErr error
-	for {
-		if ctx.Err() != nil {
-			break
-		}
-		bp := s.bufs.Get().(*[]byte)
-		n, peer, err := conn.ReadFrom(*bp)
-		if err != nil {
-			s.bufs.Put(bp)
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				break
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				continue // transient: a deadline someone else set, or injected
-			}
-			readErr = err
-			break
-		}
-		select {
-		case queue <- packet{data: bp, n: n, peer: peer}:
-		default:
-			// Saturated: shed the packet rather than block the reader —
-			// under overload a DNSBL must keep reading (and mostly
-			// dropping) so legitimate traffic still has a chance. Shed
-			// packets still leave a wide event (kept-ring flagged), so
-			// the overload is visible per-client in /debug/events.
-			s.shed.Inc()
-			s.wShed.Inc()
-			s.events.Record(flight.Event{
-				Kind:    flight.KindQuery,
-				Flags:   flight.FlagShed,
-				Client:  peerAddr(peer),
-				Name:    s.zone,
-				Verdict: "shed",
-			})
-			s.bufs.Put(bp)
-		}
-	}
-
-	close(queue) // workers drain what was accepted, then exit
-	wg.Wait()
-	close(stopCloser)
-	closerWG.Wait()
-	return readErr
-}
-
-// serveOne handles one packet with panic isolation: a panicking request
-// is counted and dropped, never fatal to the daemon. The whole worker
-// leg — hook, decode, lookup, encode, write — is timed into the query
-// latency histogram, and every packet leaves one wide event in the
-// flight recorder (client, subject address, verdict, latency, flags).
-func (s *Server) serveOne(conn net.PacketConn, pkt packet, arena *flight.Arena) {
-	start := time.Now()
-	s.inflight.Inc()
-	// The event is built in place in the worker's arena and handed to
-	// the recorder whole (RecordOwned): an amortized fraction of an
-	// allocation, no copies, nothing touched after publication.
-	ev := arena.New()
-	ev.Kind = flight.KindQuery
-	ev.Unix = start.UnixNano()
-	ev.Client = peerAddr(pkt.peer)
-	ev.Name = s.zone
-	good := false
-	defer func() {
-		d := time.Since(start)
-		s.latency.Observe(d)
-		s.wLatency.ObserveAt(start, d)
-		if !good {
-			s.wBad.IncAt(start)
-		}
-		ev.Latency = d
-		s.events.RecordOwned(ev)
-		s.inflight.Dec()
-	}()
-	defer s.bufs.Put(pkt.data)
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			s.dropped.Inc()
-			ev.Flags |= flight.FlagPanic | flight.FlagErr
-			ev.Verdict = "panic"
-		}
-	}()
-	if s.handleHook != nil {
-		s.handleHook()
-	}
-	resp := s.handle((*pkt.data)[:pkt.n], s.maxUDP, ev)
-	if a := s.analytics; a != nil && (ev.Verdict == "hit" || ev.Verdict == "miss") {
-		a.observeSlow(ev.Client, ev.Addr, ev.Verdict == "hit", uint32(start.UnixMilli()))
-	}
-	if resp == nil {
-		// Unparseable packets drop silently, as real servers do — that is
-		// clean handling. An encode failure (FlagErr) is not.
-		good = ev.Flags&flight.FlagErr == 0
-		return
-	}
-	if _, err := conn.WriteTo(resp, pkt.peer); err != nil {
-		// Every lost response is counted, including the ones that race
-		// the shutdown close: Queries - Dropped must equal responses
-		// that actually left the socket. A shutdown-race drop is not an
-		// error, though — the operator asked for it.
-		s.dropped.Inc()
-		if errors.Is(err, net.ErrClosed) {
-			ev.Verdict = "closed"
-		} else {
-			ev.Flags |= flight.FlagErr
-			ev.Detail = "response write failed"
-		}
-		return
-	}
-	good = true
 }
 
 // peerAddr extracts the peer's IPv4 address for the wide event (0 when

@@ -27,9 +27,10 @@ func encodeQuery(t *testing.T, id uint16, addr, zone string) []byte {
 	return pkt
 }
 
-// TestServeGracefulShutdownDrains cancels the context while queries sit
-// in the worker queue and asserts every accepted query is answered
-// before Serve returns, within the deadline.
+// TestServeGracefulShutdownDrains cancels the context while a batch of
+// queries is being answered and asserts every accepted query is
+// accounted for before ServeConns returns, within the deadline: each
+// one either reached the client or was counted Dropped.
 func TestServeGracefulShutdownDrains(t *testing.T) {
 	list := blocklist.FromSet(mustSet("10.1.1.1"), 24, "bot")
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -41,12 +42,11 @@ func TestServeGracefulShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetConcurrency(2, 128)
 	srv.handleHook = func() { time.Sleep(2 * time.Millisecond) } // force a backlog
 
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, conn) }()
+	go func() { served <- srv.ServeConns(ctx, []net.PacketConn{conn}, ShardConfig{}) }()
 
 	client, err := net.Dial("udp", conn.LocalAddr().String())
 	if err != nil {
@@ -59,19 +59,19 @@ func TestServeGracefulShutdownDrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the reader queue (most of) the burst, then shut down.
+	// Let the shard read (most of) the burst, then shut down.
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-served:
 		if err != nil {
-			t.Fatalf("Serve = %v, want nil on graceful shutdown", err)
+			t.Fatalf("ServeConns = %v, want nil on graceful shutdown", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after cancel")
+		t.Fatal("ServeConns did not return after cancel")
 	}
 
-	// Every packet the reader accepted must have been answered: count
+	// Every packet the shard accepted must be accounted for: count
 	// responses arriving at the client.
 	st := srv.Snapshot()
 	client.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
@@ -91,64 +91,9 @@ func TestServeGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestServeShedsUnderOverload saturates a one-worker server and asserts
-// it sheds (counts and drops) instead of blocking, then still answers.
-func TestServeShedsUnderOverload(t *testing.T) {
-	list := blocklist.FromSet(mustSet("10.1.1.1"), 24, "bot")
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	srv, err := NewServer("bl.example", list, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetConcurrency(1, 2)
-	var slow sync.Once
-	block := make(chan struct{})
-	srv.handleHook = func() {
-		// First request parks the only worker; the flood behind it must
-		// overflow the 2-slot queue and shed.
-		slow.Do(func() { <-block })
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, conn) }()
-
-	client, err := net.Dial("udp", conn.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for i := 0; i < 200; i++ {
-		if _, err := client.Write(encodeQuery(t, uint16(i+1), "10.1.1.9", "bl.example")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Snapshot().Shed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never shed under overload")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(block) // release the worker
-
-	// The server must still answer fresh queries after the storm.
-	listed, code, err := Lookup(conn.LocalAddr().String(), "bl.example", netaddr.MustParseAddr("10.1.1.7"), 2*time.Second)
-	if err != nil || !listed || code != CodeBot {
-		t.Fatalf("post-overload lookup: listed=%v code=%v err=%v", listed, code, err)
-	}
-	cancel()
-	if err := <-served; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServeRecoversFromPanics injects panics into the request path and
-// asserts the daemon survives and keeps serving.
+// TestServeRecoversFromPanics injects panics into the request path of
+// the shard loop and asserts each is counted, the server survives, and
+// it keeps serving.
 func TestServeRecoversFromPanics(t *testing.T) {
 	list := blocklist.FromSet(mustSet("10.1.1.1"), 24, "bot")
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -173,7 +118,7 @@ func TestServeRecoversFromPanics(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, conn) }()
+	go func() { served <- srv.ServeConns(ctx, []net.PacketConn{conn}, ShardConfig{}) }()
 
 	client, err := net.Dial("udp", conn.LocalAddr().String())
 	if err != nil {
@@ -191,6 +136,9 @@ func TestServeRecoversFromPanics(t *testing.T) {
 			t.Fatalf("panicked requests not recovered: %+v", srv.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if p := srv.Snapshot().Panics; p != 5 {
+		t.Fatalf("Panics = %d, want 5", p)
 	}
 	listed, _, err := Lookup(conn.LocalAddr().String(), "bl.example", netaddr.MustParseAddr("10.1.1.7"), 2*time.Second)
 	if err != nil || !listed {

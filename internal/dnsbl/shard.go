@@ -15,52 +15,48 @@ import (
 	"unclean/internal/obs/flight"
 )
 
-// The sharded serve path. Instead of one reader goroutine feeding a
-// worker pool through a channel (one syscall, one channel op, and one
-// pooled buffer per packet), ServeConns runs N independent shard loops.
-// Each shard owns a socket (SO_REUSEPORT gives every shard its own fd
-// on Linux, so the kernel load-balances queries with no userspace
-// dispatcher), a reusable batch of buffer slots, a private flight-event
-// arena, and a direct-mapped verdict cache. A loop iteration is:
+// The UDP serve path. ServeConns runs N independent shard loops. Each
+// shard owns a socket (SO_REUSEPORT gives every shard its own fd on
+// Linux, so the kernel load-balances queries with no userspace
+// dispatcher), a reusable batch of buffer slots, and a private
+// flight-event arena. A loop iteration is:
 //
 //	recvmmsg (one syscall, up to Batch datagrams)
-//	  → for each: fast parse → cache probe → zero-copy encode
+//	  → for each slot, under recover: fast parse → matcher lookup
+//	    → zero-copy encode
 //	  → sendmmsg (one syscall for the whole batch)
 //
 // Nothing on that path allocates and nothing crosses a goroutine
 // boundary, so throughput scales with shards until the NIC runs out.
 // Packets the fast codec cannot serve (wrong shape, non-A queries,
-// compressed names) drop to Server.handle — the same slow path the
-// legacy worker pool uses — so behavior is identical, just slower, for
-// the rare shapes.
+// compressed names) drop to Server.handle — the same path TCP queries
+// take — so behavior is identical, just slower, for the rare shapes.
+//
+// The shard loop never stops reading, so there is no receive-side shed
+// valve: under overload, excess queries drop in the kernel socket
+// buffer. The shed counters count send-side faults only.
 
 const (
 	defaultBatch = 32
 	maxBatch     = 1024
-	// defaultCacheBits gives 4096 verdict slots per shard (~36 KiB).
-	defaultCacheBits = 12
-	maxCacheBits     = 20
 	// shardEventSample records one wide event per this many healthy
-	// fast-path packets. Anomalies (slow path, send faults) always
-	// record. Sampling keeps the flight recorder useful at line rate
+	// fast-path packets. Anomalies (slow path, send faults, panics)
+	// always record. Sampling keeps the flight recorder useful at line rate
 	// without making the arena the hot path's only allocation source.
 	shardEventSample = 64
 )
 
-// ShardConfig sizes the sharded serve path. The zero value is ready to
-// use: one shard per listener conn, 32-packet batches, a 4096-entry
-// verdict cache per shard.
+// ShardConfig sizes the serve path. The zero value is ready to use:
+// one shard per listener conn, 32-packet batches.
 type ShardConfig struct {
 	// Shards is the number of shard loops. 0 means one per conn handed
 	// to ServeConns. When Shards exceeds the conn count, shards share
-	// conns round-robin (the portable single-socket mode).
+	// conns round-robin (the portable single-socket mode); fewer shards
+	// than conns is an error, since some socket would go unread.
 	Shards int
 	// Batch is the number of datagrams moved per recvmmsg/sendmmsg
 	// syscall (clamped to 1..1024; 0 means 32).
 	Batch int
-	// CacheBits is log2 of the per-shard verdict cache slots (0 means
-	// 12; negative disables the cache; clamped to 20).
-	CacheBits int
 }
 
 func (c ShardConfig) withDefaults(conns int) ShardConfig {
@@ -73,36 +69,17 @@ func (c ShardConfig) withDefaults(conns int) ShardConfig {
 	if c.Batch > maxBatch {
 		c.Batch = maxBatch
 	}
-	if c.CacheBits == 0 {
-		c.CacheBits = defaultCacheBits
-	}
-	if c.CacheBits > maxCacheBits {
-		c.CacheBits = maxCacheBits
-	}
 	return c
 }
 
-// shard is one independent serve loop: its batch arena, its verdict
-// cache, its event arena, its counters. No field is touched by any
-// other goroutine while the loop runs, so the hot path takes no locks
-// beyond the obs atomics.
+// shard is one independent serve loop: its batch arena, its event
+// arena, its counters. No field is touched by any other goroutine while
+// the loop runs, so the hot path takes no locks beyond the obs atomics.
 type shard struct {
 	id int
 	io batchIO
 
 	msgs []batchMsg // len = Batch; in/out windows into the arenas below
-
-	// Direct-mapped verdict cache keyed on (query address, blocklist
-	// generation) — same slot-hash design as blocklist.Evaluator. keys
-	// holds the address, gens the generation the verdict was computed
-	// under, vals the verdict: 0 empty, 1 miss, else the low octet of
-	// the 127.0.0.x return code. A SetList bumps the server generation,
-	// which orphans every entry at once; slots rewrite lazily on the
-	// next probe. nil when the cache is disabled.
-	keys      []uint32
-	gens      []uint32
-	vals      []uint8
-	cacheBits uint32
 
 	arena flight.Arena
 	// tick is the shard's one sampling counter, bumped once per packet:
@@ -122,25 +99,23 @@ type shard struct {
 
 	// Per-shard obs series (zone + shard labels), rolled up next to the
 	// server totals so a hot or faulty shard is visible in /metrics.
-	packets   *obs.Counter // datagrams received
-	batches   *obs.Counter // recvmmsg returns
-	fastPath  *obs.Counter // answered by the zero-copy codec
-	slowPath  *obs.Counter // handed to Server.handle
-	cacheHits *obs.Counter // fast-path verdicts served from the cache
-	shed      *obs.Counter // responses abandoned on transient send faults
-	dropped   *obs.Counter // responses lost to hard write errors
+	packets  *obs.Counter // datagrams received
+	batches  *obs.Counter // recvmmsg returns
+	fastPath *obs.Counter // answered by the zero-copy codec
+	slowPath *obs.Counter // handed to Server.handle
+	shed     *obs.Counter // responses abandoned on transient send faults
+	dropped  *obs.Counter // responses lost to hard write errors
 }
 
 // ShardStats is a point-in-time snapshot of one shard's counters.
 type ShardStats struct {
-	Shard     int
-	Packets   uint64 // datagrams received
-	Batches   uint64 // batched reads (Packets/Batches = realized batch size)
-	FastPath  uint64 // packets answered by the zero-copy codec
-	SlowPath  uint64 // packets handed to the allocating slow path
-	CacheHits uint64 // fast-path verdicts served from the verdict cache
-	Shed      uint64 // responses abandoned on transient send faults
-	Dropped   uint64 // responses lost to hard write errors
+	Shard    int
+	Packets  uint64 // datagrams received
+	Batches  uint64 // batched reads (Packets/Batches = realized batch size)
+	FastPath uint64 // packets answered by the zero-copy codec
+	SlowPath uint64 // packets handed to the allocating slow path
+	Shed     uint64 // responses abandoned on transient send faults
+	Dropped  uint64 // responses lost to hard write errors
 }
 
 func (s *Server) newShard(id int, conn net.PacketConn, cfg ShardConfig) *shard {
@@ -153,13 +128,6 @@ func (s *Server) newShard(id int, conn net.PacketConn, cfg ShardConfig) *shard {
 		sh.msgs[i].in = inArena[i*maxMessage : (i+1)*maxMessage]
 		sh.msgs[i].out = outArena[i*outSlotSize : (i+1)*outSlotSize]
 	}
-	if cfg.CacheBits > 0 {
-		n := 1 << cfg.CacheBits
-		sh.keys = make([]uint32, n)
-		sh.gens = make([]uint32, n)
-		sh.vals = make([]uint8, n)
-		sh.cacheBits = uint32(cfg.CacheBits)
-	}
 	sh.io = newBatcher(conn, sh.msgs)
 	if s.analytics != nil {
 		sh.tap = s.analytics.newTap()
@@ -170,17 +138,9 @@ func (s *Server) newShard(id int, conn net.PacketConn, cfg ShardConfig) *shard {
 	sh.batches = s.metrics.Counter("unclean_dnsbl_shard_batches_total", "Batched reads completed by this shard.", z...)
 	sh.fastPath = s.metrics.Counter("unclean_dnsbl_shard_fastpath_total", "Packets answered by the zero-copy codec.", z...)
 	sh.slowPath = s.metrics.Counter("unclean_dnsbl_shard_slowpath_total", "Packets handed to the allocating slow path.", z...)
-	sh.cacheHits = s.metrics.Counter("unclean_dnsbl_shard_cache_hits_total", "Fast-path verdicts served from the verdict cache.", z...)
 	sh.shed = s.metrics.Counter("unclean_dnsbl_shard_shed_total", "Responses abandoned on transient send faults.", z...)
 	sh.dropped = s.metrics.Counter("unclean_dnsbl_shard_dropped_total", "Responses lost to hard write errors.", z...)
 	return sh
-}
-
-// cacheSlot maps an address to its verdict-cache slot (Knuth
-// multiplicative hash, top cacheBits bits — the same spread the
-// blocklist evaluator uses).
-func (sh *shard) cacheSlot(a netaddr.Addr) uint32 {
-	return (uint32(a) * 2654435761) >> (32 - sh.cacheBits)
 }
 
 // ListenShards opens n UDP sockets on addr for the sharded serve path.
@@ -221,17 +181,26 @@ func ListenShards(addr string, n int) ([]net.PacketConn, error) {
 
 // ServeConns answers queries on conns with cfg.Shards independent
 // batched shard loops until every conn is closed or ctx is canceled.
-// On cancellation all conns are closed — the blocked reads return
-// net.ErrClosed, which each shard treats as a clean exit. Shards map
-// to conns round-robin: with one conn per shard (ListenShards on
-// Linux) each loop owns its socket; with fewer conns the shards share.
+// Any net.PacketConn works: *net.UDPConn gets recvmmsg/sendmmsg
+// batches, anything else (fault-injecting wrappers included) one
+// datagram per syscall. On cancellation all conns are closed — the
+// blocked reads return net.ErrClosed, which each shard treats as a
+// clean exit; a batch being answered at that moment still goes to
+// WriteBatch, and every response the closed socket refuses is counted
+// Dropped, so Queries - Dropped equals the responses that left. Shards
+// map to conns round-robin: with one conn per shard (ListenShards on
+// Linux) each loop owns its socket; with more shards than conns the
+// shards share. Fewer shards than conns is an error.
 //
-// Shard counters roll into the same Snapshot()/SLO/flight machinery as
-// the legacy path, plus per-shard series visible via ShardSnapshots
-// and /metrics.
+// Shard counters roll into the server's Snapshot()/SLO/flight
+// machinery, plus per-shard series visible via ShardSnapshots and
+// /metrics.
 func (s *Server) ServeConns(ctx context.Context, conns []net.PacketConn, cfg ShardConfig) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("dnsbl: ServeConns needs at least one conn")
+	}
+	if cfg.Shards > 0 && cfg.Shards < len(conns) {
+		return fmt.Errorf("dnsbl: %d shards cannot read %d conns; pass at least one shard per conn", cfg.Shards, len(conns))
 	}
 	cfg = cfg.withDefaults(len(conns))
 
@@ -280,8 +249,7 @@ func (s *Server) ServeConns(ctx context.Context, conns []net.PacketConn, cfg Sha
 }
 
 // ShardSnapshots returns per-shard counters for the most recent (or
-// running) ServeConns call; nil when the server has only ever used the
-// legacy path.
+// running) ServeConns call; nil before the first one.
 func (s *Server) ShardSnapshots() []ShardStats {
 	s.shardsMu.Lock()
 	shards := s.shards
@@ -292,14 +260,13 @@ func (s *Server) ShardSnapshots() []ShardStats {
 	out := make([]ShardStats, len(shards))
 	for i, sh := range shards {
 		out[i] = ShardStats{
-			Shard:     sh.id,
-			Packets:   sh.packets.Value(),
-			Batches:   sh.batches.Value(),
-			FastPath:  sh.fastPath.Value(),
-			SlowPath:  sh.slowPath.Value(),
-			CacheHits: sh.cacheHits.Value(),
-			Shed:      sh.shed.Value(),
-			Dropped:   sh.dropped.Value(),
+			Shard:    sh.id,
+			Packets:  sh.packets.Value(),
+			Batches:  sh.batches.Value(),
+			FastPath: sh.fastPath.Value(),
+			SlowPath: sh.slowPath.Value(),
+			Shed:     sh.shed.Value(),
+			Dropped:  sh.dropped.Value(),
 		}
 	}
 	return out
@@ -332,7 +299,7 @@ func (s *Server) runShard(ctx context.Context, sh *shard) error {
 		sh.packets.Add(uint64(n))
 		cl := s.list.Load()
 		for i := 0; i < n; i++ {
-			s.serveMsg(sh, &sh.msgs[i], cl)
+			s.serveSlot(sh, &sh.msgs[i], cl)
 		}
 		werr := sh.io.WriteBatch(sh.msgs[:n])
 		s.finishBatch(sh, sh.msgs[:n], start)
@@ -345,9 +312,38 @@ func (s *Server) runShard(ctx context.Context, sh *shard) error {
 	}
 }
 
+// serveSlot answers one batch slot with panic isolation: a panic
+// anywhere in the slot's handling is counted (panics and dropped),
+// sends nothing for that slot, and leaves a FlagPanic|FlagErr wide
+// event, which finishBatch counts against the SLO. The rest of the
+// batch still goes out.
+func (s *Server) serveSlot(sh *shard, m *batchMsg, cl *compiledList) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Inc()
+			s.dropped.Inc()
+			// The hook may have panicked before serveMsg reset the slot,
+			// so clear everything a previous batch left in it.
+			m.outN = 0
+			m.sendShed, m.sendErr = false, false
+			ev := sh.arena.New()
+			ev.Kind = flight.KindQuery
+			ev.Client = m.client
+			ev.Name = s.zone
+			ev.Flags = flight.FlagPanic | flight.FlagErr
+			ev.Verdict = "panic"
+			m.ev = ev
+		}
+	}()
+	if s.handleHook != nil {
+		s.handleHook()
+	}
+	s.serveMsg(sh, m, cl)
+}
+
 // serveMsg answers one batch slot in place. The fast path — common
-// query shape, cache probe, zero-copy encode into the outbound slot —
-// allocates nothing; everything else falls through to Server.handle
+// query shape, matcher lookup, zero-copy encode into the outbound slot
+// — allocates nothing; everything else falls through to Server.handle
 // and copies its answer into the slot.
 func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 	m.outN = 0
@@ -388,48 +384,16 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 	sh.fastPath.Inc()
 	s.queries.Inc()
 
-	// Verdict cache probe. An entry is trusted only when both the
-	// address and the blocklist generation match; a SetList bumps the
-	// generation, so stale verdicts die wholesale without a flush.
-	var listed bool
-	var val uint8
-	cached := false
-	var slot uint32
-	if sh.vals != nil {
-		slot = sh.cacheSlot(addr)
-		if sh.keys[slot] == uint32(addr) && sh.gens[slot] == cl.gen {
-			val = sh.vals[slot]
-			listed = val != 1
-			cached = val != 0
-			if cached {
-				sh.cacheHits.Inc()
-			}
-		}
-	}
-	if !cached {
-		entry, hit := cl.matcher.Lookup(addr)
-		listed = hit
-		if hit {
-			_, _, _, o3 := codeFor(entry.Reason).Octets()
-			val = o3
-		} else {
-			val = 1
-		}
-		if sh.vals != nil {
-			sh.keys[slot] = uint32(addr)
-			sh.vals[slot] = val
-			sh.gens[slot] = cl.gen
-		}
-	}
+	entry, listed := cl.matcher.Lookup(addr)
 	var code netaddr.Addr
 	if listed {
 		s.hits.Inc()
-		code = netaddr.MakeAddr(127, 0, 0, val)
+		code = codeFor(entry.Reason)
 	}
 	m.outN = encodeFastResponse(m.out, pkt, qlen, listed, code, s.ttl, s.maxUDP)
 
 	// Analytics tap: every not-listed answer enters the prediction
-	// ring (two atomic ops); 1 in SampleN packets — the same tick that
+	// ring (one atomic store); 1 in SampleN packets — the same tick that
 	// samples flight events — update the sketches.
 	if sh.tap != nil {
 		if !listed {
@@ -470,8 +434,8 @@ func (s *Server) finishBatch(sh *shard, ms []batchMsg, start time.Time) {
 		switch {
 		case m.sendShed:
 			// Transient send fault — socket buffer pressure or injected
-			// loss. Counted like the legacy overload valve: the shard
-			// kept reading and answering, it just couldn't deliver.
+			// loss: the shard kept reading and answering, it just
+			// couldn't deliver.
 			s.shed.Inc()
 			s.wShed.IncAt(start)
 			sh.shed.Inc()

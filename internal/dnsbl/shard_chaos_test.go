@@ -16,15 +16,15 @@ import (
 	"unclean/internal/stats"
 )
 
-// Chaos coverage for the batched shard path: injected send faults must
-// surface as per-shard shed counters while the server keeps answering,
-// and live blocklist reloads racing the verdict cache must never serve
-// a stale-generation verdict.
+// Chaos coverage for the shard loop: injected send faults must surface
+// as per-shard shed counters while the server keeps answering, and live
+// blocklist reloads racing the readers must never serve a verdict from
+// a list that is no longer live.
 
 // TestChaosShardedShedsOnSendFaults drives the sharded server through a
 // fault-injecting conn that fails 40% of response writes with a
 // transient error. The shard loop must treat each failure as a shed
-// (counted per shard and in the global valve counters), keep the batch
+// (counted per shard and in the server's shed counters), keep the batch
 // moving, and recover: with retries every lookup still succeeds.
 func TestChaosShardedShedsOnSendFaults(t *testing.T) {
 	srv, err := NewServer("bl.chaos.example", shardTestList(), time.Minute)
@@ -88,12 +88,11 @@ func TestChaosShardedShedsOnSendFaults(t *testing.T) {
 
 // TestChaosShardedReloadHammer swaps the blocklist continuously while
 // shards serve a hot address that flips between two listings. Run under
-// -race this is the cache/reload data-race hammer; in any mode it
-// asserts the generation-keyed cache contract: every response matches
-// one of the two live lists (never a torn or foreign verdict), and once
-// the hammer parks on a final list, the very next responses reflect it
-// — a stale-generation cache hit would keep answering from the dead
-// generation.
+// -race this is the list-swap data-race hammer; in any mode it asserts
+// that every response matches one of the two live lists (never a torn
+// or foreign verdict), and that once the hammer parks on a final list,
+// the very next responses reflect it — a stale verdict would keep
+// answering from a dead list.
 func TestChaosShardedReloadHammer(t *testing.T) {
 	listBot := &blocklist.Trie{}
 	listBot.Insert(netaddr.MustParseBlock("10.1.1.0/24"), "bot")
@@ -141,10 +140,9 @@ func TestChaosShardedReloadHammer(t *testing.T) {
 	stopSwaps.Store(true)
 	<-swapped
 
-	// The hammer has parked on listSpam (generation G). Every response
-	// from here on must carry the spam code: shards that cached "bot"
-	// under an earlier generation must see the gen mismatch and re-look.
-	// Several queries so both shards' caches are exercised.
+	// The hammer has parked on listSpam. Every response from here on
+	// must carry the spam code. Several queries so both shards are
+	// exercised.
 	for i := 0; i < 20; i++ {
 		listed, code, err := Lookup(addr, "bl.chaos.example", probe, 2*time.Second)
 		if err != nil {

@@ -3,6 +3,7 @@ package dnsbl
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -213,10 +214,11 @@ func TestFastParseRejectsNonFastShapes(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheGenerationSwap drives one shard by hand through a
-// blocklist reload and asserts the cache serves repeats within a
-// generation but never across one — the no-stale-verdicts invariant.
-func TestVerdictCacheGenerationSwap(t *testing.T) {
+// TestShardServesLiveListAcrossReloads drives one shard by hand through
+// two blocklist reloads and asserts every answer, repeats included,
+// comes from the list live at the time — the no-stale-verdicts
+// invariant.
+func TestShardServesLiveListAcrossReloads(t *testing.T) {
 	srv, err := NewServer("bl.shard.example", shardTestList(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -247,44 +249,138 @@ func TestVerdictCacheGenerationSwap(t *testing.T) {
 	}
 
 	if listed, code := ask(); !listed || code != CodeBot {
-		t.Fatalf("gen1 first ask: listed=%v code=%s, want bot", listed, code)
-	}
-	if hits := sh.cacheHits.Value(); hits != 0 {
-		t.Fatalf("cold cache reported %d hits", hits)
+		t.Fatalf("list 1 first ask: listed=%v code=%s, want bot", listed, code)
 	}
 	if listed, code := ask(); !listed || code != CodeBot {
-		t.Fatalf("gen1 second ask: listed=%v code=%s", listed, code)
-	}
-	if hits := sh.cacheHits.Value(); hits != 1 {
-		t.Fatalf("warm same-generation ask: %d cache hits, want 1", hits)
+		t.Fatalf("list 1 second ask: listed=%v code=%s", listed, code)
 	}
 
-	// Reload 1: the block vanishes. The cached "bot" verdict is one
-	// generation old and must not be served.
+	// Reload 1: the block vanishes. The "bot" verdict belongs to the
+	// old list and must not be served.
 	gone := &blocklist.Trie{}
 	gone.Insert(netaddr.MustParseBlock("10.9.9.0/24"), "bot")
 	srv.SetList(gone)
 	if listed, _ := ask(); listed {
-		t.Fatal("stale-generation cache hit: delisted address still listed")
-	}
-	if hits := sh.cacheHits.Value(); hits != 1 {
-		t.Fatalf("cross-generation ask used the cache: %d hits", hits)
+		t.Fatal("stale verdict: delisted address still listed")
 	}
 
-	// Reload 2: relisted under a different reason; the gen-2 "miss"
-	// entry must not be served either.
+	// Reload 2: relisted under a different reason; the "miss" of list 2
+	// must not be served either.
 	relisted := &blocklist.Trie{}
 	relisted.Insert(netaddr.MustParseBlock("10.1.1.0/24"), "spam")
 	srv.SetList(relisted)
 	if listed, code := ask(); !listed || code != CodeSpam {
 		t.Fatalf("after relist: listed=%v code=%s, want spam", listed, code)
 	}
-	// And within generation 3 the new verdict caches normally.
 	if listed, code := ask(); !listed || code != CodeSpam {
-		t.Fatalf("gen3 warm ask: listed=%v code=%s", listed, code)
+		t.Fatalf("list 3 repeat ask: listed=%v code=%s", listed, code)
 	}
-	if hits := sh.cacheHits.Value(); hits != 2 {
-		t.Fatalf("gen3 warm ask: %d cache hits, want 2", hits)
+}
+
+// sentBatcher is a memBatcher that counts the responses each
+// WriteBatch would put on the wire.
+type sentBatcher struct {
+	*memBatcher
+	sent int
+}
+
+func (b *sentBatcher) WriteBatch(ms []batchMsg) error {
+	for i := range ms {
+		if ms[i].outN > 0 {
+			b.sent++
+		}
+	}
+	return nil
+}
+
+// TestRunShardIsolatesSlotPanic runs one shard loop over an in-memory
+// 8-packet batch whose third slot panics: the other seven answers must
+// still be written, and the panic counted once, dropped once, and left
+// in the flight recorder as a panic event the SLO counts as bad.
+func TestRunShardIsolatesSlotPanic(t *testing.T) {
+	srv, err := NewServer("bl.shard.example", shardTestList(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flight.New(64)
+	srv.SetFlightRecorder(rec)
+	calls := 0
+	srv.handleHook = func() {
+		if calls++; calls == 3 {
+			panic("injected slot panic")
+		}
+	}
+	sh := srv.newShard(0, nil, ShardConfig{Batch: 8}.withDefaults(1))
+	io := &sentBatcher{memBatcher: &memBatcher{q: encodeQuery(t, 7, "10.1.1.9", "bl.shard.example"), remaining: 8}}
+	sh.io = io
+	if err := srv.runShard(context.Background(), sh); err != nil {
+		t.Fatal(err)
+	}
+
+	if io.sent != 7 {
+		t.Errorf("responses written = %d, want 7", io.sent)
+	}
+	if st := srv.Snapshot(); st.Panics != 1 || st.Dropped != 1 || st.Queries != 7 {
+		t.Errorf("counters = %+v, want 1 panic, 1 dropped, 7 queries", st)
+	}
+	evs := rec.Snapshot(flight.Filter{Flags: flight.FlagPanic})
+	if len(evs) != 1 || evs[0].Verdict != "panic" || evs[0].Flags&flight.FlagErr == 0 {
+		t.Errorf("panic events = %+v, want one with verdict panic and FlagErr", evs)
+	}
+	if bad := srv.wBad.Total(time.Minute); bad != 1 {
+		t.Errorf("SLO bad count = %d, want 1", bad)
+	}
+}
+
+// TestConnBatcherClosedMarksEveryResponse: a conn closed under a batch
+// loses every response still in it, and each must be marked, so that
+// Queries - Dropped keeps matching what left the socket.
+func TestConnBatcherClosedMarksEveryResponse(t *testing.T) {
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	ms := make([]batchMsg, 3)
+	for i := range ms {
+		ms[i].out = make([]byte, 16)
+		ms[i].outN = 16
+		ms[i].peer = conn.LocalAddr()
+	}
+	ms[1].outN = 0 // a dropped query: nothing to send
+	if err := (&connBatcher{conn: conn}).WriteBatch(ms); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("WriteBatch on a closed conn = %v, want net.ErrClosed", err)
+	}
+	if !ms[0].sendErr || ms[1].sendErr || !ms[2].sendErr {
+		t.Fatalf("sendErr = %v %v %v, want true false true", ms[0].sendErr, ms[1].sendErr, ms[2].sendErr)
+	}
+}
+
+// TestServeConnsRejectsUnreadConns: fewer shards than conns would leave
+// sockets that SO_REUSEPORT still hashes clients onto but nobody reads,
+// so ServeConns refuses the configuration.
+func TestServeConnsRejectsUnreadConns(t *testing.T) {
+	conns, err := ListenShards("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	if len(conns) < 2 {
+		t.Skipf("got %d conn; the platform has no SO_REUSEPORT group", len(conns))
+	}
+	srv, err := NewServer("bl.shard.example", shardTestList(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The deadline only bounds a server that wrongly starts serving.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := srv.ServeConns(ctx, conns, ShardConfig{Shards: 1}); err == nil {
+		t.Fatal("ServeConns with 1 shard over 2 conns = nil, want an error")
 	}
 }
 
@@ -437,9 +533,8 @@ func TestShardConfigDefaults(t *testing.T) {
 		conns int
 		want  ShardConfig
 	}{
-		{ShardConfig{}, 4, ShardConfig{Shards: 4, Batch: defaultBatch, CacheBits: defaultCacheBits}},
-		{ShardConfig{Shards: 2, Batch: 9999, CacheBits: 30}, 1, ShardConfig{Shards: 2, Batch: maxBatch, CacheBits: maxCacheBits}},
-		{ShardConfig{CacheBits: -1}, 1, ShardConfig{Shards: 1, Batch: defaultBatch, CacheBits: -1}},
+		{ShardConfig{}, 4, ShardConfig{Shards: 4, Batch: defaultBatch}},
+		{ShardConfig{Shards: 2, Batch: 9999}, 1, ShardConfig{Shards: 2, Batch: maxBatch}},
 	}
 	for i, c := range cases {
 		if got := c.in.withDefaults(c.conns); got != c.want {

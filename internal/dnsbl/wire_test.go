@@ -1,0 +1,70 @@
+package dnsbl
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"time"
+
+	"unclean/internal/blocklist"
+	"unclean/internal/netaddr"
+	"unclean/internal/obs/flight"
+)
+
+// longestZone is the longest zone NewServer accepts: with four
+// three-digit octet labels in front, its query names sit exactly at the
+// DNS name-length limit.
+var longestZone = strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + "." +
+	strings.Repeat("c", 63) + "." + strings.Repeat("d", 44)
+
+// FuzzFastQuery holds the zero-copy fast codec to the slow path that
+// every other packet and every TCP query takes. For any input neither
+// parseFastQuery nor Server.handle may panic, and whenever the fast
+// parser accepts a packet it must read the address the slow path reads
+// and encodeFastResponse must write exactly the bytes handle returns, at
+// the full UDP limit and at one that forces truncation. Each input runs
+// against the shard tests' zone and the longest legal zone.
+func FuzzFastQuery(f *testing.F) {
+	var srvs []*Server
+	for _, zone := range []string{"bl.shard.example", longestZone} {
+		srv, err := NewServer(zone, shardTestList(), time.Minute)
+		if err != nil {
+			f.Fatal(err)
+		}
+		srvs = append(srvs, srv)
+	}
+	f.Fuzz(func(t *testing.T, pkt []byte) {
+		for _, srv := range srvs {
+			addr, qlen, _, ok := parseFastQuery(pkt, srv.zoneWire)
+			var listed bool
+			var code netaddr.Addr
+			if ok {
+				q, err := Decode(pkt)
+				if err != nil || len(q.Questions) != 1 {
+					t.Fatalf("zone %q: fast path accepted a packet Decode rejects (%v): %x", srv.zone, err, pkt)
+				}
+				if want, wok := ParseQueryName(q.Questions[0].Name, srv.zone); !wok || want != addr {
+					t.Fatalf("zone %q: fast parse read %s, slow path (%s, %v): %x", srv.zone, addr, want, wok, pkt)
+				}
+				var entry blocklist.Entry
+				entry, listed = srv.list.Load().matcher.Lookup(addr)
+				if listed {
+					code = codeFor(entry.Reason)
+				}
+			}
+			for _, maxUDP := range []int{maxMessage, 40} {
+				var ev flight.Event
+				slow := srv.handle(pkt, maxUDP, &ev)
+				if !ok {
+					continue
+				}
+				var out [outSlotSize]byte
+				n := encodeFastResponse(out[:], pkt, qlen, listed, code, srv.ttl, maxUDP)
+				if !bytes.Equal(out[:n], slow) {
+					t.Fatalf("zone %q maxUDP %d: codec divergence for %x:\n fast %x\n slow %x",
+						srv.zone, maxUDP, pkt, out[:n], slow)
+				}
+			}
+		}
+	})
+}

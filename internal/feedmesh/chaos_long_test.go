@@ -96,7 +96,7 @@ func TestChaosLongAllAdversaries(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Serve(ctx, conn) //nolint:errcheck // returns on close
+		srv.ServeConns(ctx, []net.PacketConn{conn}, dnsbl.ShardConfig{}) //nolint:errcheck // returns on close
 	}()
 	defer func() {
 		cancel()

@@ -118,7 +118,7 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			srv.Serve(ctx, conn) //nolint:errcheck // returns on close
+			srv.ServeConns(ctx, []net.PacketConn{conn}, dnsbl.ShardConfig{}) //nolint:errcheck // returns on close
 		}()
 		defer func() {
 			cancel()

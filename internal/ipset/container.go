@@ -847,7 +847,7 @@ func (c *ctr) selectRank(rank uint32) uint32 {
 		for i := 0; i < len(c.arr); i += 2 {
 			span := uint32(c.arr[i+1]-c.arr[i]) + 1
 			if rank < span {
-				return base | uint32(c.arr[i])+rank
+				return base | uint32(c.arr[i]) + rank
 			}
 			rank -= span
 		}

@@ -187,9 +187,9 @@ func TestSampleMatchesReference(t *testing.T) {
 		k    int
 	}{
 		{"floyd-tiny", 5},
-		{"floyd", 200},          // 200 <= 4000/16 -> Floyd branch
-		{"floyd-edge", 250},     // boundary: k == n/16 stays on Floyd
-		{"fisher-yates", 251},   // first k past the boundary
+		{"floyd", 200},        // 200 <= 4000/16 -> Floyd branch
+		{"floyd-edge", 250},   // boundary: k == n/16 stays on Floyd
+		{"fisher-yates", 251}, // first k past the boundary
 		{"fisher-yates-mid", 2000},
 		{"fisher-yates-big", 3999},
 	}

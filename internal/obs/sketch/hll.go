@@ -13,10 +13,9 @@ import (
 // default p=12 (4096 registers, 16 KiB).
 //
 // Registers update by compare-and-swap maximum, so Add is safe from
-// any number of writers (the shared slow-path tap has several) and
-// merging is exact: the register-wise maximum of sketches over
-// substreams equals the sketch over the concatenated stream, hash for
-// hash — not just within error bounds, identical.
+// any number of writers. Merging is exact: the register-wise maximum
+// of sketches over substreams equals the sketch over the concatenated
+// stream, hash for hash — not just within error bounds, identical.
 type HLL struct {
 	p    uint8
 	regs []atomic.Uint32
