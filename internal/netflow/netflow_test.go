@@ -240,6 +240,40 @@ func TestWriterRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestWriterRejectsPastUptime writes records on both sides of boot +
+// 2^32 ms. In one datagram the uptime fields would wrap, and the earlier
+// record would read back 49.7 days late.
+func TestWriterRejectsPastUptime(t *testing.T) {
+	var out bytes.Buffer
+	w := NewWriter(&out, boot)
+	limit := boot.Add(1 << 32 * time.Millisecond)
+	before := tcpFlow("1.2.3.4", "5.6.7.8", 1, 40, FlagSYN)
+	before.First = limit.Add(-time.Hour)
+	before.Last = limit.Add(-time.Millisecond)
+	if err := w.Write(before); err != nil {
+		t.Fatal(err)
+	}
+	after := before
+	after.First = limit.Add(-time.Minute)
+	after.Last = limit
+	if err := w.Write(after); err == nil {
+		t.Error("record ending 2^32 ms after boot accepted")
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewReader(&out).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("read back %d records, want 1", len(got))
+	}
+	if !got[0].First.Equal(before.First) || !got[0].Last.Equal(before.Last) {
+		t.Fatalf("record reads back as %v-%v, written as %v-%v", got[0].First, got[0].Last, before.First, before.Last)
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	var out bytes.Buffer
 	w := NewWriter(&out, boot)

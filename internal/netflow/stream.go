@@ -19,9 +19,13 @@ type Writer struct {
 	err      error
 }
 
+// maxUptime is the range of the 32-bit millisecond uptime field, about
+// 49.7 days.
+const maxUptime = 1 << 32 * time.Millisecond
+
 // NewWriter returns a Writer whose sysUptime clock starts at boot. All
-// record timestamps must be >= boot and within ~49 days of it (the range
-// of the 32-bit millisecond uptime field).
+// record timestamps must be >= boot and less than maxUptime after it;
+// Write rejects a record that is not.
 func NewWriter(w io.Writer, boot time.Time) *Writer {
 	return &Writer{w: w, boot: boot.UTC()}
 }
@@ -36,6 +40,11 @@ func (w *Writer) Write(r Record) error {
 	}
 	if r.First.Before(w.boot) {
 		return fmt.Errorf("netflow: record starts %v before exporter boot %v", r.First, w.boot)
+	}
+	// Past maxUptime the uptime fields wrap, and the datagram's records
+	// would read back shifted by it.
+	if r.Last.Sub(w.boot) >= maxUptime {
+		return fmt.Errorf("netflow: record ends %v, past the 32-bit uptime of exporter boot %v", r.Last, w.boot)
 	}
 	w.pending = append(w.pending, r)
 	if len(w.pending) >= MaxPerPacket {

@@ -22,6 +22,7 @@ package netmodel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"unclean/internal/ipset"
@@ -334,44 +335,113 @@ func (m *Model) SampleAddr(rng *stats.RNG) netaddr.Addr {
 	return n.Host(rng.Intn(n.Hosts))
 }
 
+// The control draw generates candidates in rounds of at most
+// drawRoundChunks chunks of drawChunk draws, the chunks in parallel.
+const (
+	drawChunk       = 1 << 12
+	drawRoundChunks = 64
+)
+
 // SampleAddrSet draws size distinct active addresses: SampleAddr draws,
 // in order, with repeats rejected. It panics if size exceeds the total
-// active host population.
+// active host population. The set and the state rng is left in are
+// exactly those of repeated SampleAddr calls.
 //
-// Two structures exist only for the call. A bitset over every active host
-// drops repeats; a host's bit is its network's offset in a dense
-// numbering of all active hosts plus its host index. A guide table
-// narrows each cumulative-weight search. Neither changes a draw, so the
-// RNG stream and the set are exactly those of repeated SampleAddr calls.
+// A host is numbered by its network's offset in a dense numbering of all
+// active hosts plus its host index; networks are in address order, so
+// host numbers are too. A draw takes two RNG outputs, a Float64 for the
+// network and an Intn for the host, unless the Intn rejects its output
+// and draws again, which happens with probability below 254/2^64. So the
+// draws of a round are known in advance: each chunk jumps its own copy
+// of rng to its first draw and turns draws into host numbers, a guide
+// table narrowing each cumulative-weight search. A chunk stops at a draw
+// whose Intn rejects; the round is cut there, and that draw runs on rng
+// itself. One pass then marks the round's host numbers in a bitset, in
+// draw order, until size distinct hosts are marked. Walking the bitset
+// yields the set in address order.
 func (m *Model) SampleAddrSet(size int, rng *stats.RNG) ipset.Set {
-	// Networks are distinct /24s of at most 254 hosts, so every host
-	// number fits in a uint32.
-	offsets := make([]uint32, len(m.nets))
-	total := 0
+	// offsets[i] is network i's first host number and
+	// offsets[i+1]-offsets[i] its host count. Networks are distinct /24s
+	// of at most 254 hosts, so every host number fits in a uint32.
+	offsets := make([]uint32, len(m.nets)+1)
 	for i := range m.nets {
-		offsets[i] = uint32(total)
-		total += m.nets[i].Hosts
+		offsets[i+1] = offsets[i] + uint32(m.nets[i].Hosts)
 	}
+	total := int(offsets[len(m.nets)])
 	if size > total {
 		panic(fmt.Sprintf("netmodel: sample %d exceeds population %d", size, total))
 	}
 	g := newGuide(m.cum, m.totalMass)
 	seen := make([]uint64, (total+63)/64)
-	b := ipset.NewBuilder(size)
-	for drawn := 0; drawn < size; {
-		i := g.search(rng.Float64() * m.totalMass)
-		n := &m.nets[i]
-		h := rng.Intn(n.Hosts)
-		bit := offsets[i] + uint32(h)
-		word, mask := bit/64, uint64(1)<<(bit%64)
+	mark := func(host uint32) bool {
+		word, mask := host/64, uint64(1)<<(host%64)
 		if seen[word]&mask != 0 {
-			continue
+			return false
 		}
 		seen[word] |= mask
-		b.Add(n.Host(h))
-		drawn++
+		return true
+	}
+	cand := make([]uint32, drawRoundChunks*drawChunk)
+	var filled [drawRoundChunks]int
+	for drawn := 0; drawn < size; {
+		// Each draw adds at most one host, so a round never needs more
+		// draws than there are hosts still missing.
+		chunks := min(drawRoundChunks, (size-drawn+drawChunk-1)/drawChunk)
+		stats.Parallel(chunks, func(_, c int) {
+			r := *rng
+			r.Advance(uint64(2 * c * drawChunk))
+			filled[c] = m.drawHosts(cand[c*drawChunk:(c+1)*drawChunk], &r, g, offsets)
+		})
+		// Chunks past a rejection started from the wrong state.
+		round := chunks * drawChunk
+		for c, n := range filled[:chunks] {
+			if n < drawChunk {
+				round = c*drawChunk + n
+				break
+			}
+		}
+		k := 0
+		for ; k < round && drawn < size; k++ {
+			if mark(cand[k]) {
+				drawn++
+			}
+		}
+		rng.Advance(uint64(2 * k))
+		if k == round && round < chunks*drawChunk && drawn < size {
+			i := g.search(rng.Float64() * m.totalMass)
+			if mark(offsets[i] + uint32(rng.Intn(int(offsets[i+1]-offsets[i])))) {
+				drawn++
+			}
+		}
+	}
+	b := ipset.NewBuilder(size)
+	i := 0
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			host := uint32(w*64 + bits.TrailingZeros64(word))
+			for offsets[i+1] <= host {
+				i++
+			}
+			n := &m.nets[i]
+			b.Add(n.Base + netaddr.Addr(uint32(n.start)+host-offsets[i]))
+		}
 	}
 	return b.Build()
+}
+
+// drawHosts fills dst with the host numbers of consecutive draws from r.
+// It returns len(dst), or the index of the first draw whose Intn rejects
+// its one output.
+func (m *Model) drawHosts(dst []uint32, r *stats.RNG, g guide, offsets []uint32) int {
+	for k := range dst {
+		i := g.search(r.Float64() * m.totalMass)
+		h, ok := r.IntnOnce(int(offsets[i+1] - offsets[i]))
+		if !ok {
+			return k
+		}
+		dst[k] = offsets[i] + uint32(h)
+	}
+	return len(dst)
 }
 
 // guide answers sort.SearchFloat64s(cum, u) for a strictly increasing cum

@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -294,6 +295,77 @@ func TestSampleAddrSetMatchesReference(t *testing.T) {
 			}
 			if a, b := gotRNG.Uint64(), wantRNG.Uint64(); a != b {
 				t.Fatalf("%d networks, seed %d: RNG streams diverged", m.NetworkCount(), seed)
+			}
+		}
+	}
+}
+
+// splitmixGamma is SplitMix64's state increment: a generator seeded
+// with s is in state s + t·splitmixGamma after t outputs.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// rejectingSeed returns the seed under which draw j's Intn output is 0.
+// SplitMix64's output function is a bijection that maps state 0 to 0,
+// and draw j's Intn output is output 2j+1, so the generator must reach
+// state 0 there. Lemire's method rejects 0 for every n that is not a
+// power of two.
+func rejectingSeed(j int) uint64 {
+	return -uint64(2*j+2) * splitmixGamma
+}
+
+// TestSampleAddrSetRejection places a draw whose Intn rejects its output
+// at the chunk and round boundaries of the parallel draw, and holds the
+// set and the RNG continuation to the serial reference at one and at
+// four workers.
+func TestSampleAddrSetRejection(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TargetNetworks = 30000
+	m, err := New(cfg, stats.NewRNG(26))
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := drawRoundChunks * drawChunk
+	size := m.TotalHosts() / 2
+	if size <= round {
+		t.Fatalf("sample of %d does not fill a round of %d draws", size, round)
+	}
+	// Every rejecting draw's Float64 output is the one before state 0,
+	// so it always picks the same network: draw 0's under rejectingSeed(0).
+	u := stats.NewRNG(rejectingSeed(0)).Float64() * m.totalMass
+	hosts := m.nets[sort.SearchFloat64s(m.cum, u)].Hosts
+	if hosts&(hosts-1) == 0 {
+		t.Fatalf("the rejecting draw's network has %d hosts, a power of two", hosts)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name string
+		draw int
+	}{
+		{"first draw", 0},
+		{"chunk's first draw", 3 * drawChunk},
+		{"mid-chunk", 5*drawChunk + 1234},
+		{"chunk's last draw", 7*drawChunk - 1},
+		{"round's last draw", round - 1},
+		{"next round's first draw", round},
+	} {
+		seed := rejectingSeed(c.draw)
+		probe := stats.NewRNG(seed)
+		probe.Advance(uint64(2*c.draw + 1))
+		if _, ok := probe.IntnOnce(hosts); ok {
+			t.Fatalf("%s: draw %d does not reject", c.name, c.draw)
+		}
+		wantRNG := stats.NewRNG(seed)
+		want := referenceSampleAddrSet(m, size, wantRNG)
+		wantNext := wantRNG.Uint64()
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			gotRNG := stats.NewRNG(seed)
+			got := m.SampleAddrSet(size, gotRNG)
+			if got.Len() != size || !got.Equal(want) {
+				t.Fatalf("%s, GOMAXPROCS %d: sets differ (%d vs %d addresses)", c.name, procs, got.Len(), want.Len())
+			}
+			if gotRNG.Uint64() != wantNext {
+				t.Fatalf("%s, GOMAXPROCS %d: RNG streams diverged", c.name, procs)
 			}
 		}
 	}

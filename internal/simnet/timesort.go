@@ -3,6 +3,7 @@ package simnet
 import (
 	"math/bits"
 	"slices"
+	"time"
 
 	"unclean/internal/netflow"
 )
@@ -16,6 +17,9 @@ import (
 // records then move once — or, for a spilled run, never: the run is
 // encoded straight through the order.
 
+// passBits is the widest digit a counting pass sorts: 2048 counters.
+const passBits = 11
+
 // timeScratch is timeOrder's working memory, 24 bytes per record: two
 // key buffers and two index buffers for the ping-pong passes. It grows
 // to the largest run it has ordered and is reused from run to run.
@@ -24,24 +28,58 @@ type timeScratch struct {
 	idx  []uint32
 }
 
+// timePass is one counting pass of timeOrder: the width bits at shift of
+// a key's nanoseconds within the second (ns), or of its whole seconds.
+type timePass struct {
+	ns           bool
+	shift, width uint
+}
+
+// digit returns the pass's digit of key v: a nanosecond offset for a
+// nanoseconds pass, whole seconds for a seconds pass.
+func (ps timePass) digit(v uint64) uint64 {
+	if ps.ns {
+		v %= uint64(time.Second)
+	}
+	return v >> ps.shift & (1<<ps.width - 1)
+}
+
+// appendPasses appends the passes that sort an n-bit part of the key,
+// least significant digit first, in as few digits of at most passBits
+// bits as n allows, of near-equal width.
+func appendPasses(dst []timePass, ns bool, n int) []timePass {
+	if n == 0 {
+		return dst
+	}
+	digits := (n + passBits - 1) / passBits
+	width := (n + digits - 1) / digits
+	for shift := 0; shift < n; shift += width {
+		dst = append(dst, timePass{ns, uint(shift), uint(min(width, n-shift))})
+	}
+	return dst
+}
+
 // timeOrder returns the permutation that stable-sorts records by First:
 // records[perm[0]], records[perm[1]], ... run in time order, and records
-// with equal First keep their relative order. Keys are First.UnixNano()
-// minus the minimum, sorted a byte at a time over only as many bytes as
-// the key span needs; a byte that is the same for every key is skipped.
-// Synthesized and decoded times carry no monotonic clock reading, so
-// UnixNano order is First.Compare order. The permutation lives in s and
-// is valid until s orders another run.
+// with equal First keep their relative order. A record's key is
+// First.UnixNano() minus the run's minimum, read as whole seconds and
+// nanoseconds within the second. The nanoseconds are sorted first, then
+// the seconds, each in counting passes of at most passBits bits over
+// only the bits that part of the key needs; a digit that every key
+// shares is skipped. A synthesized day is whole seconds with a 17-bit
+// span: no nanosecond pass and two seconds passes. Synthesized and
+// decoded times carry no monotonic clock reading, so UnixNano order is
+// First.Compare order. The permutation lives in s and is valid until s
+// orders another run.
 func (s *timeScratch) timeOrder(records []netflow.Record) []uint32 {
 	n := len(records)
 	s.keys = slices.Grow(s.keys[:0], 2*n)
 	s.idx = slices.Grow(s.idx[:0], 2*n)
-	keys, idx := s.keys[:2*n], s.idx[:2*n]
-	k, tk := keys[:n], keys[n:]
-	p, tp := idx[:n], idx[n:]
+	b := pingPong{k: s.keys[:n], tk: s.keys[n : 2*n], p: s.idx[:n], tp: s.idx[n : 2*n]}
 	if n == 0 {
-		return p
+		return b.p
 	}
+	k := b.k
 	lo := records[0].First.UnixNano()
 	for i := range records {
 		t := records[i].First.UnixNano()
@@ -49,41 +87,59 @@ func (s *timeScratch) timeOrder(records []netflow.Record) []uint32 {
 		lo = min(lo, t)
 	}
 	// uint64(t - lo) is the exact span even when t - lo overflows int64.
-	var span uint64
+	var hi, subsec uint64
 	for i := range k {
 		k[i] -= uint64(lo)
-		span |= k[i]
-		p[i] = uint32(i)
+		hi = max(hi, k[i])
+		subsec |= k[i] % uint64(time.Second)
+		b.p[i] = uint32(i)
 	}
-	digits := (bits.Len64(span) + 7) / 8
-	var counts [8][256]int
-	for _, v := range k {
-		for d := 0; d < digits; d++ {
-			counts[d][byte(v>>(8*d))]++
-		}
+	// Either part takes at most four passes: the nanoseconds within a
+	// second are 30 bits, the seconds of an int64 nanosecond span 35.
+	var passes [4]timePass
+	b.sort(appendPasses(passes[:0], true, bits.Len64(subsec)))
+	for i := range b.k {
+		b.k[i] /= uint64(time.Second)
 	}
-	for d := 0; d < digits; d++ {
-		c := &counts[d]
-		shift := 8 * d
-		if c[byte(k[0]>>shift)] == n {
-			continue // every key shares this byte
+	b.sort(appendPasses(passes[:0], false, bits.Len64(hi/uint64(time.Second))))
+	return b.p
+}
+
+// pingPong holds the keys k and their record indexes p that the counting
+// passes order, and the spare halves tk and tp each pass scatters into.
+type pingPong struct {
+	k, tk []uint64
+	p, tp []uint32
+}
+
+// sort runs the counting passes in order, each a stable scatter by its
+// digit.
+func (b *pingPong) sort(passes []timePass) {
+	var counts [1 << passBits]uint32
+	for _, ps := range passes {
+		c := counts[:1<<ps.width]
+		clear(c)
+		for _, v := range b.k {
+			c[ps.digit(v)]++
 		}
-		var offs [256]int
-		off := 0
-		for b := range offs {
-			offs[b] = off
-			off += c[b]
+		if c[ps.digit(b.k[0])] == uint32(len(b.k)) {
+			continue // every key shares this digit
 		}
+		var off uint32
+		for d, m := range c {
+			c[d] = off
+			off += m
+		}
+		k, p, tk, tp := b.k, b.p, b.tk, b.tp
 		for i, v := range k {
-			b := byte(v >> shift)
-			o := offs[b]
+			d := ps.digit(v)
+			o := c[d]
 			tk[o], tp[o] = v, p[i]
-			offs[b] = o + 1
+			c[d] = o + 1
 		}
-		k, tk = tk, k
-		p, tp = tp, p
+		b.k, b.tk = b.tk, b.k
+		b.p, b.tp = b.tp, b.p
 	}
-	return p
 }
 
 // permute reorders records so that records[i] becomes the old

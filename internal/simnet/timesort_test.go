@@ -3,6 +3,7 @@ package simnet
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"slices"
@@ -129,6 +130,29 @@ func TestSortByTimeTieHeavy(t *testing.T) {
 	for _, c := range cases {
 		checkTimeOrder(t, c.name, recordsAt(c.base, c.offsets))
 	}
+}
+
+// FuzzTimeOrder holds sortByTime to the comparison sort. The input is a
+// base time in Unix nanoseconds and offsets from it, eight little-endian
+// bytes each. The sum wraps, so every First lies in the segment codec's
+// int64 nanosecond range. The seed corpus in testdata holds
+// TestSortByTimeTieHeavy's cases.
+func FuzzTimeOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, base int64, offsets []byte) {
+		records := make([]netflow.Record, len(offsets)/8)
+		for i := range records {
+			off := int64(binary.LittleEndian.Uint64(offsets[8*i:]))
+			records[i] = netflow.Record{SrcAddr: netaddr.Addr(i), First: time.Unix(0, base+off).UTC()}
+		}
+		want := slices.Clone(records)
+		referenceSortByTime(want)
+		sortByTime(records)
+		for i := range want {
+			if records[i] != want[i] {
+				t.Fatalf("record %d of %d is %v, reference has %v", i, len(want), &records[i], &want[i])
+			}
+		}
+	})
 }
 
 func TestSortByTimeSynthesizedDays(t *testing.T) {

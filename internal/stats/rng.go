@@ -7,7 +7,10 @@
 // reproduction harness — EXPERIMENTS.md quotes concrete numbers.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a SplitMix64 pseudo-random generator. It is tiny, fast, passes
 // BigCrush, and — unlike math/rand's global state — is explicit and
@@ -36,10 +39,20 @@ func (r *RNG) forkSeed(label uint64) uint64 {
 	return mix64(r.Uint64() ^ mix64(label))
 }
 
+// gamma is SplitMix64's state increment: the state after t outputs is
+// the seed plus t·gamma.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return mix64(r.state)
+}
+
+// Advance moves the generator n outputs ahead in O(1), to where n calls
+// of Uint64 would leave it.
+func (r *RNG) Advance(n uint64) {
+	r.state += n * gamma
 }
 
 func mix64(z uint64) uint64 {
@@ -61,37 +74,41 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
+// IntnOnce is Intn from exactly one output. ok is false when Intn would
+// reject that output and draw again, which happens with probability
+// below n/2^64; v is then meaningless. It panics if n <= 0.
+func (r *RNG) IntnOnce(n int) (v int, ok bool) {
+	if n <= 0 {
+		panic("stats: IntnOnce with non-positive n")
+	}
+	u, ok := r.uint64nOnce(uint64(n))
+	return int(u), ok
+}
+
 // Uint64n returns a uniform value in [0, n) using Lemire's multiply-shift
 // rejection method. It panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("stats: Uint64n with zero n")
 	}
-	// Fast path for powers of two.
-	if n&(n-1) == 0 {
-		return r.Uint64() & (n - 1)
-	}
-	threshold := -n % n
 	for {
-		v := r.Uint64()
-		hi, lo := mul128(v, n)
-		if lo >= threshold {
-			return hi
+		if v, ok := r.uint64nOnce(n); ok {
+			return v
 		}
 	}
 }
 
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
+// uint64nOnce is one round of Uint64n: it consumes one output and
+// reports whether Lemire's method accepts it. Powers of two never
+// reject. The rejection threshold 2^64 mod n is below n, so its division
+// runs only for the rare low product under n.
+func (r *RNG) uint64nOnce(n uint64) (uint64, bool) {
+	v := r.Uint64()
+	if n&(n-1) == 0 {
+		return v & (n - 1), true
+	}
+	hi, lo := bits.Mul64(v, n)
+	return hi, lo >= n || lo >= -n%n
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -172,5 +173,92 @@ func TestBoolProbability(t *testing.T) {
 	}
 	if r.Bool(0) {
 		t.Error("Bool(0) returned true")
+	}
+}
+
+func TestAdvanceMatchesUint64(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 1_000_000} {
+		stepped, jumped := NewRNG(11), NewRNG(11)
+		for i := uint64(0); i < n; i++ {
+			stepped.Uint64()
+		}
+		jumped.Advance(n)
+		if a, b := stepped.Uint64(), jumped.Uint64(); a != b {
+			t.Fatalf("Advance(%d) then Uint64 = %#x, %d Uint64 calls then Uint64 = %#x", n, b, n, a)
+		}
+	}
+}
+
+// unmix64 inverts mix64: each xorshift and each odd multiply in it is a
+// bijection on uint64.
+func unmix64(z uint64) uint64 {
+	z ^= z>>31 ^ z>>62
+	z *= inverse64(0x94d049bb133111eb)
+	z ^= z>>27 ^ z>>54
+	z *= inverse64(0xbf58476d1ce4e5b9)
+	return z ^ z>>30 ^ z>>60
+}
+
+// inverse64 returns the inverse of odd a modulo 2^64. a is its own
+// inverse to 3 bits, and each Newton step doubles the correct bits.
+func inverse64(a uint64) uint64 {
+	x := a
+	for i := 0; i < 5; i++ {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+func TestIntnOnceFlagsRejection(t *testing.T) {
+	for _, z := range []uint64{0, 1, gamma, 0xdeadbeef, math.MaxUint64} {
+		if got := unmix64(mix64(z)); got != z {
+			t.Fatalf("unmix64(mix64(%#x)) = %#x", z, got)
+		}
+	}
+	for _, n := range []uint64{3, 6, 254, 1<<62 + 1} {
+		// Lemire's method rejects output v when the low word of v·n is
+		// under 2^64 mod n: always v = 0, and ⌈k·2^64/n⌉ for some k.
+		rejecting := []uint64{0}
+		for k := uint64(1); k < n && len(rejecting) < 4; k++ {
+			v, _ := bits.Div64(k, n-1, n)
+			if v*n < -n%n {
+				rejecting = append(rejecting, v)
+			}
+		}
+		for _, v := range rejecting {
+			// The state one increment before unmix64(v) outputs v next.
+			at := func() *RNG { return &RNG{state: unmix64(v) - gamma} }
+			if got := at().Uint64(); got != v {
+				t.Fatalf("inverted state outputs %#x, want %#x", got, v)
+			}
+			if _, ok := at().IntnOnce(int(n)); ok {
+				t.Fatalf("IntnOnce(%d) accepted output %#x", n, v)
+			}
+			// Intn discards the output and draws again.
+			r, next := at(), at()
+			next.Uint64()
+			if a, b := r.Intn(int(n)), next.Intn(int(n)); a != b {
+				t.Fatalf("Intn(%d) after rejecting %#x = %d, want %d", n, v, a, b)
+			}
+		}
+	}
+	// Powers of two take the output's low bits and never reject.
+	zero := &RNG{state: unmix64(0) - gamma}
+	if v, ok := zero.IntnOnce(256); !ok || v != 0 {
+		t.Fatalf("IntnOnce(256) on output 0 = %d, %v", v, ok)
+	}
+}
+
+func TestIntnOnceMatchesIntn(t *testing.T) {
+	a, b := NewRNG(12), NewRNG(12)
+	for i := 0; i < 10000; i++ {
+		n := 1 + i%300
+		v, ok := a.IntnOnce(n)
+		if !ok {
+			t.Fatalf("draw %d: IntnOnce(%d) rejected", i, n)
+		}
+		if w := b.Intn(n); v != w {
+			t.Fatalf("draw %d: IntnOnce(%d) = %d, Intn = %d", i, n, v, w)
+		}
 	}
 }
