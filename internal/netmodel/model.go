@@ -181,7 +181,16 @@ func New(cfg Config, rng *stats.RNG) (*Model, error) {
 		}
 	}
 
-	m := &Model{observed: cfg.Observed}
+	// The /8s come in ascending order, so emitting each /8's networks in
+	// address order as it completes leaves m.nets sorted by Base. A /8 is
+	// generated into buf, each /16's networks contiguous at
+	// buf[span16[o][0]:span16[o][1]] for its octet o, then emitted /16 by
+	// /16 through at24, which maps a /24 octet to 1 + its network's index
+	// in buf. Octets are unique within their parent, so the order is
+	// exactly the one a sort by Base gives.
+	m := &Model{observed: cfg.Observed, nets: make([]Network, 0, cfg.TargetNetworks)}
+	var buf []Network
+	var at24 [256]int32
 	for _, o8 := range slash8s {
 		// Number of active /16s in this /8 (at least 1).
 		n16 := rng.Poisson(cfg.Slash16PerSlash8)
@@ -191,6 +200,8 @@ func New(cfg Config, rng *stats.RNG) (*Model, error) {
 		if n16 > 256 {
 			n16 = 256
 		}
+		buf = buf[:0]
+		var span16 [256][2]int32
 		// Choose which /16s are active.
 		for _, idx16 := range rng.Perm(256)[:n16] {
 			base16 := netaddr.MakeAddr(o8, byte(idx16), 0, 0)
@@ -203,19 +214,34 @@ func New(cfg Config, rng *stats.RNG) (*Model, error) {
 			if n24 > 256 {
 				n24 = 256
 			}
+			first := int32(len(buf))
 			for _, idx24 := range rng.Perm(256)[:n24] {
 				base24 := base16 + netaddr.Addr(uint32(idx24)<<8)
 				if insideAny(base24, cfg.Observed) || netaddr.IsReserved(base24) {
 					continue
 				}
-				m.nets = append(m.nets, makeNetwork(cfg, rng, base24, u16, p16))
+				buf = append(buf, makeNetwork(cfg, rng, base24, u16, p16))
+			}
+			span16[idx16] = [2]int32{first, int32(len(buf))}
+		}
+		for _, span := range span16 {
+			if span[0] == span[1] {
+				continue
+			}
+			for i := span[0]; i < span[1]; i++ {
+				at24[byte(buf[i].Base>>8)] = i + 1
+			}
+			for o, i := range at24 {
+				if i != 0 {
+					m.nets = append(m.nets, buf[i-1])
+					at24[o] = 0
+				}
 			}
 		}
 	}
 	if len(m.nets) == 0 {
 		return nil, fmt.Errorf("netmodel: generation produced no networks")
 	}
-	sort.Slice(m.nets, func(i, j int) bool { return m.nets[i].Base < m.nets[j].Base })
 	m.cum = make([]float64, len(m.nets))
 	total := 0.0
 	for i := range m.nets {
@@ -429,17 +455,51 @@ func (m *Model) SampleAddrSet(size int, rng *stats.RNG) ipset.Set {
 	return b.Build()
 }
 
+// drawBlock is how many draws drawHosts looks up before it resolves
+// any of them.
+const drawBlock = 512
+
 // drawHosts fills dst with the host numbers of consecutive draws from r.
 // It returns len(dst), or the index of the first draw whose Intn rejects
 // its one output.
+//
+// It works through dst a block of draws at a time, in two passes. The
+// lookup pass computes each draw's weight from its Float64 and its
+// guided candidate, then loads each candidate's cumulative weights and
+// host numbers. It never branches on what it loads, so the block's
+// loads, mostly cache misses, overlap. The resolve pass finds each
+// draw's network from what the lookups loaded, reading the tables again
+// only when the answer is past the candidate, and applies IntnOnce to
+// the draw's second output.
 func (m *Model) drawHosts(dst []uint32, r *stats.RNG, g guide, offsets []uint32) int {
-	for k := range dst {
-		i := g.search(r.Float64() * m.totalMass)
-		h, ok := r.IntnOnce(int(offsets[i+1] - offsets[i]))
-		if !ok {
-			return k
+	var (
+		u, below, at      [drawBlock]float64
+		cand, first, next [drawBlock]uint32
+	)
+	for lo := 0; lo < len(dst); lo += drawBlock {
+		blk := dst[lo:min(lo+drawBlock, len(dst))]
+		look := *r
+		for k := range blk {
+			u[k] = look.Float64() * m.totalMass
+			look.Advance(1)
+			cand[k] = g.candidate(u[k])
 		}
-		dst[k] = offsets[i] + uint32(h)
+		for k, i := range cand[:len(blk)] {
+			below[k], at[k] = g.weights(i)
+			first[k], next[k] = offsets[i], offsets[i+1]
+		}
+		for k := range blk {
+			i := g.resolve(u[k], cand[k], below[k], at[k])
+			if i != int(cand[k]) {
+				first[k], next[k] = offsets[i], offsets[i+1]
+			}
+			r.Advance(1)
+			h, ok := r.IntnOnce(int(next[k] - first[k]))
+			if !ok {
+				return lo + k
+			}
+			blk[k] = first[k] + uint32(h)
+		}
 	}
 	return len(dst)
 }
@@ -469,18 +529,37 @@ func newGuide(cum []float64, total float64) guide {
 	return g
 }
 
-// search returns sort.SearchFloat64s(g.cum, u). The guided candidate i is
-// returned only when cum[i-1] < u <= cum[i], which makes it that answer;
-// when rounding in the bucket arithmetic puts it past the answer, the
-// full search runs instead.
+// search returns sort.SearchFloat64s(g.cum, u).
 func (g guide) search(u float64) int {
-	last := len(g.cum) - 1
-	i := int(g.start[min(int(u*g.scale), last)])
-	for i < last && g.cum[i] < u {
+	i := g.candidate(u)
+	below, at := g.weights(i)
+	return g.resolve(u, i, below, at)
+}
+
+// candidate returns the start of u's bucket: the first index whose
+// cumulative weight reaches the bucket's lower edge.
+func (g guide) candidate(u float64) uint32 {
+	return g.start[min(int(u*g.scale), len(g.start)-1)]
+}
+
+// weights returns cum[i-1] and cum[i]. For i = 0 it returns cum[0] as
+// cum[i-1], which resolve does not read.
+func (g guide) weights(i uint32) (below, at float64) {
+	return g.cum[max(i, 1)-1], g.cum[i]
+}
+
+// resolve returns sort.SearchFloat64s(g.cum, u) from u's candidate: it
+// walks from the candidate while the weight at it is below u, then
+// returns where it stopped only when cum[i-1] < u <= cum[i], which makes
+// it that answer. When rounding in the bucket arithmetic puts the
+// candidate past the answer, the full search runs instead.
+func (g guide) resolve(u float64, i uint32, below, at float64) int {
+	for last := uint32(len(g.cum) - 1); at < u && i < last; {
 		i++
+		below, at = at, g.cum[i]
 	}
-	if u <= g.cum[i] && (i == 0 || g.cum[i-1] < u) {
-		return i
+	if u <= at && (i == 0 || below < u) {
+		return int(i)
 	}
 	return sort.SearchFloat64s(g.cum, u)
 }

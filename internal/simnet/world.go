@@ -263,10 +263,27 @@ func (w *World) generateEpidemic(rng *stats.RNG) {
 	}
 }
 
+// indexEpisodes builds episodesByDay as views into one slice: a pass
+// counts each day's episodes, a second places every episode on every day
+// it covers, so each day lists its episodes in ascending order.
 func (w *World) indexEpisodes() {
+	// start[d] is where day d's indices begin.
+	start := make([]int, w.days+1)
+	for _, ep := range w.episodes {
+		for d := ep.startDay; d <= ep.endDay; d++ {
+			start[d+1]++
+		}
+	}
+	for d := range w.days {
+		start[d+1] += start[d]
+	}
+	all := make([]int32, start[w.days])
 	w.episodesByDay = make([][]int32, w.days)
+	for d := range w.episodesByDay {
+		w.episodesByDay[d] = all[start[d]:start[d]:start[d+1]]
+	}
 	for idx, ep := range w.episodes {
-		for d := int(ep.startDay); d <= int(ep.endDay); d++ {
+		for d := ep.startDay; d <= ep.endDay; d++ {
 			w.episodesByDay[d] = append(w.episodesByDay[d], int32(idx))
 		}
 	}
