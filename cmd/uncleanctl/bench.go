@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -30,7 +31,13 @@ import (
 // with a bounded spill budget. Peak RSS comes from the kernel's VmHWM
 // high-water mark, so it covers every phase — including the ones that
 // would blow up without the compressed sets and the spill pipeline.
-func cmdBench(args []string) error {
+//
+// Each phase, and each stage of the world build inside it, is a span on
+// the process-wide obs trace; the stage table goes to stderr at the end,
+// so stdout stays benchjson input.
+func cmdBench(args []string) error { return runBench(args, os.Stdout, os.Stderr) }
+
+func runBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	scaleDen, seed, _, benign := commonFlags(fs)
 	lo := fs.Int("lo", 24, "shortest blocked prefix length")
@@ -58,32 +65,33 @@ func cmdBench(args []string) error {
 	scaleTag := fmt.Sprintf("scale=%g", *scaleDen)
 
 	// The header lines benchjson uses to label the document.
-	fmt.Printf("goos: %s\ngoarch: %s\npkg: unclean/bench\n", runtime.GOOS, runtime.GOARCH)
+	fmt.Fprintf(stdout, "goos: %s\ngoarch: %s\npkg: unclean/bench\n", runtime.GOOS, runtime.GOARCH)
 
 	var startStats runtime.MemStats
 	runtime.ReadMemStats(&startStats)
 	startAll := time.Now()
-	progress := newBenchProgress(os.Stderr, *progressEvery)
+	obs.DefaultTrace().Reset()
+	progress := newBenchProgress(stderr, *progressEvery)
 	defer progress.Stop()
 
 	// Phase 1: the measurement world.
-	fmt.Fprintf(os.Stderr, "bench: building world at scale 1/%g (seed %d)...\n", 1/cfg.Scale, cfg.Seed)
+	fmt.Fprintf(stderr, "bench: building world at scale 1/%g (seed %d)...\n", 1/cfg.Scale, cfg.Seed)
 	progress.Stage("world")
-	start := time.Now()
+	sp := obs.StartSpan("bench/world")
 	wcfg := simnet.DefaultConfig(cfg.Scale)
 	wcfg.Seed = cfg.Seed
 	world, err := simnet.NewWorld(wcfg)
 	if err != nil {
 		return err
 	}
-	benchLine("BenchmarkPaperWorld/"+scaleTag, time.Since(start),
+	benchLine(stdout, "BenchmarkPaperWorld/"+scaleTag, sp.End(),
 		metric{int64(world.Model.NetworkCount()), "networks"})
 
 	// Phase 2: the control report — the set whose raw form is ~188 MB
 	// at paper scale — drawn and compressed. Same size cap and RNG
 	// stream as experiments.Build, so this is the §6 artifact itself.
 	progress.Stage("control")
-	start = time.Now()
+	sp = obs.StartSpan("bench/control")
 	controlSize := world.ScaledSize(experiments.PaperControlSize)
 	if limit := world.Model.TotalHosts() / 2; controlSize > limit {
 		controlSize = limit
@@ -93,7 +101,7 @@ func cmdBench(args []string) error {
 		return err
 	}
 	control = control.Compress()
-	benchLine("BenchmarkPaperControl/"+scaleTag, time.Since(start),
+	benchLine(stdout, "BenchmarkPaperControl/"+scaleTag, sp.End(),
 		metric{int64(control.Len()), "addrs"},
 		metric{int64(control.FootprintBytes()), "set-bytes"},
 		metric{int64(control.Len()) * 4, "raw-bytes"})
@@ -101,7 +109,7 @@ func cmdBench(args []string) error {
 	// Phase 3: persist the compressed control as a v2 image and serve
 	// the paper's block-counting queries straight off the mapping.
 	progress.Stage("mapped")
-	start = time.Now()
+	sp = obs.StartSpan("bench/mapped")
 	imgPath := filepath.Join(workdir, "control.v2")
 	if err := control.WriteFileV2(imgPath); err != nil {
 		return err
@@ -122,14 +130,14 @@ func cmdBench(args []string) error {
 	if err := mapped.Close(); err != nil {
 		return err
 	}
-	benchLine("BenchmarkPaperMapped/"+scaleTag, time.Since(start),
+	benchLine(stdout, "BenchmarkPaperMapped/"+scaleTag, sp.End(),
 		metric{fi.Size(), "file-bytes"},
 		metric{blocks, "blocks"})
 
 	// Phase 4: the full unclean window through the compiled prefix
 	// sweep, with synthesis bounded by the spill budget.
 	progress.Stage("sweep")
-	start = time.Now()
+	sp = obs.StartSpan("bench/sweep")
 	ms, err := blocklist.SweepSet(world.BotTest(), *lo, *hi)
 	if err != nil {
 		return err
@@ -149,13 +157,13 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	sweep := time.Since(start)
-	benchLine("BenchmarkPaperSweep/"+scaleTag, sweep,
+	sweep := sp.End()
+	benchLine(stdout, "BenchmarkPaperSweep/"+scaleTag, sweep,
 		metric{int64(flows), "flows"},
 		metric{int64(float64(flows) / sweep.Seconds()), "flows/sec"})
 
 	// The whole pipeline, with the kernel's verdict on memory. Stop the
-	// heartbeat first so no progress line lands inside the report.
+	// heartbeat first so no progress line lands inside the stage table.
 	progress.Stop()
 	var endStats runtime.MemStats
 	runtime.ReadMemStats(&endStats)
@@ -163,7 +171,8 @@ func cmdBench(args []string) error {
 	if pm, ok := obs.ReadProcMem(); ok {
 		extra = append(extra, metric{pm.Peak, "peakRSS-bytes"})
 	}
-	benchLine("BenchmarkPaperPipeline/"+scaleTag, time.Since(startAll), extra...)
+	benchLine(stdout, "BenchmarkPaperPipeline/"+scaleTag, time.Since(startAll), extra...)
+	fmt.Fprintf(stderr, "\nstage timings:\n%s", obs.DefaultTrace().Table())
 	return nil
 }
 
@@ -175,11 +184,11 @@ type metric struct {
 
 // benchLine prints one `go test -bench` style result line (iteration
 // count 1: the pipeline runs once) that benchjson's parser accepts.
-func benchLine(name string, elapsed time.Duration, extras ...metric) {
+func benchLine(w io.Writer, name string, elapsed time.Duration, extras ...metric) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s \t1\t%d ns/op", name, elapsed.Nanoseconds())
 	for _, m := range extras {
 		fmt.Fprintf(&b, "\t%d %s", m.value, m.unit)
 	}
-	fmt.Println(b.String())
+	fmt.Fprintln(w, b.String())
 }

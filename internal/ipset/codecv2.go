@@ -217,8 +217,10 @@ func parseV2(data []byte, alias bool) (Set, error) {
 		default:
 			return Set{}, fmt.Errorf("ipset: v2 container %d: unknown kind %d", i, c.kind)
 		}
-		if off&7 != 0 || off < uint64(dirEnd) || off+size > payloadLen {
-			return Set{}, fmt.Errorf("ipset: v2 container %d: payload [%d, %d) out of bounds", i, off, off+size)
+		// Compared as a remainder, so an offset near 2^64 cannot wrap
+		// off+size back inside the payload.
+		if off&7 != 0 || off < uint64(dirEnd) || off > payloadLen || size > payloadLen-off {
+			return Set{}, fmt.Errorf("ipset: v2 container %d: %d payload bytes at offset %d out of bounds", i, size, off)
 		}
 		body := payload[off : off+size]
 		switch c.kind {

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
+	"unclean/internal/netaddr"
 	"unclean/internal/stats"
 )
 
@@ -176,46 +178,63 @@ func TestV2Corruption(t *testing.T) {
 // CRC (recomputed) but violate structural invariants, proving the
 // validator rejects them rather than building a misbehaving set.
 func TestV2CorruptionStructural(t *testing.T) {
-	rng := stats.NewRNG(83)
-	base := clusteredSet(rng, 4, 100)
-
-	resign := func(data []byte) []byte {
-		// Recompute the footer CRC so only the structural check can fail.
-		payload := data[:len(data)-v2FooterSize]
-		foot := data[len(data)-v2FooterSize:]
-		v2LE.PutUint64(foot[0:], uint64(len(payload)))
-		v2LE.PutUint32(foot[8:], crc32.ChecksumIEEE(payload))
-		return data
-	}
-
-	corrupt := func(name string, mutate func(data []byte)) {
-		t.Run(name, func(t *testing.T) {
-			data := bytes.Clone(writeV2(t, base))
-			mutate(data)
-			mustFailV2(t, name, resign(data))
+	for _, c := range structuralCorruptions() {
+		t.Run(c.name, func(t *testing.T) {
+			data := bytes.Clone(writeV2(t, structuralBase()))
+			c.mutate(data)
+			mustFailV2(t, c.name, resignV2(data))
 		})
 	}
+}
 
-	corrupt("keys-out-of-order", func(data []byte) {
-		v2LE.PutUint16(data[v2HeaderSize+v2EntrySize:], v2LE.Uint16(data[v2HeaderSize:]))
-	})
-	corrupt("unknown-kind", func(data []byte) {
-		data[v2HeaderSize+2] = 7
-	})
-	corrupt("misaligned-offset", func(data []byte) {
-		off := v2LE.Uint64(data[v2HeaderSize+16:])
-		v2LE.PutUint64(data[v2HeaderSize+16:], off+2)
-	})
-	corrupt("offset-out-of-bounds", func(data []byte) {
-		v2LE.PutUint64(data[v2HeaderSize+16:], uint64(len(data)))
-	})
-	corrupt("array-unsorted", func(data []byte) {
-		off := v2LE.Uint64(data[v2HeaderSize+16:])
-		v2LE.PutUint16(data[off:], 0xffff)
-	})
-	corrupt("total-mismatch", func(data []byte) {
-		v2LE.PutUint64(data[16:], 1)
-	})
+// resignV2 rewrites an image's footer length and CRC to match its
+// payload, so only the structural checks can fail.
+func resignV2(data []byte) []byte {
+	payload := data[:len(data)-v2FooterSize]
+	foot := data[len(data)-v2FooterSize:]
+	v2LE.PutUint64(foot[0:], uint64(len(payload)))
+	v2LE.PutUint32(foot[8:], crc32.ChecksumIEEE(payload))
+	return data
+}
+
+// structuralBase is the set TestV2CorruptionStructural corrupts.
+func structuralBase() Set { return clusteredSet(stats.NewRNG(83), 4, 100) }
+
+type v2Corruption struct {
+	name   string
+	mutate func(data []byte)
+}
+
+// structuralCorruptions are directory and container edits that leave the
+// footer intact once resigned but break a structural invariant.
+func structuralCorruptions() []v2Corruption {
+	return []v2Corruption{
+		{"keys-out-of-order", func(data []byte) {
+			v2LE.PutUint16(data[v2HeaderSize+v2EntrySize:], v2LE.Uint16(data[v2HeaderSize:]))
+		}},
+		{"unknown-kind", func(data []byte) {
+			data[v2HeaderSize+2] = 7
+		}},
+		{"misaligned-offset", func(data []byte) {
+			off := v2LE.Uint64(data[v2HeaderSize+16:])
+			v2LE.PutUint64(data[v2HeaderSize+16:], off+2)
+		}},
+		{"offset-out-of-bounds", func(data []byte) {
+			v2LE.PutUint64(data[v2HeaderSize+16:], uint64(len(data)))
+		}},
+		{"offset-wraps", func(data []byte) {
+			// An aligned offset whose end wraps past 2^64 to inside
+			// the payload.
+			v2LE.PutUint64(data[v2HeaderSize+16:], ^uint64(7))
+		}},
+		{"array-unsorted", func(data []byte) {
+			off := v2LE.Uint64(data[v2HeaderSize+16:])
+			v2LE.PutUint16(data[off:], 0xffff)
+		}},
+		{"total-mismatch", func(data []byte) {
+			v2LE.PutUint64(data[16:], 1)
+		}},
+	}
 }
 
 // TestOpenMapped exercises the full WriteFileV2 → OpenMapped path: the
@@ -278,4 +297,80 @@ func TestOpenMappedRejectsCorrupt(t *testing.T) {
 	if _, err := OpenMapped(path); err == nil {
 		t.Fatal("truncated file mapped without error")
 	}
+}
+
+// alignedCopy returns a copy of data whose first byte is 8-byte
+// aligned, as a mapping is, so parseV2 takes its aliasing path.
+func alignedCopy(data []byte) []byte {
+	if len(data) == 0 {
+		return nil
+	}
+	words := make([]uint64, (len(data)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(data))
+	copy(out, data)
+	return out
+}
+
+// FuzzParseV2 holds the v2 image parser to its contract on arbitrary
+// bytes: it returns an error or a set, never panics, and the aliasing
+// and copying paths agree. The harness rewrites each input's footer
+// length and CRC, so mutations reach the directory and container
+// checks. When the parse succeeds, the two sets agree on Len, on
+// Contains at every member and its neighbours, and on BlockCount for
+// every prefix length from 8 to 32; their v2 encodings are the same
+// bytes, and those bytes parse back to an equal set. The seed corpus in
+// testdata holds an empty image, array-, bitmap- and run-container
+// images, and TestV2CorruptionStructural's cases.
+func FuzzParseV2(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= v2FooterSize {
+			data = resignV2(bytes.Clone(data))
+		}
+		copied, errCopied := parseV2(bytes.Clone(data), false)
+		aliased, errAliased := parseV2(alignedCopy(data), true)
+		if (errCopied == nil) != (errAliased == nil) {
+			t.Fatalf("copying parse error %v, aliasing parse error %v", errCopied, errAliased)
+		}
+		if errCopied != nil {
+			return
+		}
+		if copied.Len() != aliased.Len() {
+			t.Fatalf("Len %d copied, %d aliased", copied.Len(), aliased.Len())
+		}
+		n := 0
+		copied.Each(func(a netaddr.Addr) bool {
+			n++
+			for _, p := range []netaddr.Addr{a - 1, a, a + 1} {
+				if c, al := copied.Contains(p), aliased.Contains(p); c != al || (p == a && !c) {
+					t.Fatalf("Contains(%v) = %v copied, %v aliased", p, c, al)
+				}
+			}
+			return true
+		})
+		if n != copied.Len() {
+			t.Fatalf("Each visited %d members of %d", n, copied.Len())
+		}
+		for bits := 8; bits <= 32; bits++ {
+			if c, a := copied.BlockCount(bits), aliased.BlockCount(bits); c != a {
+				t.Fatalf("BlockCount(%d) = %d copied, %d aliased", bits, c, a)
+			}
+		}
+		var fromCopied, fromAliased bytes.Buffer
+		if err := copied.WriteBinaryV2(&fromCopied); err != nil {
+			t.Fatal(err)
+		}
+		if err := aliased.WriteBinaryV2(&fromAliased); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fromCopied.Bytes(), fromAliased.Bytes()) {
+			t.Fatal("the two sets encode to different bytes")
+		}
+		back, err := parseV2(fromCopied.Bytes(), false)
+		if err != nil {
+			t.Fatalf("re-encoded image does not parse: %v", err)
+		}
+		if !back.Equal(copied) {
+			t.Fatal("re-encoded image parses to a different set")
+		}
+	})
 }

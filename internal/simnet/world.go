@@ -19,6 +19,7 @@ import (
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/netmodel"
+	"unclean/internal/obs"
 	"unclean/internal/phishfeed"
 	"unclean/internal/stats"
 )
@@ -191,8 +192,12 @@ func NewWorld(cfg Config) (*World, error) {
 			cfg.Model.Slash16PerSlash8 = s16
 		}
 	}
+	// Each stage is a span on the process-wide trace, so a driver's
+	// stage table shows where the build's time went.
 	root := stats.NewRNG(cfg.Seed)
+	sp := obs.StartSpan("world/model")
 	model, err := netmodel.New(cfg.Model, root.Fork(1))
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -201,18 +206,34 @@ func NewWorld(cfg Config) (*World, error) {
 		Model: model,
 		days:  int(cfg.End.Sub(cfg.Start)/(24*time.Hour)) + 1,
 	}
-	w.generateEpidemic(root.Fork(2))
-	w.indexEpisodes()
-	w.generatePhish(root.Fork(3))
-	w.selectBotTest(root.Fork(4))
-	w.generateCampaigns(root.Fork(5))
+	for _, stage := range []struct {
+		name string
+		run  func()
+	}{
+		{"world/epidemic", func() { w.generateEpidemic(root.Fork(2)) }},
+		{"world/episode-index", w.indexEpisodes},
+		{"world/phish", func() { w.generatePhish(root.Fork(3)) }},
+		{"world/bot-test", func() { w.selectBotTest(root.Fork(4)) }},
+		{"world/campaigns", func() { w.generateCampaigns(root.Fork(5)) }},
+	} {
+		sp := obs.StartSpan(stage.name)
+		stage.run()
+		sp.End()
+	}
 	return w, nil
 }
 
 // DayIndex converts a time to a day offset from the horizon start;
-// times before the horizon map to negative values.
+// times before the horizon map to negative values. The division floors,
+// so the 24 hours before Start are day -1.
 func (w *World) DayIndex(t time.Time) int {
-	return int(t.Sub(w.Cfg.Start) / (24 * time.Hour))
+	const day = 24 * time.Hour
+	since := t.Sub(w.Cfg.Start)
+	d := since / day
+	if since%day < 0 {
+		d--
+	}
+	return int(d)
 }
 
 // Days returns the horizon length in days.

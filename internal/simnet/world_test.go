@@ -89,6 +89,46 @@ func TestDayArithmetic(t *testing.T) {
 	}
 }
 
+// TestDayIndexBeforeStart holds DayIndex to floor division: a time in
+// the day before the horizon is day -1, not day 0, so the per-day
+// ground truth before the horizon is empty.
+func TestDayIndexBeforeStart(t *testing.T) {
+	w := getWorld(t)
+	start := w.Cfg.Start
+	for _, c := range []struct {
+		t    time.Time
+		want int
+	}{
+		{start.Add(-49 * time.Hour), -3},
+		{start.Add(-48 * time.Hour), -2},
+		{start.Add(-24*time.Hour - time.Nanosecond), -2},
+		{start.Add(-24 * time.Hour), -1},
+		{start.Add(-time.Hour), -1},
+		{start.Add(-time.Nanosecond), -1},
+		{start, 0},
+		{start.Add(24*time.Hour - time.Nanosecond), 0},
+		{start.Add(24 * time.Hour), 1},
+		{start.Add(36 * time.Hour), 1},
+	} {
+		if got := w.DayIndex(c.t); got != c.want {
+			t.Errorf("DayIndex(Start%+v) = %d, want %d", c.t.Sub(start), got, c.want)
+		}
+	}
+	if w.ScannersOn(start).Len() == 0 || w.SpammersOn(start).Len() == 0 {
+		t.Fatal("day 0 has no scanners or no spammers; the check below would prove nothing")
+	}
+	before := start.Add(-time.Hour)
+	if n := w.ScannersOn(before).Len(); n != 0 {
+		t.Errorf("ScannersOn(Start-1h) = %d hosts, want none", n)
+	}
+	if n := w.SpammersOn(before).Len(); n != 0 {
+		t.Errorf("SpammersOn(Start-1h) = %d hosts, want none", n)
+	}
+	if got := w.DailyScanners(before, start); len(got) != 1 {
+		t.Errorf("DailyScanners(Start-1h, Start) = %d days, want 1", len(got))
+	}
+}
+
 func TestEpidemicShape(t *testing.T) {
 	w := getWorld(t)
 	if w.EpisodeCount() < 1000 {
