@@ -284,29 +284,35 @@ func (w *World) generateEpidemic(rng *stats.RNG) {
 	}
 }
 
-// indexEpisodes builds episodesByDay as views into one slice: a pass
-// counts each day's episodes, a second places every episode on every day
-// it covers, so each day lists its episodes in ascending order.
+// indexEpisodes builds episodesByDay as views into one slice, each day's
+// episode indices in ascending order.
 func (w *World) indexEpisodes() {
-	// start[d] is where day d's indices begin.
-	start := make([]int, w.days+1)
+	// pos starts as a difference array of the days each episode covers;
+	// one scan turns it into where each day begins, and filling moves
+	// each day's entry on to where the day ends.
+	pos := make([]int, w.days+1)
 	for _, ep := range w.episodes {
-		for d := ep.startDay; d <= ep.endDay; d++ {
-			start[d+1]++
-		}
+		pos[ep.startDay]++
+		pos[ep.endDay+1]--
 	}
+	ongoing, total := 0, 0
 	for d := range w.days {
-		start[d+1] += start[d]
+		ongoing += pos[d]
+		pos[d] = total
+		total += ongoing
 	}
-	all := make([]int32, start[w.days])
-	w.episodesByDay = make([][]int32, w.days)
-	for d := range w.episodesByDay {
-		w.episodesByDay[d] = all[start[d]:start[d]:start[d+1]]
-	}
+	all := make([]int32, total)
 	for idx, ep := range w.episodes {
 		for d := ep.startDay; d <= ep.endDay; d++ {
-			w.episodesByDay[d] = append(w.episodesByDay[d], int32(idx))
+			all[pos[d]] = int32(idx)
+			pos[d]++
 		}
+	}
+	w.episodesByDay = make([][]int32, w.days)
+	lo := 0
+	for d := range w.episodesByDay {
+		w.episodesByDay[d] = all[lo:pos[d]:pos[d]]
+		lo = pos[d]
 	}
 }
 
