@@ -191,7 +191,17 @@ func New(cfg Config, rng *stats.RNG) (*Model, error) {
 	m := &Model{observed: cfg.Observed, nets: make([]Network, 0, cfg.TargetNetworks)}
 	var buf []Network
 	var at24 [256]int32
+	excluded := append(netaddr.ReservedBlocks(), cfg.Observed...)
 	for _, o8 := range slash8s {
+		// Only the excluded blocks that overlap this /8 can hold its
+		// /24s, and most /8s have none.
+		slash8 := netaddr.MakeAddr(o8, 0, 0, 0).Block(8)
+		var excluded8 []netaddr.Block
+		for _, b := range excluded {
+			if b.ContainsBlock(slash8) || slash8.ContainsBlock(b) {
+				excluded8 = append(excluded8, b)
+			}
+		}
 		// Number of active /16s in this /8 (at least 1).
 		n16 := rng.Poisson(cfg.Slash16PerSlash8)
 		if n16 < 1 {
@@ -217,7 +227,7 @@ func New(cfg Config, rng *stats.RNG) (*Model, error) {
 			first := int32(len(buf))
 			for _, idx24 := range rng.Perm(256)[:n24] {
 				base24 := base16 + netaddr.Addr(uint32(idx24)<<8)
-				if insideAny(base24, cfg.Observed) || netaddr.IsReserved(base24) {
+				if insideAny(base24, excluded8) {
 					continue
 				}
 				buf = append(buf, makeNetwork(cfg, rng, base24, u16, p16))
