@@ -288,8 +288,8 @@ func (w *World) generateEpidemic(rng *stats.RNG) {
 // episode indices in ascending order.
 func (w *World) indexEpisodes() {
 	// pos starts as a difference array of the days each episode covers;
-	// one scan turns it into where each day begins, and filling moves
-	// each day's entry on to where the day ends.
+	// one scan turns it into each day's start, and filling advances each
+	// day's position to the day's end.
 	pos := make([]int, w.days+1)
 	for _, ep := range w.episodes {
 		pos[ep.startDay]++
