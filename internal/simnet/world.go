@@ -192,8 +192,8 @@ func NewWorld(cfg Config) (*World, error) {
 			cfg.Model.Slash16PerSlash8 = s16
 		}
 	}
-	// Each stage is a span on the process-wide trace, so a driver's
-	// stage table shows where the build's time went.
+	// Each stage is a span on the process-wide trace, so the stage table
+	// a command prints shows where the build's time went.
 	root := stats.NewRNG(cfg.Seed)
 	sp := obs.StartSpan("world/model")
 	model, err := netmodel.New(cfg.Model, root.Fork(1))
