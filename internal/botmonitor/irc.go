@@ -50,7 +50,9 @@ func ParseMessage(line string) (Message, error) {
 		m.HasTrailing = true
 		rest = rest[:i]
 	}
-	fields := strings.Fields(rest)
+	// IRC separates parameters by ASCII spaces only (RFC 1459 §2.3.1);
+	// any other whitespace, Unicode spaces included, is parameter text.
+	fields := strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' })
 	if len(fields) == 0 {
 		return m, fmt.Errorf("botmonitor: IRC line %q has no command", line)
 	}
