@@ -136,12 +136,6 @@ func Build(cfg Config) (*Dataset, error) {
 		"Botnet addresses acquired through private communication", world.BotTest())
 	add("control", report.Observed, report.ClassNone, "2006-09-25", "2006-10-02",
 		"Control addresses acquired from the observed network", controlSet)
-	// The control report dwarfs every other (46.9M addresses at paper
-	// scale, ~188 MB as a sorted slice); hold it compressed so the
-	// inventory's resident footprint tracks container bytes. Every set
-	// operation downstream answers identically from either form.
-	ctl := inv.MustGet("control")
-	ctl.Addrs = ctl.Addrs.Compress()
 	ds.Inventory = inv
 	return ds, nil
 }

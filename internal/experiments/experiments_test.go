@@ -77,41 +77,6 @@ func TestDatasetInventory(t *testing.T) {
 	}
 }
 
-// TestControlReportCompressed pins the inventory's memory posture (the
-// control report is held in container form) and proves it is free:
-// experiments render byte-identically from the compressed and the
-// plain representation.
-func TestControlReportCompressed(t *testing.T) {
-	ds := getDataset(t)
-	ctl := ds.Report("control")
-	if !ctl.Addrs.IsCompressed() {
-		t.Fatal("control report should be stored compressed")
-	}
-	render := func(id string) string {
-		res, err := Run(ds, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Render()
-	}
-	compressed := map[string]string{}
-	for _, id := range []string{"table1", "fig2"} {
-		compressed[id] = render(id)
-	}
-	orig := ctl.Addrs
-	ctl.Addrs = orig.Decompress()
-	defer func() { ctl.Addrs = orig }()
-	if ctl.Addrs.IsCompressed() {
-		t.Fatal("Decompress returned a compressed set")
-	}
-	for _, id := range []string{"table1", "fig2"} {
-		if got := render(id); got != compressed[id] {
-			t.Fatalf("experiment %s renders differently from the plain control set:\n%s\nvs\n%s",
-				id, got, compressed[id])
-		}
-	}
-}
-
 func TestObservedReportsAreBotSubpopulations(t *testing.T) {
 	// Most detected scanners/spammers must be ground-truth bots: the
 	// detectors derive the reports but the epidemic generates them.

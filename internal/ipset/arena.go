@@ -96,10 +96,10 @@ func (a *sampleArena) sampleSorted(addrs []uint32, k int, rng *stats.RNG) []uint
 // sampleIndicesSorted draws a uniform k-subset of the ranks [0, n) into
 // the arena and returns it sorted ascending. It consumes bit-for-bit
 // the Intn stream sampleSorted consumes for the same (n, k) — the only
-// difference is that it records the chosen rank instead of addrs[rank],
-// which is what the compressed representation needs: ranks are mapped
-// to members afterwards with a container select walk, so a compressed
-// Sample returns exactly what the plain one would under the same seed.
+// difference is that it records the chosen rank instead of addrs[rank].
+// Set.Sample maps the ranks to members with a container select walk, so
+// it returns exactly the subset sampleSorted draws from the materialized
+// membership under the same seed.
 func (a *sampleArena) sampleIndicesSorted(n, k int, rng *stats.RNG) []uint32 {
 	if k < 0 || k > n {
 		panic("ipset: sample size out of range")

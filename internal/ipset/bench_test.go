@@ -166,15 +166,16 @@ func BenchmarkSampleIntersections(b *testing.B) {
 
 func BenchmarkContains(b *testing.B) {
 	s, _ := benchSets(b, 100000)
+	members := s.Addrs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Contains(s.At(i % s.Len()))
+		s.Contains(members[i%len(members)])
 	}
 }
 
 // clusteredSet builds a membership shaped like unclean space: addresses
 // concentrated in a modest number of /16s. This is the shape the
-// compressed representation targets.
+// containers target.
 func clusteredSet(rng *stats.RNG, blocks, perBlock int) Set {
 	b := NewBuilder(blocks * perBlock)
 	for k := 0; k < blocks; k++ {
@@ -186,13 +187,15 @@ func clusteredSet(rng *stats.RNG, blocks, perBlock int) Set {
 	return b.Build()
 }
 
+// BenchmarkCompress1M compresses a clustered ~1M-address set's sorted
+// members into containers, the step every Build ends with.
 func BenchmarkCompress1M(b *testing.B) {
 	rng := stats.NewRNG(8)
-	s := clusteredSet(rng, 128, 8192)
+	members := clusteredSet(rng, 128, 8192).raw()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s.Compress().Len() != s.Len() {
+		if compressSorted(members).n != len(members) {
 			b.Fatal("bad compress")
 		}
 	}
@@ -202,7 +205,7 @@ func BenchmarkCompress1M(b *testing.B) {
 // from container metadata alone — no decompression.
 func BenchmarkCompressedBlockCounts(b *testing.B) {
 	rng := stats.NewRNG(8)
-	s := clusteredSet(rng, 128, 8192).Compress()
+	s := clusteredSet(rng, 128, 8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -214,8 +217,8 @@ func BenchmarkCompressedBlockCounts(b *testing.B) {
 
 func BenchmarkCompressedIntersect(b *testing.B) {
 	rng := stats.NewRNG(8)
-	x := clusteredSet(rng, 128, 8192).Compress()
-	y := clusteredSet(rng, 128, 8192).Union(x.Sample(x.Len()/4, rng)).Compress()
+	x := clusteredSet(rng, 128, 8192)
+	y := clusteredSet(rng, 128, 8192).Union(x.Sample(x.Len()/4, rng))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -225,8 +228,8 @@ func BenchmarkCompressedIntersect(b *testing.B) {
 
 func BenchmarkCompressedBlockIntersectCount(b *testing.B) {
 	rng := stats.NewRNG(8)
-	x := clusteredSet(rng, 128, 8192).Compress()
-	y := clusteredSet(rng, 128, 8192).Union(x.Sample(x.Len()/4, rng)).Compress()
+	x := clusteredSet(rng, 128, 8192)
+	y := clusteredSet(rng, 128, 8192).Union(x.Sample(x.Len()/4, rng))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -234,10 +237,9 @@ func BenchmarkCompressedBlockIntersectCount(b *testing.B) {
 	}
 }
 
-// BenchmarkBuilderAddSetSorted measures the compact() pattern: re-adding
-// an already-built set plus a few in-order addresses. The sorted fast
-// path turns Build into a dedup-only pass — compare against
-// BenchmarkBuilderAddSetShuffled, which forces the sort.
+// BenchmarkBuilderAddSetSorted measures re-adding an already-built set.
+// The sorted fast path turns Build into dedup and compression only —
+// compare against BenchmarkBuilderAddSetShuffled, which forces the sort.
 func BenchmarkBuilderAddSetSorted(b *testing.B) {
 	rng := stats.NewRNG(9)
 	s := randomSet(rng, 1_000_000)

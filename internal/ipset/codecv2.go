@@ -11,10 +11,9 @@ import (
 	"unclean/internal/atomicfile"
 )
 
-// Binary set format v2: an mmap-friendly container image. Where v1
-// delta-varint-encodes the membership (smallest on disk, but decoding
-// materializes every address), v2 serializes the compressed containers
-// directly, so a mapped file can serve lookups without parsing:
+// Binary set format v2: an mmap-friendly container image. It serializes
+// a Set's containers directly, so a mapped file can serve lookups
+// without parsing:
 //
 //	header     8B magic "unclips2", u32 container count, u32 pad,
 //	           u64 total cardinality
@@ -31,8 +30,7 @@ import (
 // The directory lives in the first page(s) and container data starts
 // page-aligned, so OpenMapped can alias []uint16/[]uint64 container
 // slices straight into the mapping — the OS pages in only the /16s a
-// workload touches. ReadBinary dispatches on the magic, so v1 files
-// still load.
+// workload touches.
 
 var codecMagicV2 = [8]byte{'u', 'n', 'c', 'l', 'i', 'p', 's', '2'}
 
@@ -77,13 +75,8 @@ func v2Layout(list []ctr) (offsets []uint64, elems []uint32, payloadLen uint64) 
 }
 
 // WriteBinaryV2 serializes the set in the v2 container image format.
-// A plain set is compressed on the fly; its membership is unchanged.
 func (s Set) WriteBinaryV2(w io.Writer) error {
-	comp := s.Compress().comp
-	var list []ctr
-	if comp != nil {
-		list = comp.cs
-	}
+	list := s.c.cs
 	offsets, elems, payloadLen := v2Layout(list)
 
 	h := crc32.NewIEEE()
@@ -150,7 +143,7 @@ func (s Set) WriteFileV2(path string) error {
 	return atomicfile.WriteStream(path, s.WriteBinaryV2)
 }
 
-// parseV2 validates a complete v2 image and builds the compressed set.
+// parseV2 validates a complete v2 image and builds the set.
 // When alias is true (and the host is little-endian, and data is
 // 8-byte aligned) container slices reference data directly — the mmap
 // fast path; otherwise payloads are copied out.
@@ -188,7 +181,7 @@ func parseV2(data []byte, alias bool) (Set, error) {
 	}
 
 	alias = alias && hostLittleEndian && uintptr(unsafe.Pointer(&data[0]))&7 == 0
-	cs := &containers{cs: make([]ctr, count)}
+	cs := containers{cs: make([]ctr, count)}
 	prevKey := -1
 	for i := 0; i < count; i++ {
 		e := payload[v2HeaderSize+i*v2EntrySize:]
@@ -251,7 +244,7 @@ func parseV2(data []byte, alias bool) (Set, error) {
 	if uint64(cs.n) != total {
 		return Set{}, fmt.Errorf("ipset: v2 cardinality %d, containers sum to %d", total, cs.n)
 	}
-	return Set{comp: cs}, nil
+	return Set{c: cs}, nil
 }
 
 // validateCtr checks the structural invariants every query path relies

@@ -2,83 +2,146 @@ package ipset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/quick"
 	"unsafe"
 
 	"unclean/internal/netaddr"
 	"unclean/internal/stats"
 )
 
+// readV2 parses a complete image the way OpenMapped does, aliasing an
+// 8-byte-aligned copy of it.
+func readV2(data []byte) (Set, error) { return parseV2(alignedCopy(data), true) }
+
 // TestV2RoundTrip proves the v2 image is lossless for every container
-// shape, loads into the compressed representation, and encodes
-// identically from either input representation.
+// shape, on the aliasing and the copying parse alike.
 func TestV2RoundTrip(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(67)
-			plain := shape.gen(rng)
-			var fromPlain, fromComp bytes.Buffer
-			if err := plain.WriteBinaryV2(&fromPlain); err != nil {
-				t.Fatal(err)
+			s, ref := shape.build(rng)
+			img := writeV2(t, s)
+			if got := v2LE.Uint64(img[16:]); got != uint64(len(ref)) {
+				t.Fatalf("header cardinality %d, want %d", got, len(ref))
 			}
-			if err := plain.Compress().WriteBinaryV2(&fromComp); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fromPlain.Bytes(), fromComp.Bytes()) {
-				t.Fatal("v2 bytes differ between representations")
-			}
-			back, err := ReadBinary(bytes.NewReader(fromPlain.Bytes()))
+			back, err := readV2(img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plain.Len() > 0 && !back.IsCompressed() {
-				t.Fatal("v2 load should yield the compressed representation")
+			sameAddrs(t, "v2 roundtrip aliased", back, ref)
+			back, err = parseV2(bytes.Clone(img), false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sameAddrs(t, "v2 roundtrip", back, plain)
+			sameAddrs(t, "v2 roundtrip copied", back, ref)
 		})
 	}
 }
 
-// TestV2CrossVersion proves both formats decode to identical sets: a
-// membership written as v1 and as v2 reads back equal either way.
+// TestV2CrossVersion pins the SHA-256 of every shape's v2 image, so an
+// image written by this version is byte-identical to one written before
+// it, and reads back to the same membership.
 func TestV2CrossVersion(t *testing.T) {
+	pinned := map[string]string{
+		"empty":     "a2118a3bd59ede41ec748f34df17b4107abd5ef1aea0fdb664ac01d52a5b65fc",
+		"single":    "ae9cb84a94a1234212bbfc881e86799da467da49e5b1a5b370a19ae6f585e5f8",
+		"sparse":    "fa996faac80d449440e28c94913e6e4900411a642a5fa212ba7c6bc13998e8c1",
+		"clustered": "c5c3c7b7656c48de041810b129407815e714ee6ae6e891f2638b8ed4e71de790",
+		"dense":     "12720c9cd7e6c1251a3e5fdbf8d4e63893072feb53766054ac1713bb1590bb8a",
+		"runs":      "866f9062c5d8178220ac2291eac9580b76ad917227e3c02ea6d5197a19d5fe8f",
+		"full16":    "b642dcd351c0c7bab3dda57962ea8c36a16610970ca31d15bc0b048550c7440c",
+		"mixed":     "568a370ff428bab395945b893ff45c3c6d6c16ab2e0fd3484e132a2015476313",
+		"edges":     "8af67eb06054b07710638d9d466c057cc1b0c91097958bf83ff574d6960b6fb8",
+	}
 	rng := stats.NewRNG(71)
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
-			s := shape.gen(rng)
-			var v1, v2 bytes.Buffer
-			if err := s.WriteBinary(&v1); err != nil {
-				t.Fatal(err)
+			s, ref := shape.build(rng)
+			img := writeV2(t, s)
+			sum := sha256.Sum256(img)
+			if got := hex.EncodeToString(sum[:]); got != pinned[shape.name] {
+				t.Fatalf("image digest %s, want %s", got, pinned[shape.name])
 			}
-			if err := s.WriteBinaryV2(&v2); err != nil {
-				t.Fatal(err)
-			}
-			from1, err := ReadBinary(&v1)
+			back, err := readV2(img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			from2, err := ReadBinary(&v2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameAddrs(t, "v1 vs v2", from2, from1)
-			// And the v1 re-encoding of a v2-loaded set is byte-identical
-			// to the original v1 encoding.
-			var re bytes.Buffer
-			if err := from2.WriteBinary(&re); err != nil {
-				t.Fatal(err)
-			}
-			var orig bytes.Buffer
-			if err := s.WriteBinary(&orig); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re.Bytes(), orig.Bytes()) {
-				t.Fatal("v1 re-encoding of a v2-loaded set differs")
-			}
+			sameAddrs(t, "v2", back, ref)
 		})
+	}
+}
+
+// TestBinaryRoundTrip round-trips arbitrary memberships through the v2
+// image.
+func TestBinaryRoundTrip(t *testing.T) {
+	f := func(raw []uint32) bool {
+		s := FromUint32s(raw)
+		var buf bytes.Buffer
+		if err := s.WriteBinaryV2(&buf); err != nil {
+			return false
+		}
+		got, err := readV2(buf.Bytes())
+		return err == nil && got.Equal(s)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBinaryRoundTripEdges(t *testing.T) {
+	for _, s := range []Set{
+		{},
+		FromUint32s([]uint32{0}),
+		FromUint32s([]uint32{0xffffffff}),
+		FromUint32s([]uint32{0, 0xffffffff}),
+	} {
+		got, err := readV2(writeV2(t, s))
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if !got.Equal(s) {
+			t.Fatalf("round trip lost %v", s)
+		}
+	}
+}
+
+func TestBinaryCompression(t *testing.T) {
+	// A clustered set must encode far below 4 bytes/address.
+	rng := stats.NewRNG(9)
+	raw := make([]uint32, 10000)
+	base := uint32(0x0a010000)
+	for i := range raw {
+		raw[i] = base + uint32(rng.Intn(1<<16))
+	}
+	s := FromUint32s(raw)
+	perAddr := float64(len(writeV2(t, s))) / float64(s.Len())
+	if perAddr > 2.2 {
+		t.Errorf("clustered encoding uses %.2f bytes/addr, want ~1-2", perAddr)
+	}
+}
+
+// TestReadBinaryRejects checks that bytes which are not a v2 image —
+// nothing, a bare magic, or an image in the retired delta-varint format
+// with its "unclips1" magic — fail to parse.
+func TestReadBinaryRejects(t *testing.T) {
+	// 0.0.0.5 and 0.0.0.9 as the retired format wrote them: magic, count,
+	// then each address as a delta from the previous one (from -1).
+	v1 := append([]byte("unclips1"), 2, 6, 4)
+	cases := map[string][]byte{
+		"empty":       {},
+		"short magic": codecMagicV2[:4],
+		"bare magic":  codecMagicV2[:],
+		"v1 image":    v1,
+		"v1 padded":   append(v1, make([]byte, v2HeaderSize+v2FooterSize)...),
+	}
+	for name, data := range cases {
+		mustFailV2(t, name, data)
 	}
 }
 
@@ -123,8 +186,11 @@ func mustFailV2(t *testing.T, label string, data []byte) {
 			t.Fatalf("%s: parse panicked: %v", label, r)
 		}
 	}()
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatalf("%s: corrupted image parsed without error", label)
+	if _, err := readV2(data); err == nil {
+		t.Fatalf("%s: corrupted image parsed without error on the aliasing path", label)
+	}
+	if _, err := parseV2(bytes.Clone(data), false); err == nil {
+		t.Fatalf("%s: corrupted image parsed without error on the copying path", label)
 	}
 }
 
@@ -133,7 +199,7 @@ func mustFailV2(t *testing.T, label string, data []byte) {
 func TestV2Corruption(t *testing.T) {
 	rng := stats.NewRNG(79)
 	good := writeV2(t, clusteredSet(rng, 8, 3000).Union(randomSet(rng, 500)))
-	if _, err := ReadBinary(bytes.NewReader(good)); err != nil {
+	if _, err := readV2(good); err != nil {
 		t.Fatalf("control image failed to parse: %v", err)
 	}
 
@@ -169,7 +235,7 @@ func TestV2Corruption(t *testing.T) {
 	})
 	t.Run("v1-magic-v2-body", func(t *testing.T) {
 		bad := bytes.Clone(good)
-		copy(bad, codecMagic[:])
+		copy(bad, "unclips1")
 		mustFailV2(t, "wrong magic", bad)
 	})
 }
@@ -251,10 +317,7 @@ func TestOpenMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	sameAddrs(t, "mapped", m.Set, s)
-	if !m.Set.IsCompressed() {
-		t.Fatal("mapped set should be compressed")
-	}
+	sameAddrs(t, "mapped", m.Set, addrsOf(s))
 	for n := 0; n <= 32; n += 4 {
 		if got, want := m.Set.BlockCount(n), s.BlockCount(n); got != want {
 			t.Fatalf("mapped BlockCount(%d): got %d, want %d", n, got, want)
@@ -262,7 +325,7 @@ func TestOpenMapped(t *testing.T) {
 	}
 	seed := rng.Uint64()
 	sameAddrs(t, "mapped sample",
-		m.Set.Sample(1000, stats.NewRNG(seed)), s.Sample(1000, stats.NewRNG(seed)))
+		m.Set.Sample(1000, stats.NewRNG(seed)), addrsOf(s.Sample(1000, stats.NewRNG(seed))))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

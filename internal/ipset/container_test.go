@@ -2,6 +2,9 @@ package ipset
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"unclean/internal/netaddr"
@@ -10,90 +13,115 @@ import (
 
 // Shaped fixtures: each generator produces a membership that lands in a
 // different container mix, so every differential test below exercises
-// array, bitmap, and run containers plus their cross products.
+// array, bitmap, and run containers plus their cross products. Each test
+// compares the Set with the sorted-slice reference in ref_test.go.
 
 type setShape struct {
 	name string
-	gen  func(rng *stats.RNG) Set
+	gen  func(rng *stats.RNG) []uint32 // any order, duplicates allowed
+}
+
+// build returns the shape's Set and its reference membership.
+func (sh setShape) build(rng *stats.RNG) (Set, []uint32) {
+	raw := sh.gen(rng)
+	return FromUint32s(raw), refSorted(raw)
+}
+
+func randomAddrs(rng *stats.RNG, n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = rng.Uint32()
+	}
+	return out
 }
 
 func shapedSets() []setShape {
 	return []setShape{
-		{"empty", func(rng *stats.RNG) Set { return Set{} }},
-		{"single", func(rng *stats.RNG) Set {
-			return FromUint32s([]uint32{rng.Uint32()})
+		{"empty", func(rng *stats.RNG) []uint32 { return nil }},
+		{"single", func(rng *stats.RNG) []uint32 {
+			return []uint32{rng.Uint32()}
 		}},
-		{"sparse", func(rng *stats.RNG) Set {
+		{"sparse", func(rng *stats.RNG) []uint32 {
 			// Scattered across the whole space: short array containers.
-			return randomSet(rng, 2000)
+			return randomAddrs(rng, 2000)
 		}},
-		{"clustered", func(rng *stats.RNG) Set {
+		{"clustered", func(rng *stats.RNG) []uint32 {
 			// A handful of /16s, each holding a mid-size array.
-			b := NewBuilder(4096)
+			out := make([]uint32, 0, 4096)
 			for k := 0; k < 8; k++ {
 				base := rng.Uint32() &^ 0xffff
 				for i := 0; i < 512; i++ {
-					b.Add(netaddr.Addr(base | rng.Uint32()&0xffff))
+					out = append(out, base|rng.Uint32()&0xffff)
 				}
 			}
-			return b.Build()
+			return out
 		}},
-		{"dense", func(rng *stats.RNG) Set {
+		{"dense", func(rng *stats.RNG) []uint32 {
 			// One /16 with ~20k random members: a bitmap container.
-			b := NewBuilder(20000)
+			out := make([]uint32, 0, 20000)
 			base := rng.Uint32() &^ 0xffff
 			for i := 0; i < 20000; i++ {
-				b.Add(netaddr.Addr(base | rng.Uint32()&0xffff))
+				out = append(out, base|rng.Uint32()&0xffff)
 			}
-			return b.Build()
+			return out
 		}},
-		{"runs", func(rng *stats.RNG) Set {
+		{"runs", func(rng *stats.RNG) []uint32 {
 			// Complete /24s inside a few /16s: run containers.
-			b := NewBuilder(8 * 256)
+			out := make([]uint32, 0, 8*256)
 			for k := 0; k < 8; k++ {
 				base := rng.Uint32() &^ 0xffff
 				blk := base | uint32(rng.Intn(256))<<8
 				for v := uint32(0); v < 256; v++ {
-					b.Add(netaddr.Addr(blk | v))
+					out = append(out, blk|v)
 				}
 			}
-			return b.Build()
+			return out
 		}},
-		{"full16", func(rng *stats.RNG) Set {
+		{"full16", func(rng *stats.RNG) []uint32 {
 			// An entire /16: the extreme run container [0, 0xffff].
 			base := rng.Uint32() &^ 0xffff
-			b := NewBuilder(1 << 16)
+			out := make([]uint32, 0, 1<<16)
 			for v := uint32(0); v < 1<<16; v++ {
-				b.Add(netaddr.Addr(base | v))
+				out = append(out, base|v)
 			}
-			return b.Build()
+			return out
 		}},
-		{"mixed", func(rng *stats.RNG) Set {
+		{"mixed", func(rng *stats.RNG) []uint32 {
 			// Sparse background plus a dense /16 plus complete /24 runs —
 			// all three kinds in one set.
-			b := NewBuilder(40000)
-			for i := 0; i < 3000; i++ {
-				b.Add(netaddr.Addr(rng.Uint32()))
-			}
+			out := randomAddrs(rng, 3000)
 			base := rng.Uint32() &^ 0xffff
 			for i := 0; i < 15000; i++ {
-				b.Add(netaddr.Addr(base | rng.Uint32()&0xffff))
+				out = append(out, base|rng.Uint32()&0xffff)
 			}
 			blk := (rng.Uint32() &^ 0xffff) | uint32(rng.Intn(256))<<8
 			for v := uint32(0); v < 256; v++ {
-				b.Add(netaddr.Addr(blk | v))
+				out = append(out, blk|v)
 			}
-			return b.Build()
+			return out
 		}},
-		{"edges", func(rng *stats.RNG) Set {
+		{"edges", func(rng *stats.RNG) []uint32 {
 			// Address-space boundaries: 0.0.0.0, 255.255.255.255, and word
 			// boundaries inside a container.
-			return FromUint32s([]uint32{
+			return []uint32{
 				0, 1, 63, 64, 65, 0xffff, 0x10000,
 				0xffffffff, 0xffff0000, 0x7fffffff, 0x80000000,
-			})
+			}
 		}},
 	}
+}
+
+// shapePair builds two shapes' sets and references, with about half of
+// a's members pushed into b so intersections are non-trivial.
+func shapePair(rng *stats.RNG, sa, sb setShape) (a, b Set, ar, br []uint32) {
+	a, ar = sa.build(rng)
+	braw := sb.gen(rng)
+	for _, u := range ar {
+		if rng.Intn(2) == 0 {
+			braw = append(braw, u)
+		}
+	}
+	return a, FromUint32s(braw), ar, refSorted(braw)
 }
 
 func addrsOf(s Set) []uint32 {
@@ -105,45 +133,79 @@ func addrsOf(s Set) []uint32 {
 	return out
 }
 
-func sameAddrs(t *testing.T, label string, got, want Set) {
+// sameAddrs checks got holds exactly the sorted addresses want: element
+// by element through Each, and by Equal against a set built from want.
+func sameAddrs(t *testing.T, label string, got Set, want []uint32) {
 	t.Helper()
-	ga, wa := addrsOf(got), addrsOf(want)
-	if len(ga) != len(wa) {
-		t.Fatalf("%s: got %d addrs, want %d", label, len(ga), len(wa))
+	if got.Len() != len(want) {
+		t.Fatalf("%s: Len %d, want %d", label, got.Len(), len(want))
+	}
+	ga := addrsOf(got)
+	if len(ga) != len(want) {
+		t.Fatalf("%s: Each visited %d addrs, want %d", label, len(ga), len(want))
 	}
 	for i := range ga {
-		if ga[i] != wa[i] {
-			t.Fatalf("%s: addr %d: got %08x, want %08x", label, i, ga[i], wa[i])
+		if ga[i] != want[i] {
+			t.Fatalf("%s: addr %d: got %08x, want %08x", label, i, ga[i], want[i])
 		}
 	}
-	if !got.Equal(want) || !want.Equal(got) {
+	if w := FromUint32s(want); !got.Equal(w) || !w.Equal(got) {
 		t.Fatalf("%s: Equal disagrees with element-wise identity", label)
 	}
 }
 
-// TestCompressRoundTrip proves Compress/Decompress are lossless and that
-// the basic accessors agree across representations for every shape.
+// refString is String's rendering of a sorted membership.
+func refString(s []uint32) string {
+	if len(s) <= 8 {
+		parts := make([]string, len(s))
+		for i, u := range s {
+			parts[i] = netaddr.Addr(u).String()
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
+	}
+	return fmt.Sprintf("{|S|=%d, %s..%s}", len(s), netaddr.Addr(s[0]), netaddr.Addr(s[len(s)-1]))
+}
+
+// TestCompressRoundTrip proves building a Set is lossless for every
+// shape: its accessors and materialization match the reference, Compress
+// returns it unchanged, and a one-member change makes Equal false.
 func TestCompressRoundTrip(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(7)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
-			if plain.Len() > 0 && !comp.IsCompressed() {
-				t.Fatalf("Compress did not compress")
+			s, ref := shape.build(rng)
+			sameAddrs(t, "build", s, ref)
+			sameAddrs(t, "compress", s.Compress(), ref)
+			if got := s.raw(); !slices.Equal(got, ref) {
+				t.Fatalf("raw: %d addrs differ from the reference's %d", len(got), len(ref))
 			}
-			if comp.Len() != plain.Len() {
-				t.Fatalf("Len: got %d, want %d", comp.Len(), plain.Len())
-			}
-			sameAddrs(t, "roundtrip", comp.Decompress(), plain)
-			sameAddrs(t, "each", comp, plain)
-			for i := 0; i < plain.Len(); i += 1 + plain.Len()/64 {
-				if comp.At(i) != plain.At(i) {
-					t.Fatalf("At(%d): got %v, want %v", i, comp.At(i), plain.At(i))
+			for i := 0; i < len(ref); i += 1 + len(ref)/64 {
+				if got := s.At(i); uint32(got) != ref[i] {
+					t.Fatalf("At(%d): got %v, want %v", i, got, netaddr.Addr(ref[i]))
 				}
 			}
-			if plain.Len() > 0 && comp.String() != plain.String() {
-				t.Fatalf("String: got %q, want %q", comp.String(), plain.String())
+			if got, want := s.String(), refString(ref); got != want {
+				t.Fatalf("String: got %q, want %q", got, want)
+			}
+			if len(ref) == 0 {
+				return
+			}
+			// Swap one member for a non-member of the same /16 where one
+			// exists, so only the container contents differ.
+			m := ref[len(ref)/2]
+			swap := m
+			for d := uint32(1); d < 1<<16; d++ {
+				if c := m&^0xffff | (m+d)&0xffff; !refContains(ref, c) {
+					swap = c
+					break
+				}
+			}
+			if swap == m {
+				swap = m ^ 1<<16
+			}
+			near := refUnion(refDifference(ref, []uint32{m}), []uint32{swap})
+			if ns := FromUint32s(near); s.Equal(ns) || ns.Equal(s) {
+				t.Fatalf("sets differing in one member (%v for %v) compare equal", netaddr.Addr(swap), netaddr.Addr(m))
 			}
 		})
 	}
@@ -155,64 +217,43 @@ func TestCompressedContains(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(11)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
-			plain.Each(func(a netaddr.Addr) bool {
-				if !comp.Contains(a) {
-					t.Fatalf("member %v missing from compressed set", a)
+			s, ref := shape.build(rng)
+			for _, u := range ref {
+				if !s.Contains(netaddr.Addr(u)) {
+					t.Fatalf("member %v missing", netaddr.Addr(u))
 				}
-				return true
-			})
+			}
 			for i := 0; i < 5000; i++ {
-				a := netaddr.Addr(rng.Uint32())
-				if comp.Contains(a) != plain.Contains(a) {
-					t.Fatalf("Contains(%v) disagrees", a)
+				u := rng.Uint32()
+				if s.Contains(netaddr.Addr(u)) != refContains(ref, u) {
+					t.Fatalf("Contains(%v) disagrees", netaddr.Addr(u))
 				}
 			}
 			// Neighbours of members probe container edges.
-			plain.Each(func(a netaddr.Addr) bool {
+			for _, u := range ref {
 				for _, d := range []uint32{1, 0xffff} {
-					n := netaddr.Addr(uint32(a) + d)
-					if comp.Contains(n) != plain.Contains(n) {
-						t.Fatalf("Contains(%v) disagrees near member %v", n, a)
+					if n := u + d; s.Contains(netaddr.Addr(n)) != refContains(ref, n) {
+						t.Fatalf("Contains(%v) disagrees near member %v", netaddr.Addr(n), netaddr.Addr(u))
 					}
 				}
-				return true
-			})
+			}
 		})
 	}
 }
 
 // TestCompressedAlgebraDifferential runs Union/Intersect/Difference over
-// every ordered pair of shapes, in every representation mix, and demands
-// element-wise identity with the plain sorted-merge results.
+// every ordered pair of shapes and demands element-wise identity with the
+// reference's sorted merges.
 func TestCompressedAlgebraDifferential(t *testing.T) {
 	shapes := shapedSets()
 	for _, sa := range shapes {
 		for _, sb := range shapes {
 			t.Run(sa.name+"_"+sb.name, func(t *testing.T) {
 				rng := stats.NewRNG(13)
-				a, b := sa.gen(rng), sb.gen(rng)
-				// Overlap the operands so intersections are non-trivial:
-				// push half of a into b.
-				b = b.Union(a.Sample(a.Len()/2, rng))
-				wantU := a.Union(b)
-				wantI := a.Intersect(b)
-				wantD := a.Difference(b)
-				ca, cb := a.Compress(), b.Compress()
-				mixes := []struct {
-					name string
-					x, y Set
-				}{
-					{"comp-comp", ca, cb},
-					{"comp-plain", ca, b},
-					{"plain-comp", a, cb},
-				}
-				for _, m := range mixes {
-					sameAddrs(t, m.name+" union", m.x.Union(m.y), wantU)
-					sameAddrs(t, m.name+" intersect", m.x.Intersect(m.y), wantI)
-					sameAddrs(t, m.name+" difference", m.x.Difference(m.y), wantD)
-				}
+				a, b, ar, br := shapePair(rng, sa, sb)
+				sameAddrs(t, "union", a.Union(b), refUnion(ar, br))
+				sameAddrs(t, "intersect", a.Intersect(b), refIntersect(ar, br))
+				sameAddrs(t, "difference", a.Difference(b), refDifference(ar, br))
 			})
 		}
 	}
@@ -224,17 +265,15 @@ func TestCompressedBlockCountsDifferential(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(17)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
+			s, ref := shape.build(rng)
+			counts := s.BlockCounts(0, 32)
 			for n := 0; n <= 32; n++ {
-				if got, want := comp.BlockCount(n), plain.BlockCount(n); got != want {
+				want := refBlockCount(ref, n)
+				if got := s.BlockCount(n); got != want {
 					t.Fatalf("BlockCount(%d): got %d, want %d", n, got, want)
 				}
-			}
-			gc, pc := comp.BlockCounts(0, 32), plain.BlockCounts(0, 32)
-			for i := range gc {
-				if gc[i] != pc[i] {
-					t.Fatalf("BlockCounts[%d]: got %d, want %d", i, gc[i], pc[i])
+				if counts[n] != want {
+					t.Fatalf("BlockCounts[%d]: got %d, want %d", n, counts[n], want)
 				}
 			}
 		})
@@ -242,26 +281,22 @@ func TestCompressedBlockCountsDifferential(t *testing.T) {
 }
 
 // TestCompressedBlockIntersectDifferential checks |C_n(A) ∩ C_n(B)| for
-// all prefix lengths across shape pairs and representation mixes.
+// all prefix lengths across shape pairs, from the containers and from
+// the draw kernels' sorted-slice merge.
 func TestCompressedBlockIntersectDifferential(t *testing.T) {
 	shapes := shapedSets()
 	for _, sa := range shapes {
 		for _, sb := range shapes {
 			t.Run(sa.name+"_"+sb.name, func(t *testing.T) {
 				rng := stats.NewRNG(19)
-				a, b := sa.gen(rng), sb.gen(rng)
-				b = b.Union(a.Sample(a.Len()/2, rng))
-				ca, cb := a.Compress(), b.Compress()
+				a, b, ar, br := shapePair(rng, sa, sb)
 				for n := 0; n <= 32; n++ {
-					want := a.BlockIntersectCount(b, n)
-					if got := ca.BlockIntersectCount(cb, n); got != want {
-						t.Fatalf("comp-comp BlockIntersectCount(%d): got %d, want %d", n, got, want)
+					want := refBlockIntersectCount(ar, br, n)
+					if got := a.BlockIntersectCount(b, n); got != want {
+						t.Fatalf("BlockIntersectCount(%d): got %d, want %d", n, got, want)
 					}
-					if got := ca.BlockIntersectCount(b, n); got != want {
-						t.Fatalf("comp-plain BlockIntersectCount(%d): got %d, want %d", n, got, want)
-					}
-					if got := a.BlockIntersectCount(cb, n); got != want {
-						t.Fatalf("plain-comp BlockIntersectCount(%d): got %d, want %d", n, got, want)
+					if got := blockIntersectCount(ar, br, maskFor(n)); got != want {
+						t.Fatalf("blockIntersectCount(/%d): got %d, want %d", n, got, want)
 					}
 				}
 			})
@@ -275,20 +310,21 @@ func TestCompressedInBlocksDifferential(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(23)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
-			probes := make([]netaddr.Addr, 0, 256)
-			plain.Each(func(a netaddr.Addr) bool {
-				probes = append(probes, a, netaddr.Addr(uint32(a)+1), netaddr.Addr(uint32(a)^0x100))
-				return len(probes) < 192
-			})
-			for i := 0; i < 64; i++ {
-				probes = append(probes, netaddr.Addr(rng.Uint32()))
+			s, ref := shape.build(rng)
+			probes := make([]uint32, 0, 256)
+			for _, u := range ref {
+				if len(probes) >= 192 {
+					break
+				}
+				probes = append(probes, u, u+1, u^0x100)
 			}
-			for _, a := range probes {
-				for n := 0; n <= 32; n += 1 {
-					if got, want := comp.InBlocks(a, n), plain.InBlocks(a, n); got != want {
-						t.Fatalf("InBlocks(%v, %d): got %v, want %v", a, n, got, want)
+			for i := 0; i < 64; i++ {
+				probes = append(probes, rng.Uint32())
+			}
+			for _, u := range probes {
+				for n := 0; n <= 32; n++ {
+					if got, want := s.InBlocks(netaddr.Addr(u), n), refInBlocks(ref, u, n); got != want {
+						t.Fatalf("InBlocks(%v, %d): got %v, want %v", netaddr.Addr(u), n, got, want)
 					}
 				}
 			}
@@ -297,84 +333,83 @@ func TestCompressedInBlocksDifferential(t *testing.T) {
 }
 
 // TestCompressedSampleIdentical proves a seeded Sample returns exactly
-// the same subset from both representations — the compressed path samples
-// ranks with the identical generator stream and select-walks them to
-// members.
+// the subset the draw kernels' sampleSorted draws from the same members,
+// and consumes the same generator stream: Sample's rank-select walk and
+// sampleSorted make the same draws, which keeps Figs. 2–5 stable.
 func TestCompressedSampleIdentical(t *testing.T) {
+	a := getArena()
+	defer putArena(a)
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(29)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
-			n := plain.Len()
+			s, ref := shape.build(rng)
+			n := len(ref)
 			for _, k := range []int{0, 1, n / 100, n / 16, n / 3, n / 2, n - 1, n} {
 				if k < 0 || k > n {
 					continue
 				}
 				// Both draws must consume the same stream: fork one seed.
 				seed := rng.Uint64()
-				sp := plain.Sample(k, stats.NewRNG(seed))
-				sc := comp.Sample(k, stats.NewRNG(seed))
-				sameAddrs(t, "sample", sc, sp)
+				rs, rr := stats.NewRNG(seed), stats.NewRNG(seed)
+				got := s.Sample(k, rs)
+				sameAddrs(t, fmt.Sprintf("sample k=%d", k), got, a.sampleSorted(ref, k, rr))
+				if rs.Uint64() != rr.Uint64() {
+					t.Fatalf("k=%d: generator consumption differs from sampleSorted", k)
+				}
 			}
 		})
 	}
 }
 
 // TestCompressedSampleBlocksIdentical proves the Monte-Carlo draw kernels
-// return bit-identical distributions when fed a compressed set.
+// return, draw by draw, the block counts the reference computes on the
+// same forked generators.
 func TestCompressedSampleBlocksIdentical(t *testing.T) {
 	rng := stats.NewRNG(31)
-	plain := randomSet(rng, 30000)
-	comp := plain.Compress()
-	target := plain.Sample(5000, rng)
+	raw := randomAddrs(rng, 30000)
+	s, ref := FromUint32s(raw), refSorted(raw)
+	targetRef := refSorted(raw[:5000])
+	target := FromUint32s(targetRef)
 	seed := rng.Uint64()
+	const draws, size, lo, hi = 50, 2000, 8, 24
 
-	wantB := plain.SampleBlocks(50, 2000, 8, 24, stats.NewRNG(seed))
-	gotB := comp.SampleBlocks(50, 2000, 8, 24, stats.NewRNG(seed))
-	for i := range wantB {
-		for j := range wantB[i] {
-			if gotB[i][j] != wantB[i][j] {
-				t.Fatalf("SampleBlocks[%d][%d]: got %v, want %v", i, j, gotB[i][j], wantB[i][j])
+	a := getArena()
+	defer putArena(a)
+	gotB := s.SampleBlocks(draws, size, lo, hi, stats.NewRNG(seed))
+	gotI := s.SampleIntersections(target, draws, size, lo, hi, stats.NewRNG(seed))
+	parent := stats.NewRNG(seed)
+	for d := 0; d < draws; d++ {
+		sub := a.sampleSorted(ref, size, parent.Fork(uint64(d)))
+		for n := lo; n <= hi; n++ {
+			if got, want := gotB[n-lo][d], float64(refBlockCount(sub, n)); got != want {
+				t.Fatalf("SampleBlocks /%d draw %d: got %v, want %v", n, d, got, want)
 			}
-		}
-	}
-
-	wantI := plain.SampleIntersections(target, 50, 2000, 8, 24, stats.NewRNG(seed))
-	gotI := comp.SampleIntersections(target.Compress(), 50, 2000, 8, 24, stats.NewRNG(seed))
-	for i := range wantI {
-		for j := range wantI[i] {
-			if gotI[i][j] != wantI[i][j] {
-				t.Fatalf("SampleIntersections[%d][%d]: got %v, want %v", i, j, gotI[i][j], wantI[i][j])
+			if got, want := gotI[n-lo][d], float64(refBlockIntersectCount(sub, targetRef, n)); got != want {
+				t.Fatalf("SampleIntersections /%d draw %d: got %v, want %v", n, d, got, want)
 			}
 		}
 	}
 }
 
-// TestCompressedCodecIdentical proves WriteBinary emits byte-identical v1
-// encodings from both representations, and that a decoded set equals the
-// compressed original.
+// TestCompressedCodecIdentical proves the v2 image's two parse paths —
+// aliasing the image, as a mapping does, and copying out of it — load
+// the same membership, and that either re-encodes to the identical bytes.
 func TestCompressedCodecIdentical(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(37)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
-			var bp, bc bytes.Buffer
-			if err := plain.WriteBinary(&bp); err != nil {
-				t.Fatal(err)
+			s, ref := shape.build(rng)
+			img := alignedCopy(writeV2(t, s))
+			for _, alias := range []bool{true, false} {
+				back, err := parseV2(img, alias)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAddrs(t, fmt.Sprintf("alias=%v", alias), back, ref)
+				if !bytes.Equal(writeV2(t, back), img) {
+					t.Fatalf("alias=%v: re-encoding differs from the image", alias)
+				}
 			}
-			if err := comp.WriteBinary(&bc); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bp.Bytes(), bc.Bytes()) {
-				t.Fatalf("WriteBinary bytes differ between representations")
-			}
-			back, err := ReadBinary(&bc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameAddrs(t, "decode", back, plain)
 		})
 	}
 }
@@ -385,24 +420,23 @@ func TestCompressedMaskedSetAndBlocks(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(41)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
+			s, ref := shape.build(rng)
 			for _, n := range []int{0, 8, 12, 16, 20, 24, 30, 32} {
-				sameAddrs(t, "masked", comp.MaskedSet(n), plain.MaskedSet(n))
-				gb, pb := comp.Blocks(n), plain.Blocks(n)
-				if len(gb) != len(pb) {
-					t.Fatalf("Blocks(%d): got %d blocks, want %d", n, len(gb), len(pb))
+				sameAddrs(t, "masked", s.MaskedSet(n), refMaskedSet(ref, n))
+				gb, wb := s.Blocks(n), refBlocks(ref, n)
+				if len(gb) != len(wb) {
+					t.Fatalf("Blocks(%d): got %d blocks, want %d", n, len(gb), len(wb))
 				}
 				for i := range gb {
-					if gb[i] != pb[i] {
-						t.Fatalf("Blocks(%d)[%d]: got %v, want %v", n, i, gb[i], pb[i])
+					if gb[i] != wb[i] {
+						t.Fatalf("Blocks(%d)[%d]: got %v, want %v", n, i, gb[i], wb[i])
 					}
 				}
-				gp, pp := comp.BlockPopulations(n), plain.BlockPopulations(n)
-				if len(gp) != len(pp) {
+				gp, wp := s.BlockPopulations(n), refBlockPopulations(ref, n)
+				if len(gp) != len(wp) {
 					t.Fatalf("BlockPopulations(%d): size mismatch", n)
 				}
-				for k, v := range pp {
+				for k, v := range wp {
 					if gp[k] != v {
 						t.Fatalf("BlockPopulations(%d)[%v]: got %d, want %d", n, k, gp[k], v)
 					}
@@ -412,17 +446,15 @@ func TestCompressedMaskedSetAndBlocks(t *testing.T) {
 	}
 }
 
-// TestCompressedWithinBlocks checks the candidate-population materializer
-// across representation mixes.
+// TestCompressedWithinBlocks checks the candidate-population materializer.
 func TestCompressedWithinBlocks(t *testing.T) {
 	rng := stats.NewRNG(43)
-	s := randomSet(rng, 20000)
-	cover := s.Sample(500, rng)
+	raw := randomAddrs(rng, 20000)
+	s, ref := FromUint32s(raw), refSorted(raw)
+	coverRef := refSorted(raw[:500])
+	cover := FromUint32s(coverRef)
 	for _, n := range []int{8, 16, 20, 24} {
-		want := s.WithinBlocks(cover, n)
-		sameAddrs(t, "cc", s.Compress().WithinBlocks(cover.Compress(), n), want)
-		sameAddrs(t, "cp", s.Compress().WithinBlocks(cover, n), want)
-		sameAddrs(t, "pc", s.WithinBlocks(cover.Compress(), n), want)
+		sameAddrs(t, fmt.Sprintf("/%d", n), s.WithinBlocks(cover, n), refWithinBlocks(ref, coverRef, n))
 	}
 }
 
@@ -430,7 +462,7 @@ func TestCompressedWithinBlocks(t *testing.T) {
 // arrays, dense ones bitmaps, CIDR-complete ones runs.
 func TestContainerKinds(t *testing.T) {
 	kindOf := func(s Set) uint8 {
-		cs := s.Compress().comp
+		cs := s.c
 		if len(cs.cs) != 1 {
 			t.Fatalf("want one container, got %d", len(cs.cs))
 		}
@@ -460,14 +492,14 @@ func TestContainerKinds(t *testing.T) {
 		t.Fatalf("full /16: kind %d, want run", k)
 	}
 	// The whole /16 as one run costs 4 bytes of payload vs 256 KiB raw.
-	if fp, raw := full.Compress().FootprintBytes(), full.FootprintBytes(); fp*100 > raw {
+	if fp, raw := full.FootprintBytes(), 4*full.Len(); fp*100 > raw {
 		t.Fatalf("full /16 footprint %d not ≪ raw %d", fp, raw)
 	}
 }
 
-// TestCompressFootprint checks the representation actually shrinks a
-// clustered membership (the reason it exists) and reports honestly for
-// adversarially sparse ones.
+// TestCompressFootprint checks the containers actually shrink a
+// clustered membership below its 4 bytes per address as raw uint32s —
+// the reason they exist.
 func TestCompressFootprint(t *testing.T) {
 	rng := stats.NewRNG(53)
 	// Clustered like unclean space: 64 /16s holding ~8k addrs each.
@@ -479,33 +511,14 @@ func TestCompressFootprint(t *testing.T) {
 		}
 	}
 	s := b.Build()
-	raw, comp := s.FootprintBytes(), s.Compress().FootprintBytes()
+	raw, comp := 4*s.Len(), s.FootprintBytes()
 	if comp >= raw {
 		t.Fatalf("clustered footprint did not shrink: %d >= %d", comp, raw)
 	}
 }
 
-// TestEqualMixedRepresentations exercises Equal across every pairing of
-// representations, including near-miss memberships.
-func TestEqualMixedRepresentations(t *testing.T) {
-	rng := stats.NewRNG(59)
-	s := randomSet(rng, 10000)
-	c := s.Compress()
-	if !s.Equal(c) || !c.Equal(s) || !c.Equal(c) {
-		t.Fatal("identical memberships compare unequal")
-	}
-	// Flip one member.
-	mod := s.Difference(FromAddrs([]netaddr.Addr{s.At(s.Len() / 2)}))
-	mod = mod.Union(FromUint32s([]uint32{uint32(s.At(s.Len()/2)) ^ 1}))
-	md := mod.Decompress()
-	if s.Equal(md) || c.Equal(md) || md.Equal(c) || c.Equal(mod) {
-		t.Fatal("different memberships compare equal")
-	}
-}
-
 // TestBuilderSortedFastPath checks Build returns identical sets with and
-// without the sorted fast path, including the AddSet append pattern the
-// evaluator's compact() uses.
+// without the sorted fast path, including through AddSet.
 func TestBuilderSortedFastPath(t *testing.T) {
 	rng := stats.NewRNG(61)
 	base := randomSet(rng, 5000)
@@ -533,10 +546,10 @@ func TestBuilderSortedFastPath(t *testing.T) {
 	if b2.sorted {
 		t.Fatal("out-of-order input should clear the sorted flag")
 	}
-	sameAddrs(t, "fastpath", got, b2.Build())
-
-	// AddSet of a compressed set takes the appendAddrs path.
-	b3 := NewBuilder(0)
-	b3.AddSet(base.Compress())
-	sameAddrs(t, "addset-compressed", b3.Build(), base)
+	want := addrsOf(base)
+	for i := uint32(1); i <= 10; i++ {
+		want = append(want, last+i)
+	}
+	sameAddrs(t, "fastpath", got, want)
+	sameAddrs(t, "shuffled", b2.Build(), want)
 }
