@@ -28,10 +28,30 @@ func main() {
 	fmt.Printf("bot-test report: %d addresses (%s), %d /24s\n",
 		botTest.Len(), ds.Report("bot-test").Validity(), botTest.BlockCount(24))
 
-	// Compile the /24 block list and virtually apply it to the October
-	// traffic. Nothing is dropped; every flow is scored as if it were.
+	// The /24 block list, and the refinement the paper proposes as
+	// future work: a multidimensional score instead of a raw /24 list.
 	list := blocklist.FromSet(botTest, 24, "bot-test /24")
-	eval := blocklist.Evaluate(list, ds.Flows)
+	scorer, err := core.NewScorer(24, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	scorer.AddReport(core.DimBot, ds.Report("bot").Addrs, 1)
+	scorer.AddReport(core.DimScan, ds.Report("scan").Addrs, 1)
+	scorer.AddReport(core.DimSpam, ds.Report("spam").Addrs, 1)
+	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
+	scored := blocklist.FromSet(scorer.Blocklist(0.8), 24, "score>=0.8")
+
+	// Compile both lists into one matcher set and virtually apply them
+	// to the October traffic in one pass. Nothing is dropped; every flow
+	// is scored as if it were.
+	lists, err := blocklist.CompileSet([]*blocklist.Trie{list, scored})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sweep := blocklist.NewSweepEvaluator(lists)
+	sweep.Consume(ds.Flows)
+	evals := sweep.Results()
+	eval, scoredEval := evals[0], evals[1]
 	fmt.Printf("traffic: %d flows; blocked %d flows from %d sources (%d payload-bearing flows lost)\n\n",
 		len(ds.Flows), eval.FlowsBlocked, eval.BlockedSources.Len(), eval.PayloadBlocked)
 
@@ -57,18 +77,7 @@ func main() {
 		fmt.Printf("/%-3d %6d %6d %9.2f\n", row.Bits, row.TP, row.FP, row.TPRate())
 	}
 
-	// And the refinement the paper proposes as future work: a
-	// multidimensional score instead of a raw /24 list.
-	scorer, err := core.NewScorer(24, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	scorer.AddReport(core.DimBot, ds.Report("bot").Addrs, 1)
-	scorer.AddReport(core.DimScan, ds.Report("scan").Addrs, 1)
-	scorer.AddReport(core.DimSpam, ds.Report("spam").Addrs, 1)
-	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
-	scored := blocklist.FromSet(scorer.Blocklist(0.8), 24, "score>=0.8")
-	scoredEval := blocklist.Evaluate(scored, ds.Flows)
+	// And the score-driven list.
 	scoredConf := scoredEval.Score(p.Hostile, p.Innocent)
 	fmt.Printf("\nscore-driven list (%d rules): %s\n", scored.Len(), scoredConf)
 }

@@ -1,7 +1,6 @@
 package blocklist
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -47,31 +46,6 @@ func BenchmarkTrieLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.Lookup(probes[i%len(probes)])
-	}
-}
-
-// BenchmarkEvaluate scores a 256k-flow log against a 10k-rule list — the
-// sharded scorer path, which fans flow scoring out over all cores.
-func BenchmarkEvaluate(b *testing.B) {
-	t := benchTrie(10000)
-	rng := stats.NewRNG(12)
-	t0 := time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC)
-	records := make([]netflow.Record, 1<<18)
-	for i := range records {
-		records[i] = netflow.Record{
-			SrcAddr: netaddr.Addr(rng.Uint32()),
-			DstAddr: netaddr.Addr(rng.Uint32()),
-			Packets: 2, Octets: 96,
-			First: t0, Last: t0.Add(time.Second),
-			SrcPort: 2000, DstPort: 80, Proto: netflow.ProtoTCP,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := Evaluate(t, records)
-		if e.FlowsBlocked+e.FlowsPassed != len(records) {
-			b.Fatal("lost flows")
-		}
 	}
 }
 
@@ -192,7 +166,7 @@ func benchSweepSetup() ([]netflow.Record, ipset.Set) {
 	return benchSweep.recs, benchSweep.seed
 }
 
-// benchChunk mirrors the chunk size flowcat streams through evaluators.
+// benchChunk mirrors the chunk size flowcat streams through the evaluator.
 const benchChunk = 8192
 
 // BenchmarkBlockingTable is the §6 end-to-end sweep as shipped: the nine
@@ -219,7 +193,7 @@ func BenchmarkBlockingTable(b *testing.B) {
 }
 
 // BenchmarkBlockingTableNinePass is the seed shape of the same sweep:
-// one full evaluation pass over the flow log per prefix length, each
+// one per-flow trie scan of the flow log per prefix length, each
 // against its own C_n trie.
 func BenchmarkBlockingTableNinePass(b *testing.B) {
 	recs, seed := benchSweepSetup()
@@ -237,32 +211,4 @@ func BenchmarkBlockingTableNinePass(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
-}
-
-// BenchmarkEvaluatorStream drives the two-week log through the streaming
-// Evaluator in flowcat-sized chunks and reports the peak heap held while
-// streaming — the bounded-memory claim: memory tracks distinct sources,
-// not log length.
-func BenchmarkEvaluatorStream(b *testing.B) {
-	recs, seed := benchSweepSetup()
-	m := Compile(FromSet(seed, 24, "sweep"))
-	var peak uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := NewEvaluator(m)
-		for off := 0; off < len(recs); off += benchChunk {
-			ev.Consume(recs[off:min(off+benchChunk, len(recs))])
-		}
-		e := ev.Result()
-		if e.FlowsBlocked+e.FlowsPassed != len(recs) {
-			b.Fatal("lost flows")
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > peak {
-			peak = ms.HeapAlloc
-		}
-	}
-	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
-	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 }

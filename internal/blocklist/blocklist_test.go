@@ -174,7 +174,13 @@ func TestEvaluateAndScore(t *testing.T) {
 		flowFrom("20.0.0.1", true),  // passed, innocent
 		flowFrom("20.0.0.2", false), // passed, hostile (missed)
 	}
-	e := Evaluate(tr, records)
+	ms, err := CompileSet([]*Trie{tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := NewSweepEvaluator(ms)
+	sv.Consume(records)
+	e := sv.Results()[0]
 	if e.FlowsBlocked != 3 || e.FlowsPassed != 2 {
 		t.Fatalf("flows = %d/%d", e.FlowsBlocked, e.FlowsPassed)
 	}
@@ -195,32 +201,6 @@ func TestEvaluateAndScore(t *testing.T) {
 	}
 	if c.String() == "" {
 		t.Error("empty String")
-	}
-}
-
-// TestEvaluateShardedMatchesSequential drives Evaluate over a log large
-// enough to trigger the parallel sharded scorer and checks the result
-// against a forced single-shard scan of the same records.
-func TestEvaluateShardedMatchesSequential(t *testing.T) {
-	rng := stats.NewRNG(77)
-	tr := &Trie{}
-	for i := 0; i < 500; i++ {
-		tr.Insert(netaddr.Addr(rng.Uint32()).Block(16+rng.Intn(9)), "test")
-	}
-	records := make([]netflow.Record, 4*evalShardCutoff)
-	for i := range records {
-		records[i] = flowFrom(netaddr.Addr(rng.Uint32()).String(), rng.Bool(0.3))
-	}
-	got := Evaluate(tr, records)
-	want := evaluateShard(tr.Blocks, records)
-	if got.FlowsBlocked != want.FlowsBlocked || got.FlowsPassed != want.FlowsPassed ||
-		got.PayloadBlocked != want.PayloadBlocked {
-		t.Fatalf("sharded counts %d/%d/%d, sequential %d/%d/%d",
-			got.FlowsBlocked, got.FlowsPassed, got.PayloadBlocked,
-			want.FlowsBlocked, want.FlowsPassed, want.PayloadBlocked)
-	}
-	if !got.BlockedSources.Equal(want.BlockedSources) || !got.PassedSources.Equal(want.PassedSources) {
-		t.Fatal("sharded source sets differ from sequential scan")
 	}
 }
 

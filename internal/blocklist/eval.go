@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"unclean/internal/ipset"
-	"unclean/internal/netaddr"
-	"unclean/internal/netflow"
-	"unclean/internal/stats"
 )
 
 // Eval is the outcome of virtually applying a blocklist to a traffic log:
@@ -22,93 +19,6 @@ type Eval struct {
 	// PayloadBlocked counts blocked flows that were payload-bearing —
 	// the collateral a real deployment would feel.
 	PayloadBlocked int
-}
-
-// evalShardCutoff is the log size below which sharding the scorer is not
-// worth the fan-out overhead.
-const evalShardCutoff = 1 << 14
-
-// Evaluate applies the blocklist to a traffic log. The trie is compiled
-// into a flat matcher once and the log is scored against it; for a log
-// worth sharding the compile cost is noise next to the per-flow win.
-// Counts are sums and source sets are unions, so the result is identical
-// to a sequential trie scan regardless of shard count or scheduling.
-func Evaluate(t *Trie, records []netflow.Record) Eval {
-	return EvaluateMatcher(Compile(t), records)
-}
-
-// EvaluateMatcher applies an already-compiled blocklist to a traffic
-// log. The matcher is immutable, so large logs are split into contiguous
-// shards scored concurrently on the shared worker pool and merged.
-func EvaluateMatcher(m *Matcher, records []netflow.Record) Eval {
-	shards := stats.Workers(len(records) / evalShardCutoff)
-	if shards <= 1 {
-		return evaluateShard(m.Blocks, records)
-	}
-	parts := make([]Eval, shards)
-	per := (len(records) + shards - 1) / shards
-	stats.Parallel(shards, func(_, i int) {
-		lo := i * per
-		hi := min(lo+per, len(records))
-		parts[i] = evaluateShard(m.Blocks, records[lo:hi])
-	})
-	return mergeEvals(parts)
-}
-
-// evaluateTrie is the seed implementation scoring directly off the radix
-// trie. It is kept as the reference for differential tests and as the
-// baseline the compiled path is benchmarked against.
-func evaluateTrie(t *Trie, records []netflow.Record) Eval {
-	shards := stats.Workers(len(records) / evalShardCutoff)
-	if shards <= 1 {
-		return evaluateShard(t.Blocks, records)
-	}
-	parts := make([]Eval, shards)
-	per := (len(records) + shards - 1) / shards
-	stats.Parallel(shards, func(_, i int) {
-		lo := i * per
-		hi := min(lo+per, len(records))
-		parts[i] = evaluateShard(t.Blocks, records[lo:hi])
-	})
-	return mergeEvals(parts)
-}
-
-func mergeEvals(parts []Eval) Eval {
-	var e Eval
-	blocked := ipset.NewBuilder(0)
-	passed := ipset.NewBuilder(0)
-	for _, p := range parts {
-		e.FlowsBlocked += p.FlowsBlocked
-		e.FlowsPassed += p.FlowsPassed
-		e.PayloadBlocked += p.PayloadBlocked
-		blocked.AddSet(p.BlockedSources)
-		passed.AddSet(p.PassedSources)
-	}
-	e.BlockedSources = blocked.Build()
-	e.PassedSources = passed.Build()
-	return e
-}
-
-func evaluateShard(blocks func(netaddr.Addr) bool, records []netflow.Record) Eval {
-	blocked := ipset.NewBuilder(0)
-	passed := ipset.NewBuilder(0)
-	var e Eval
-	for i := range records {
-		r := &records[i]
-		if blocks(r.SrcAddr) {
-			e.FlowsBlocked++
-			blocked.Add(r.SrcAddr)
-			if r.PayloadBearing() {
-				e.PayloadBlocked++
-			}
-		} else {
-			e.FlowsPassed++
-			passed.Add(r.SrcAddr)
-		}
-	}
-	e.BlockedSources = blocked.Build()
-	e.PassedSources = passed.Build()
-	return e
 }
 
 // Confusion scores an Eval against ground truth: hostile sources that

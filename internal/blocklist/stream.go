@@ -8,126 +8,13 @@ import (
 	"unclean/internal/netflow"
 )
 
-// This file implements one-pass streaming evaluation: flow records
-// arrive in chunks (a day of synthesized traffic, a NetFlow datagram, a
-// shard of an archive) and are scored against a compiled matcher without
-// the log ever being materialized in memory. Rules match sources, not
-// flows, so both evaluators keep per-source verdicts — the Evaluator in
-// a direct-mapped cache, the SweepEvaluator in a table with one row per
-// source: repeat sources — the overwhelming majority of real traffic —
-// skip the LPM probe and the source-set insert entirely. Memory is
+// This file implements the flow scorer: flow records arrive in chunks (a
+// day of synthesized traffic, a NetFlow datagram, a shard of an archive)
+// and are scored against one or more compiled lists without the log ever
+// being materialized in memory. Rules match sources, not flows, so the
+// evaluator keeps one row per source: repeat sources — the overwhelming
+// majority of real traffic — skip the LPM probe entirely. Memory is
 // bounded by the distinct-source population, not the flow count.
-
-// cacheBits sizes the Evaluator's direct-mapped verdict cache (2^13
-// slots ≈ 48 KiB); collisions fall back to a fresh probe, never to a
-// wrong verdict.
-const cacheBits = 13
-
-// compactThreshold bounds the pending (duplicate-bearing) entries in the
-// source-set builders before they are compacted down to their distinct
-// membership, keeping streaming memory proportional to distinct sources.
-const compactThreshold = 1 << 20
-
-// Evaluator scores a stream of flow records against one compiled
-// blocklist, accumulating the same Eval a one-shot Evaluate over the
-// concatenated log would produce. Feed it chunks with Consume and
-// finish with Result. Not safe for concurrent use.
-type Evaluator struct {
-	m *Matcher
-
-	flowsBlocked, flowsPassed, payloadBlocked int
-	blocked, passed                           *ipset.Builder
-
-	// Direct-mapped per-source verdict cache: keys holds the source
-	// address, vals 0 (empty), 1 (blocked) or 2 (passed).
-	cacheKeys []uint32
-	cacheVals []uint8
-}
-
-// NewEvaluator returns a streaming evaluator over a compiled matcher.
-func NewEvaluator(m *Matcher) *Evaluator {
-	return &Evaluator{
-		m:         m,
-		blocked:   ipset.NewBuilder(0),
-		passed:    ipset.NewBuilder(0),
-		cacheKeys: make([]uint32, 1<<cacheBits),
-		cacheVals: make([]uint8, 1<<cacheBits),
-	}
-}
-
-// cacheSlot maps a source address onto the direct-mapped cache.
-func cacheSlot(src uint32) uint32 {
-	return (src * 2654435761) >> (32 - cacheBits)
-}
-
-// Consume scores one chunk of records. Chunks may arrive in any order;
-// the accumulated Eval is order-independent.
-func (ev *Evaluator) Consume(records []netflow.Record) {
-	if len(records) == 0 {
-		return
-	}
-	start := time.Now()
-	for i := range records {
-		r := &records[i]
-		src := uint32(r.SrcAddr)
-		h := cacheSlot(src)
-		var isBlocked bool
-		if ev.cacheKeys[h] == src && ev.cacheVals[h] != 0 {
-			isBlocked = ev.cacheVals[h] == 1
-		} else {
-			isBlocked = ev.m.Blocks(r.SrcAddr)
-			ev.cacheKeys[h] = src
-			if isBlocked {
-				ev.cacheVals[h] = 1
-				ev.blocked.Add(r.SrcAddr)
-			} else {
-				ev.cacheVals[h] = 2
-				ev.passed.Add(r.SrcAddr)
-			}
-		}
-		if isBlocked {
-			ev.flowsBlocked++
-			if r.PayloadBearing() {
-				ev.payloadBlocked++
-			}
-		} else {
-			ev.flowsPassed++
-		}
-	}
-	if ev.blocked.Len()+ev.passed.Len() > compactThreshold {
-		compact(ev.blocked)
-		compact(ev.passed)
-	}
-	elapsed := time.Since(start)
-	evalSeconds.Observe(elapsed)
-	evalFlows.Add(uint64(len(records)))
-	lookupSeconds.Observe(elapsed / time.Duration(len(records)))
-}
-
-// compact collapses a builder's pending entries (which may hold
-// duplicates from cache evictions) down to the distinct membership.
-func compact(b *ipset.Builder) {
-	s := b.Build() // resets b
-	b.AddSet(s)
-}
-
-// Result finalizes and returns the accumulated evaluation. The
-// evaluator may keep consuming afterwards; a later Result reflects the
-// larger stream.
-func (ev *Evaluator) Result() Eval {
-	e := Eval{
-		FlowsBlocked:   ev.flowsBlocked,
-		FlowsPassed:    ev.flowsPassed,
-		PayloadBlocked: ev.payloadBlocked,
-	}
-	e.BlockedSources = ev.blocked.Build()
-	e.PassedSources = ev.passed.Build()
-	// Builders were reset by Build; re-seed them with the built sets so
-	// further Consume calls keep accumulating.
-	ev.blocked.AddSet(e.BlockedSources)
-	ev.passed.AddSet(e.PassedSources)
-	return e
-}
 
 // SweepEvaluator scores a stream of flow records against every list of
 // a MatcherSet at once — the §6 prefix sweep as a single pass. It keeps
@@ -242,9 +129,9 @@ func (sv *SweepEvaluator) grow() {
 func (sv *SweepEvaluator) Sources() int { return sv.used }
 
 // Results finalizes the per-list evaluations: element i scores lists[i]
-// (or prefix length lo+i for SweepSet) exactly as a standalone Evaluate
-// against that list would. The evaluator may keep consuming afterwards;
-// a later Results reflects the larger stream.
+// (or prefix length lo+i for SweepSet) exactly as a per-flow scan of the
+// stream against that list alone would. The evaluator may keep consuming
+// afterwards; a later Results reflects the larger stream.
 func (sv *SweepEvaluator) Results() []Eval {
 	k := sv.ms.Lists()
 	out := make([]Eval, k)

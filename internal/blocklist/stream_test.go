@@ -9,25 +9,28 @@ import (
 	"unclean/internal/stats"
 )
 
-// streamLog builds a log with heavy source repetition (the streaming
-// evaluators' cache hit path) alongside one-off sources.
-func streamLog(rng *stats.RNG, n int) []netflow.Record {
-	// A pool of repeat offenders plus fresh addresses.
-	pool := make([]netaddr.Addr, 200)
-	for i := range pool {
-		pool[i] = netaddr.Addr(rng.Uint32())
-	}
-	records := make([]netflow.Record, n)
+// evaluateTrie scores records against t one flow at a time, straight
+// off the radix trie: the reference SweepEvaluator is held to.
+func evaluateTrie(t *Trie, records []netflow.Record) Eval {
+	blocked := ipset.NewBuilder(0)
+	passed := ipset.NewBuilder(0)
+	var e Eval
 	for i := range records {
-		var src netaddr.Addr
-		if rng.Bool(0.7) {
-			src = pool[rng.Intn(len(pool))]
+		r := &records[i]
+		if t.Blocks(r.SrcAddr) {
+			e.FlowsBlocked++
+			blocked.Add(r.SrcAddr)
+			if r.PayloadBearing() {
+				e.PayloadBlocked++
+			}
 		} else {
-			src = netaddr.Addr(rng.Uint32())
+			e.FlowsPassed++
+			passed.Add(r.SrcAddr)
 		}
-		records[i] = flowFrom(src.String(), rng.Bool(0.3))
 	}
-	return records
+	e.BlockedSources = blocked.Build()
+	e.PassedSources = passed.Build()
+	return e
 }
 
 func evalsEqual(a, b Eval) bool {
@@ -38,44 +41,11 @@ func evalsEqual(a, b Eval) bool {
 		a.PassedSources.Equal(b.PassedSources)
 }
 
-// TestEvaluatorMatchesEvaluate streams the log in uneven chunks and
-// checks the accumulated Eval is identical to both the one-shot compiled
-// path and the seed trie-scan path.
-func TestEvaluatorMatchesEvaluate(t *testing.T) {
-	rng := stats.NewRNG(5)
-	tr := randomTrie(rng, 400)
-	records := streamLog(rng, 30000)
-
-	want := Evaluate(tr, records)
-	if trieWant := evaluateTrie(tr, records); !evalsEqual(want, trieWant) {
-		t.Fatal("compiled Evaluate differs from the seed trie scan")
-	}
-
-	ev := NewEvaluator(Compile(tr))
-	for off := 0; off < len(records); {
-		end := min(off+1+rng.Intn(4000), len(records))
-		ev.Consume(records[off:end])
-		off = end
-	}
-	got := ev.Result()
-	if !evalsEqual(got, want) {
-		t.Fatalf("streaming Eval differs from in-memory:\n got %d/%d/%d blocked=%d passed=%d\nwant %d/%d/%d blocked=%d passed=%d",
-			got.FlowsBlocked, got.FlowsPassed, got.PayloadBlocked, got.BlockedSources.Len(), got.PassedSources.Len(),
-			want.FlowsBlocked, want.FlowsPassed, want.PayloadBlocked, want.BlockedSources.Len(), want.PassedSources.Len())
-	}
-
-	// Result must not disturb further accumulation.
-	ev.Consume(records[:100])
-	again := ev.Result()
-	if again.FlowsBlocked+again.FlowsPassed != want.FlowsBlocked+want.FlowsPassed+100 {
-		t.Fatal("Consume after Result lost flows")
-	}
-}
-
 // TestSweepEvaluatorMatchesPerListEvaluate checks the one-pass sweep
-// produces, for every n, exactly the Eval a standalone Evaluate against
-// C_n would — before and after further Consume calls past Results. The
-// inputs stress the evaluator's source table as well as the matcher.
+// produces, for every n, exactly the Eval a per-flow trie scan against
+// C_n would — streamed in uneven chunks, and before and after further
+// Consume calls past Results. The inputs stress the evaluator's source
+// table as well as the matcher.
 func TestSweepEvaluatorMatchesPerListEvaluate(t *testing.T) {
 	rng := stats.NewRNG(13)
 	b := ipset.NewBuilder(0)
@@ -150,6 +120,24 @@ func TestSweepEvaluatorMatchesPerListEvaluate(t *testing.T) {
 		}
 	}
 
+	// Heavy source repetition, as in real traffic: most flows come from
+	// a pool of repeat sources, half of them near the seed.
+	pool := make([]netaddr.Addr, 200)
+	for i := range pool {
+		pool[i] = netaddr.Addr(rng.Uint32())
+		if i%2 == 0 {
+			pool[i] = near()
+		}
+	}
+	repeats := make([]netflow.Record, 30000)
+	for i := range repeats {
+		src := netaddr.Addr(rng.Uint32())
+		if rng.Bool(0.7) {
+			src = pool[rng.Intn(len(pool))]
+		}
+		repeats[i] = flowFrom(src.String(), rng.Bool(0.3))
+	}
+
 	for _, in := range []struct {
 		name    string
 		records []netflow.Record
@@ -158,6 +146,7 @@ func TestSweepEvaluatorMatchesPerListEvaluate(t *testing.T) {
 		{"mixed", mixed, 0},
 		{"colliding", colliding, 0},
 		{"growth", growth, 3},
+		{"repeats", repeats, 1},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			sv := NewSweepEvaluator(ms)
@@ -176,9 +165,9 @@ func TestSweepEvaluatorMatchesPerListEvaluate(t *testing.T) {
 				}
 				anyBlocked := false
 				for n := lo; n <= hi; n++ {
-					want := Evaluate(FromSet(seed, n, "sweep"), records)
+					want := evaluateTrie(FromSet(seed, n, "sweep"), records)
 					if !evalsEqual(got[n-lo], want) {
-						t.Fatalf("sweep Eval at /%d differs from standalone Evaluate", n)
+						t.Fatalf("sweep Eval at /%d differs from the per-flow trie scan", n)
 					}
 					if got[n-lo].FlowsBlocked > 0 {
 						anyBlocked = true

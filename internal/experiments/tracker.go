@@ -81,21 +81,30 @@ func TrackerWithHalfLife(ds *Dataset, halfLife time.Duration) (*TrackerResult, e
 		return nil, err
 	}
 	p := t2.Partition
-	score := func(list *blocklist.Trie) blocklist.Confusion {
-		return blocklist.Evaluate(list, ds.Flows).Score(p.Hostile, p.Innocent)
+	// The static list and one list per threshold, scored in one pass.
+	thresholds := []float64{0.3, 0.5, 0.7, 0.9}
+	lists := []*blocklist.Trie{blocklist.FromSet(ds.Report("bot-test").Addrs, 24, "bot-test")}
+	for _, th := range thresholds {
+		lists = append(lists, blocklist.FromSet(tr.Blocklist(th), tcfg.Bits, "tracker"))
 	}
+	ms, err := blocklist.CompileSet(lists)
+	if err != nil {
+		return nil, err
+	}
+	sv := blocklist.NewSweepEvaluator(ms)
+	sv.Consume(ds.Flows)
+	evals := sv.Results()
 	res := &TrackerResult{
 		Weeks:    weeks,
 		Blocks:   tr.BlockCount(),
 		HalfLife: halfLife,
-		Static:   score(blocklist.FromSet(ds.Report("bot-test").Addrs, 24, "bot-test")),
+		Static:   evals[0].Score(p.Hostile, p.Innocent),
 	}
-	for _, th := range []float64{0.3, 0.5, 0.7, 0.9} {
-		list := blocklist.FromSet(tr.Blocklist(th), tcfg.Bits, "tracker")
+	for i, th := range thresholds {
 		res.Sweep = append(res.Sweep, TrackerOperatingPoint{
 			Threshold: th,
-			Rules:     list.Len(),
-			Confusion: score(list),
+			Rules:     lists[i+1].Len(),
+			Confusion: evals[i+1].Score(p.Hostile, p.Innocent),
 		})
 	}
 	return res, nil
