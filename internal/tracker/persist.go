@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,7 +114,7 @@ func Load(r io.Reader) (*Tracker, error) {
 			case "tau":
 				cfg.Tau, err = strconv.ParseFloat(value, 64)
 			case "now":
-				now, err = time.Parse(time.RFC3339Nano, value)
+				now, err = parseTime(value)
 			default:
 				err = fmt.Errorf("unknown header key %q", key)
 			}
@@ -133,7 +134,7 @@ func Load(r io.Reader) (*Tracker, error) {
 		if base.Mask(cfg.Bits) != base {
 			return nil, fmt.Errorf("tracker: line %d: base %s not /%d aligned", line, base, cfg.Bits)
 		}
-		asOf, err := time.Parse(time.RFC3339Nano, fields[1])
+		asOf, err := parseTime(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("tracker: line %d: %v", line, err)
 		}
@@ -144,7 +145,7 @@ func Load(r io.Reader) (*Tracker, error) {
 		b := &blockState{asOf: asOf}
 		for d, p := range parts {
 			c, err := strconv.ParseFloat(p, 64)
-			if err != nil || c < 0 {
+			if err != nil || !(c >= 0) || math.IsInf(c, 1) {
 				return nil, fmt.Errorf("tracker: line %d: bad count %q", line, p)
 			}
 			b.counts[d] = c
@@ -159,6 +160,19 @@ func Load(r io.Reader) (*Tracker, error) {
 	}
 	if t == nil {
 		return nil, fmt.Errorf("tracker: checkpoint missing blocks section")
+	}
+	return t, nil
+}
+
+// parseTime parses an RFC 3339 timestamp that Save can write back: one
+// whose year in UTC, the zone Save writes, still has four digits.
+func parseTime(s string) (time.Time, error) {
+	t, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		return time.Time{}, err
+	}
+	if y := t.UTC().Year(); y < 0 || y > 9999 {
+		return time.Time{}, fmt.Errorf("time %s falls in year %d in UTC", s, y)
 	}
 	return t, nil
 }

@@ -58,16 +58,22 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	good := buf.String()
 	cases := map[string]string{
-		"empty":       "",
-		"bad magic":   strings.Replace(good, "v1", "v9", 1),
-		"bad header":  strings.Replace(good, "bits: 24", "bits: many", 1),
-		"unknown key": strings.Replace(good, "tau:", "mystery:", 1),
-		"no blocks":   persistMagic + "\nbits: 24\nhalflife: 1h\ntau: 4\nnow: 2006-04-01T00:00:00Z\n",
-		"bad counts":  strings.Replace(good, "1,0,0,0", "1,0,0", 1),
-		"neg count":   strings.Replace(good, "1,0,0,0", "-1,0,0,0", 1),
-		"bad date":    strings.Replace(good, "2006-04-01T00:00:00Z 1,0,0,0", "yesterday 1,0,0,0", 1),
-		"misaligned":  strings.Replace(good, "10.1.1.0 ", "10.1.1.5 ", 1),
-		"ragged line": strings.Replace(good, "10.1.1.0 ", "10.1.1.0 extra ", 1),
+		"empty":         "",
+		"bad magic":     strings.Replace(good, "v1", "v9", 1),
+		"bad header":    strings.Replace(good, "bits: 24", "bits: many", 1),
+		"unknown key":   strings.Replace(good, "tau:", "mystery:", 1),
+		"no blocks":     persistMagic + "\nbits: 24\nhalflife: 1h\ntau: 4\nnow: 2006-04-01T00:00:00Z\n",
+		"bad counts":    strings.Replace(good, "1,0,0,0", "1,0,0", 1),
+		"neg count":     strings.Replace(good, "1,0,0,0", "-1,0,0,0", 1),
+		"nan count":     strings.Replace(good, "1,0,0,0", "NaN,0,0,0", 1),
+		"inf count":     strings.Replace(good, "1,0,0,0", "1,+Inf,0,0", 1),
+		"nan tau":       strings.Replace(good, "tau: 4", "tau: NaN", 1),
+		"inf tau":       strings.Replace(good, "tau: 4", "tau: +Inf", 1),
+		"now past 9999": strings.Replace(good, "now: 2006-04-01T00:00:00Z", "now: 9999-12-31T23:59:59-23:59", 1),
+		"date before 0": strings.Replace(good, "2006-04-01T00:00:00Z 1,0,0,0", "0000-01-01T00:00:00+01:00 1,0,0,0", 1),
+		"bad date":      strings.Replace(good, "2006-04-01T00:00:00Z 1,0,0,0", "yesterday 1,0,0,0", 1),
+		"misaligned":    strings.Replace(good, "10.1.1.0 ", "10.1.1.5 ", 1),
+		"ragged line":   strings.Replace(good, "10.1.1.0 ", "10.1.1.0 extra ", 1),
 	}
 	for name, data := range cases {
 		if _, err := Load(strings.NewReader(data)); err == nil {

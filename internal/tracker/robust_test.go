@@ -1,6 +1,8 @@
 package tracker
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,4 +121,40 @@ func TestLoadOverlongLineReported(t *testing.T) {
 	if _, err := Load(strings.NewReader(padded)); err != nil {
 		t.Fatalf("100KB comment line rejected: %v", err)
 	}
+}
+
+// FuzzLoad holds the checkpoint reader to its contract on arbitrary
+// bytes: it returns an error, or a tracker whose counts are all finite
+// and non-negative and whose Save output loads and saves back to the
+// same bytes. The seed corpus in testdata holds saved checkpoints and
+// the malformed and non-finite cases TestLoadRejectsGarbage rejects.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for base, b := range tr.blocks {
+			for d, c := range b.counts {
+				if !(c >= 0) || math.IsInf(c, 0) {
+					t.Fatalf("block %s dimension %d loaded count %v", base, d, c)
+				}
+			}
+		}
+		var saved bytes.Buffer
+		if err := tr.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("saved checkpoint does not load: %v\n%s", err, saved.Bytes())
+		}
+		var resaved bytes.Buffer
+		if err := again.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Fatalf("checkpoint changed across a load:\n%s\nvs\n%s", saved.Bytes(), resaved.Bytes())
+		}
+	})
 }

@@ -43,8 +43,8 @@ func (c Config) validate() error {
 	if c.HalfLife <= 0 {
 		return fmt.Errorf("tracker: HalfLife must be positive")
 	}
-	if c.Tau <= 0 {
-		return fmt.Errorf("tracker: Tau must be positive")
+	if !(c.Tau > 0) || math.IsInf(c.Tau, 1) {
+		return fmt.Errorf("tracker: Tau must be finite and positive")
 	}
 	return nil
 }

@@ -28,6 +28,8 @@ func TestConfigValidation(t *testing.T) {
 		{Bits: -1, HalfLife: time.Hour, Tau: 1},
 		{Bits: 24, HalfLife: 0, Tau: 1},
 		{Bits: 24, HalfLife: time.Hour, Tau: 0},
+		{Bits: 24, HalfLife: time.Hour, Tau: math.NaN()},
+		{Bits: 24, HalfLife: time.Hour, Tau: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
