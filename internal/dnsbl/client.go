@@ -4,7 +4,6 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -167,11 +166,4 @@ func lookupTCP(server string, pkt []byte, id uint16, deadline time.Time) (bool, 
 	}
 	listed, code := answerFrom(resp)
 	return listed, code, nil
-}
-
-// IsTimeout reports whether err is a deadline-style failure — the
-// signature of a lost datagram.
-func IsTimeout(err error) bool {
-	var nerr net.Error
-	return errors.As(err, &nerr) && nerr.Timeout()
 }

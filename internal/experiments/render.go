@@ -27,10 +27,6 @@ func (t *table) addRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-func (t *table) addRowf(format string, args ...any) {
-	t.addRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
-}
-
 func (t *table) String() string {
 	widths := make([]int, len(t.header))
 	all := append([][]string{t.header}, t.rows...)

@@ -329,31 +329,6 @@ func (c *ctr) appendAddrs(dst []uint32) []uint32 {
 	return dst
 }
 
-// runCount returns the number of maximal consecutive runs.
-func (c *ctr) runCount() int {
-	switch c.kind {
-	case runKind:
-		return len(c.arr) / 2
-	case arrKind:
-		runs := 1
-		for i := 1; i < len(c.arr); i++ {
-			if c.arr[i] != c.arr[i-1]+1 {
-				runs++
-			}
-		}
-		return runs
-	case bmpKind:
-		runs := 0
-		var carry uint64
-		for _, w := range c.bits {
-			runs += bits.OnesCount64(w &^ (w<<1 | carry))
-			carry = w >> 63
-		}
-		return runs
-	}
-	return 0
-}
-
 // memBytes approximates the container's heap footprint.
 func (c *ctr) memBytes() int {
 	return 2*len(c.arr) + 8*len(c.bits) + 48 // struct header overhead

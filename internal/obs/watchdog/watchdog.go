@@ -24,7 +24,6 @@ package watchdog
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -248,19 +247,6 @@ func (w *Watchdog) RegisterSignal(name string, fn func() float64) {
 	w.mu.Lock()
 	w.signals[name] = fn
 	w.mu.Unlock()
-}
-
-// SignalNames lists the registered signals, sorted — the vocabulary
-// ParseRule accepts, rendered into error messages and docs.
-func (w *Watchdog) SignalNames() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	names := make([]string, 0, len(w.signals))
-	for n := range w.signals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // AddRule installs a rule, replacing an existing rule of the same name

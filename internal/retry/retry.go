@@ -54,12 +54,6 @@ type Policy struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// DefaultPolicy is a sensible operational default: 4 attempts, 50ms
-// base, one second cap, full jitter.
-func DefaultPolicy() Policy {
-	return Policy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second, Jitter: 1}
-}
-
 // fallbackRNG backs policies without an explicit generator.
 var (
 	fallbackMu  sync.Mutex
