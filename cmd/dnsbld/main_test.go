@@ -17,6 +17,8 @@ import (
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/obs"
+	"unclean/internal/obs/bundle"
+	"unclean/internal/obs/flight"
 	"unclean/internal/report"
 	"unclean/internal/tracker"
 )
@@ -93,6 +95,45 @@ func TestRunRecoversFromCheckpoint(t *testing.T) {
 	}
 }
 
+// A startup ingest failure with -bundle-dir set leaves exactly one
+// fatal bundle; its flight ring holds the feed-load rejection and ends
+// with the crash event.
+func TestRunFatalStartupLeavesOneBundle(t *testing.T) {
+	dead := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dead, "junk"+report.Ext), []byte("not a report"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := run(context.Background(), []string{
+		"-listen", "127.0.0.1:0", "-reports", dead, "-selfcheck", "1", "-bundle-dir", dir,
+	}); err == nil {
+		t.Fatal("dead feed with no checkpoint accepted")
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(paths) != 1 || !strings.Contains(filepath.Base(paths[0]), "-fatal-") {
+		t.Fatalf("bundle dir holds %v (%v), want one fatal bundle", paths, err)
+	}
+	b, err := bundle.Open(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(b.Manifest.Reason, "fatal: ") {
+		t.Errorf("bundle reason = %q, want fatal: ...", b.Manifest.Reason)
+	}
+	var doc flight.EventsDoc
+	if err := json.Unmarshal(b.File(bundle.FlightName), &doc); err != nil || len(doc.Events) == 0 {
+		t.Fatalf("flight.json unreadable or empty: %v", err)
+	}
+	rejected := false
+	for _, ev := range doc.Events {
+		rejected = rejected || ev.Kind == "feed_load" && ev.Verdict == "rejected" && ev.Name == dead
+	}
+	if last := doc.Events[len(doc.Events)-1]; !rejected || last.Kind != "server" || last.Verdict != "crash" {
+		t.Errorf("flight.json: feed rejection recorded %v, last event %+v; want the rejection and a final server/crash",
+			rejected, last)
+	}
+}
+
 // In serving mode a context cancellation (the signal path) must shut
 // down gracefully: run returns nil and a final checkpoint is written.
 func TestRunGracefulShutdown(t *testing.T) {
@@ -165,9 +206,7 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("/metrics.json Content-Type = %q, want application/json", ct)
 	}
-	var doc struct {
-		Metrics []map[string]any `json:"metrics"`
-	}
+	var doc obs.MetricsDoc
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/metrics.json not JSON: %v\n%s", err, body)
 	}
@@ -293,13 +332,13 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 		}
 	}()
 
-	getReady := func() (int, readyProbe, error) {
+	getReady := func() (int, obs.ReadyDoc, error) {
 		res, err := http.Get("http://" + addr + "/readyz")
 		if err != nil {
-			return 0, readyProbe{}, err
+			return 0, obs.ReadyDoc{}, err
 		}
 		defer res.Body.Close()
-		var doc readyProbe
+		var doc obs.ReadyDoc
 		if err := json.NewDecoder(res.Body).Decode(&doc); err != nil {
 			return res.StatusCode, doc, err
 		}
@@ -402,14 +441,7 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Body.Close()
-	var events struct {
-		Events []struct {
-			Kind    string `json:"kind"`
-			Verdict string `json:"verdict"`
-			Client  string `json:"client"`
-			Addr    string `json:"addr"`
-		} `json:"events"`
-	}
+	var events flight.EventsDoc
 	if err := json.NewDecoder(res.Body).Decode(&events); err != nil {
 		t.Fatal(err)
 	}
@@ -430,16 +462,6 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 		t.Errorf("flight ring missing events: hit=%v miss=%v trip=%v (%d events)",
 			sawHit, sawMiss, sawTrip, len(events.Events))
 	}
-}
-
-// readyProbe mirrors the /readyz document for the e2e test.
-type readyProbe struct {
-	Ready  bool `json:"ready"`
-	Checks map[string]struct {
-		OK     bool   `json:"ok"`
-		Detail string `json:"detail"`
-	} `json:"checks"`
-	Info map[string]string `json:"info"`
 }
 
 func TestParseFlagsRejectsBadValues(t *testing.T) {
@@ -553,13 +575,13 @@ func TestRunMeshModeSurvivesDeadFeed(t *testing.T) {
 		}
 	}()
 
-	getReady := func() (int, readyProbe, error) {
+	getReady := func() (int, obs.ReadyDoc, error) {
 		res, err := http.Get("http://" + addr + "/readyz")
 		if err != nil {
-			return 0, readyProbe{}, err
+			return 0, obs.ReadyDoc{}, err
 		}
 		defer res.Body.Close()
-		var doc readyProbe
+		var doc obs.ReadyDoc
 		if err := json.NewDecoder(res.Body).Decode(&doc); err != nil {
 			return res.StatusCode, doc, err
 		}
@@ -744,12 +766,7 @@ func TestRunAnalyticsScoreboardEndToEnd(t *testing.T) {
 	}
 
 	// The next reload sweep must confirm the three predictions.
-	var doc struct {
-		Prediction struct {
-			Predicted uint64 `json:"predicted_total"`
-			LagP50    string `json:"lag_p50"`
-		} `json:"prediction"`
-	}
+	var doc dnsbl.TopKDoc
 	for {
 		res, err := http.Get("http://" + maddr + "/debug/topk")
 		if err != nil {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"unclean/internal/dnsbl"
 )
 
 // cmdTop is the operator's view of what a running dnsbld is being asked
@@ -39,38 +41,10 @@ func cmdTop(args []string) error {
 	return writeTop(os.Stdout, client, base, *n)
 }
 
-// topkDoc mirrors the daemon's /debug/topk document.
-type topkDoc struct {
-	Zone          string               `json:"zone"`
-	SampleN       int                  `json:"sample_n"`
-	Sampled       uint64               `json:"sampled_observations"`
-	UniqueClients uint64               `json:"unique_clients_estimate"`
-	TopClients    []topkRow            `json:"top_clients"`
-	HotSubnets    []topkRow            `json:"hot_subnets"`
-	HitBlocks     map[string][]topkRow `json:"hit_blocks"`
-	Prediction    struct {
-		Sweeps        uint64    `json:"sweeps"`
-		Predicted     uint64    `json:"predicted_total"`
-		PendingMisses int       `json:"pending_misses"`
-		LagP50        string    `json:"lag_p50"`
-		LagP95        string    `json:"lag_p95"`
-		LagP99        string    `json:"lag_p99"`
-		TopBlocks     []topkRow `json:"top_blocks"`
-	} `json:"prediction"`
-}
-
-type topkRow struct {
-	Key         string   `json:"key"`
-	Count       uint64   `json:"count"`
-	Err         uint64   `json:"err"`
-	CMSEstimate uint64   `json:"cms_estimate"`
-	Feeds       []string `json:"feeds"`
-}
-
 // writeTop renders the analytics view to w. Split from cmdTop so tests
 // can point it at an httptest server and a buffer.
 func writeTop(w io.Writer, client *http.Client, base string, n int) error {
-	var doc topkDoc
+	var doc dnsbl.TopKDoc
 	if err := getJSON(client, base, fmt.Sprintf("/debug/topk?n=%d", n), &doc); err != nil {
 		return fmt.Errorf("top: %w (is the daemon running with analytics enabled?)", err)
 	}
@@ -105,7 +79,7 @@ func writeTop(w io.Writer, client *http.Client, base string, n int) error {
 // writeRank renders one ranked list. Counts are the sketch estimates
 // already scaled to packets; err is the overestimate bound (the true
 // count is within [count-err, count]).
-func writeRank(w io.Writer, title string, rows []topkRow) {
+func writeRank(w io.Writer, title string, rows []dnsbl.TopKEntry) {
 	if len(rows) == 0 {
 		return
 	}

@@ -9,6 +9,7 @@ package dnsbl
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
@@ -22,6 +23,7 @@ import (
 	"unclean/internal/faults"
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
+	"unclean/internal/obs/bundle"
 	"unclean/internal/obs/flight"
 	"unclean/internal/report"
 	"unclean/internal/retry"
@@ -236,18 +238,16 @@ func TestChaosCrashRecoveryAtEveryPoint(t *testing.T) {
 	}
 }
 
-// TestChaosCrashAtCheckpointLeavesReadableFlightDump kills a checkpoint
-// write mid-flight and drives the daemon's crash path (HandleCrash →
-// dump → re-panic): the flight-recorder dump on disk must be readable —
-// atomicfile guarantees it is complete or absent, never torn — and must
-// hold the pre-crash checkpoint event plus the terminal crash event, so
-// a post-mortem can see what the process was doing when it died.
-func TestChaosCrashAtCheckpointLeavesReadableFlightDump(t *testing.T) {
-	dumpPath := filepath.Join(t.TempDir(), "flight.crash.json")
-	rec := flight.Default()
-	prev := rec.DumpPath()
-	rec.SetDumpPath(dumpPath)
-	defer rec.SetDumpPath(prev)
+// TestChaosCrashAtCheckpointLeavesReadableBundle kills a checkpoint
+// write mid-flight and drives the daemon's crash path (bundle.HandleCrash
+// → capture → re-panic): the one bundle on disk must be readable —
+// atomicfile guarantees it is complete or absent, never torn — and its
+// flight.json must hold the pre-crash checkpoint event plus the terminal
+// crash event, so a post-mortem can see what the process was doing when
+// it died.
+func TestChaosCrashAtCheckpointLeavesReadableBundle(t *testing.T) {
+	bundleDir := t.TempDir()
+	capture := func() bundle.CaptureConfig { return bundle.CaptureConfig{Flight: flight.Default()} }
 
 	// One clean save first, so the ring holds a "saved" checkpoint event
 	// and the on-disk state has an acknowledged generation to recover.
@@ -270,7 +270,8 @@ func TestChaosCrashAtCheckpointLeavesReadableFlightDump(t *testing.T) {
 				t.Fatal("HandleCrash swallowed the panic")
 			}
 		}()
-		defer flight.HandleCrash()
+		var err error
+		defer bundle.HandleCrash(bundleDir, capture, &err)
 		if err := atomicfile.WriteCheckpointHook(ckpt, buf.Bytes(), crash.Step); err != nil {
 			panic(err)
 		}
@@ -279,25 +280,30 @@ func TestChaosCrashAtCheckpointLeavesReadableFlightDump(t *testing.T) {
 		t.Fatal("crash point 0 never fired")
 	}
 
-	dump, err := flight.LoadDump(dumpPath)
+	paths, err := filepath.Glob(filepath.Join(bundleDir, "bundle-*.tar.gz"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("crash bundles = %v (%v), want exactly one", paths, err)
+	}
+	b, err := bundle.Open(paths[0])
 	if err != nil {
-		t.Fatalf("crash dump unreadable: %v", err)
+		t.Fatalf("crash bundle unreadable: %v", err)
 	}
-	if !strings.Contains(dump.Reason, "panic") {
-		t.Errorf("dump reason = %q, want a panic reason", dump.Reason)
+	if !strings.HasPrefix(b.Manifest.Reason, "panic: ") {
+		t.Errorf("bundle reason = %q, want a panic reason", b.Manifest.Reason)
 	}
-	var sawSave, sawCrash bool
+	var dump flight.EventsDoc
+	if err := json.Unmarshal(b.File(bundle.FlightName), &dump); err != nil || len(dump.Events) == 0 {
+		t.Fatalf("flight.json unreadable or empty: %v", err)
+	}
+	var sawSave bool
 	for _, e := range dump.Events {
 		if e.Kind == "checkpoint" && e.Verdict == "saved" && e.Name == ckpt {
 			sawSave = true
 		}
-		if e.Kind == "server" && e.Verdict == "crash" {
-			sawCrash = true
-		}
 	}
-	if !sawSave || !sawCrash {
-		t.Errorf("dump missing events: saved=%v crash=%v (%d events)",
-			sawSave, sawCrash, len(dump.Events))
+	if last := dump.Events[len(dump.Events)-1]; !sawSave || last.Kind != "server" || last.Verdict != "crash" {
+		t.Errorf("flight.json: saved=%v, last event %+v; want the save and a final server/crash (%d events)",
+			sawSave, last, len(dump.Events))
 	}
 
 	// The interrupted checkpoint must still recover the acknowledged

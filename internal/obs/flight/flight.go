@@ -17,9 +17,9 @@
 // failures before an operator looks.
 //
 // Snapshots serve /debug/events (JSON, filterable by kind and minimum
-// latency); Dump persists both rings through internal/atomicfile so a
-// crash dump survives the restart that follows it. HandleCrash is the
-// deferred hook daemons use to get that dump on panic.
+// latency); EncodeDump renders both rings as the flight.json member of
+// a diagnostics bundle, which is where a crash leaves them (package
+// bundle's crash hook).
 package flight
 
 import (
@@ -156,8 +156,6 @@ type Recorder struct {
 	// slowNS is the threshold (nanoseconds) above which an event is
 	// flagged slow and copied to the kept ring.
 	slowNS atomic.Int64
-
-	dumpPath atomic.Pointer[string]
 
 	now func() time.Time // injectable for deterministic tests
 }

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// wireEvent is the JSON form of one event, human-first: times are
+// WireEvent is the JSON form of one event, human-first: times are
 // RFC3339, addresses dotted quads, flags named.
-type wireEvent struct {
+type WireEvent struct {
 	Seq     uint64   `json:"seq"`
 	Time    string   `json:"time"`
 	Kind    string   `json:"kind"`
@@ -26,54 +26,79 @@ type wireEvent struct {
 	Detail  string   `json:"detail,omitempty"`
 }
 
-func toWire(ev *Event) wireEvent {
-	w := wireEvent{
-		Seq:     ev.Seq,
-		Time:    time.Unix(0, ev.Unix).UTC().Format(time.RFC3339Nano),
-		Kind:    ev.Kind.String(),
-		Verdict: ev.Verdict,
-		Name:    ev.Name,
-		Flags:   ev.Flags.Names(),
-		Value:   ev.Value,
-		Detail:  ev.Detail,
+// wireEvents renders events in their JSON form (empty, never nil).
+func wireEvents(evs []Event) []WireEvent {
+	out := make([]WireEvent, 0, len(evs))
+	for i := range evs {
+		ev := &evs[i]
+		w := WireEvent{
+			Seq:     ev.Seq,
+			Time:    time.Unix(0, ev.Unix).UTC().Format(time.RFC3339Nano),
+			Kind:    ev.Kind.String(),
+			Verdict: ev.Verdict,
+			Name:    ev.Name,
+			Flags:   ev.Flags.Names(),
+			Value:   ev.Value,
+			Detail:  ev.Detail,
+		}
+		if ev.Client != 0 {
+			w.Client = ev.Client.String()
+		}
+		if ev.Addr != 0 {
+			w.Addr = ev.Addr.String()
+		}
+		if ev.Latency > 0 {
+			w.Latency = ev.Latency.String()
+		}
+		out = append(out, w)
 	}
-	if ev.Client != 0 {
-		w.Client = ev.Client.String()
-	}
-	if ev.Addr != 0 {
-		w.Addr = ev.Addr.String()
-	}
-	if ev.Latency > 0 {
-		w.Latency = ev.Latency.String()
-	}
-	return w
+	return out
 }
 
-// eventsDoc is the body of /debug/events and of a crash dump.
-type eventsDoc struct {
+// EventsDoc is the body of /debug/events and, with its dump fields
+// set, of a diagnostics bundle's flight.json.
+type EventsDoc struct {
 	// Recorded is the total events ever recorded (dense sequence).
 	Recorded uint64 `json:"recorded"`
 	// Events are the selected events, oldest first.
-	Events []wireEvent `json:"events"`
+	Events []WireEvent `json:"events"`
 	// Kept, present only in dumps, is the error/outlier ring.
-	Kept []wireEvent `json:"kept,omitempty"`
+	Kept []WireEvent `json:"kept,omitempty"`
 	// DumpedAt, present only in dumps, stamps the dump time.
 	DumpedAt string `json:"dumped_at,omitempty"`
 	// Reason, present only in dumps, says why it was taken.
 	Reason string `json:"reason,omitempty"`
 }
 
+func encodeDoc(w io.Writer, doc EventsDoc) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
 // WriteJSON renders the events matching f as the /debug/events JSON
 // document.
 func (r *Recorder) WriteJSON(w io.Writer, f Filter) error {
 	evs := r.Snapshot(f)
-	doc := eventsDoc{Recorded: r.Len(), Events: make([]wireEvent, 0, len(evs))}
-	for i := range evs {
-		doc.Events = append(doc.Events, toWire(&evs[i]))
+	return encodeDoc(w, EventsDoc{Recorded: r.Len(), Events: wireEvents(evs)})
+}
+
+// EncodeDump renders both rings (all events, no filter) as the dump
+// document a diagnostics bundle carries as flight.json.
+func (r *Recorder) EncodeDump(w io.Writer, reason string) error {
+	evs := r.Snapshot(Filter{})
+	kept := r.Snapshot(Filter{Kept: true})
+	doc := EventsDoc{
+		Recorded: r.Len(),
+		Events:   wireEvents(evs),
+		Kept:     wireEvents(kept),
+		DumpedAt: r.now().UTC().Format(time.RFC3339Nano),
+		Reason:   reason,
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	if err := encodeDoc(w, doc); err != nil {
+		return fmt.Errorf("flight: %w", err)
+	}
+	return nil
 }
 
 // parseFilter reads the /debug/events query parameters:

@@ -54,22 +54,24 @@ func (h *Health) SetInfo(key, value string) {
 	h.mu.Unlock()
 }
 
-// checkResult is one probe's outcome in the readiness document.
-type checkResult struct {
+// CheckResult is one probe's outcome in the readiness document.
+type CheckResult struct {
 	OK     bool   `json:"ok"`
 	Detail string `json:"detail,omitempty"`
 }
 
-// readyDoc is the /readyz wire format.
-type readyDoc struct {
+// ReadyDoc is the /readyz document: what ReadyHandler serves, what a
+// bundle's health.json carries, and what uncleanctl status decodes.
+type ReadyDoc struct {
 	Ready  bool                   `json:"ready"`
-	Checks map[string]checkResult `json:"checks,omitempty"`
+	Checks map[string]CheckResult `json:"checks,omitempty"`
 	Info   map[string]string      `json:"info,omitempty"`
 }
 
-// Ready runs every check and returns the aggregate plus per-check
-// outcomes (map keyed by check name, iteration order h.order).
-func (h *Health) Ready() (bool, map[string]checkResult, map[string]string) {
+// Ready runs every check and returns the readiness document: the
+// aggregate, each check's outcome keyed by name, and a copy of the
+// info.
+func (h *Health) Ready() ReadyDoc {
 	h.mu.Lock()
 	names := append([]string(nil), h.order...)
 	checks := make(map[string]Check, len(names))
@@ -83,16 +85,15 @@ func (h *Health) Ready() (bool, map[string]checkResult, map[string]string) {
 	h.mu.Unlock()
 
 	sort.Strings(names)
-	ready := true
-	results := make(map[string]checkResult, len(names))
+	doc := ReadyDoc{Ready: true, Checks: make(map[string]CheckResult, len(names)), Info: info}
 	for _, n := range names {
 		ok, detail := checks[n]()
-		results[n] = checkResult{OK: ok, Detail: detail}
+		doc.Checks[n] = CheckResult{OK: ok, Detail: detail}
 		if !ok {
-			ready = false
+			doc.Ready = false
 		}
 	}
-	return ready, results, info
+	return doc
 }
 
 // LiveHandler serves /healthz: 200 "ok" while the process is up.
@@ -107,13 +108,13 @@ func (h *Health) LiveHandler() http.Handler {
 // every check passes, 503 with the same document when any fails.
 func (h *Health) ReadyHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		ready, results, info := h.Ready()
+		doc := h.Ready()
 		w.Header().Set("Content-Type", "application/json")
-		if !ready {
+		if !doc.Ready {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(readyDoc{Ready: ready, Checks: results, Info: info}) //nolint:errcheck // client went away
+		enc.Encode(doc) //nolint:errcheck // client went away
 	})
 }

@@ -119,9 +119,9 @@ func TestChaosQuarantineTriggersWatchdogOncePerCooldown(t *testing.T) {
 	path, err := bundle.CaptureToDir(dir, bundle.CaptureConfig{
 		Reason:     "watchdog:" + fired[0].Rule,
 		Evidence:   fired[0].Evidence,
-		Trigger:    fired[0],
+		Trigger:    &fired[0],
 		Registries: []*obs.Registry{obs.NewRegistry()},
-		MeshStatus: func() any { return mesh.Status() },
+		MeshStatus: mesh.Status,
 		Now:        sim.Now,
 	})
 	if err != nil {
@@ -131,18 +131,13 @@ func TestChaosQuarantineTriggersWatchdogOncePerCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st struct {
-		Feeds []struct {
-			Name  string
-			State int
-		}
-	}
+	var st feedmesh.Status
 	if err := json.Unmarshal(b.File(bundle.MeshName), &st); err != nil {
 		t.Fatalf("mesh.json: %v", err)
 	}
 	unhealthy := map[string]bool{}
 	for _, f := range st.Feeds {
-		if f.State != 0 {
+		if f.State != feedmesh.StateHealthy {
 			unhealthy[f.Name] = true
 		}
 	}

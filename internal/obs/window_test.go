@@ -230,17 +230,7 @@ func TestWindowedExposition(t *testing.T) {
 	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Metrics []struct {
-			Name     string                 `json:"name"`
-			Kind     string                 `json:"kind"`
-			Windows  map[string]jsonWindow  `json:"windows"`
-			Target   *float64               `json:"target"`
-			BurnRate map[string]float64     `json:"burn_rate"`
-			Labels   map[string]string      `json:"labels"`
-			Extra    map[string]interface{} `json:"-"`
-		} `json:"metrics"`
-	}
+	var doc MetricsDoc
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("JSON exposition invalid: %v\n%s", err, buf.String())
 	}
