@@ -69,15 +69,18 @@
 // The diagnostics autopilot rides along by default: a continuous
 // profiler keeps a small ring of recent CPU/heap/goroutine profiles
 // (-profile tunes the cycle, 0 disables), and an anomaly watchdog
-// evaluates declarative rules over the daemon's own signals every
-// -watchdog interval — SLO burn, shed fraction, panics, goroutine/RSS
+// evaluates declarative rules every -watchdog interval over the series
+// /metrics exposes — SLO burn, shed permille, panics, goroutine/RSS
 // growth slopes, breaker trips, mesh quarantines. When a rule holds
 // long enough it captures a diagnostics bundle (profiles, flight dump,
 // metrics, health, mesh state, the rule's evidence) into -bundle-dir
 // (or $UNCLEAN_BUNDLE_DIR) as one atomic tar.gz; /debug/bundle serves
 // the same capture on demand, and `uncleanctl diagnose -summarize FILE`
-// triages one offline. -watch adds or overrides rules, e.g.
-// -watch 'shed: dnsbl_shed_frac_1m > 0.5 hold=6 cooldown=30m'.
+// triages one offline. -watch adds or overrides rules, naming a series
+// exactly as /metrics prints it, e.g.
+// -watch 'shed: unclean_dnsbl_shed_1m_permille{zone="bl.unclean.example"} > 500 hold=6 cooldown=30m'.
+// A rule whose series the daemon does not expose when it starts is a
+// startup error.
 //
 // A panic or a fatal error after the flags parse leaves exactly one
 // bundle in the same directory, with reason "panic: ..." or
@@ -189,7 +192,7 @@ func parseFlags(args []string) (*options, error) {
 		"continuous-profiler collection interval (0 disables; CPU burst is capped at a tenth of this)")
 	fs.DurationVar(&o.watchdogTick, "watchdog", 10*time.Second,
 		"anomaly-watchdog evaluation interval (0 disables; rule over= and hold= counts are in these ticks)")
-	fs.Func("watch", "extra watchdog rule as 'NAME: SIGNAL OP VALUE [over=N] [hold=N] [cooldown=DUR]'; repeatable, a NAME matching a default rule replaces it", func(v string) error {
+	fs.Func("watch", "extra watchdog rule as 'NAME: SERIES OP VALUE [over=N] [hold=N] [cooldown=DUR]', SERIES spelled as /metrics prints it (no whitespace) and exposed when the daemon starts; repeatable, a NAME matching a default rule replaces it", func(v string) error {
 		o.watchRules = append(o.watchRules, v)
 		return nil
 	})
@@ -533,32 +536,34 @@ func buildHealth(o *options, srv *dnsbl.Server, breaker *retry.Breaker, lastLoad
 
 // defaultWatchRules is the watchdog's built-in rule set, phrased in the
 // same syntax -watch accepts (a -watch rule with a matching name
-// replaces the default). All counts are in -watchdog ticks (default
-// 10s): over=30 is a five-minute slope window, hold=3 demands thirty
-// seconds of sustained breach before a capture.
+// replaces the default) over series /metrics exposes. All counts are in
+// -watchdog ticks (default 10s): over=30 is a five-minute slope window,
+// hold=3 demands thirty seconds of sustained breach before a capture.
 func defaultWatchRules(o *options) []watchdog.Rule {
+	zone := fmt.Sprintf("zone=%q", strings.TrimSuffix(o.zone, "."))
 	rules := []string{
 		// Error budget burning >10x on the five-minute window: the SLO
 		// will be gone within the hour.
-		"slo-burn: dnsbl_slo_burn_5m > 10 hold=3 cooldown=10m",
+		"slo-burn: unclean_dnsbl_availability_burn_rate{" + zone + `,window="5m"} > 10 hold=3 cooldown=10m`,
 		// A fifth of answers shed on send faults for 30s.
-		"shed: dnsbl_shed_frac_1m > 0.2 hold=3 cooldown=10m",
+		"shed: unclean_dnsbl_shed_1m_permille{" + zone + "} > 200 hold=3 cooldown=10m",
 		// Any handler panic since the last tick.
-		"panic: dnsbl_panics_total > 0 over=1 cooldown=5m",
+		"panic: unclean_dnsbl_panics_total{" + zone + "} > 0 over=1 cooldown=5m",
 		// Sustained growth, not absolute size: +500 goroutines or
 		// +256MB RSS over five minutes is a leak in progress.
-		"goroutine-growth: runtime_goroutines > 500 over=30 hold=3 cooldown=15m",
-		"rss-growth: runtime_rss_bytes > 268435456 over=30 hold=3 cooldown=15m",
+		"goroutine-growth: unclean_runtime_goroutines > 500 over=30 hold=3 cooldown=15m",
+		"rss-growth: unclean_runtime_rss_bytes > 268435456 over=30 hold=3 cooldown=15m",
 	}
 	if o.reports != "" && o.reload > 0 {
 		rules = append(rules,
-			"breaker-trip: feed_breaker_open >= 1 cooldown=10m")
+			// Any breaker trip since the last tick.
+			"breaker-trip: unclean_breaker_trips_total > 0 over=1 cooldown=10m")
 	}
 	if len(o.feeds) > 0 {
 		rules = append(rules,
 			// Any new quarantine transition since the last tick.
-			"mesh-quarantine: feedmesh_quarantines_total > 0 over=1 cooldown=5m",
-			"mesh-degraded: feedmesh_degraded >= 1 hold=2 cooldown=10m")
+			"mesh-quarantine: unclean_feedmesh_quarantines_total > 0 over=1 cooldown=5m",
+			"mesh-degraded: unclean_feedmesh_degraded >= 1 hold=2 cooldown=10m")
 	}
 	out := make([]watchdog.Rule, len(rules))
 	for i, s := range rules {
@@ -671,11 +676,11 @@ func run(ctx context.Context, args []string) (err error) {
 	var lastLoad atomic.Int64
 	lastLoad.Store(time.Now().UnixNano())
 
-	// Diagnostics autopilot: runtime gauges shared by scrapes and
-	// watchdog slope rules, the continuous profiler, and one capture
-	// config every consumer (watchdog trigger, /debug/bundle, the crash
-	// hook) goes through.
-	rs := obs.RegisterRuntimeGauges(obs.Default())
+	// Diagnostics autopilot: runtime gauges refreshed on every read of
+	// the exposition (scrapes and watchdog ticks alike), the continuous
+	// profiler, and one capture config every consumer (watchdog trigger,
+	// /debug/bundle, the crash hook) goes through.
+	obs.RegisterRuntimeGauges(obs.Default())
 	health := buildHealth(o, srv, breaker, &lastLoad, mesh)
 	health.SetInfo("udp_addr", udpAddr)
 	regs := []*obs.Registry{obs.Default(), srv.Metrics()}
@@ -703,7 +708,9 @@ func run(ctx context.Context, args []string) (err error) {
 	}
 	var wd *watchdog.Watchdog
 	if o.watchdogTick > 0 {
+		// The rules read the registries /metrics and the bundle expose.
 		wd = watchdog.New(watchdog.Config{
+			Registries: regs,
 			OnTrigger: func(t watchdog.Trigger) {
 				// Without -bundle-dir the evidence still lands in logs
 				// and the flight ring.
@@ -712,32 +719,16 @@ func run(ctx context.Context, args []string) (err error) {
 				bundle.Save(o.bundleDir, cfg)
 			},
 		})
-		srv.WatchSignals(wd.RegisterSignal)
-		if mesh != nil {
-			mesh.WatchSignals(wd.RegisterSignal)
-		}
-		wd.RegisterSignal("runtime_goroutines", func() float64 { return float64(rs.Goroutines()) })
-		wd.RegisterSignal("runtime_rss_bytes", func() float64 { return float64(rs.RSSBytes()) })
-		wd.RegisterSignal("runtime_heap_live_bytes", func() float64 { return float64(rs.HeapLiveBytes()) })
-		wd.RegisterSignal("feed_breaker_open", func() float64 {
-			if breaker.Open() {
-				return 1
-			}
-			return 0
-		})
-		for _, r := range defaultWatchRules(o) {
-			if err := wd.AddRule(r); err != nil {
-				return err
-			}
-		}
+		rules := defaultWatchRules(o)
 		for _, s := range o.watchRules {
 			r, err := watchdog.ParseRule(s) // validated in parseFlags; kept load-bearing
 			if err != nil {
 				return err
 			}
-			if err := wd.AddRule(r); err != nil {
-				return err
-			}
+			rules = append(rules, r)
+		}
+		if err := wd.AddRule(rules...); err != nil {
+			return err
 		}
 	}
 
@@ -755,19 +746,7 @@ func run(ctx context.Context, args []string) (err error) {
 		go profiler.Run(sctx)
 	}
 	if wd != nil {
-		go func() {
-			t := time.NewTicker(o.watchdogTick)
-			defer t.Stop()
-			for {
-				select {
-				case <-sctx.Done():
-					return
-				case <-t.C:
-					rs.Update() // slope rules read the same gauges scrapes do
-					wd.Tick()
-				}
-			}
-		}()
+		go wd.Run(sctx, o.watchdogTick)
 	}
 	serveErr := make(chan error, 1)
 	go func() {

@@ -300,7 +300,8 @@ func TestRunServesMetrics(t *testing.T) {
 // End to end across the whole observability surface: a serving daemon
 // answers real UDP queries, /readyz reports it ready, a broken feed
 // trips the breaker and flips /readyz to 503 — and the queries served
-// earlier read back out of /debug/events with their client and verdict.
+// earlier read back out of /debug/events with their client and verdict,
+// followed by the watchdog's breaker-trip trigger on the same timeline.
 func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 	dir := t.TempDir()
 	writeReports(t, dir)
@@ -317,7 +318,7 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 		done <- run(ctx, []string{
 			"-listen", "127.0.0.1:0", "-reports", dir,
 			"-threshold", "0.5", "-selfcheck", "0", "-metrics", addr,
-			"-reload", "30ms",
+			"-reload", "30ms", "-watchdog", "20ms",
 		})
 	}()
 	defer func() {
@@ -435,32 +436,92 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 
 	// Phase 4: the queries served in phase 2 read back from the flight
 	// recorder, client and verdict intact, and the breaker trip is on the
-	// same timeline.
-	res, err := http.Get("http://" + addr + "/debug/events?n=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
+	// same timeline. Within a watchdog tick of the trip, the breaker-trip
+	// rule fires on the growth of the series it reads.
 	var events flight.EventsDoc
-	if err := json.NewDecoder(res.Body).Decode(&events); err != nil {
-		t.Fatal(err)
+	var sawHit, sawMiss, sawTrip, sawTrigger bool
+	for deadline = time.Now().Add(5 * time.Second); !sawTrigger && time.Now().Before(deadline); {
+		res, err := http.Get("http://" + addr + "/debug/events?n=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = flight.EventsDoc{}
+		err = json.NewDecoder(res.Body).Decode(&events)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events.Events {
+			if e.Kind == "query" && e.Verdict == "hit" && e.Addr == "10.1.1.9" &&
+				strings.HasPrefix(e.Client, "127.0.0.1") {
+				sawHit = true
+			}
+			if e.Kind == "query" && e.Verdict == "miss" {
+				sawMiss = true
+			}
+			if e.Kind == "breaker" && e.Verdict == "open" {
+				sawTrip = true
+			}
+			if e.Kind == "watchdog" && e.Verdict == "trigger" && e.Name == "breaker-trip" &&
+				strings.HasPrefix(e.Detail, "unclean_breaker_trips_total=") {
+				sawTrigger = true
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	var sawHit, sawMiss, sawTrip bool
-	for _, e := range events.Events {
-		if e.Kind == "query" && e.Verdict == "hit" && e.Addr == "10.1.1.9" &&
-			strings.HasPrefix(e.Client, "127.0.0.1") {
-			sawHit = true
-		}
-		if e.Kind == "query" && e.Verdict == "miss" {
-			sawMiss = true
-		}
-		if e.Kind == "breaker" && e.Verdict == "open" {
-			sawTrip = true
+	if !sawHit || !sawMiss || !sawTrip || !sawTrigger {
+		t.Errorf("flight ring missing events: hit=%v miss=%v trip=%v breaker-trip trigger=%v (%d events)",
+			sawHit, sawMiss, sawTrip, sawTrigger, len(events.Events))
+	}
+}
+
+// A watchdog rule over a series the daemon does not expose (a retired
+// signal name, or a typo) stops the daemon at startup, naming the rule
+// and the series, instead of never firing.
+func TestRunRefusesUnexposedWatchSeries(t *testing.T) {
+	dir := t.TempDir()
+	writeReports(t, dir)
+	for _, rule := range []string{
+		"shed: dnsbl_shed_frac_1m > 0.2 hold=3",
+		"ghost: no_such_series > 1",
+	} {
+		err := run(context.Background(), []string{
+			"-listen", "127.0.0.1:0", "-reports", dir, "-threshold", "0.5", "-selfcheck", "1",
+			"-watch", rule,
+		})
+		name, rest, _ := strings.Cut(rule, ":")
+		series := strings.Fields(rest)[0]
+		if err == nil || !strings.Contains(err.Error(), "rule "+name) || !strings.Contains(err.Error(), series) {
+			t.Errorf("-watch %q: err = %v, want one naming rule %s and series %s", rule, err, name, series)
 		}
 	}
-	if !sawHit || !sawMiss || !sawTrip {
-		t.Errorf("flight ring missing events: hit=%v miss=%v trip=%v (%d events)",
-			sawHit, sawMiss, sawTrip, len(events.Events))
+}
+
+// Each mode's default rules read series its registries expose (the
+// reports-mode and mesh-mode e2e tests start with them installed);
+// world mode installs exactly the rules of reports mode without -reload.
+func TestDefaultWatchRulesPerMode(t *testing.T) {
+	names := func(args ...string) string {
+		o, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range defaultWatchRules(o) {
+			out = append(out, r.String())
+		}
+		return strings.Join(out, "\n")
+	}
+	world, reports := names(), names("-reports", "dir")
+	if world != reports {
+		t.Errorf("world-mode rules:\n%s\nwant the reports-mode rules:\n%s", world, reports)
+	}
+	reload := names("-reports", "dir", "-reload", "1s")
+	if want := reports + "\nbreaker-trip: unclean_breaker_trips_total > 0 over=1 cooldown=10m0s"; reload != want {
+		t.Errorf("reports mode with -reload:\n%s\nwant\n%s", reload, want)
+	}
+	if !strings.Contains(reports, `shed: unclean_dnsbl_shed_1m_permille{zone="bl.unclean.example"} > 200 hold=3`) {
+		t.Errorf("shed rule does not read the zone's permille series:\n%s", reports)
 	}
 }
 
@@ -488,6 +549,9 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-feed", "a=x"}, // mesh without -reload has no poll cadence
 		{"-feed", "a=x", "-reload", "1s", "-reports", "dir"},
 		{"-feed", "a=x", "-reload", "1s", "-checkpoint", "ckpt"},
+		// Thresholds the watchdog cannot compare against.
+		{"-watch", "r: unclean_runtime_goroutines > NaN"},
+		{"-watch", "r: unclean_runtime_goroutines > Inf"},
 	}
 	for _, args := range bad {
 		if _, err := parseFlags(args); err == nil {

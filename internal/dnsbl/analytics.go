@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unclean/internal/blocklist"
 	"unclean/internal/netaddr"
 	"unclean/internal/obs"
 	"unclean/internal/obs/flight"
@@ -156,10 +157,6 @@ func (s *Server) EnableAnalytics(cfg AnalyticsConfig) *Analytics {
 	return a
 }
 
-// Analytics returns the server's analytics instance (nil unless
-// EnableAnalytics was called).
-func (s *Server) Analytics() *Analytics { return s.analytics }
-
 // SetAttributor installs the listed-address → feed-names resolver
 // (mesh mode). Safe to call while serving.
 func (a *Analytics) SetAttributor(fn Attributor) {
@@ -243,7 +240,7 @@ func (t *tap) observe(client, subject netaddr.Addr, listed bool) {
 // their /24 and, via the attributor, to the feeds that listed them.
 // Runs synchronously inside SetList (the compile path, already off the
 // serve path); sweeps are serialized by Analytics.mu.
-func (a *Analytics) sweep(events *flight.Recorder, cl *compiledList) {
+func (a *Analytics) sweep(events *flight.Recorder, m *blocklist.Matcher) {
 	start := time.Now()
 	nowMS := uint32(start.UnixMilli())
 	var predicted, pending int64
@@ -257,7 +254,7 @@ func (a *Analytics) sweep(events *flight.Recorder, cl *compiledList) {
 				continue
 			}
 			addr := netaddr.Addr(uint32(v >> 32))
-			if _, hit := cl.matcher.Lookup(addr); !hit {
+			if _, hit := m.Lookup(addr); !hit {
 				pending++
 				continue
 			}

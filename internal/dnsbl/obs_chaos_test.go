@@ -11,10 +11,8 @@ import (
 	"context"
 	"errors"
 	"net"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,27 +27,6 @@ import (
 
 // scrapeValues fetches /metrics from an obs handler and parses every
 // plain series line into name{labels} → value.
-func scrapeValues(t *testing.T, regs ...*obs.Registry) map[string]float64 {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	obs.Handler(regs...).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	out := make(map[string]float64)
-	for _, line := range strings.Split(rec.Body.String(), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("unparseable metrics line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		out[line[:i]] = v
-	}
-	return out
-}
 
 func TestChaosPipelineObservability(t *testing.T) {
 	trace := obs.NewTrace()
@@ -160,7 +137,10 @@ func TestChaosPipelineObservability(t *testing.T) {
 
 	// One scrape sees the whole story: per-server registries merged with
 	// the process default registry.
-	vals := scrapeValues(t, obs.Default(), srv.Metrics(), over.Metrics())
+	vals, err := obs.Samples(obs.Default(), srv.Metrics(), over.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, series := range []string{
 		`unclean_dnsbl_queries_total{zone="bl.obs.example"}`,
 		`unclean_dnsbl_hits_total{zone="bl.obs.example"}`,

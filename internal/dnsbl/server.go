@@ -2,6 +2,7 @@ package dnsbl
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -35,7 +36,7 @@ type Server struct {
 	zone string
 	ttl  uint32
 
-	list atomic.Pointer[compiledList]
+	list atomic.Pointer[blocklist.Matcher]
 
 	// maxUDP bounds UDP responses: anything larger is truncated to
 	// header + question with the TC bit set, telling the client to
@@ -71,7 +72,6 @@ type Server struct {
 	wBad     *obs.WindowedCounter
 	wShed    *obs.WindowedCounter
 	wLatency *obs.WindowedHistogram
-	slo      *obs.SLO
 
 	// events receives the sampled and anomalous per-packet wide events;
 	// defaults to the process flight recorder.
@@ -87,15 +87,6 @@ type Server struct {
 	// handled — the seam tests use to inject latency and panics into
 	// the request path. nil in production.
 	handleHook func()
-}
-
-// compiledList pairs the source trie (kept for List and re-export) with
-// its compiled matcher (what queries actually probe). Both swap together
-// under one atomic pointer, so a reload is a single compile + store and
-// the hot path never sees a trie/matcher mismatch.
-type compiledList struct {
-	trie    *blocklist.Trie
-	matcher *blocklist.Matcher
 }
 
 // ServerStats is a point-in-time snapshot of the serving counters and
@@ -149,7 +140,7 @@ func NewServer(zone string, list *blocklist.Trie, ttl time.Duration) (*Server, e
 		return nil, fmt.Errorf("dnsbl: zone too long for a query name: %w", err)
 	}
 	s.zoneWire = toLowerWire(zw)
-	s.list.Store(&compiledList{trie: list, matcher: blocklist.Compile(list)})
+	s.list.Store(blocklist.Compile(list))
 	s.metrics = obs.NewRegistry()
 	z := []string{"zone", s.zone}
 	s.queries = s.metrics.Counter("unclean_dnsbl_queries_total", "Well-formed DNSBL queries handled.", z...)
@@ -162,13 +153,18 @@ func NewServer(zone string, list *blocklist.Trie, ttl time.Duration) (*Server, e
 	s.wBad = s.metrics.WindowedCounter("unclean_dnsbl_window_bad_total", "Packets that failed handling (panic, write drop, encode error), per rolling window.", z...)
 	s.wShed = s.metrics.WindowedCounter("unclean_dnsbl_window_shed_total", "Responses abandoned on transient send faults, per rolling window.", z...)
 	s.wLatency = s.metrics.WindowedHistogram("unclean_dnsbl_window_query_seconds", "Per-query handling latency, per rolling window.", z...)
-	s.slo = s.metrics.RegisterSLO(&obs.SLO{
+	s.metrics.RegisterSLO(&obs.SLO{
 		Name:   "unclean_dnsbl_availability",
 		Help:   "Fraction of accepted packets handled cleanly.",
 		Target: 0.999,
 		Bad:    s.wBad,
 		Total:  s.wLatency.AsTotal(),
 	}, z...)
+	// ShedRate as a series, refreshed on scrape: what /readyz judges and
+	// the watchdog's shed rule reads.
+	shed1m := s.metrics.Gauge("unclean_dnsbl_shed_1m_permille",
+		"Answered packets shed on transient send faults over the last minute, permille.", z...)
+	s.metrics.OnScrape(func() { shed1m.Set(int64(math.Round(s.ShedRate(time.Minute) * 1000))) })
 	s.events = flight.Default()
 	return s, nil
 }
@@ -188,10 +184,10 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // serve path.
 func (s *Server) SetList(list *blocklist.Trie) {
 	if list != nil {
-		nl := &compiledList{trie: list, matcher: blocklist.Compile(list)}
-		s.list.Store(nl)
+		m := blocklist.Compile(list)
+		s.list.Store(m)
 		if a := s.analytics; a != nil {
-			a.sweep(s.events, nl)
+			a.sweep(s.events, m)
 		}
 	}
 }
@@ -217,9 +213,6 @@ func toLowerWire(b []byte) []byte {
 	}
 	return b
 }
-
-// List returns the currently served blocklist.
-func (s *Server) List() *blocklist.Trie { return s.list.Load().trie }
 
 // Snapshot returns all serving counters and the latency summary. It is
 // the one stats accessor; the counters it reports are the same obs
@@ -247,21 +240,6 @@ func (s *Server) ShedRate(window time.Duration) float64 {
 		return 0
 	}
 	return float64(shed) / float64(total)
-}
-
-// SLO returns the server's availability SLO (clean-handling ratio over
-// rolling windows), for burn-rate checks and readiness rules.
-func (s *Server) SLO() *obs.SLO { return s.slo }
-
-// WatchSignals registers the server's anomaly-watchdog signals with
-// register (typically watchdog.Watchdog.RegisterSignal): the trailing
-// shed fraction, SLO burn rates, and the panic counter. The func-typed
-// hook keeps this package free of a watchdog dependency.
-func (s *Server) WatchSignals(register func(name string, fn func() float64)) {
-	register("dnsbl_shed_frac_1m", func() float64 { return s.ShedRate(time.Minute) })
-	register("dnsbl_slo_burn_5m", func() float64 { return s.slo.BurnRate(5 * time.Minute) })
-	register("dnsbl_slo_burn_1h", func() float64 { return s.slo.BurnRate(time.Hour) })
-	register("dnsbl_panics_total", func() float64 { return float64(s.panics.Value()) })
 }
 
 // SetFlightRecorder redirects the server's wide events to r (tests and
@@ -300,7 +278,7 @@ func (s *Server) handle(pkt []byte, maxSize int, ev *flight.Event) []byte {
 		return nil
 	}
 	s.queries.Inc()
-	list := s.list.Load().matcher
+	list := s.list.Load()
 
 	question := q.Questions[0]
 	resp := &Message{

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"unclean/internal/blocklist"
 	"unclean/internal/netaddr"
 	"unclean/internal/obs"
 	"unclean/internal/obs/flight"
@@ -317,7 +318,7 @@ func (s *Server) runShard(ctx context.Context, sh *shard) error {
 // sends nothing for that slot, and leaves a FlagPanic|FlagErr wide
 // event, which finishBatch counts against the SLO. The rest of the
 // batch still goes out.
-func (s *Server) serveSlot(sh *shard, m *batchMsg, cl *compiledList) {
+func (s *Server) serveSlot(sh *shard, m *batchMsg, cl *blocklist.Matcher) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Inc()
@@ -345,7 +346,7 @@ func (s *Server) serveSlot(sh *shard, m *batchMsg, cl *compiledList) {
 // query shape, matcher lookup, zero-copy encode into the outbound slot
 // — allocates nothing; everything else falls through to Server.handle
 // and copies its answer into the slot.
-func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
+func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *blocklist.Matcher) {
 	m.outN = 0
 	m.ev = nil
 	m.sendShed, m.sendErr = false, false
@@ -384,7 +385,7 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 	sh.fastPath.Inc()
 	s.queries.Inc()
 
-	entry, listed := cl.matcher.Lookup(addr)
+	entry, listed := cl.Lookup(addr)
 	var code netaddr.Addr
 	if listed {
 		s.hits.Inc()

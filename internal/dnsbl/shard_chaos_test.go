@@ -3,6 +3,7 @@ package dnsbl
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"unclean/internal/blocklist"
 	"unclean/internal/faults"
 	"unclean/internal/netaddr"
+	"unclean/internal/obs"
 	"unclean/internal/retry"
 	"unclean/internal/stats"
 )
@@ -82,6 +84,16 @@ func TestChaosShardedShedsOnSendFaults(t *testing.T) {
 	}
 	if st.Dropped != 0 {
 		t.Errorf("transient faults were miscounted as hard drops: %d", st.Dropped)
+	}
+	// The watchdog's shed rule reads ShedRate(time.Minute) as a permille
+	// series, refreshed on scrape.
+	vals, err := obs.Samples(srv.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Round(srv.ShedRate(time.Minute) * 1000)
+	if got := vals[`unclean_dnsbl_shed_1m_permille{zone="bl.chaos.example"}`]; want == 0 || got != want {
+		t.Errorf("shed_1m_permille scraped %v, want ShedRate(1m)×1000 = %v (nonzero)", got, want)
 	}
 	fmt.Fprintf(os.Stderr, "chaos sharded: shed=%d packets=%d queries=%d\n", shardShed, shardPkts, st.Queries)
 }

@@ -153,8 +153,7 @@ func TestFastSlowCodecEquivalence(t *testing.T) {
 					if qrd != rd || qa != netaddr.MustParseAddr(a) {
 						t.Fatalf("fast parse %s: addr=%s rd=%v, want %s/%v", a, qa, qrd, a, rd)
 					}
-					cl := srv.list.Load()
-					entry, listed := cl.matcher.Lookup(qa)
+					entry, listed := srv.list.Load().Lookup(qa)
 					var code netaddr.Addr
 					if listed {
 						code = codeFor(entry.Reason)

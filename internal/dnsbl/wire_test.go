@@ -47,7 +47,7 @@ func FuzzFastQuery(f *testing.F) {
 					t.Fatalf("zone %q: fast parse read %s, slow path (%s, %v): %x", srv.zone, addr, want, wok, pkt)
 				}
 				var entry blocklist.Entry
-				entry, listed = srv.list.Load().matcher.Lookup(addr)
+				entry, listed = srv.list.Load().Lookup(addr)
 				if listed {
 					code = codeFor(entry.Reason)
 				}

@@ -108,7 +108,8 @@ type Config struct {
 	// in (0, 1]. With eight equal feeds the default 0.34 needs roughly
 	// three of them to agree.
 	Threshold float64
-	// Interval is the Run cadence (Tick-driven callers may ignore it).
+	// Interval is the cadence the caller ticks the mesh at; MaxLag and
+	// BreakerCooldown default to multiples of it.
 	Interval time.Duration
 	// QualityWindow is the number of rounds the quality EWMA integrates
 	// over; a feed whose per-round quality collapses crosses MinQuality

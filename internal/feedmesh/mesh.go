@@ -121,7 +121,7 @@ func New(cfg Config, sources ...Source) (*Mesh, error) {
 	m.mReadmits = m.reg.Counter("unclean_feedmesh_readmissions_total", "Feeds re-admitted after probation.")
 	m.gMerged = m.reg.Gauge("unclean_feedmesh_merged_blocks", "Blocks in the current merged list.")
 	m.gDegraded = m.reg.Gauge("unclean_feedmesh_degraded", "1 while serving the last-good list because too few feeds are healthy.")
-	m.gHealthy = m.reg.Gauge("unclean_feedmesh_healthy_feeds", "Feeds currently in the healthy state.")
+	m.gHealthy = m.reg.Gauge("unclean_feedmesh_healthy_feeds", "Feeds in the healthy state that have loaded at least once.")
 	m.gPoisonPermille = m.reg.Gauge("unclean_feedmesh_poison_permille", "Known-clean fraction of the merged list, permille (Truth mode only).")
 
 	seen := map[string]bool{}
@@ -166,7 +166,6 @@ func New(cfg Config, sources ...Source) (*Mesh, error) {
 		f.gQuality.Set(1000)
 		m.feeds = append(m.feeds, f)
 	}
-	m.gHealthy.Set(int64(len(m.feeds)))
 	return m, nil
 }
 
@@ -198,6 +197,14 @@ type Round struct {
 	PoisonFrac float64
 }
 
+// loadResult is one feed's load outcome in a round.
+type loadResult struct {
+	batch   Batch
+	err     error
+	latency time.Duration
+	skipped bool
+}
+
 // Tick executes one merge round: load every admissible feed
 // concurrently, score quality, advance the quarantine machine, rebuild
 // the weighted merge, and hand a changed list to the OnSwap callback.
@@ -206,13 +213,7 @@ type Round struct {
 func (m *Mesh) Tick(ctx context.Context) Round {
 	now := m.cfg.Now()
 
-	type result struct {
-		batch   Batch
-		err     error
-		latency time.Duration
-		skipped bool
-	}
-	results := make([]result, len(m.feeds))
+	results := make([]loadResult, len(m.feeds))
 	var wg sync.WaitGroup
 	for i, f := range m.feeds {
 		if !f.breaker.Allow() {
@@ -224,12 +225,26 @@ func (m *Mesh) Tick(ctx context.Context) Round {
 			defer wg.Done()
 			start := time.Now()
 			b, err := f.src.Load(ctx)
-			results[i] = result{batch: b, err: err, latency: time.Since(start)}
+			results[i] = loadResult{batch: b, err: err, latency: time.Since(start)}
 		}(i, f)
 	}
 	wg.Wait()
 
+	round, newList, cb := m.settle(now, results)
+	if newList != nil && cb != nil {
+		cb(newList)
+	}
+	return round
+}
+
+// settle is the locked part of a round: it scores the loads, advances
+// the quarantine machine and rebuilds the merge. newList is the merged
+// list when it changed, nil otherwise; cb is the OnSwap callback the
+// caller runs with it outside the lock. The unlock is deferred, so a
+// panic here cannot leave Status, List and the readiness check blocked.
+func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList *blocklist.Trie, cb func(*blocklist.Trie)) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.round++
 	m.mRounds.Inc()
 
@@ -351,7 +366,7 @@ func (m *Mesh) Tick(ctx context.Context) Round {
 
 	healthy := 0
 	for _, f := range m.feeds {
-		if f.state == StateHealthy {
+		if f.healthy() {
 			healthy++
 		}
 	}
@@ -380,10 +395,7 @@ func (m *Mesh) Tick(ctx context.Context) Round {
 			"healthy", healthy, "total", len(m.feeds))
 	}
 
-	var (
-		swapped bool
-		newList *blocklist.Trie
-	)
+	swapped := false
 	if !m.degraded {
 		merged := m.merge()
 		if !merged.Equal(m.lastBits) {
@@ -403,7 +415,7 @@ func (m *Mesh) Tick(ctx context.Context) Round {
 	}
 	m.gPoisonPermille.Set(permille(m.poisonFrac))
 
-	round := Round{
+	round = Round{
 		N:            m.round,
 		MergedBlocks: m.lastBits.Len(),
 		Swapped:      swapped,
@@ -417,14 +429,13 @@ func (m *Mesh) Tick(ctx context.Context) Round {
 		Value: int64(round.MergedBlocks),
 		Name:  fmt.Sprintf("healthy=%d/%d", healthy, len(m.feeds)),
 	})
-	cb := m.onSwap
-	m.mu.Unlock()
-
-	if swapped && cb != nil {
-		cb(newList)
-	}
-	return round
+	return round, newList, m.onSwap
 }
+
+// healthy reports whether the feed counts toward the mesh's capacity:
+// in the healthy state and loaded at least once, so a feed that has
+// never delivered a batch has nothing to vote with. Callers hold m.mu.
+func (f *feed) healthy() bool { return f.state == StateHealthy && f.loads > 0 }
 
 // scoreBatch computes the per-round quality of a successfully loaded
 // batch: squared precision (ground-truth or corroborated), times a
@@ -599,22 +610,6 @@ func (m *Mesh) Contributors(addr netaddr.Addr) []string {
 	return out
 }
 
-// Run ticks the mesh at the configured interval until ctx is done. The
-// first round runs immediately.
-func (m *Mesh) Run(ctx context.Context) {
-	m.Tick(ctx)
-	t := time.NewTicker(m.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			m.Tick(ctx)
-		}
-	}
-}
-
 // FeedStatus is one feed's externally visible health.
 type FeedStatus struct {
 	Name        string
@@ -658,7 +653,7 @@ func (m *Mesh) Status() Status {
 		PoisonFrac:   m.poisonFrac,
 	}
 	for _, f := range m.feeds {
-		if f.state == StateHealthy {
+		if f.healthy() {
 			st.HealthyFeeds++
 		}
 		st.Feeds = append(st.Feeds, FeedStatus{
@@ -684,15 +679,19 @@ func (m *Mesh) Status() Status {
 }
 
 // HealthCheck returns an obs readiness check: failing while the mesh is
-// degraded, with a detail line naming the quarantined feeds either way.
+// degraded, with a detail line naming the feeds that do not count as
+// healthy either way — quarantined, on probation, or never loaded.
 func (m *Mesh) HealthCheck() obs.Check {
 	return func() (bool, string) {
 		st := m.Status()
 		detail := fmt.Sprintf("%d/%d feeds healthy", st.HealthyFeeds, st.TotalFeeds)
 		var bad []string
 		for _, f := range st.Feeds {
-			if f.State != StateHealthy {
+			switch {
+			case f.State != StateHealthy:
 				bad = append(bad, f.Name+"="+f.State.String())
+			case f.Loads == 0:
+				bad = append(bad, f.Name+"=never-loaded")
 			}
 		}
 		if len(bad) > 0 {
@@ -703,28 +702,6 @@ func (m *Mesh) HealthCheck() obs.Check {
 		}
 		return true, detail
 	}
-}
-
-// WatchSignals registers the mesh's anomaly-watchdog signals with
-// register (typically watchdog.Watchdog.RegisterSignal): the cumulative
-// quarantine-transition count (a slope rule over it fires on new
-// quarantine events), the live unhealthy-feed count, and the degraded
-// flag. The func-typed hook keeps this package free of a watchdog
-// dependency.
-func (m *Mesh) WatchSignals(register func(name string, fn func() float64)) {
-	register("feedmesh_quarantines_total", func() float64 {
-		return float64(m.mQuarantines.Value())
-	})
-	register("feedmesh_unhealthy_feeds", func() float64 {
-		st := m.Status()
-		return float64(st.TotalFeeds - st.HealthyFeeds)
-	})
-	register("feedmesh_degraded", func() float64 {
-		if m.Status().Degraded {
-			return 1
-		}
-		return 0
-	})
 }
 
 // permille scales a ratio to an int64 gauge value (obs gauges are

@@ -3,11 +3,14 @@ package feedmesh
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unclean/internal/blocklist"
 	"unclean/internal/ipset"
+	"unclean/internal/obs"
 )
 
 // fakeClock marches deterministically, one step per Tick.
@@ -181,6 +184,85 @@ func TestDeadFeedQuarantinedAndContributionDecays(t *testing.T) {
 	st := m.Status()
 	if f := feedByName(t, st, "c"); f.LastError == "" {
 		t.Error("quarantined feed has no LastError")
+	}
+}
+
+// A feed that has never loaded has nothing to vote with: it does not
+// count toward the healthy feeds in the round, the status, the gauge or
+// the degradation gate, and the readiness detail names it.
+func TestNeverLoadedFeedNotHealthy(t *testing.T) {
+	clk := newClock()
+	shared := ipset.MustParse("60.0.1.1 60.0.2.1")
+	a := &fakeFeed{name: "a", addrs: shared}
+	b := &fakeFeed{name: "b", addrs: shared}
+	c := &fakeFeed{name: "c", err: errors.New("no such feed")}
+	m, err := New(testConfig(clk), a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		r := tick(t, m, clk)
+		if got := feedByName(t, m.Status(), "c").State; got != StateHealthy {
+			t.Fatalf("round %d: c is %v; the case needs it still in the healthy state", round, got)
+		}
+		samples, err := obs.Samples(m.Metrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, detail := m.HealthCheck()()
+		if r.HealthyFeeds != 2 || m.Status().HealthyFeeds != 2 || samples["unclean_feedmesh_healthy_feeds"] != 2 {
+			t.Errorf("round %d: healthy feeds round=%d status=%d gauge=%v, want 2 each",
+				round, r.HealthyFeeds, m.Status().HealthyFeeds, samples["unclean_feedmesh_healthy_feeds"])
+		}
+		if !ok || !strings.Contains(detail, "2/3 feeds healthy") || !strings.Contains(detail, "c=never-loaded") {
+			t.Errorf("round %d: readiness %v %q, want ready, 2/3 and c named", round, ok, detail)
+		}
+	}
+}
+
+// panicOnName is a source whose Name panics once its Load has run, so
+// the panic lands inside the round's locked section.
+type panicOnName struct{ armed atomic.Bool }
+
+func (p *panicOnName) Name() string {
+	if p.armed.Load() {
+		panic("feedmesh test: Name after Load")
+	}
+	return "p"
+}
+
+func (p *panicOnName) Load(context.Context) (Batch, error) {
+	p.armed.Store(true)
+	return Batch{Addrs: ipset.MustParse("60.0.1.1")}, nil
+}
+
+// A panic while a round is scored must not leave the mesh locked:
+// Status (and so the readiness check and a crash bundle's mesh.json)
+// still answers.
+func TestTickPanicReleasesLock(t *testing.T) {
+	src := &panicOnName{}
+	m, err := New(testConfig(newClock()), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Tick did not panic")
+			}
+		}()
+		m.Tick(context.Background())
+	}()
+	src.armed.Store(false)
+	done := make(chan Status, 1)
+	go func() { done <- m.Status() }()
+	select {
+	case st := <-done:
+		if st.Round != 1 {
+			t.Errorf("Status().Round = %d, want 1", st.Round)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Status blocked after a panic inside Tick: the mesh lock was never released")
 	}
 }
 

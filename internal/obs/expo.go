@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -50,6 +51,34 @@ func WriteText(w io.Writer, regs ...*Registry) error {
 		}
 	}
 	return nil
+}
+
+// Samples returns the sample lines WriteText prints for regs (scrape
+// hooks included), keyed by series exactly as /metrics spells it —
+// `name{k="v",...}`, or the bare name — with each line's value. It is
+// how a reader inside the process sees the same numbers a scraper does.
+func Samples(regs ...*Registry) (map[string]float64, error) {
+	var buf bytes.Buffer
+	if err := WriteText(&buf, regs...); err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		// Values never hold a space; escaped label values may.
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			return nil, fmt.Errorf("obs: exposition line %q has no value", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: exposition line %q: %w", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out, nil
 }
 
 func writeSeries(w io.Writer, m *Metric) error {

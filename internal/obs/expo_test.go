@@ -100,6 +100,32 @@ func TestHandlerRoutesTextAndJSON(t *testing.T) {
 	}
 }
 
+// Samples keys every sample line by its series as /metrics spells it,
+// escaped labels and all, after running the scrape hooks.
+func TestSamples(t *testing.T) {
+	r := goldenRegistry()
+	hooked := r.Gauge("unclean_test_hooked", "Set by the scrape hook.")
+	r.OnScrape(func() { hooked.Set(9) })
+	r.Counter("unclean_test_spaced_total", "A label value with a space.", "feed", "a b").Inc()
+	got, err := Samples(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]float64{
+		"unclean_test_requests_total":                    42,
+		`unclean_test_requests_total{zone="bl.example"}`: 7,
+		`unclean_test_rejects_total{why="a\\b\"c\nd"}`:   1,
+		`unclean_test_latency_seconds_bucket{le="+Inf"}`: 5,
+		"unclean_test_latency_seconds_count":             5,
+		"unclean_test_hooked":                            9,
+		`unclean_test_spaced_total{feed="a b"}`:          1,
+	} {
+		if v, ok := got[series]; !ok || v != want {
+			t.Errorf("Samples()[%s] = %v, %v; want %v", series, v, ok, want)
+		}
+	}
+}
+
 func TestMergedRegistries(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("bbb_total", "h").Inc()

@@ -6,14 +6,14 @@ import (
 
 // Runtime gauges. The watchdog's slope rules ("goroutines growing",
 // "heap approaching its goal") and a Prometheus scrape must agree on
-// what the runtime looks like, so both read the same gauges: a
-// RuntimeStats samples the runtime/metrics interface on demand —
-// Update() from a watchdog tick, an OnScrape hook from the exposition
-// path — and publishes the results into ordinary registry gauges.
-// Sampling is a handful of atomic reads inside the runtime (a few
-// microseconds); there is no background goroutine.
+// what the runtime looks like, so both read the same gauges: an
+// OnScrape hook samples the runtime/metrics interface whenever the
+// exposition is read — by a scrape or by a watchdog tick — and
+// publishes the results into ordinary registry gauges. Sampling is a
+// handful of atomic reads inside the runtime (a few microseconds);
+// there is no background goroutine.
 
-// The runtime/metrics samples RuntimeStats reads, in sample-slice order.
+// The runtime/metrics samples runtimeStats reads, in sample-slice order.
 const (
 	sampleGoroutines = iota
 	sampleGCPauses
@@ -23,10 +23,9 @@ const (
 	numRuntimeSamples
 )
 
-// RuntimeStats publishes runtime/metrics readings (plus the kernel's
-// RSS) as registry gauges. Construct with RegisterRuntimeGauges; all
-// methods are safe for concurrent use.
-type RuntimeStats struct {
+// runtimeStats publishes runtime/metrics readings (plus the kernel's
+// RSS) as registry gauges; update is safe for concurrent use.
+type runtimeStats struct {
 	gGoroutines *Gauge
 	gGCPauseP99 *Gauge
 	gHeapLive   *Gauge
@@ -36,12 +35,10 @@ type RuntimeStats struct {
 }
 
 // RegisterRuntimeGauges registers the unclean_runtime_* gauges in r and
-// hooks their refresh into r's scrape path, so /metrics always exposes
-// current values. Call once per registry; the returned RuntimeStats is
-// the handle a watchdog uses to refresh and read the same gauges
-// between scrapes.
-func RegisterRuntimeGauges(r *Registry) *RuntimeStats {
-	s := &RuntimeStats{
+// hooks their refresh into r's scrape path, so every read of the
+// exposition sees current values. Call once per registry.
+func RegisterRuntimeGauges(r *Registry) {
+	s := &runtimeStats{
 		gGoroutines: r.Gauge("unclean_runtime_goroutines", "Live goroutines."),
 		gGCPauseP99: r.Gauge("unclean_runtime_gc_pause_p99_ns", "p99 stop-the-world GC pause (nanoseconds, process lifetime)."),
 		gHeapLive:   r.Gauge("unclean_runtime_heap_live_bytes", "Bytes of live heap objects (runtime/metrics heap/objects)."),
@@ -49,13 +46,12 @@ func RegisterRuntimeGauges(r *Registry) *RuntimeStats {
 		gGomaxprocs: r.Gauge("unclean_runtime_gomaxprocs", "GOMAXPROCS."),
 		gRSS:        r.Gauge("unclean_runtime_rss_bytes", "Kernel resident set size (VmRSS; 0 where /proc is unavailable)."),
 	}
-	s.Update()
-	r.OnScrape(s.Update)
-	return s
+	s.update()
+	r.OnScrape(s.update)
 }
 
-// newRuntimeSamples builds the sample slice Update reads. A fresh slice
-// per Update keeps RuntimeStats lock-free; the slice is five entries.
+// newRuntimeSamples builds the sample slice update reads. A fresh slice
+// per update keeps runtimeStats lock-free; the slice is five entries.
 func newRuntimeSamples() []metrics.Sample {
 	s := make([]metrics.Sample, numRuntimeSamples)
 	s[sampleGoroutines].Name = "/sched/goroutines:goroutines"
@@ -66,10 +62,10 @@ func newRuntimeSamples() []metrics.Sample {
 	return s
 }
 
-// Update samples the runtime and refreshes the gauges. Safe to call
+// update samples the runtime and refreshes the gauges. Safe to call
 // from any goroutine at any rate; the registry sees whichever write
 // lands last.
-func (s *RuntimeStats) Update() {
+func (s *runtimeStats) update() {
 	samples := newRuntimeSamples()
 	metrics.Read(samples)
 	s.gGoroutines.Set(sampleInt(&samples[sampleGoroutines]))
@@ -83,15 +79,6 @@ func (s *RuntimeStats) Update() {
 		s.gRSS.Set(pm.RSS)
 	}
 }
-
-// Goroutines returns the last sampled goroutine count.
-func (s *RuntimeStats) Goroutines() int64 { return s.gGoroutines.Value() }
-
-// HeapLiveBytes returns the last sampled live-heap size.
-func (s *RuntimeStats) HeapLiveBytes() int64 { return s.gHeapLive.Value() }
-
-// RSSBytes returns the last sampled kernel RSS (0 where unavailable).
-func (s *RuntimeStats) RSSBytes() int64 { return s.gRSS.Value() }
 
 // sampleInt extracts an integer reading from a runtime/metrics sample,
 // 0 for kinds it does not understand (a metric renamed in a future

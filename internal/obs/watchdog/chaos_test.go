@@ -2,7 +2,7 @@ package watchdog_test
 
 // The watchdog riding the PR-7 chaos scenario: eight feeds — four
 // honest, two poisoned, one flapping, one dead — drive the reputation
-// mesh, the mesh's signal taps drive the watchdog, and the watchdog's
+// mesh, the mesh's registry series drive the watchdog, and the watchdog's
 // trigger captures a diagnostics bundle. The assertions are the
 // autopilot's contract: the quarantine rule fires when the mesh starts
 // ejecting feeds, never more than once per cooldown window however many
@@ -70,20 +70,20 @@ func TestChaosQuarantineTriggersWatchdogOncePerCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The watchdog shares the scenario's clock and taps the mesh's
-	// signals exactly as dnsbld wires them.
+	// The watchdog shares the scenario's clock and reads the mesh's
+	// registry, one of those dnsbld hands it.
 	var fired []watchdog.Trigger
 	wd := watchdog.New(watchdog.Config{
-		Now:      sim.Now,
-		Registry: obs.NewRegistry(),
-		Flight:   flight.New(64),
+		Now:        sim.Now,
+		Registries: []*obs.Registry{mesh.Metrics()},
+		Registry:   obs.NewRegistry(),
+		Flight:     flight.New(64),
 		OnTrigger: func(tr watchdog.Trigger) {
 			fired = append(fired, tr)
 		},
 	})
-	mesh.WatchSignals(wd.RegisterSignal)
 	rule, err := watchdog.ParseRule(
-		"mesh-quarantine: feedmesh_quarantines_total > 0 over=1 cooldown=" + cooldown.String())
+		"mesh-quarantine: unclean_feedmesh_quarantines_total > 0 over=1 cooldown=" + cooldown.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package watchdog
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -9,26 +10,28 @@ import (
 
 // ParseRule parses the flag-friendly rule syntax:
 //
-//	NAME: SIGNAL OP VALUE [over=N] [hold=N] [cooldown=DUR]
+//	NAME: SERIES OP VALUE [over=N] [hold=N] [cooldown=DUR]
 //
 // e.g.
 //
-//	shed: dnsbl_shed_frac_1m > 0.2 hold=3 cooldown=10m
-//	goroutines: runtime_goroutines > 500 over=30 hold=3
+//	shed: unclean_dnsbl_shed_1m_permille{zone="bl.unclean.example"} > 200 hold=3 cooldown=10m
+//	goroutines: unclean_runtime_goroutines > 500 over=30 hold=3
 //
-// OP is one of > < >= <=. over=N turns the rule into a slope rule
-// (growth over the last N ticks), hold=N requires N consecutive
-// breaching ticks, cooldown=DUR is a Go duration. Options may come in
-// any order. Rule.String() round-trips through ParseRule.
+// SERIES is spelled as the text exposition (/metrics) prints it, labels
+// included, and holds no whitespace. OP is one of > < >= <=; VALUE is a
+// finite number. over=N turns the rule into a slope rule (growth over
+// the last N ticks), hold=N requires N consecutive breaching ticks,
+// cooldown=DUR is a Go duration. Options may come in any order.
+// Rule.String() round-trips through ParseRule.
 func ParseRule(s string) (Rule, error) {
 	name, rest, ok := strings.Cut(s, ":")
 	name = strings.TrimSpace(name)
 	if !ok || name == "" {
-		return Rule{}, fmt.Errorf("watchdog: rule %q: want 'NAME: SIGNAL OP VALUE [over=N] [hold=N] [cooldown=DUR]'", s)
+		return Rule{}, fmt.Errorf("watchdog: rule %q: want 'NAME: SERIES OP VALUE [over=N] [hold=N] [cooldown=DUR]'", s)
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 3 {
-		return Rule{}, fmt.Errorf("watchdog: rule %s: want 'SIGNAL OP VALUE' after the colon, got %q", name, strings.TrimSpace(rest))
+		return Rule{}, fmt.Errorf("watchdog: rule %s: want 'SERIES OP VALUE' after the colon, got %q", name, strings.TrimSpace(rest))
 	}
 	r := Rule{Name: name, Signal: fields[0]}
 	switch fields[1] {
@@ -46,6 +49,9 @@ func ParseRule(s string) (Rule, error) {
 	v, err := strconv.ParseFloat(fields[2], 64)
 	if err != nil {
 		return Rule{}, fmt.Errorf("watchdog: rule %s: threshold %q: %w", name, fields[2], err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return Rule{}, fmt.Errorf("watchdog: rule %s: threshold %q must be finite", name, fields[2])
 	}
 	r.Threshold = v
 	for _, opt := range fields[3:] {

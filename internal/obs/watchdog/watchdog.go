@@ -1,11 +1,13 @@
 // Package watchdog is the anomaly watchdog: a small rule engine that
-// evaluates declarative rules over the daemon's existing signals — SLO
-// burn rates, shed fraction, breaker trips, goroutine/RSS growth,
-// feed-mesh quarantines — and fires a trigger (typically: capture a
-// diagnostics bundle) when a rule's condition holds. The paper's
-// predictor only pays off while the serving path stays up; the watchdog
-// is the layer that notices it degrading and grabs the evidence while
-// it is still fresh.
+// evaluates declarative rules over the series the daemon's metric
+// registries expose — SLO burn rates, shed permille, breaker trips,
+// goroutine/RSS growth, feed-mesh quarantines — and fires a trigger
+// (typically: capture a diagnostics bundle) when a rule's condition
+// holds. A rule names its series exactly as /metrics prints it, so the
+// evidence a trigger cites is a number an operator can find in a scrape
+// or in the bundle's metrics.prom. The paper's predictor only pays off
+// while the serving path stays up; the watchdog is the layer that
+// notices it degrading and grabs the evidence while it is still fresh.
 //
 // Anti-flap discipline is built in, because an automated capture that
 // fires on every tick of a noisy signal is worse than none:
@@ -24,17 +26,13 @@ package watchdog
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"unclean/internal/obs"
 	"unclean/internal/obs/flight"
 )
-
-// Signal is one named reading the rules evaluate: a shed rate, a burn
-// rate, a goroutine count. Signals must be cheap and safe for
-// concurrent use; they run on every tick.
-type Signal func() float64
 
 // Op is a rule's comparison operator.
 type Op uint8
@@ -75,19 +73,22 @@ func (o Op) compare(v, threshold float64) bool {
 	return false
 }
 
-// Rule is one declarative condition over a named signal.
+// Rule is one declarative condition over an exposed series.
 type Rule struct {
 	// Name labels the rule in metrics, logs, flight events, and bundle
 	// manifests.
 	Name string
-	// Signal names the registered signal the rule reads.
+	// Signal is the series the rule reads, spelled as the text
+	// exposition prints it: `unclean_runtime_goroutines`, or with its
+	// labels in exposition order,
+	// `unclean_dnsbl_availability_burn_rate{zone="bl.unclean.example",window="5m"}`.
 	Signal string
 	// Op compares the evaluated value against Threshold.
 	Op Op
 	// Threshold is the boundary value.
 	Threshold float64
 	// Window, when > 0, makes the rule a slope rule: the evaluated
-	// value is the signal's growth over the last Window ticks
+	// value is the series' growth over the last Window ticks
 	// (current − value Window ticks ago) instead of its instantaneous
 	// reading. Monotonic counters become "did it move"; gauges become
 	// growth detectors.
@@ -131,7 +132,7 @@ func (r Rule) String() string {
 type Trigger struct {
 	// Rule is the firing rule's name.
 	Rule string `json:"rule"`
-	// Signal is the signal the rule watched.
+	// Signal is the series the rule watched.
 	Signal string `json:"signal"`
 	// Value is the evaluated value at fire time (growth for slope
 	// rules).
@@ -143,8 +144,8 @@ type Trigger struct {
 	Held int `json:"held"`
 	// At is the fire time.
 	At time.Time `json:"at"`
-	// Evidence is the one-line human rendering ("shed_frac_1m=0.42 >
-	// 0.2, held 3 ticks").
+	// Evidence is the one-line human rendering
+	// ("unclean_runtime_goroutines=812 > 500, held 3 tick(s)").
 	Evidence string `json:"evidence"`
 }
 
@@ -161,6 +162,9 @@ type Config struct {
 	OnTrigger func(Trigger)
 	// Now injects a clock (tests); nil = time.Now.
 	Now func() time.Time
+	// Registries expose the series rules read: every tick reads their
+	// text exposition, scrape hooks included (obs.Samples).
+	Registries []*obs.Registry
 	// Registry receives the watchdog's metrics (nil = obs.Default()).
 	Registry *obs.Registry
 	// Flight receives a wide event per trigger and suppression
@@ -177,15 +181,14 @@ type ruleState struct {
 	triggers *obs.Counter
 }
 
-// Watchdog evaluates rules over registered signals. Construct with
-// New; Tick and the registration methods are safe for concurrent use.
+// Watchdog evaluates rules over the series of its registries. Construct
+// with New; Tick and AddRule are safe for concurrent use.
 type Watchdog struct {
 	cfg Config
 
-	mu      sync.Mutex
-	signals map[string]Signal
-	rules   []*ruleState
-	fires   []time.Time // non-suppressed fire times inside RatePeriod
+	mu    sync.Mutex
+	rules []*ruleState
+	fires []time.Time // non-suppressed fire times inside RatePeriod
 
 	mTicks      *obs.Counter
 	mSuppressed *obs.Counter
@@ -200,7 +203,7 @@ type Watchdog struct {
 	}
 }
 
-// New builds a watchdog with no rules or signals.
+// New builds a watchdog with no rules.
 func New(cfg Config) *Watchdog {
 	if cfg.MaxTriggers <= 0 {
 		cfg.MaxTriggers = 4
@@ -219,14 +222,13 @@ func New(cfg Config) *Watchdog {
 		now = time.Now
 	}
 	return &Watchdog{
-		cfg:     cfg,
-		signals: make(map[string]Signal),
+		cfg: cfg,
 		mTicks: cfg.Registry.Counter("unclean_watchdog_ticks_total",
 			"Watchdog evaluation ticks."),
 		mSuppressed: cfg.Registry.Counter("unclean_watchdog_suppressed_total",
 			"Rule fires dropped by the global rate limit."),
 		mErrors: cfg.Registry.Counter("unclean_watchdog_errors_total",
-			"Rule evaluations skipped (unknown signal, NaN reading)."),
+			"Rule evaluations skipped (series not exposed, non-finite value)."),
 		gLastUnix: cfg.Registry.Gauge("unclean_watchdog_last_trigger_unix",
 			"Unix time of the last non-suppressed trigger."),
 		now:    now,
@@ -235,49 +237,47 @@ func New(cfg Config) *Watchdog {
 	}
 }
 
-// RegisterSignal makes fn readable by rules under name, replacing any
-// previous registration. The parameter is spelled as a plain func type
-// (not the Signal alias) so RegisterSignal itself satisfies the
-// func-typed register parameter of dnsbl.Server.WatchSignals and
-// feedmesh.Mesh.WatchSignals — wiring a component is one line.
-func (w *Watchdog) RegisterSignal(name string, fn func() float64) {
-	if name == "" || fn == nil {
-		return
+// AddRule installs rules in order, each replacing an installed rule of
+// the same name (so a -watch flag can override a built-in default). A
+// rule's series must be exposed now: a misspelled or retired name is
+// refused here rather than never firing, and then no rule is installed.
+// The exposition is read once per call, so a daemon installs its whole
+// set in one. A series that later disappears (a windowed quantile whose
+// window emptied) counts an evaluation error per tick.
+func (w *Watchdog) AddRule(rules ...Rule) error {
+	samples, err := obs.Samples(w.cfg.Registries...)
+	if err != nil {
+		return fmt.Errorf("watchdog: %w", err)
 	}
-	w.mu.Lock()
-	w.signals[name] = fn
-	w.mu.Unlock()
-}
-
-// AddRule installs a rule, replacing an existing rule of the same name
-// (so a -watch flag can override a built-in default). The signal need
-// not be registered yet; an unknown signal at tick time counts an
-// evaluation error instead.
-func (w *Watchdog) AddRule(r Rule) error {
-	if r.Name == "" || r.Signal == "" {
-		return fmt.Errorf("watchdog: rule needs a name and a signal: %q", r.String())
-	}
-	if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) {
-		return fmt.Errorf("watchdog: rule %s: threshold must be finite", r.Name)
-	}
-	if r.Window < 0 || r.Hold < 0 || r.Cooldown < 0 {
-		return fmt.Errorf("watchdog: rule %s: over/hold/cooldown must be >= 0", r.Name)
-	}
-	r = r.withDefaults()
-	st := &ruleState{
-		rule: r,
-		triggers: w.cfg.Registry.Counter("unclean_watchdog_triggers_total",
-			"Rule triggers (post-hold, pre-rate-limit).", "rule", r.Name),
+	for _, r := range rules {
+		if r.Name == "" || r.Signal == "" {
+			return fmt.Errorf("watchdog: rule needs a name and a series: %q", r.String())
+		}
+		if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) {
+			return fmt.Errorf("watchdog: rule %s: threshold must be finite", r.Name)
+		}
+		if r.Window < 0 || r.Hold < 0 || r.Cooldown < 0 {
+			return fmt.Errorf("watchdog: rule %s: over/hold/cooldown must be >= 0", r.Name)
+		}
+		if _, ok := samples[r.Signal]; !ok {
+			return fmt.Errorf("watchdog: rule %s: series %s is not exposed", r.Name, r.Signal)
+		}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i, old := range w.rules {
-		if old.rule.Name == r.Name {
+	for _, r := range rules {
+		r = r.withDefaults()
+		st := &ruleState{
+			rule: r,
+			triggers: w.cfg.Registry.Counter("unclean_watchdog_triggers_total",
+				"Rule triggers (post-hold, pre-rate-limit).", "rule", r.Name),
+		}
+		if i := slices.IndexFunc(w.rules, func(old *ruleState) bool { return old.rule.Name == r.Name }); i >= 0 {
 			w.rules[i] = st
-			return nil
+		} else {
+			w.rules = append(w.rules, st)
 		}
 	}
-	w.rules = append(w.rules, st)
 	return nil
 }
 
@@ -296,6 +296,11 @@ func (w *Watchdog) Rules() []Rule {
 // triggers (already delivered to OnTrigger). Call it on a fixed
 // interval — rule Hold and Window counts are measured in ticks.
 func (w *Watchdog) Tick() []Trigger {
+	// Read outside the lock: the read runs the registries' scrape hooks.
+	samples, err := obs.Samples(w.cfg.Registries...)
+	if err != nil {
+		w.log.Error("reading series", "error", err)
+	}
 	w.mu.Lock()
 	now := w.now()
 	type pending struct {
@@ -304,13 +309,8 @@ func (w *Watchdog) Tick() []Trigger {
 	}
 	var fired []pending
 	for _, st := range w.rules {
-		fn := w.signals[st.rule.Signal]
-		if fn == nil {
-			w.mErrors.Inc()
-			continue
-		}
-		raw := fn()
-		if math.IsNaN(raw) || math.IsInf(raw, 0) {
+		raw, ok := samples[st.rule.Signal]
+		if !ok || math.IsNaN(raw) || math.IsInf(raw, 0) {
 			w.mErrors.Inc()
 			continue
 		}

@@ -9,20 +9,25 @@ import (
 	"unclean/internal/obs/flight"
 )
 
-// harness is a watchdog under a fake clock with one controllable
-// signal, plus the trigger log the assertions read.
+// harness is a watchdog under a fake clock reading one registry that
+// exposes a controllable gauge, sig, plus the trigger log the
+// assertions read.
 type harness struct {
 	wd    *Watchdog
+	reg   *obs.Registry
 	now   time.Time
-	value float64
+	value int64
 	fired []Trigger
 }
 
 func newHarness(t *testing.T, cfg Config, rules ...Rule) *harness {
 	t.Helper()
-	h := &harness{now: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
+	h := &harness{now: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC), reg: obs.NewRegistry()}
+	sig := h.reg.Gauge("sig", "The controllable series.")
+	h.reg.OnScrape(func() { sig.Set(h.value) })
 	cfg.Now = func() time.Time { return h.now }
-	cfg.Registry = obs.NewRegistry()
+	cfg.Registry = h.reg
+	cfg.Registries = []*obs.Registry{h.reg}
 	cfg.Flight = flight.New(64)
 	prev := cfg.OnTrigger
 	cfg.OnTrigger = func(tr Trigger) {
@@ -32,7 +37,6 @@ func newHarness(t *testing.T, cfg Config, rules ...Rule) *harness {
 		}
 	}
 	h.wd = New(cfg)
-	h.wd.RegisterSignal("sig", func() float64 { return h.value })
 	for _, r := range rules {
 		if err := h.wd.AddRule(r); err != nil {
 			t.Fatal(err)
@@ -142,11 +146,28 @@ func TestSlopeRuleMeasuresGrowth(t *testing.T) {
 }
 
 func TestUnknownSignalCountsErrorNotPanic(t *testing.T) {
-	h := newHarness(t, Config{},
-		Rule{Name: "ghost", Signal: "no_such_signal", Op: OpGT, Threshold: 1})
+	h := newHarness(t, Config{})
+	// A series the registries do not expose is refused at install, with
+	// the rule and the series named.
+	err := h.wd.AddRule(Rule{Name: "ghost", Signal: "no_such_series", Op: OpGT, Threshold: 1})
+	if err == nil || !strings.Contains(err.Error(), "ghost") || !strings.Contains(err.Error(), "no_such_series") {
+		t.Fatalf("AddRule over an unexposed series: err = %v, want one naming ghost and no_such_series", err)
+	}
+	// A windowed quantile is exposed only while its window holds
+	// observations: once the window empties, each tick counts an
+	// evaluation error instead of reading a value.
+	lat := h.reg.WindowedHistogram("lat_seconds", "Latency.")
+	lat.Clock(func() time.Time { return h.now })
+	lat.Observe(time.Second)
+	if err := h.wd.AddRule(Rule{Name: "slow", Signal: `lat_seconds{window="1m",quantile="0.5"}`,
+		Op: OpGT, Threshold: 0}); err != nil {
+		t.Fatal(err)
+	}
+	errs := h.reg.Counter("unclean_watchdog_errors_total", "")
+	h.now = h.now.Add(2 * time.Minute)
 	h.tick()
-	if len(h.fired) != 0 {
-		t.Fatal("rule over an unregistered signal fired")
+	if len(h.fired) != 0 || errs.Value() != 1 {
+		t.Fatalf("tick over a vanished series: %d fires, %d errors; want 0 and 1", len(h.fired), errs.Value())
 	}
 }
 
@@ -169,8 +190,8 @@ func TestAddRuleReplacesByName(t *testing.T) {
 
 func TestParseRuleRoundTrip(t *testing.T) {
 	cases := []string{
-		"shed: dnsbl_shed_frac_1m > 0.2 hold=3 cooldown=10m0s",
-		"grow: runtime_goroutines >= 500 over=30 hold=3 cooldown=15m0s",
+		`shed: unclean_dnsbl_shed_1m_permille{zone="bl.unclean.example"} > 200 hold=3 cooldown=10m0s`,
+		"grow: unclean_runtime_goroutines >= 500 over=30 hold=3 cooldown=15m0s",
 		"low: sig < 1 cooldown=5m0s",
 		"le: sig <= 0.5 cooldown=1h0m0s",
 	}
@@ -187,12 +208,15 @@ func TestParseRuleRoundTrip(t *testing.T) {
 
 func TestParseRuleErrors(t *testing.T) {
 	bad := []string{
-		"",                        // no colon
-		"noname sig > 1",          // no colon
-		": sig > 1",               // empty name
-		"r: sig",                  // missing op+value
-		"r: sig ~ 1",              // bad op
-		"r: sig > banana",         // bad threshold
+		"",                // no colon
+		"noname sig > 1",  // no colon
+		": sig > 1",       // empty name
+		"r: sig",          // missing op+value
+		"r: sig ~ 1",      // bad op
+		"r: sig > banana", // bad threshold
+		"r: sig > NaN",    // non-finite thresholds AddRule refuses
+		"r: sig > Inf",
+		"r: sig < -inf",
 		"r: sig > 1 over=0",       // zero window
 		"r: sig > 1 hold=-2",      // negative hold
 		"r: sig > 1 cooldown=xyz", // bad duration

@@ -1,17 +1,31 @@
 package phishfeed
 
-// Edge cases of the feed store: duplicate incidents, out-of-order
+// Edge cases of the feed format: duplicate incidents, out-of-order
 // report dates, and the partial-file semantics of ReadPrefix — the one
 // failure mode a non-atomic feed producer leaves behind (truncation)
 // versus the one it never does (mid-file corruption).
 
 import (
-	"path/filepath"
+	"bytes"
 	"strings"
 	"testing"
 
 	"unclean/internal/netaddr"
 )
+
+// roundTrip writes f and reads it back.
+func roundTrip(t *testing.T, f *Feed) *Feed {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
 
 func TestDuplicateIncidentsKeptButAddrsDedup(t *testing.T) {
 	f := &Feed{}
@@ -27,16 +41,8 @@ func TestDuplicateIncidentsKeptButAddrsDedup(t *testing.T) {
 		t.Fatalf("address set = %v, want the one shared host", s)
 	}
 
-	// Duplicates survive a save/load round trip verbatim.
-	path := filepath.Join(t.TempDir(), "feed.phish")
-	if err := f.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
+	// Duplicates survive a write/read round trip verbatim.
+	if got := roundTrip(t, f); got.Len() != 3 {
 		t.Fatalf("round-trip Len = %d, want 3", got.Len())
 	}
 }
@@ -59,17 +65,9 @@ func TestOutOfOrderDatesSortedEverywhere(t *testing.T) {
 		t.Errorf("equal-date incidents reordered: %q then %q", incs[2].URL, incs[3].URL)
 	}
 
-	// The serialized form is the sorted form, so a load sees sorted order
+	// The serialized form is the sorted form, so a read sees sorted order
 	// no matter how the producer appended.
-	path := filepath.Join(t.TempDir(), "feed.phish")
-	if err := f.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first := got.Incidents()[0]; !first.Reported.Equal(day(1)) {
+	if first := roundTrip(t, f).Incidents()[0]; !first.Reported.Equal(day(1)) {
 		t.Errorf("loaded feed starts at %v, want day 1", first.Reported)
 	}
 }

@@ -73,11 +73,16 @@ func (f *Feed) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// parseLine parses one incident line ("date,url,addr").
+// parseLine parses one incident line ("date,url,addr"). A URL holding a
+// carriage return is refused, as Write refuses it: a feed that reads is
+// a feed that writes back.
 func parseLine(text string) (Incident, error) {
 	parts := strings.Split(text, ",")
 	if len(parts) != 3 {
 		return Incident{}, fmt.Errorf("want 3 fields, got %d", len(parts))
+	}
+	if strings.ContainsRune(parts[1], '\r') {
+		return Incident{}, fmt.Errorf("URL %q contains a carriage return", parts[1])
 	}
 	date, err := time.Parse("2006-01-02", parts[0])
 	if err != nil {

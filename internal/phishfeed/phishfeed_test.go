@@ -92,6 +92,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"2006-05-01,http://x", // 2 fields
 		"05/01/2006,http://x,1.2.3.4",
 		"2006-05-01,http://x,1.2.3",
+		"0000-01-01,\r,0.0.0.0", // a URL Write would refuse
 	}
 	for _, line := range bad {
 		if _, err := Read(strings.NewReader(line + "\n")); err == nil {
