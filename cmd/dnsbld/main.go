@@ -2,25 +2,28 @@
 // the DNSBL convention (query d.c.b.a.<zone>, get 127.0.0.x if listed) —
 // the operational delivery mechanism the paper's §2 cites (Spamhaus ZEN).
 //
-// Two list sources are supported: a simulated world (the default, as in
-// the experiments) or a directory of *.report files ingested through the
-// time-decaying tracker (-reports). With -reload the report directory is
-// re-ingested periodically; ingestion failures are retried with backoff,
-// then a circuit breaker stops hammering the broken feed while the
-// daemon keeps serving its last-good list. With -checkpoint the tracker
-// state is checkpointed crash-safely (temp → fsync → rename, CRC32
-// trailer, one .prev generation) on every reload, periodically, and at
-// shutdown — and recovered at startup, so a dead feed plus a restart
-// still yields a serving daemon.
+// Every list comes out of one pipeline, the feed mesh (internal/feedmesh).
+// Its feeds are the simulated world by default (its four ground-truth
+// reports), the -reports directory of *.report files, or one per -feed
+// NAME=PATH (a report directory or a phishfeed incident file). Report
+// feeds fold through the time-decaying tracker and list the /24s scoring
+// -threshold or more, each answered with its dominant dimension's code.
+// A first round runs before the sockets open, fatal if no feed loads;
+// with -reload one runs every interval: feeds load with retries, are
+// scored, quarantined when they misbehave, and merged into a
+// reputation-weighted list that needs -mesh-threshold agreement. With
+// too few healthy feeds the daemon keeps its last-good list. -checkpoint
+// saves the -reports tracker crash-safely (temp → fsync → rename, CRC32
+// trailer, one .prev generation) after every successful load and serves
+// it when the first load fails, so a dead feed plus a restart still serves.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the shards finish the
-// batch in hand, a final checkpoint is written, and the serving
-// counters are printed.
+// batch in hand and the serving counters are printed.
 //
 // With -metrics the daemon exposes its observability surface over HTTP:
 // /metrics (Prometheus text), /metrics.json (JSON snapshot with latency
 // quantiles, rolling-window rates, and SLO burn), /healthz (liveness),
-// /readyz (readiness: breaker state, feed staleness, shed rate),
+// /readyz (readiness: feed health, feed staleness, shed rate),
 // /debug/events (the flight-recorder ring of recent wide events),
 // /debug/topk (sampled query analytics: top clients, hottest subnets,
 // unique-client estimate, and the prediction scoreboard — addresses
@@ -46,21 +49,16 @@
 // address for TC-bit retries, and -max-udp shrinks the UDP response
 // limit that triggers them.
 //
-// With repeated -feed NAME=PATH flags the daemon serves the feed mesh
-// instead of a single tracker: each named source (a report directory or
-// a phishfeed incident file) is loaded every -reload interval, scored
-// for quality, quarantined when it misbehaves, and merged into one
-// reputation-weighted list that needs -mesh-threshold agreement to list
-// a block. Per-feed health rides on /metrics (unclean_feedmesh_*) and
-// /readyz (the feed_mesh check names quarantined feeds and fails when
-// the mesh degrades to its last-good list).
+// Per-feed health rides on /metrics (unclean_feedmesh_*) and /readyz:
+// feed_mesh names unhealthy feeds and fails while the mesh keeps its
+// last-good list, and with -reload feed_fresh fails once no feed has
+// loaded for two intervals.
 //
 // Usage:
 //
 //	dnsbld [-listen ADDR] [-zone bl.unclean.example] [-threshold 0.6]
 //	       [-scale N] [-seed N] [-selfcheck N] [-metrics ADDR]
-//	       [-reports DIR] [-reload DUR] [-checkpoint PATH]
-//	       [-checkpoint-every DUR] [-halflife DUR]
+//	       [-reports DIR] [-reload DUR] [-checkpoint PATH] [-halflife DUR]
 //	       [-shards N] [-batch N] [-tcp] [-max-udp N] [-analytics-sample N]
 //	       [-feed NAME=PATH ...] [-mesh-threshold F]
 //	       [-log-format text|json] [-log-level LEVEL]
@@ -71,7 +69,7 @@
 // (-profile tunes the cycle, 0 disables), and an anomaly watchdog
 // evaluates declarative rules every -watchdog interval over the series
 // /metrics exposes — SLO burn, shed permille, panics, goroutine/RSS
-// growth slopes, breaker trips, mesh quarantines. When a rule holds
+// growth slopes, mesh quarantines and degradation. When a rule holds
 // long enough it captures a diagnostics bundle (profiles, flight dump,
 // metrics, health, mesh state, the rule's evidence) into -bundle-dir
 // (or $UNCLEAN_BUNDLE_DIR) as one atomic tar.gz; /debug/bundle serves
@@ -90,6 +88,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"expvar"
 	"flag"
@@ -100,12 +99,10 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"unclean/internal/blocklist"
-	"unclean/internal/core"
 	"unclean/internal/dnsbl"
 	"unclean/internal/experiments"
 	"unclean/internal/feedmesh"
@@ -116,8 +113,6 @@ import (
 	"unclean/internal/obs/prof"
 	"unclean/internal/obs/watchdog"
 	"unclean/internal/report"
-	"unclean/internal/retry"
-	"unclean/internal/tracker"
 )
 
 // logger is the daemon's component logger; swap the sink process-wide
@@ -143,7 +138,6 @@ type options struct {
 	reports         string
 	reload          time.Duration
 	checkpoint      string
-	checkpointEvery time.Duration
 	halfLife        time.Duration
 	shards, batch   int
 	maxUDP          int
@@ -170,9 +164,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.selfcheck, "selfcheck", 3, "after startup, query this many listed blocks and exit (0 = serve forever)")
 	fs.StringVar(&o.metrics, "metrics", "", "HTTP address for /metrics, /metrics.json, /debug/pprof/, /debug/vars (empty disables)")
 	fs.StringVar(&o.reports, "reports", "", "serve from this directory of *.report files instead of a generated world")
-	fs.DurationVar(&o.reload, "reload", 0, "re-ingest -reports at this interval (0 disables)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "crash-safe tracker checkpoint path (loaded at startup if present)")
-	fs.DurationVar(&o.checkpointEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint interval")
+	fs.DurationVar(&o.reload, "reload", 0, "reload every feed at this interval (0 disables; -feed requires it)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "crash-safe checkpoint of the -reports tracker, saved after every load and served when the first load fails")
 	fs.DurationVar(&o.halfLife, "halflife", 42*24*time.Hour, "tracker evidence half-life")
 	fs.IntVar(&o.shards, "shards", 0, "serve with this many batched SO_REUSEPORT shards (0 = one per core)")
 	fs.IntVar(&o.batch, "batch", 0, "datagrams per batched syscall (0 = default)")
@@ -219,9 +212,6 @@ func parseFlags(args []string) (*options, error) {
 	if o.reload < 0 {
 		return nil, fmt.Errorf("-reload must be 0 (disabled) or a positive interval; got %s", o.reload)
 	}
-	if o.checkpointEvery < 0 {
-		return nil, fmt.Errorf("-checkpoint-every must be 0 (disabled) or a positive interval; got %s", o.checkpointEvery)
-	}
 	if o.selfcheck < 0 {
 		return nil, fmt.Errorf("-selfcheck must be 0 (serve forever) or a positive probe count; got %d", o.selfcheck)
 	}
@@ -234,12 +224,12 @@ func parseFlags(args []string) (*options, error) {
 	if o.meshThreshold <= 0 || o.meshThreshold > 1 {
 		return nil, fmt.Errorf("-mesh-threshold must be in (0, 1]; got %g", o.meshThreshold)
 	}
+	if o.checkpoint != "" && o.reports == "" {
+		return nil, fmt.Errorf("-checkpoint applies to the -reports feed only")
+	}
 	if len(o.feeds) > 0 {
 		if o.reports != "" {
-			return nil, fmt.Errorf("-feed and -reports are exclusive: the mesh replaces the single-tracker feed")
-		}
-		if o.checkpoint != "" {
-			return nil, fmt.Errorf("-checkpoint applies to the single-tracker feed, not the mesh")
+			return nil, fmt.Errorf("-feed and -reports are exclusive: -reports is the one-feed mesh")
 		}
 		if o.reload <= 0 {
 			return nil, fmt.Errorf("-feed requires -reload: the mesh polls every feed at that interval")
@@ -367,74 +357,45 @@ func serveMetrics(addr string, health *obs.Health, events *flight.Recorder, anal
 	return ln.Addr().String(), func() { hs.Close() }, nil
 }
 
-// feedPolicy is the per-ingestion retry schedule.
-func feedPolicy() retry.Policy {
-	return retry.Policy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond,
-		MaxDelay: 2 * time.Second, Jitter: 1}
-}
-
-// dimForClass maps a report class to its tracker dimension.
-func dimForClass(c report.Class) (core.Dimension, bool) {
-	switch c {
-	case report.ClassBots:
-		return core.DimBot, true
-	case report.ClassScanning:
-		return core.DimScan, true
-	case report.ClassSpamming:
-		return core.DimSpam, true
-	case report.ClassPhishing:
-		return core.DimPhish, true
-	}
-	return 0, false
-}
-
-// trackerFromInventory folds a report inventory into a fresh tracker,
-// dating each report's evidence at the end of its validity window.
-func trackerFromInventory(inv *report.Inventory, halfLife time.Duration) (*tracker.Tracker, error) {
-	tr, err := tracker.New(tracker.Config{Bits: 24, HalfLife: halfLife, Tau: 4})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range inv.Reports {
-		dim, ok := dimForClass(r.Class)
-		if !ok {
-			continue // special/unclassed reports carry no dimension
+// buildMesh builds the mesh over the -reports directory, the -feed paths
+// (a directory is a report feed, a file a phishfeed) or else the world.
+// Paths must exist at startup — a feed that dies later is the mesh's
+// problem, a feed that never existed is a configuration error.
+func buildMesh(o *options) (*feedmesh.Mesh, error) {
+	fold := feedmesh.Fold{HalfLife: o.halfLife, Threshold: o.threshold}
+	var sources []feedmesh.Source
+	switch {
+	case o.reports != "":
+		sources = append(sources, feedmesh.NewDirSource("reports", o.reports, fold, o.checkpoint))
+	case len(o.feeds) > 0:
+		for _, f := range o.feeds {
+			name, path, _ := strings.Cut(f, "=")
+			st, err := os.Stat(path)
+			if err != nil {
+				return nil, fmt.Errorf("-feed %s: %w", name, err)
+			}
+			if st.IsDir() {
+				sources = append(sources, feedmesh.NewDirSource(name, path, fold, ""))
+			} else {
+				sources = append(sources, feedmesh.NewPhishSource(name, path))
+			}
 		}
-		if err := tr.Observe(dim, r.Addrs, r.ValidTo); err != nil {
+	default:
+		src, err := worldSource(o, fold)
+		if err != nil {
 			return nil, err
 		}
-	}
-	return tr, nil
-}
-
-// buildMesh assembles the feed mesh from the -feed flags. A directory
-// path becomes a report-directory source; anything else is read as a
-// phishfeed incident file. Paths must exist at startup — a feed that
-// dies later is the mesh's problem, a feed that never existed is a
-// configuration error worth refusing to start over.
-func buildMesh(o *options) (*feedmesh.Mesh, error) {
-	var sources []feedmesh.Source
-	for _, f := range o.feeds {
-		name, path, _ := strings.Cut(f, "=")
-		st, err := os.Stat(path)
-		if err != nil {
-			return nil, fmt.Errorf("-feed %s: %w", name, err)
-		}
-		if st.IsDir() {
-			sources = append(sources, feedmesh.NewDirSource(name, path))
-		} else {
-			sources = append(sources, feedmesh.NewPhishSource(name, path))
-		}
+		sources = append(sources, src)
 	}
 	cfg := feedmesh.DefaultConfig()
-	cfg.Interval = o.reload
+	cfg.Interval = cmp.Or(o.reload, cfg.Interval) // without -reload only one round runs
 	cfg.Threshold = o.meshThreshold
 	return feedmesh.New(cfg, sources...)
 }
 
-// trackerFromWorld generates the simulated world and folds its four
-// ground-truth reports into a tracker.
-func trackerFromWorld(o *options) (*tracker.Tracker, error) {
+// worldSource generates the simulated world and folds its four
+// ground-truth reports into a batch once; every load returns that batch.
+func worldSource(o *options, fold feedmesh.Fold) (feedmesh.Source, error) {
 	cfg := experiments.Default()
 	cfg.Scale = 1 / o.scaleDen
 	cfg.Seed = o.seed
@@ -448,49 +409,26 @@ func trackerFromWorld(o *options) (*tracker.Tracker, error) {
 	for _, tag := range []string{"bot", "scan", "spam", "phish"} {
 		inv.Add(ds.Report(tag))
 	}
-	return trackerFromInventory(inv, o.halfLife)
-}
-
-// listFromTracker compiles the blocklist the tracker's scores imply,
-// each rule annotated with its dominant dimension.
-func listFromTracker(tr *tracker.Tracker, threshold float64) *blocklist.Trie {
-	defer obs.StartSpan("dnsbld/compile").End()
-	list := &blocklist.Trie{}
-	for _, b := range tr.Blocklist(threshold).Blocks(24) {
-		sc := tr.Score(b.Base())
-		reason := "unclean"
-		best := 0.0
-		for d := core.DimBot; d <= core.DimPhish; d++ {
-			if v := sc.ByDim[d]; v > best {
-				best = v
-				reason = d.String()
-			}
-		}
-		list.Insert(b, reason)
-	}
-	return list
-}
-
-// ingest loads the report directory (with retries) and compiles the
-// tracker; used for both the initial load and every reload.
-func ingest(ctx context.Context, o *options) (*tracker.Tracker, error) {
-	defer obs.StartSpan("dnsbld/ingest").End()
-	inv, err := report.LoadDirRetry(ctx, feedPolicy(), o.reports)
+	b, err := fold.Batch(inv)
 	if err != nil {
 		return nil, err
 	}
-	return trackerFromInventory(inv, o.halfLife)
+	return feedmesh.SourceFunc("world", func(context.Context) (feedmesh.Batch, error) { return b, nil }), nil
 }
 
-// saveCheckpoint persists the tracker if checkpointing is configured;
-// failures are reported but never fatal — serving beats checkpointing.
-func saveCheckpoint(o *options, tr *tracker.Tracker) {
-	if o.checkpoint == "" || tr == nil {
-		return
+// firstRound runs the mesh's first round before the sockets open, so
+// they open with a real list. A round in which no source loads is fatal:
+// there is nothing to serve.
+func firstRound(ctx context.Context, mesh *feedmesh.Mesh) (*blocklist.Trie, error) {
+	mesh.Tick(ctx)
+	var errs []string
+	for _, f := range mesh.Status().Feeds {
+		if f.Loads > 0 { // List is nil when nothing scored high enough
+			return cmp.Or(mesh.List(), &blocklist.Trie{}), nil
+		}
+		errs = append(errs, f.Name+": "+f.LastError)
 	}
-	if err := tr.SaveFile(o.checkpoint); err != nil {
-		logger.Error("checkpoint save failed", "path", o.checkpoint, "error", err)
-	}
+	return nil, fmt.Errorf("no feed loaded: %s", strings.Join(errs, "; "))
 }
 
 // shedUnreadyRate is the one-minute shed fraction above which /readyz
@@ -498,10 +436,10 @@ func saveCheckpoint(o *options, tr *tracker.Tracker) {
 // its answers means a balancer should stop sending new queries.
 const shedUnreadyRate = 0.5
 
-// buildHealth wires the daemon's readiness checks: breaker state, feed
-// staleness against the reload interval, and the one-minute shed rate.
-// lastLoad holds the UnixNano of the most recent successful ingest.
-func buildHealth(o *options, srv *dnsbl.Server, breaker *retry.Breaker, lastLoad *atomic.Int64, mesh *feedmesh.Mesh) *obs.Health {
+// buildHealth wires the daemon's readiness checks: the one-minute shed
+// rate, the mesh's feed health and, when the feeds reload, their
+// staleness against the reload interval.
+func buildHealth(o *options, srv *dnsbl.Server, mesh *feedmesh.Mesh) *obs.Health {
 	health := obs.NewHealth()
 	health.SetInfo("zone", o.zone)
 	health.AddCheck("shed", func() (bool, string) {
@@ -511,25 +449,23 @@ func buildHealth(o *options, srv *dnsbl.Server, breaker *retry.Breaker, lastLoad
 		}
 		return true, fmt.Sprintf("shed rate %.2f over the last minute", rate)
 	})
-	if o.reports != "" && o.reload > 0 {
-		health.AddCheck("feed_breaker", func() (bool, string) {
-			if breaker.Open() {
-				return false, "feed circuit open; serving last-good list"
-			}
-			return true, "feed circuit closed"
-		})
+	health.AddCheck("feed_mesh", mesh.HealthCheck())
+	if o.reload > 0 {
 		health.AddCheck("feed_fresh", func() (bool, string) {
-			age := time.Duration(time.Now().UnixNano() - lastLoad.Load())
-			// Two missed reload cycles means the feed is stale, whether
-			// the breaker has noticed yet or not.
+			var last time.Time
+			for _, f := range mesh.Status().Feeds {
+				if f.LastSuccess.After(last) {
+					last = f.LastSuccess
+				}
+			}
+			age := time.Since(last)
+			// Two missed reload cycles mean the list is stale, whether a
+			// breaker has noticed or not: a hung load never fails.
 			if age > 2*o.reload {
 				return false, fmt.Sprintf("last successful load %s ago (reload interval %s)", age.Round(time.Second), o.reload)
 			}
 			return true, fmt.Sprintf("loaded %s ago", age.Round(time.Second))
 		})
-	}
-	if mesh != nil {
-		health.AddCheck("feed_mesh", mesh.HealthCheck())
 	}
 	return health
 }
@@ -554,12 +490,7 @@ func defaultWatchRules(o *options) []watchdog.Rule {
 		"goroutine-growth: unclean_runtime_goroutines > 500 over=30 hold=3 cooldown=15m",
 		"rss-growth: unclean_runtime_rss_bytes > 268435456 over=30 hold=3 cooldown=15m",
 	}
-	if o.reports != "" && o.reload > 0 {
-		rules = append(rules,
-			// Any breaker trip since the last tick.
-			"breaker-trip: unclean_breaker_trips_total > 0 over=1 cooldown=10m")
-	}
-	if len(o.feeds) > 0 {
+	if o.reload > 0 {
 		rules = append(rules,
 			// Any new quarantine transition since the last tick.
 			"mesh-quarantine: unclean_feedmesh_quarantines_total > 0 over=1 cooldown=5m",
@@ -591,45 +522,16 @@ func run(ctx context.Context, args []string) (err error) {
 	}
 	defer bundle.HandleCrash(o.bundleDir, func() bundle.CaptureConfig { return captureCfg() }, &err)
 
-	// Build the initial list: the feed mesh if -feed flags were given, a
-	// reports directory if -reports was, else the generated world. A dead
-	// feed at startup degrades — to the last checkpoint (tracker mode) or
-	// to whatever subset of feeds still answers (mesh mode) — instead of
-	// refusing to start.
-	var tr *tracker.Tracker
-	var mesh *feedmesh.Mesh
-	var list *blocklist.Trie
-	switch {
-	case len(o.feeds) > 0:
-		mesh, err = buildMesh(o)
-		if err != nil {
-			return err
-		}
-		// First round runs synchronously so the sockets open with a real
-		// list; an all-feeds-down start serves empty and the feed_mesh
-		// readiness check says why.
-		mesh.Tick(ctx)
-		if list = mesh.List(); list == nil {
-			list = &blocklist.Trie{}
-		}
-	case o.reports != "":
-		tr, err = ingest(ctx, o)
-		if err != nil && o.checkpoint != "" {
-			if rec, rerr := tracker.LoadFile(o.checkpoint); rerr == nil {
-				logger.Warn("feed ingest failed; recovered from checkpoint",
-					"error", err, "blocks", rec.BlockCount(), "path", o.checkpoint)
-				tr, err = rec, nil
-			}
-		}
-	default:
-		tr, err = trackerFromWorld(o)
-	}
+	// Build the initial list. A dead feed at startup degrades to whatever
+	// subset of feeds still answers, and a dead -reports directory to its
+	// checkpoint, instead of refusing to start.
+	mesh, err := buildMesh(o)
 	if err != nil {
 		return err
 	}
-	if tr != nil {
-		saveCheckpoint(o, tr)
-		list = listFromTracker(tr, o.threshold)
+	list, err := firstRound(ctx, mesh)
+	if err != nil {
+		return err
 	}
 
 	// Bind the serving sockets: one SO_REUSEPORT socket per shard.
@@ -643,13 +545,9 @@ func run(ctx context.Context, args []string) (err error) {
 		}
 	}()
 	udpAddr := conns[0].LocalAddr().String()
-	if mesh != nil {
-		fmt.Printf("serving %d merged /24s from %d feeds in zone %s on %s (vote threshold %.2f, %d sockets)\n",
-			list.Len(), len(o.feeds), o.zone, udpAddr, o.meshThreshold, len(conns))
-	} else {
-		fmt.Printf("serving %d listed /24s in zone %s on %s (threshold %.2f, %d sockets)\n",
-			list.Len(), o.zone, udpAddr, o.threshold, len(conns))
-	}
+	ms := mesh.Status()
+	fmt.Printf("serving %d listed /24s from %d of %d feeds in zone %s on %s (threshold %.2f, vote threshold %.2f, %d sockets)\n",
+		list.Len(), ms.HealthyFeeds, ms.TotalFeeds, o.zone, udpAddr, o.threshold, o.meshThreshold, len(conns))
 
 	srv, err := dnsbl.NewServer(o.zone, list, 5*time.Minute)
 	if err != nil {
@@ -662,49 +560,33 @@ func run(ctx context.Context, args []string) (err error) {
 	var analytics *dnsbl.Analytics
 	if o.analyticsSample > 0 {
 		analytics = srv.EnableAnalytics(dnsbl.AnalyticsConfig{SampleN: o.analyticsSample})
-		if mesh != nil {
-			analytics.SetAttributor(mesh.Contributors)
-		}
+		analytics.SetAttributor(mesh.Contributors)
 	}
-	if mesh != nil {
-		mesh.OnSwap(srv.SetList)
-	}
-
-	// Readiness plumbing: the breaker and last-load stamp exist even in
-	// selfcheck mode so /readyz can always report them.
-	breaker := retry.NewBreaker(3, 10*o.reload)
-	var lastLoad atomic.Int64
-	lastLoad.Store(time.Now().UnixNano())
+	mesh.OnSwap(srv.SetList)
 
 	// Diagnostics autopilot: runtime gauges refreshed on every read of
 	// the exposition (scrapes and watchdog ticks alike), the continuous
 	// profiler, and one capture config every consumer (watchdog trigger,
 	// /debug/bundle, the crash hook) goes through.
 	obs.RegisterRuntimeGauges(obs.Default())
-	health := buildHealth(o, srv, breaker, &lastLoad, mesh)
+	health := buildHealth(o, srv, mesh)
 	health.SetInfo("udp_addr", udpAddr)
-	regs := []*obs.Registry{obs.Default(), srv.Metrics()}
-	if mesh != nil {
-		regs = append(regs, mesh.Metrics())
-	}
+	regs := []*obs.Registry{obs.Default(), srv.Metrics(), mesh.Metrics()}
 	var profiler *prof.Profiler
 	if o.profile > 0 {
 		profiler = prof.New(prof.Config{Interval: o.profile})
 	}
 	start := time.Now()
 	captureCfg = func() bundle.CaptureConfig {
-		cfg := bundle.CaptureConfig{
+		return bundle.CaptureConfig{
 			Reason:     "manual",
 			Registries: regs,
 			Flight:     flight.Default(),
 			Profiler:   profiler,
 			Health:     health,
+			MeshStatus: mesh.Status,
 			Start:      start,
 		}
-		if mesh != nil {
-			cfg.MeshStatus = mesh.Status
-		}
-		return cfg
 	}
 	var wd *watchdog.Watchdog
 	if o.watchdogTick > 0 {
@@ -782,34 +664,25 @@ func run(ctx context.Context, args []string) (err error) {
 		return err
 	}
 
-	// Serving mode: reload the feed (or tick the mesh), checkpoint the
-	// tracker, and wait for shutdown. The breaker stops retry storms
-	// against a feed that stays broken across reloads.
-	var reloadC, ckptC <-chan time.Time
-	if (o.reports != "" || mesh != nil) && o.reload > 0 {
+	// Serving mode: run a mesh round every -reload and wait for shutdown.
+	// The mesh's per-feed breakers stop retry storms against a feed that
+	// stays broken across reloads.
+	var reloadC <-chan time.Time
+	if o.reload > 0 {
 		tick := time.NewTicker(o.reload)
 		defer tick.Stop()
 		reloadC = tick.C
 	}
-	if o.checkpoint != "" && o.checkpointEvery > 0 {
-		tick := time.NewTicker(o.checkpointEvery)
-		defer tick.Stop()
-		ckptC = tick.C
-	}
 
-	// Graceful shutdown, once ServeConns has returned: a final checkpoint
-	// records everything observed.
+	// Graceful shutdown, once ServeConns has returned.
 	shutdown := func() error {
 		drainTCP()
-		saveCheckpoint(o, tr)
 		st := srv.Snapshot()
 		fmt.Printf("shutdown: %d queries (%d listed, %d malformed, %d dropped, %d shed)\n",
 			st.Queries, st.Hits, st.Malformed, st.Dropped, st.Shed)
-		if mesh != nil {
-			ms := mesh.Status()
-			fmt.Printf("mesh: round %d, %d/%d feeds healthy, %d merged blocks\n",
-				ms.Round, ms.HealthyFeeds, ms.TotalFeeds, ms.MergedBlocks)
-		}
+		ms := mesh.Status()
+		fmt.Printf("mesh: round %d, %d/%d feeds healthy, %d merged blocks\n",
+			ms.Round, ms.HealthyFeeds, ms.TotalFeeds, ms.MergedBlocks)
 		return nil
 	}
 	for {
@@ -825,42 +698,18 @@ func run(ctx context.Context, args []string) (err error) {
 			}
 			// The socket died underneath us; the crash hook captures the
 			// bundle once run returns, so it shows the state after this
-			// teardown and run's deferred closes: with -checkpoint, the
-			// final save's event sits just before the crash event in its
-			// flight ring.
+			// teardown and run's deferred closes.
 			cancel()
 			drainTCP()
-			saveCheckpoint(o, tr)
 			return err
 		case <-reloadC:
-			if mesh != nil {
-				// The mesh runs its own per-feed breakers and logging; the
-				// daemon only notes list changes.
-				if r := mesh.Tick(ctx); r.Swapped {
-					logger.Info("mesh list swapped",
-						"round", r.N, "blocks", r.MergedBlocks,
-						"healthy_feeds", r.HealthyFeeds, "degraded", r.Degraded)
-				}
-				continue
+			// The mesh runs its own per-feed breakers and logging; the
+			// daemon only notes list changes.
+			if r := mesh.Tick(ctx); r.Swapped {
+				logger.Info("mesh list swapped",
+					"round", r.N, "blocks", r.MergedBlocks,
+					"healthy_feeds", r.HealthyFeeds, "degraded", r.Degraded)
 			}
-			if !breaker.Allow() {
-				logger.Warn("feed breaker open; serving last-good list", "reports", o.reports)
-				continue
-			}
-			fresh, err := ingest(ctx, o)
-			breaker.Record(err)
-			if err != nil {
-				logger.Error("reload failed; serving last-good list", "error", err)
-				continue
-			}
-			tr = fresh
-			lastLoad.Store(time.Now().UnixNano())
-			list = listFromTracker(tr, o.threshold)
-			srv.SetList(list)
-			saveCheckpoint(o, tr)
-			logger.Info("feed reloaded", "blocks", tr.BlockCount(), "rules", list.Len())
-		case <-ckptC:
-			saveCheckpoint(o, tr)
 		}
 	}
 }

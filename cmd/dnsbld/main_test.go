@@ -10,10 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unclean/internal/dnsbl"
+	"unclean/internal/feedmesh"
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/obs"
@@ -135,7 +137,8 @@ func TestRunFatalStartupLeavesOneBundle(t *testing.T) {
 }
 
 // In serving mode a context cancellation (the signal path) must shut
-// down gracefully: run returns nil and a final checkpoint is written.
+// down gracefully: run returns nil, and the checkpoint the last load
+// wrote is on disk.
 func TestRunGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	writeReports(t, dir)
@@ -299,9 +302,11 @@ func TestRunServesMetrics(t *testing.T) {
 
 // End to end across the whole observability surface: a serving daemon
 // answers real UDP queries, /readyz reports it ready, a broken feed
-// trips the breaker and flips /readyz to 503 — and the queries served
-// earlier read back out of /debug/events with their client and verdict,
-// followed by the watchdog's breaker-trip trigger on the same timeline.
+// trips its breaker and is quarantined, which leaves the one-feed mesh
+// on its last-good list and flips /readyz to 503 — and the queries
+// served earlier read back out of /debug/events with their client and
+// verdict, followed by the breaker trip and the watchdog's
+// mesh-quarantine trigger on the same timeline.
 func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 	dir := t.TempDir()
 	writeReports(t, dir)
@@ -410,8 +415,8 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 		}
 	}
 
-	// Phase 3: the feed goes bad; after three failed reloads the breaker
-	// trips and readiness must flip.
+	// Phase 3: the feed goes bad; the lone feed is quarantined, the mesh
+	// keeps its last-good list, and readiness must flip.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -424,11 +429,11 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 	deadline = time.Now().Add(15 * time.Second)
 	for {
 		code, doc, err := getReady()
-		if err == nil && code == http.StatusServiceUnavailable && !doc.Checks["feed_breaker"].OK {
+		if c, ok := doc.Checks["feed_mesh"]; err == nil && code == http.StatusServiceUnavailable && ok && !c.OK {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("readiness never flipped on breaker trip: code=%d checks=%+v err=%v",
+			t.Fatalf("readiness never flipped on quarantine: code=%d checks=%+v err=%v",
 				code, doc.Checks, err)
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -436,8 +441,8 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 
 	// Phase 4: the queries served in phase 2 read back from the flight
 	// recorder, client and verdict intact, and the breaker trip is on the
-	// same timeline. Within a watchdog tick of the trip, the breaker-trip
-	// rule fires on the growth of the series it reads.
+	// same timeline. Within a watchdog tick of the quarantine, the
+	// mesh-quarantine rule fires on the growth of the series it reads.
 	var events flight.EventsDoc
 	var sawHit, sawMiss, sawTrip, sawTrigger bool
 	for deadline = time.Now().Add(5 * time.Second); !sawTrigger && time.Now().Before(deadline); {
@@ -462,15 +467,15 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 			if e.Kind == "breaker" && e.Verdict == "open" {
 				sawTrip = true
 			}
-			if e.Kind == "watchdog" && e.Verdict == "trigger" && e.Name == "breaker-trip" &&
-				strings.HasPrefix(e.Detail, "unclean_breaker_trips_total=") {
+			if e.Kind == "watchdog" && e.Verdict == "trigger" && e.Name == "mesh-quarantine" &&
+				strings.HasPrefix(e.Detail, "unclean_feedmesh_quarantines_total=") {
 				sawTrigger = true
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	if !sawHit || !sawMiss || !sawTrip || !sawTrigger {
-		t.Errorf("flight ring missing events: hit=%v miss=%v trip=%v breaker-trip trigger=%v (%d events)",
+		t.Errorf("flight ring missing events: hit=%v miss=%v trip=%v mesh-quarantine trigger=%v (%d events)",
 			sawHit, sawMiss, sawTrip, sawTrigger, len(events.Events))
 	}
 }
@@ -499,7 +504,8 @@ func TestRunRefusesUnexposedWatchSeries(t *testing.T) {
 
 // Each mode's default rules read series its registries expose (the
 // reports-mode and mesh-mode e2e tests start with them installed);
-// world mode installs exactly the rules of reports mode without -reload.
+// world mode installs exactly the rules of reports mode without -reload,
+// and every mode adds the two mesh rules once its feeds reload.
 func TestDefaultWatchRulesPerMode(t *testing.T) {
 	names := func(args ...string) string {
 		o, err := parseFlags(args)
@@ -516,9 +522,16 @@ func TestDefaultWatchRulesPerMode(t *testing.T) {
 	if world != reports {
 		t.Errorf("world-mode rules:\n%s\nwant the reports-mode rules:\n%s", world, reports)
 	}
-	reload := names("-reports", "dir", "-reload", "1s")
-	if want := reports + "\nbreaker-trip: unclean_breaker_trips_total > 0 over=1 cooldown=10m0s"; reload != want {
-		t.Errorf("reports mode with -reload:\n%s\nwant\n%s", reload, want)
+	want := reports + "\nmesh-quarantine: unclean_feedmesh_quarantines_total > 0 over=1 cooldown=5m0s" +
+		"\nmesh-degraded: unclean_feedmesh_degraded >= 1 hold=2 cooldown=10m0s"
+	for _, args := range [][]string{
+		{"-reports", "dir", "-reload", "1s"},
+		{"-feed", "a=x", "-reload", "1s"},
+		{"-reload", "1s"},
+	} {
+		if got := names(args...); got != want {
+			t.Errorf("rules for %v:\n%s\nwant\n%s", args, got, want)
+		}
 	}
 	if !strings.Contains(reports, `shed: unclean_dnsbl_shed_1m_permille{zone="bl.unclean.example"} > 200 hold=3`) {
 		t.Errorf("shed rule does not read the zone's permille series:\n%s", reports)
@@ -536,7 +549,6 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-shards", "-2"},
 		{"-batch", "-1"},
 		{"-reload", "-1s"},
-		{"-checkpoint-every", "-1s"},
 		{"-selfcheck", "-1"},
 		{"-max-udp", "-1"},
 		{"-mesh-threshold", "0"},
@@ -549,6 +561,7 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-feed", "a=x"}, // mesh without -reload has no poll cadence
 		{"-feed", "a=x", "-reload", "1s", "-reports", "dir"},
 		{"-feed", "a=x", "-reload", "1s", "-checkpoint", "ckpt"},
+		{"-checkpoint", "ckpt"}, // only the -reports tracker is checkpointed
 		// Thresholds the watchdog cannot compare against.
 		{"-watch", "r: unclean_runtime_goroutines > NaN"},
 		{"-watch", "r: unclean_runtime_goroutines > Inf"},
@@ -875,8 +888,8 @@ func TestRunAnalyticsScoreboardEndToEnd(t *testing.T) {
 // A shutdown that lands while a reload is in flight must still take the
 // graceful path. With a 1ms reload the loop is nearly always inside a
 // reload when the context is cancelled, so by its next select both the
-// cancellation and the serve loop's nil return are ready; run must drain,
-// checkpoint and return nil whichever it picks.
+// cancellation and the serve loop's nil return are ready; run must drain
+// and return nil whichever it picks, leaving a readable checkpoint.
 func TestRunShutdownDuringReload(t *testing.T) {
 	dir := t.TempDir()
 	writeReports(t, dir)
@@ -903,6 +916,138 @@ func TestRunShutdownDuringReload(t *testing.T) {
 		}
 		if _, err := tracker.LoadFile(ckpt); err != nil {
 			t.Fatalf("run %d: final checkpoint unreadable: %v", i, err)
+		}
+	}
+}
+
+// serveAndLookup runs the daemon with args on a reserved UDP port, asks
+// it about each probe, and shuts it down. It returns the answer code per
+// probe (0 when not listed).
+func serveAndLookup(t *testing.T, args []string, probes ...string) []netaddr.Addr {
+	t.Helper()
+	uc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	udpAddr := uc.LocalAddr().String()
+	uc.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, append([]string{"-listen", udpAddr, "-selfcheck", "0", "-shards", "1"}, args...))
+	}()
+	defer func() {
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("run %v: %v", args, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("run %v did not shut down after cancel", args)
+		}
+	}()
+	codes := make([]netaddr.Addr, len(probes))
+	for i, p := range probes {
+		listed, code, err := dnsbl.Lookup(udpAddr, "bl.unclean.example", netaddr.MustParseAddr(p), 2*time.Second)
+		if err != nil {
+			t.Fatalf("run %v: lookup %s: %v", args, p, err)
+		}
+		if listed {
+			codes[i] = code
+		}
+	}
+	return codes
+}
+
+// One report directory yields one list: served as the -reports feed or
+// as two -feed directories, every block answers with the code of its
+// dominant dimension.
+func TestRunOneDirectoryOneList(t *testing.T) {
+	dir := t.TempDir()
+	writeReports(t, dir)
+	probes := []string{"10.1.1.9", "10.2.2.77"}
+	want := []netaddr.Addr{dnsbl.CodeBot, dnsbl.CodeSpam}
+	for _, args := range [][]string{
+		{"-reports", dir},
+		{"-feed", "a=" + dir, "-feed", "b=" + dir, "-reload", "1h"},
+	} {
+		got := serveAndLookup(t, args, probes...)
+		for i := range probes {
+			if got[i] != want[i] {
+				t.Errorf("%v: %s answered %s, want %s", args, probes[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// A load that hangs never fails, so no breaker sees it; readiness still
+// fails once no feed has loaded for two reload intervals.
+func TestHungLoadFailsReadiness(t *testing.T) {
+	o, err := parseFlags([]string{"-feed", "hang=x", "-reload", "20ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var loads atomic.Int32
+	src := feedmesh.SourceFunc("hang", func(ctx context.Context) (feedmesh.Batch, error) {
+		if loads.Add(1) > 1 {
+			<-release
+		}
+		return feedmesh.Batch{Addrs: ipset.MustParse("10.1.1.1")}, nil
+	})
+	cfg := feedmesh.DefaultConfig()
+	cfg.Interval = o.reload
+	mesh, err := feedmesh.New(cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := firstRound(context.Background(), mesh); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dnsbl.NewServer(o.zone, mesh.List(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := buildHealth(o, srv, mesh)
+	if doc := health.Ready(); !doc.Ready {
+		t.Fatalf("not ready after a load: %+v", doc.Checks)
+	}
+	hung := make(chan struct{})
+	go func() {
+		defer close(hung)
+		mesh.Tick(context.Background())
+	}()
+	defer func() {
+		close(release)
+		<-hung
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		doc := health.Ready()
+		if c := doc.Checks["feed_fresh"]; !doc.Ready && !c.OK && strings.HasPrefix(c.Detail, "last successful load") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readiness never failed while the load hung: %+v", doc.Checks)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A first round in which no feed loads is fatal in every mode: the
+// daemon has nothing to serve.
+func TestRunNoFeedLoadedIsFatal(t *testing.T) {
+	dead := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dead, "junk"+report.Ext), []byte("not a report"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-reports", dead},
+		{"-feed", "a=" + dead, "-feed", "b=" + dead, "-reload", "1h"},
+	} {
+		err := run(context.Background(), append([]string{"-listen", "127.0.0.1:0", "-selfcheck", "1"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "no feed loaded") {
+			t.Errorf("%v: err = %v, want no feed loaded", args, err)
 		}
 	}
 }

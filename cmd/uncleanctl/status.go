@@ -186,9 +186,9 @@ type feedRow struct {
 
 // writeFeedTable renders the feed-mesh section: one summary line for
 // the mesh, then a row per feed, from the daemon's unclean_feedmesh_*
-// series. A daemon not running a mesh produces no such series; the
-// section then says so explicitly, so an operator can tell "no mesh
-// configured" apart from "mesh metrics went missing".
+// series. Every dnsbld serves through the mesh, so a scrape without
+// those series means they went missing; the section says so rather than
+// vanish.
 func writeFeedTable(w io.Writer, mets *obs.MetricsDoc) {
 	rows := map[string]*feedRow{}
 	var merged, healthy, poisonPm, degraded *int64
@@ -238,7 +238,7 @@ func writeFeedTable(w io.Writer, mets *obs.MetricsDoc) {
 		}
 	}
 	if len(rows) == 0 {
-		fmt.Fprintf(w, "\nfeed mesh: none (daemon runs a single feed; start dnsbld with -feed NAME=PATH flags to mesh)\n")
+		fmt.Fprintf(w, "\nfeed mesh: none (no unclean_feedmesh_* series in the scrape; dnsbld always exposes them)\n")
 		return
 	}
 	fmt.Fprintf(w, "\nfeed mesh: %d/%d feeds healthy", deref64(healthy), len(rows))
@@ -265,6 +265,11 @@ func writeFeedTable(w io.Writer, mets *obs.MetricsDoc) {
 		if r.seen {
 			// A gauge value outside the uint8 range names no state.
 			state = feedmesh.State(min(uint64(r.state), math.MaxUint8)).String()
+		}
+		if state == "healthy" && r.loads == 0 {
+			// The state gauge starts at healthy, but a feed that has never
+			// loaded has nothing to vote with; /readyz words it the same.
+			state = "never-loaded"
 		}
 		fmt.Fprintf(w, "  %-16s %-12s %7.2f %7.2f %6.2f %6.2f %9s %7d %6d %6d\n",
 			n, state, r.quality, r.weight, r.dup, r.fp,

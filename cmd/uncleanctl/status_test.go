@@ -82,10 +82,10 @@ func TestWriteStatus(t *testing.T) {
 	if strings.Contains(got, "unclean_dnsbl_window_shed_total") {
 		t.Errorf("idle windowed counter rendered:\n%s", got)
 	}
-	// No unclean_feedmesh_* series: the section must say "no mesh"
-	// explicitly rather than silently vanish.
+	// No unclean_feedmesh_* series: the section must say they are
+	// missing rather than silently vanish.
 	if !strings.Contains(got, "feed mesh: none") {
-		t.Errorf("non-mesh daemon missing the explicit no-mesh line:\n%s", got)
+		t.Errorf("scrape without mesh series missing the explicit no-mesh line:\n%s", got)
 	}
 	if strings.Contains(got, "FEED") {
 		t.Errorf("feed table rendered without mesh series:\n%s", got)
@@ -143,6 +143,45 @@ func TestWriteStatusFeedMeshTable(t *testing.T) {
 	}
 	if strings.Contains(got, "DEGRADED") {
 		t.Errorf("degraded banner shown for a non-degraded mesh:\n%s", got)
+	}
+}
+
+// A feed whose state gauge still reads healthy but which has never
+// loaded is shown as never-loaded, the word /readyz uses, not healthy.
+func TestWriteStatusNeverLoadedFeed(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"ready": true, "checks": {
+			"feed_mesh": {"ok": true, "detail": "1/2 feeds healthy (c=never-loaded)"}
+		}, "info": {}}`))
+	})
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"metrics": [
+			{"name": "unclean_feedmesh_state", "labels": {"feed": "a"}, "kind": "gauge", "value": 0},
+			{"name": "unclean_feedmesh_loads_total", "labels": {"feed": "a"}, "kind": "counter", "value": 3},
+			{"name": "unclean_feedmesh_state", "labels": {"feed": "c"}, "kind": "gauge", "value": 0},
+			{"name": "unclean_feedmesh_loads_total", "labels": {"feed": "c"}, "kind": "counter", "value": 0},
+			{"name": "unclean_feedmesh_load_failures_total", "labels": {"feed": "c"}, "kind": "counter", "value": 1},
+			{"name": "unclean_feedmesh_healthy_feeds", "kind": "gauge", "value": 1}
+		]}`))
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	var out strings.Builder
+	if err := writeStatus(&out, &http.Client{Timeout: time.Second}, ts.URL, 0); err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 {
+			states[f[0]] = f[1]
+		}
+	}
+	if states["a"] != "healthy" || states["c"] != "never-loaded" {
+		t.Errorf("states a=%q c=%q, want healthy and never-loaded:\n%s", states["a"], states["c"], out.String())
 	}
 }
 

@@ -29,17 +29,22 @@ type Message struct {
 	HasTrailing bool
 }
 
-// ParseMessage parses one IRC line (without line terminator).
+// ParseMessage parses one IRC line, dropping a trailing CR/LF. A CR or
+// LF inside the line would end it on the wire, so it is refused.
 func ParseMessage(line string) (Message, error) {
 	var m Message
 	rest := strings.TrimRight(line, "\r\n")
 	if rest == "" {
 		return m, fmt.Errorf("botmonitor: empty IRC line")
 	}
+	if strings.ContainsAny(rest, "\r\n") {
+		return m, fmt.Errorf("botmonitor: CR or LF inside IRC line %q", line)
+	}
 	if rest[0] == ':' {
+		// An empty prefix (": CMD") would vanish from String.
 		sp := strings.IndexByte(rest, ' ')
-		if sp < 0 {
-			return m, fmt.Errorf("botmonitor: prefix-only IRC line %q", line)
+		if sp <= 1 {
+			return m, fmt.Errorf("botmonitor: IRC line %q has an empty prefix or only a prefix", line)
 		}
 		m.Prefix = rest[1:sp]
 		rest = rest[sp+1:]

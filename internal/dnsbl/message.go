@@ -9,6 +9,7 @@
 package dnsbl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -58,8 +59,9 @@ type Message struct {
 	Answers            []Answer
 }
 
-// Encode serializes the message. Answer names pointing at the question
-// name use a compression pointer; other names are written in full.
+// Encode serializes the message. An answer name equal to the first
+// question's name is a compression pointer to it; other names are
+// written in full.
 func (m *Message) Encode() ([]byte, error) {
 	buf := make([]byte, 0, 128)
 	var hdr [12]byte
@@ -100,7 +102,7 @@ func (m *Message) Encode() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, q.Class)
 	}
 	for _, a := range m.Answers {
-		if qOffset >= 0 && len(m.Questions) > 0 && strings.EqualFold(a.Name, m.Questions[0].Name) {
+		if qOffset >= 0 && a.Name == m.Questions[0].Name {
 			buf = append(buf, 0xc0|byte(qOffset>>8), byte(qOffset))
 		} else {
 			nb, err := encodeName(a.Name)
@@ -124,9 +126,11 @@ func (m *Message) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a DNS message (questions and answers only; authority and
-// additional sections are skipped if absent, rejected if present — a
-// DNSBL exchange never carries them).
+// Decode parses a DNS message's header, questions and answers. It
+// ignores the authority and additional sections (NSCOUNT and ARCOUNT):
+// a DNSBL exchange needs nothing from them, and dig sends an EDNS OPT
+// record in the additional section by default. It refuses what Encode
+// refuses, so every message it returns encodes back to itself.
 func Decode(b []byte) (*Message, error) {
 	if len(b) < 12 {
 		return nil, fmt.Errorf("dnsbl: short message (%d bytes)", len(b))
@@ -145,6 +149,7 @@ func Decode(b []byte) (*Message, error) {
 		return nil, fmt.Errorf("dnsbl: implausible section counts qd=%d an=%d", qd, an)
 	}
 	off := 12
+	size := 12 // the length Encode gives the message
 	for i := 0; i < qd; i++ {
 		name, next, err := decodeName(b, off)
 		if err != nil {
@@ -153,6 +158,7 @@ func Decode(b []byte) (*Message, error) {
 		if next+4 > len(b) {
 			return nil, fmt.Errorf("dnsbl: truncated question")
 		}
+		size += nameLen(name) + 4
 		m.Questions = append(m.Questions, Question{
 			Name:  name,
 			Type:  binary.BigEndian.Uint16(b[next:]),
@@ -182,9 +188,21 @@ func Decode(b []byte) (*Message, error) {
 		a.Data = append([]byte(nil), b[next:next+rdlen]...)
 		m.Answers = append(m.Answers, a)
 		off = next + rdlen
+		if qd > 0 && name == m.Questions[0].Name {
+			size += 2 + 10 + rdlen
+		} else {
+			size += nameLen(name) + 10 + rdlen
+		}
+	}
+	// Compression pointers let a small packet name more than Encode writes.
+	if size > maxMessage {
+		return nil, fmt.Errorf("dnsbl: message re-encodes to %d bytes, over %d", size, maxMessage)
 	}
 	return m, nil
 }
+
+// nameLen is len(encodeName(name)): a length byte per label, then a zero.
+func nameLen(name string) int { return len(name) + 1 + min(len(name), 1) }
 
 // encodeName converts "a.b.c" into DNS label format.
 func encodeName(name string) ([]byte, error) {
@@ -214,7 +232,7 @@ func encodeName(name string) ([]byte, error) {
 func decodeName(b []byte, off int) (string, int, error) {
 	var labels []string
 	next := -1 // offset after the first pointer, if any
-	jumps := 0
+	jumps, wire := 0, 0
 	for {
 		if off >= len(b) {
 			return "", 0, fmt.Errorf("dnsbl: name runs past message end")
@@ -243,10 +261,16 @@ func decodeName(b []byte, off int) (string, int, error) {
 			if off+1+c > len(b) {
 				return "", 0, fmt.Errorf("dnsbl: truncated label")
 			}
-			labels = append(labels, string(b[off+1:off+1+c]))
-			if len(labels) > 64 {
-				return "", 0, fmt.Errorf("dnsbl: too many labels")
+			// What encodeName refuses: a dot would split the label when
+			// the dotted name is read back, and a name past 253 bytes.
+			label := b[off+1 : off+1+c]
+			if bytes.IndexByte(label, '.') >= 0 {
+				return "", 0, fmt.Errorf("dnsbl: dot inside label %q", label)
 			}
+			if wire += 1 + c; wire > 253 {
+				return "", 0, fmt.Errorf("dnsbl: name longer than 253 bytes")
+			}
+			labels = append(labels, string(label))
 			off += 1 + c
 		}
 	}

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"unclean/internal/ipset"
+	"unclean/internal/netaddr"
 )
 
 // Batch is one feed load: the reported addresses plus the time the feed
@@ -43,7 +44,11 @@ import (
 // leave it zero and staleness is tracked purely by load success.
 type Batch struct {
 	Addrs ipset.Set
-	AsOf  time.Time
+	// Reasons names why a block is listed, keyed by its base address at
+	// the mesh's Bits. A merged block takes the reason of its heaviest
+	// contributor that gives one, else "feedmesh".
+	Reasons map[netaddr.Addr]string
+	AsOf    time.Time
 }
 
 // Source is one reputation feed the mesh ingests. Load is called once

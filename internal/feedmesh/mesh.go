@@ -3,6 +3,7 @@ package feedmesh
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -29,12 +30,12 @@ type feed struct {
 	src     Source
 	breaker *retry.Breaker
 
-	state       State
-	quality     float64 // EWMA of per-round quality, starts at 1
-	weight      float64 // merge weight (quality for healthy, decaying residue after)
-	contrib     ipset.Set
-	contribBits ipset.Set // contrib masked to Config.Bits block bases
-	prevBatch   ipset.Set // last loaded batch, accepted or not (duplicate ratio)
+	state          State
+	quality        float64                 // EWMA of per-round quality, starts at 1
+	weight         float64                 // merge weight (quality for healthy, decaying residue after)
+	contribBits    ipset.Set               // last accepted batch masked to Config.Bits block bases
+	contribReasons map[netaddr.Addr]string // that batch's reasons
+	prevBatch      ipset.Set               // last loaded batch, accepted or not (duplicate ratio)
 
 	probationOK int // consecutive clean loads while on probation
 
@@ -77,8 +78,9 @@ type Mesh struct {
 	feeds      []*feed
 	round      uint64
 	lastGood   *blocklist.Trie
-	lastBits   ipset.Set // block bases of lastGood
-	built      bool      // at least one non-degraded merge happened
+	lastBits   ipset.Set               // block bases of lastGood
+	lastWhy    map[netaddr.Addr]string // reason of each block of lastGood
+	built      bool                    // at least one non-degraded merge happened
 	degraded   bool
 	poisonFrac float64
 	// contrib maps each merged block base to the sorted names of the
@@ -323,16 +325,15 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 	}
 
 	// Pass 3: the quarantine state machine and merge weights.
-	for _, f := range m.feeds {
+	for i, f := range m.feeds {
 		cleanLoad := f.roundLoaded && f.roundQ >= m.cfg.MinQuality && !f.breaker.Open()
 		switch f.state {
 		case StateHealthy:
 			if f.breaker.Open() || f.quality < m.cfg.MinQuality {
 				m.transition(f, StateQuarantined, now)
 			} else if f.roundLoaded {
-				// scoreBatch already stashed this round's batch in prevBatch
-				f.contrib = f.prevBatch
 				f.contribBits = f.roundBits
+				f.contribReasons = results[i].batch.Reasons
 				f.weight = f.quality
 			} else {
 				// transient miss: keep serving the last accepted batch at
@@ -350,8 +351,8 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 			if cleanLoad {
 				f.probationOK++
 				if f.probationOK >= m.cfg.ProbationLoads && f.quality >= m.cfg.MinQuality {
-					f.contrib = f.prevBatch
 					f.contribBits = f.roundBits
+					f.contribReasons = results[i].batch.Reasons
 					f.weight = f.quality
 					m.transition(f, StateHealthy, now)
 				}
@@ -397,11 +398,15 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 
 	swapped := false
 	if !m.degraded {
-		merged := m.merge()
-		if !merged.Equal(m.lastBits) {
-			newList = blocklist.FromSet(merged, m.cfg.Bits, "feedmesh")
-			m.lastGood = newList
-			m.lastBits = merged
+		// A block whose reason changed changes its answer, so it swaps
+		// the list like an added or dropped block.
+		merged, why := m.merge()
+		if !maps.Equal(why, m.lastWhy) {
+			newList = &blocklist.Trie{}
+			for _, b := range merged.Blocks(m.cfg.Bits) {
+				newList.Insert(b, why[b.Base()])
+			}
+			m.lastGood, m.lastBits, m.lastWhy = newList, merged, why
 			swapped = true
 			m.mSwaps.Inc()
 		}
@@ -555,8 +560,9 @@ func (m *Mesh) transition(f *feed, to State, now time.Time) {
 	}
 }
 
-// merge computes the weighted-vote merged block set. Callers hold m.mu.
-func (m *Mesh) merge() ipset.Set {
+// merge computes the weighted-vote merged block set and each block's
+// reason (see Batch.Reasons; ties go to source order). Callers hold m.mu.
+func (m *Mesh) merge() (ipset.Set, map[netaddr.Addr]string) {
 	votes := map[netaddr.Addr]float64{}
 	var total float64
 	for _, f := range m.feeds {
@@ -572,25 +578,32 @@ func (m *Mesh) merge() ipset.Set {
 	}
 	if total == 0 {
 		m.contrib = nil
-		return ipset.Set{}
+		return ipset.Set{}, map[netaddr.Addr]string{}
 	}
 	b := ipset.NewBuilder(len(votes))
 	contrib := make(map[netaddr.Addr][]string)
+	why := make(map[netaddr.Addr]string)
 	for a, v := range votes {
-		if v/total >= m.cfg.Threshold {
-			b.Add(a)
-			var names []string
-			for _, f := range m.feeds {
-				if f.weight > weightEpsilon && f.contribBits.Contains(a) {
-					names = append(names, f.src.Name())
+		if v/total < m.cfg.Threshold {
+			continue
+		}
+		b.Add(a)
+		var names []string
+		reason, heaviest := "feedmesh", 0.0
+		for _, f := range m.feeds {
+			if f.weight > weightEpsilon && f.contribBits.Contains(a) {
+				names = append(names, f.src.Name())
+				if r, ok := f.contribReasons[a]; ok && f.weight > heaviest {
+					reason, heaviest = r, f.weight
 				}
 			}
-			sort.Strings(names)
-			contrib[a] = names
 		}
+		sort.Strings(names)
+		contrib[a] = names
+		why[a] = reason
 	}
 	m.contrib = contrib
-	return b.Build()
+	return b.Build(), why
 }
 
 // Contributors reports which feeds voted the block containing addr

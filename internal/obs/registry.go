@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind discriminates the metric types a registry holds.
@@ -139,6 +140,8 @@ type Registry struct {
 	mu    sync.Mutex
 	byKey map[string]*Metric
 	hooks []func()
+	// runtime is set once RegisterRuntimeGauges has hooked the registry.
+	runtime atomic.Bool
 }
 
 // NewRegistry builds an empty registry.

@@ -133,6 +133,26 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 	}
 }
 
+// Registering the runtime gauges twice on one registry installs one
+// scrape hook: a process that starts the daemon many times must not
+// sample the runtime once per start on every read.
+func TestRegisterRuntimeGaugesOncePerRegistry(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntimeGauges(r)
+	RegisterRuntimeGauges(r)
+	if n := len(r.hooks); n != 1 {
+		t.Fatalf("two registrations left %d scrape hooks, want 1", n)
+	}
+	if s, err := Samples(r); err != nil || s["unclean_runtime_goroutines"] < 1 {
+		t.Fatalf("runtime gauges not exposed (%v): %v", err, s)
+	}
+	other := NewRegistry()
+	RegisterRuntimeGauges(other)
+	if n := len(other.hooks); n != 1 {
+		t.Fatalf("a second registry got %d scrape hooks, want its own 1", n)
+	}
+}
+
 func TestGauge(t *testing.T) {
 	var g Gauge
 	g.Set(5)

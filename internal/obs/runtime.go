@@ -36,8 +36,13 @@ type runtimeStats struct {
 
 // RegisterRuntimeGauges registers the unclean_runtime_* gauges in r and
 // hooks their refresh into r's scrape path, so every read of the
-// exposition sees current values. Call once per registry.
+// exposition sees current values. Later calls on the same registry do
+// nothing, so a process that starts the daemon many times still samples
+// the runtime once per read.
 func RegisterRuntimeGauges(r *Registry) {
+	if r.runtime.Swap(true) {
+		return
+	}
 	s := &runtimeStats{
 		gGoroutines: r.Gauge("unclean_runtime_goroutines", "Live goroutines."),
 		gGCPauseP99: r.Gauge("unclean_runtime_gc_pause_p99_ns", "p99 stop-the-world GC pause (nanoseconds, process lifetime)."),

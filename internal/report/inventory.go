@@ -41,8 +41,8 @@ func (inv *Inventory) MustGet(tag string) *Report {
 }
 
 // Addrs returns the union of every report's membership — the flat
-// address view a feed aggregator wants when the per-report structure
-// does not matter (the feed mesh merges directories this way).
+// address view for when the per-report structure does not matter (the
+// serve benchmark draws its query pool from it).
 func (inv *Inventory) Addrs() ipset.Set {
 	b := ipset.NewBuilder(0)
 	for _, r := range inv.Reports {
