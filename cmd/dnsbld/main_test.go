@@ -443,9 +443,12 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 	// recorder, client and verdict intact, and the breaker trip is on the
 	// same timeline. Within a watchdog tick of the quarantine, the
 	// mesh-quarantine rule fires on the growth of the series it reads.
+	// Under load the watchdog can fire on the quarantine before the
+	// breaker's open event is in the ring, so poll until every event is
+	// in, not only the trigger.
 	var events flight.EventsDoc
 	var sawHit, sawMiss, sawTrip, sawTrigger bool
-	for deadline = time.Now().Add(5 * time.Second); !sawTrigger && time.Now().Before(deadline); {
+	for deadline = time.Now().Add(5 * time.Second); !(sawHit && sawMiss && sawTrip && sawTrigger) && time.Now().Before(deadline); {
 		res, err := http.Get("http://" + addr + "/debug/events?n=0")
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"unclean/internal/blocklist"
 	"unclean/internal/experiments"
 	"unclean/internal/ipset"
-	"unclean/internal/netflow"
 	"unclean/internal/obs"
 	"unclean/internal/simnet"
 	"unclean/internal/stats"
@@ -26,11 +25,11 @@ import (
 //
 // The pipeline is the paper's, not a microbenchmark: build the world,
 // draw the control sample (46.9M addresses at -scale 1) into compressed
-// containers, serve it back through the mmap-friendly v2 image, then stream
+// containers, serve it back through the mmap-friendly v2 image, then fold
 // the whole unclean window through the compiled C_n(R_bot-test) sweep
-// with a bounded spill budget. Peak RSS comes from the kernel's VmHWM
-// high-water mark, so it covers every phase — including the ones that
-// would blow up without the compressed sets and the spill pipeline.
+// (experiments.Sweep). Peak RSS comes from the kernel's VmHWM high-water
+// mark, so it covers every phase — including the ones that would blow
+// up without the compressed sets and the fold's bounded day buffers.
 //
 // Each phase, and each stage of the world build inside it, is a span on
 // the process-wide obs trace; the stage table goes to stderr at the end,
@@ -42,9 +41,7 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 	scaleDen, seed, _, benign := commonFlags(fs)
 	lo := fs.Int("lo", 24, "shortest blocked prefix length")
 	hi := fs.Int("hi", 32, "longest blocked prefix length")
-	budget := fs.Int("spill-budget", 256<<20,
-		"per-worker in-memory budget (bytes) before flow synthesis spills to disk")
-	dir := fs.String("dir", "", "work directory for spill segments and the mapped control image (default: a temp dir)")
+	dir := fs.String("dir", "", "work directory for the mapped control image (default: a temp dir)")
 	progressEvery := fs.Duration("progress", 5*time.Second,
 		"print a stage/elapsed/RSS progress line to stderr at this interval (0 disables)")
 	if err := fs.Parse(args); err != nil {
@@ -134,28 +131,14 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 		metric{blocks, "blocks"})
 
 	// Phase 4: the full unclean window through the compiled prefix
-	// sweep, with synthesis bounded by the spill budget.
+	// sweep, one fold over its days.
 	progress.Stage("sweep")
 	sp = obs.StartSpan("bench/sweep")
 	ms, err := blocklist.SweepSet(world.BotTest(), *lo, *hi)
 	if err != nil {
 		return err
 	}
-	sv := blocklist.NewSweepEvaluator(ms)
-	flows := 0
-	err = world.StreamFlows(experiments.UncleanFrom, experiments.UncleanTo, simnet.FlowOptions{
-		BenignSourcesPerDay: cfg.BenignPerDay,
-		CandidateExtras:     true,
-		SpillBudget:         *budget,
-		SpillDir:            workdir,
-	}, func(_ time.Time, recs []netflow.Record) error {
-		flows += len(recs)
-		sv.Consume(recs)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	_, flows := experiments.Sweep(world, cfg.BenignPerDay, ms)
 	sweep := sp.End()
 	benchLine(stdout, "BenchmarkPaperSweep/"+scaleTag, sweep,
 		metric{int64(flows), "flows"},

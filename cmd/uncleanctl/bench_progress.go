@@ -12,9 +12,9 @@ import (
 // benchProgress prints a periodic one-line heartbeat while a bench
 // phase runs: the stage name, how long it has been going, and the
 // process's live and peak RSS from the kernel. A paper-scale bench run
-// is minutes of silence otherwise, and the live VmHWM is exactly the
-// number the -spill-budget knob exists to bound — an operator watching
-// the line can see a budget mistake long before the final report.
+// is minutes of silence otherwise, and the live VmHWM is the number the
+// bench gate bounds — an operator watching the line can see memory run
+// away long before the final report.
 type benchProgress struct {
 	w     io.Writer
 	every time.Duration

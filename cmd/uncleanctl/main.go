@@ -8,7 +8,7 @@
 //	uncleanctl run [-exp all|table1|fig1|...] [-scale N] [-seed N] [-draws N]
 //	uncleanctl reports -out DIR [-scale N] [-seed N]
 //	uncleanctl score [-scale N] [-seed N] [-top N]
-//	uncleanctl bench [-scale N] [-spill-budget BYTES]
+//	uncleanctl bench [-scale N] [-dir DIR]
 package main
 
 import (
@@ -89,10 +89,10 @@ commands:
   score   [flags]       rank networks by multidimensional uncleanliness
   track   [flags]       stream weekly reports through the decaying tracker
                         and compare its blocklist against a static one
-  block   [flags]       stream the October traffic through the compiled
+  block   [flags]       score the October traffic against the compiled
                         C_n(R_bot-test) sweep and report blocking throughput
   bench   [flags]       run the §6 pipeline end-to-end (world, compressed
-                        control sample, mmap-served image, spilled sweep)
+                        control sample, mmap-served image, folded sweep)
                         and print wall time / allocs / peak RSS in
                         go-bench format for the benchjson gate
   analyze [flags]       run the spatial/temporal tests over .report files
@@ -139,7 +139,7 @@ func buildDataset(cfg experiments.Config) (*experiments.Dataset, error) {
 	if cfg.Scale > 1.0/8 {
 		fmt.Fprintf(os.Stderr, "note: scale 1/%g holds the full flow log in memory; "+
 			"for paper-scale resource numbers use `uncleanctl bench -scale 1`, "+
-			"which streams with a bounded spill budget\n", 1/cfg.Scale)
+			"which folds the window without keeping it\n", 1/cfg.Scale)
 	}
 	fmt.Fprintf(os.Stderr, "building world at scale 1/%g (seed %d)...\n", 1/cfg.Scale, cfg.Seed)
 	start := time.Now()
@@ -262,9 +262,10 @@ func cmdReports(args []string) error {
 }
 
 // cmdBlock is the operational face of the §6 experiment: compile the
-// bot-test prefix sweep once, stream the whole unclean window's traffic
-// through it in one pass, and report what each prefix length would have
-// blocked — plus the throughput the compiled engine sustains.
+// bot-test prefix sweep once, score the whole unclean window's traffic
+// against it in one fold over days (experiments.Sweep), and report what
+// each prefix length would have blocked — plus the throughput the
+// compiled engine sustains.
 func cmdBlock(args []string) error {
 	fs := flag.NewFlagSet("block", flag.ContinueOnError)
 	scaleDen, seed, draws, benign := commonFlags(fs)
@@ -288,20 +289,8 @@ func cmdBlock(args []string) error {
 	if err != nil {
 		return err
 	}
-	sv := blocklist.NewSweepEvaluator(ms)
-	total := 0
 	start := time.Now()
-	err = world.StreamFlows(experiments.UncleanFrom, experiments.UncleanTo, simnet.FlowOptions{
-		BenignSourcesPerDay: cfg.BenignPerDay,
-		CandidateExtras:     true,
-	}, func(_ time.Time, recs []netflow.Record) error {
-		total += len(recs)
-		sv.Consume(recs)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	sv, total := experiments.Sweep(world, cfg.BenignPerDay, ms)
 	elapsed := time.Since(start)
 	fmt.Printf("scored %d flows from %d distinct sources in %v (%.0f flows/sec, %d lists per probe)\n\n",
 		total, sv.Sources(), elapsed.Round(time.Millisecond),

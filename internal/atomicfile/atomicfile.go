@@ -20,6 +20,7 @@ package atomicfile
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -28,6 +29,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"unclean/internal/obs"
@@ -215,13 +217,27 @@ func Trailer(payload []byte) string {
 // ReadFile reads path and, when a CRC trailer is present, verifies it
 // and returns only the payload. Files without a trailer are returned
 // as-is (v1 compatibility). A present-but-wrong trailer yields an error
-// wrapping ErrCorrupt.
+// wrapping ErrCorrupt. Only a regular file is read: the open does not
+// block, so a FIFO without a writer cannot hold up the caller, and
+// anything but a regular file is refused with an error naming the path.
 func ReadFile(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
 	if err != nil {
 		return nil, err
 	}
-	return Verify(raw, path)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("atomicfile: %s is not a regular file (mode %s)", path, fi.Mode())
+	}
+	raw := bytes.NewBuffer(make([]byte, 0, fi.Size()+512))
+	if _, err := raw.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return Verify(raw.Bytes(), path)
 }
 
 // Verify checks and strips the CRC trailer of raw, read from name (used

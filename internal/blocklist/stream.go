@@ -125,6 +125,22 @@ func (sv *SweepEvaluator) grow() {
 	}
 }
 
+// Merge adds other's counts, source by source, to sv, as if sv had
+// consumed other's records too. Both must score the same MatcherSet.
+func (sv *SweepEvaluator) Merge(other *SweepEvaluator) {
+	if sv.ms != other.ms {
+		panic("blocklist: merging sweep evaluators of different matcher sets")
+	}
+	for _, o := range other.rows {
+		if o.flows == 0 {
+			continue
+		}
+		row := sv.row(o.src)
+		row.flows += o.flows
+		row.payload += o.payload
+	}
+}
+
 // Sources returns the number of distinct sources seen so far.
 func (sv *SweepEvaluator) Sources() int { return sv.used }
 

@@ -197,3 +197,61 @@ func TestSweepEvaluatorMatchesPerListEvaluate(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepEvaluatorMergeProperty splits random record sets, with
+// sources repeated across chunks and near the seed, into arbitrary
+// chunks over k evaluators, merges them in any order and compares every
+// list's counts and both source sets with one evaluator over the whole
+// slice.
+func TestSweepEvaluatorMergeProperty(t *testing.T) {
+	rng := stats.NewRNG(17)
+	b := ipset.NewBuilder(0)
+	for i := 0; i < 200; i++ {
+		b.Add(netaddr.Addr(rng.Uint32()))
+	}
+	seed := b.Build()
+	ms, err := SweepSet(seed, 24, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 30; trial++ {
+		pool := make([]netaddr.Addr, 1+rng.Intn(6000))
+		for i := range pool {
+			pool[i] = netaddr.Addr(rng.Uint32())
+			if rng.Bool(0.5) {
+				pool[i] = seed.At(rng.Intn(seed.Len()))&^0xff | netaddr.Addr(rng.Intn(256))
+			}
+		}
+		recs := make([]netflow.Record, 1+rng.Intn(20000))
+		for i := range recs {
+			recs[i] = flowFrom(pool[rng.Intn(len(pool))].String(), rng.Bool(0.3))
+		}
+		whole := NewSweepEvaluator(ms)
+		whole.Consume(recs)
+		want := whole.Results()
+
+		k := 1 + rng.Intn(5)
+		parts := make([]*SweepEvaluator, k)
+		for i := range parts {
+			parts[i] = NewSweepEvaluator(ms)
+		}
+		for rest := recs; len(rest) > 0; {
+			n := min(len(rest), 1+rng.Intn(700))
+			parts[rng.Intn(k)].Consume(rest[:n])
+			rest = rest[n:]
+		}
+		order := rng.Perm(k)
+		acc := parts[order[0]]
+		for _, i := range order[1:] {
+			acc.Merge(parts[i])
+		}
+		if acc.Sources() != whole.Sources() {
+			t.Fatalf("trial %d (k=%d): %d sources merged, %d whole", trial, k, acc.Sources(), whole.Sources())
+		}
+		for n, got := range acc.Results() {
+			if !evalsEqual(got, want[n]) {
+				t.Fatalf("trial %d (k=%d): /%d merged %+v, whole %+v", trial, k, 24+n, got, want[n])
+			}
+		}
+	}
+}

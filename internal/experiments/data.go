@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"unclean/internal/blocklist"
 	"unclean/internal/ipset"
 	"unclean/internal/netflow"
 	"unclean/internal/obs"
@@ -26,10 +27,12 @@ type Dataset struct {
 	Inventory *report.Inventory
 
 	// Flows is the synthesized traffic crossing the observed network
-	// during the unclean window (October 1–14).
+	// during the unclean window (October 1–14), in time order.
 	Flows []netflow.Record
+	// FlowCount is the number of records in the unclean window.
+	FlowCount int
 	// PayloadSources are the distinct sources with at least one
-	// payload-bearing flow in Flows.
+	// payload-bearing flow in the window.
 	PayloadSources ipset.Set
 	// TCPSources are the distinct sources with at least one TCP flow.
 	TCPSources ipset.Set
@@ -60,45 +63,28 @@ func Build(cfg Config) (*Dataset, error) {
 	}
 	ds := &Dataset{Cfg: cfg, World: world}
 
-	// Traffic for the unclean window, then the observed reports. The
-	// window is streamed day by day: the payload-bearing and TCP source
-	// sets accumulate per chunk instead of re-scanning the finished log,
-	// and concatenating the chunks reproduces SynthesizeFlows exactly.
+	// Traffic for the unclean window and the observed reports, in one
+	// fold over its days: each worker keeps its days' records and feeds
+	// them to its own source sets and detectors, and the workers'
+	// accumulators merge once every day is done.
 	spFlows := obs.StartSpan("build/flows")
-	payload, tcp := ipset.NewBuilder(0), ipset.NewBuilder(0)
-	err = world.StreamFlows(UncleanFrom, UncleanTo, simnet.FlowOptions{
-		BenignSourcesPerDay: cfg.BenignPerDay,
-		CandidateExtras:     true,
-	}, func(_ time.Time, recs []netflow.Record) error {
-		ds.Flows = append(ds.Flows, recs...)
-		for i := range recs {
-			if recs[i].PayloadBearing() {
-				payload.Add(recs[i].SrcAddr)
-			}
-			if recs[i].Proto == netflow.ProtoTCP {
-				tcp.Add(recs[i].SrcAddr)
-			}
-		}
-		return nil
-	})
+	parts, err := simnet.Fold(world, UncleanFrom, UncleanTo, windowOptions(cfg.BenignPerDay), newWindowFold)
 	spFlows.End()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: observed reports: %w", err)
 	}
-	ds.PayloadSources = payload.Build()
-	ds.TCPSources = tcp.Build()
 
 	spDetect := obs.StartSpan("build/detect")
-	scanSet, err := scandetect.DetectThreshold(ds.Flows, scandetect.DefaultThresholdConfig())
-	if err != nil {
-		spDetect.End()
-		return nil, fmt.Errorf("experiments: scan detection: %w", err)
+	acc := parts[0]
+	for _, p := range parts[1:] {
+		acc.Merge(p)
 	}
-	spamSet, err := spamdetect.Detect(ds.Flows, spamdetect.DefaultConfig())
+	ds.Flows = acc.log.Records()
+	ds.FlowCount = acc.flows
+	ds.PayloadSources, ds.TCPSources = acc.sources.Sets()
+	scanSet := acc.scan.Scanners()
+	spamSet := acc.spam.Spammers()
 	spDetect.End()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: spam detection: %w", err)
-	}
 
 	// Provided reports from the world's ground-truth observers.
 	botSet := world.MonitoredBotsActive(UncleanFrom, UncleanTo)
@@ -139,6 +125,89 @@ func Build(cfg Config) (*Dataset, error) {
 	ds.Inventory = inv
 	return ds, nil
 }
+
+// windowOptions are the flow options of the unclean window: benign
+// sources per day plus the candidate-block extras of §6.
+func windowOptions(benignPerDay int) simnet.FlowOptions {
+	return simnet.FlowOptions{BenignSourcesPerDay: benignPerDay, CandidateExtras: true}
+}
+
+// windowFold is one worker's share of Build's fold over the unclean
+// window: the flow log, its count, the payload-bearing and TCP sources,
+// and the detectors of the observed scan and spam reports. The scan
+// detector evaluates each day's hourly buckets at the day's end.
+type windowFold struct {
+	log     simnet.FlowLog
+	flows   int
+	sources *simnet.SourceSets
+	scan    *scandetect.Threshold
+	spam    *spamdetect.Detector
+}
+
+func newWindowFold() (*windowFold, error) {
+	scan, err := scandetect.NewThreshold(scandetect.DefaultThresholdConfig())
+	if err != nil {
+		return nil, err
+	}
+	spam, err := spamdetect.NewDetector(spamdetect.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &windowFold{sources: simnet.NewSourceSets(), scan: scan, spam: spam}, nil
+}
+
+func (f *windowFold) Consume(recs []netflow.Record) {
+	f.log.Consume(recs)
+	f.flows += len(recs)
+	f.sources.Consume(recs)
+	f.scan.Consume(recs)
+	f.spam.Consume(recs)
+}
+
+func (f *windowFold) EndDay(day time.Time) {
+	f.log.EndDay(day)
+	f.scan.EndDay(day)
+}
+
+func (f *windowFold) Merge(other *windowFold) {
+	f.log.Merge(&other.log)
+	f.flows += other.flows
+	f.sources.Merge(other.sources)
+	f.scan.Merge(other.scan)
+	f.spam.Merge(other.spam)
+}
+
+// Sweep is the §6 prefix sweep: it scores the unclean window's traffic,
+// synthesized with benignPerDay benign sources a day as Build does,
+// against every list of ms in one fold over the window's days. Each
+// worker's evaluator scores that worker's days, and the evaluators merge
+// once every day is done. It returns the merged evaluator and the
+// window's flow count.
+func Sweep(world *simnet.World, benignPerDay int, ms *blocklist.MatcherSet) (*blocklist.SweepEvaluator, int) {
+	// Fold fails only when a folder cannot be made, and these always can.
+	parts, _ := simnet.Fold(world, UncleanFrom, UncleanTo, windowOptions(benignPerDay), func() (*sweepFold, error) {
+		return &sweepFold{sv: blocklist.NewSweepEvaluator(ms)}, nil
+	})
+	acc := parts[0]
+	for _, p := range parts[1:] {
+		acc.sv.Merge(p.sv)
+		acc.flows += p.flows
+	}
+	return acc.sv, acc.flows
+}
+
+// sweepFold is one worker's share of Sweep's fold.
+type sweepFold struct {
+	sv    *blocklist.SweepEvaluator
+	flows int
+}
+
+func (f *sweepFold) Consume(recs []netflow.Record) {
+	f.sv.Consume(recs)
+	f.flows += len(recs)
+}
+
+func (f *sweepFold) EndDay(time.Time) {}
 
 func mustDate(s string) time.Time {
 	t, err := time.Parse("2006-01-02", s)

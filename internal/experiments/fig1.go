@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"unclean/internal/ipset"
+	"unclean/internal/netflow"
 	"unclean/internal/scandetect"
 	"unclean/internal/simnet"
-	"unclean/internal/stats"
 )
 
 // Figure1Result reproduces Figure 1: the relationship between scanning
@@ -38,33 +38,41 @@ func Figure1(ds *Dataset) *Figure1Result {
 }
 
 // Figure1Detected computes the series through the full measurement
-// pipeline instead: each day's border traffic is synthesized and the
-// hourly threshold scan detector derives the day's scanner set, exactly
+// pipeline instead: the hourly threshold scan detector derives each
+// day's scanner set from that day's synthesized border traffic, exactly
 // as the October observed reports are built. Much slower than Figure1
-// (it materializes four months of flow logs) but removes the
-// ground-truth shortcut; available as experiment id "fig1d".
+// (it synthesizes four months of traffic) but removes the ground-truth
+// shortcut; available as experiment id "fig1d".
 func Figure1Detected(ds *Dataset) (*Figure1Result, error) {
 	w := ds.World
-	lo := w.DayIndex(Fig1From)
-	hi := w.DayIndex(Fig1To)
-	if lo < 0 {
-		lo = 0
-	}
-	daily := make([]ipset.Set, hi-lo+1)
-	errs := make([]error, hi-lo+1)
+	lo := max(w.DayIndex(Fig1From), 0)
+	daily := make([]ipset.Set, w.DayIndex(Fig1To)-lo+1)
 	opts := simnet.FlowOptions{BenignSourcesPerDay: ds.Cfg.BenignPerDay, CandidateExtras: false}
-	stats.Parallel(hi-lo+1, func(_, i int) {
-		day := w.Date(lo + i)
-		flows := w.SynthesizeFlows(day, day, opts)
-		scanners, err := scandetect.DetectThreshold(flows, scandetect.DefaultThresholdConfig())
-		daily[i], errs[i] = scanners, err
+	_, err := simnet.Fold(w, Fig1From, Fig1To, opts, func() (*dailyScanners, error) {
+		scan, err := scandetect.NewThreshold(scandetect.DefaultThresholdConfig())
+		return &dailyScanners{w: w, lo: lo, daily: daily, scan: scan}, err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return figure1From(ds, daily, w.Date(lo)), nil
+}
+
+// dailyScanners is one worker's share of Figure1Detected's fold: the
+// scan detector over each day the worker synthesizes, whose scanners go
+// to the day's entry of daily, a slice every worker shares.
+type dailyScanners struct {
+	w     *simnet.World
+	lo    int
+	daily []ipset.Set
+	scan  *scandetect.Threshold
+}
+
+func (d *dailyScanners) Consume(recs []netflow.Record) { d.scan.Consume(recs) }
+
+func (d *dailyScanners) EndDay(day time.Time) {
+	d.daily[d.w.DayIndex(day)-d.lo] = d.scan.Scanners()
+	d.scan.Reset()
 }
 
 func figure1From(ds *Dataset, daily []ipset.Set, start time.Time) *Figure1Result {

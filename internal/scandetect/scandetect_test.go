@@ -1,9 +1,11 @@
 package scandetect
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
+	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/netflow"
 )
@@ -227,5 +229,108 @@ func TestThresholdDedupesDestinationOutcomes(t *testing.T) {
 	}
 	if got.Len() != 0 {
 		t.Fatalf("retried traffic to 4 hosts flagged: %v", got)
+	}
+}
+
+// randomContacts returns n records from srcs sources over the first
+// hours hours of two days, to dsts destinations that repeat across the
+// set, each a failed probe or, at random, an established session.
+func randomContacts(rng *rand.Rand, n, srcs, dsts, hours int) []netflow.Record {
+	day0 := time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC)
+	recs := make([]netflow.Record, n)
+	for i := range recs {
+		at := day0.Add(time.Duration(rng.IntN(2))*24*time.Hour + time.Duration(rng.IntN(hours*3600))*time.Second)
+		src := netaddr.MakeAddr(60, 0, 0, byte(rng.IntN(srcs))).String()
+		dst := dstAddr(rng.IntN(dsts))
+		if rng.IntN(3) == 0 {
+			recs[i] = session(src, dst, at)
+		} else {
+			recs[i] = probe(src, dst, at)
+		}
+	}
+	return recs
+}
+
+// dealChunks cuts recs into chunks of random lengths and deals them at
+// random over k parts.
+func dealChunks(rng *rand.Rand, recs []netflow.Record, k int) [][][]netflow.Record {
+	parts := make([][][]netflow.Record, k)
+	for len(recs) > 0 {
+		n := min(len(recs), 1+rng.IntN(50))
+		p := rng.IntN(k)
+		parts[p] = append(parts[p], recs[:n])
+		recs = recs[n:]
+	}
+	return parts
+}
+
+// mergeThresholds merges accs in a random order and returns the result.
+func mergeThresholds(rng *rand.Rand, accs []*Threshold) ipset.Set {
+	order := rng.Perm(len(accs))
+	acc := accs[order[0]]
+	for _, i := range order[1:] {
+		acc.Merge(accs[i])
+	}
+	return acc.Scanners()
+}
+
+// TestThresholdMergeProperty splits random record sets, with several
+// hours, sources whose buckets straddle the thresholds and destinations
+// repeated across chunks, into arbitrary chunks over k accumulators,
+// merges them in any order and compares with the whole slice. The
+// per-day variant hands each day to one accumulator and ends it, as the
+// fold over days does.
+func TestThresholdMergeProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20061001, 1))
+	cfgs := []ThresholdConfig{
+		DefaultThresholdConfig(),
+		{Window: time.Hour, MinTargets: 6, MinFailureRatio: 0.5},
+		{Window: 5 * time.Hour, MinTargets: 8, MinFailureRatio: 0.7}, // windows straddle days
+	}
+	flagged := 0
+	for trial := 0; trial < 60; trial++ {
+		cfg := cfgs[trial%len(cfgs)]
+		recs := randomContacts(rng, 1+rng.IntN(4000), 1+rng.IntN(40), 1+rng.IntN(80), 1+rng.IntN(30))
+		want, err := DetectThreshold(recs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flagged += want.Len()
+		k := 1 + rng.IntN(5)
+
+		accs := make([]*Threshold, k)
+		for i, chunks := range dealChunks(rng, recs, k) {
+			accs[i], _ = NewThreshold(cfg)
+			for _, c := range chunks {
+				accs[i].Consume(c)
+			}
+		}
+		if got := mergeThresholds(rng, accs); !got.Equal(want) {
+			t.Fatalf("trial %d (%+v, k=%d): chunked %v, whole %v", trial, cfg, k, got, want)
+		}
+
+		for i := range accs {
+			accs[i], _ = NewThreshold(cfg)
+		}
+		byDay := map[time.Time][]netflow.Record{}
+		for _, r := range recs {
+			day := r.First.Truncate(24 * time.Hour)
+			byDay[day] = append(byDay[day], r)
+		}
+		for day, dayRecs := range byDay {
+			acc := accs[rng.IntN(k)]
+			for _, chunks := range dealChunks(rng, dayRecs, 1) {
+				for _, c := range chunks {
+					acc.Consume(c)
+				}
+			}
+			acc.EndDay(day)
+		}
+		if got := mergeThresholds(rng, accs); !got.Equal(want) {
+			t.Fatalf("trial %d (%+v, k=%d): per day %v, whole %v", trial, cfg, k, got, want)
+		}
+	}
+	if flagged == 0 {
+		t.Fatal("no trial flagged a scanner")
 	}
 }

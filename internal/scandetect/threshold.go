@@ -54,33 +54,105 @@ type bucketStats struct {
 	dsts map[netaddr.Addr]Outcome
 }
 
-// DetectThreshold runs the hourly fan-out detector over a record slice and
-// returns the flagged scanners.
-func DetectThreshold(records []netflow.Record, cfg ThresholdConfig) (ipset.Set, error) {
+// Threshold is the hourly fan-out detector as a fold accumulator.
+// Consume buckets records by source and window. EndDay evaluates and
+// drops the buckets of a finished day once no later record can fall in
+// them, so the buckets never outlive the day. Merge folds in another
+// accumulator's scanners and open buckets, and Scanners returns the
+// flagged sources. DetectThreshold is one Consume and Scanners over a
+// slice.
+type Threshold struct {
+	cfg     ThresholdConfig
+	buckets map[hourBucket]*bucketStats
+	flagged *ipset.Builder
+}
+
+// NewThreshold returns an empty accumulator.
+func NewThreshold(cfg ThresholdConfig) (*Threshold, error) {
 	if err := cfg.validate(); err != nil {
-		return ipset.Set{}, err
+		return nil, err
 	}
-	buckets := make(map[hourBucket]*bucketStats)
+	return &Threshold{cfg: cfg, buckets: make(map[hourBucket]*bucketStats), flagged: ipset.NewBuilder(0)}, nil
+}
+
+// Consume adds records to their (source, window) buckets. Runs of
+// records in one bucket, as generators emit a source's flows, look the
+// bucket up once.
+func (t *Threshold) Consume(records []netflow.Record) {
+	var b *bucketStats
+	var key hourBucket
 	for i := range records {
 		r := &records[i]
-		key := hourBucket{src: r.SrcAddr, hour: r.First.UnixNano() / int64(cfg.Window)}
-		b := buckets[key]
-		if b == nil {
-			b = &bucketStats{dsts: make(map[netaddr.Addr]Outcome)}
-			buckets[key] = b
+		k := hourBucket{src: r.SrcAddr, hour: r.First.UnixNano() / int64(t.cfg.Window)}
+		if b == nil || k != key {
+			key = k
+			if b = t.buckets[key]; b == nil {
+				b = &bucketStats{dsts: make(map[netaddr.Addr]Outcome)}
+				t.buckets[key] = b
+			}
 		}
 		// A destination that ever succeeded in the window stays a success.
 		if prev, seen := b.dsts[r.DstAddr]; !seen || prev == Failure {
 			b.dsts[r.DstAddr] = Classify(r)
 		}
 	}
-	out := ipset.NewBuilder(0)
-	flagged := make(map[netaddr.Addr]struct{})
-	for key, b := range buckets {
-		if _, done := flagged[key.src]; done {
+}
+
+// EndDay is told that every record consumed since the previous EndDay
+// has its First inside day. When day starts and ends on window
+// boundaries, as a UTC day does for the hourly window, no record
+// consumed elsewhere shares a bucket with these, so they are evaluated
+// and dropped. Otherwise they stay open for Merge and Scanners.
+func (t *Threshold) EndDay(day time.Time) {
+	w := int64(t.cfg.Window)
+	if day.UnixNano()%w == 0 && int64(24*time.Hour)%w == 0 {
+		t.flush()
+	}
+}
+
+// Merge folds other, which must have the same configuration, into t:
+// its scanners, and its open buckets destination by destination, a
+// success in either staying a success. other must not be used again.
+func (t *Threshold) Merge(other *Threshold) {
+	if t.cfg != other.cfg {
+		panic("scandetect: merging threshold detectors of different configurations")
+	}
+	t.flagged.AddSet(other.flagged.Build())
+	for key, ob := range other.buckets {
+		b := t.buckets[key]
+		if b == nil {
+			t.buckets[key] = ob
 			continue
 		}
-		if len(b.dsts) < cfg.MinTargets {
+		for dst, o := range ob.dsts {
+			if prev, seen := b.dsts[dst]; !seen || prev == Failure {
+				b.dsts[dst] = o
+			}
+		}
+	}
+	other.buckets = nil
+}
+
+// Scanners evaluates the open buckets and returns every source flagged
+// so far.
+func (t *Threshold) Scanners() ipset.Set {
+	t.flush()
+	s := t.flagged.Build()
+	t.flagged.AddSet(s)
+	return s
+}
+
+// Reset drops everything consumed so far.
+func (t *Threshold) Reset() {
+	clear(t.buckets)
+	t.flagged.Build()
+}
+
+// flush flags the sources of the open buckets that pass the thresholds
+// and drops every open bucket.
+func (t *Threshold) flush() {
+	for key, b := range t.buckets {
+		if len(b.dsts) < t.cfg.MinTargets {
 			continue
 		}
 		failures := 0
@@ -89,10 +161,20 @@ func DetectThreshold(records []netflow.Record, cfg ThresholdConfig) (ipset.Set, 
 				failures++
 			}
 		}
-		if float64(failures) >= cfg.MinFailureRatio*float64(len(b.dsts)) {
-			flagged[key.src] = struct{}{}
-			out.Add(key.src)
+		if float64(failures) >= t.cfg.MinFailureRatio*float64(len(b.dsts)) {
+			t.flagged.Add(key.src)
 		}
 	}
-	return out.Build(), nil
+	clear(t.buckets)
+}
+
+// DetectThreshold runs the hourly fan-out detector over a record slice and
+// returns the flagged scanners.
+func DetectThreshold(records []netflow.Record, cfg ThresholdConfig) (ipset.Set, error) {
+	t, err := NewThreshold(cfg)
+	if err != nil {
+		return ipset.Set{}, err
+	}
+	t.Consume(records)
+	return t.Scanners(), nil
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"time"
 
-	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/netflow"
 	"unclean/internal/stats"
@@ -31,11 +30,6 @@ type FlowOptions struct {
 	// SpillDir is where spill segments are created; empty means the
 	// system temp directory. Segments are removed as they are consumed.
 	SpillDir string
-}
-
-// DefaultFlowOptions returns the options used by the experiment harness.
-func DefaultFlowOptions() FlowOptions {
-	return FlowOptions{BenignSourcesPerDay: 400, CandidateExtras: true}
 }
 
 // Common scan target ports of the era (MS-RPC, NetBIOS, SMB, MSSQL,
@@ -207,11 +201,25 @@ func (w *World) synthesizeDayRuns(d int, opts FlowOptions, slot *daySlot) (dayRu
 	return dayRuns{mem: out, paths: sp.paths, counts: sp.counts}, nil
 }
 
-// synthesizeDay generates one day's records. sp may be nil (keep
-// everything in memory); when set, sp.checkpoint runs between generator
-// calls so an over-budget run spills without the generators — or their
-// RNG streams — ever noticing.
-func (w *World) synthesizeDay(d int, opts FlowOptions, out []netflow.Record, sp *daySpiller) []netflow.Record {
+// A checkpointer sees a day's buffer between generator calls and
+// returns the buffer synthesis goes on appending to: a spiller writes an
+// over-budget run to disk (spill.go), a fold hands whole chunks to its
+// folder (fold.go). Neither the generators nor their RNG streams notice.
+type checkpointer interface {
+	checkpoint(out []netflow.Record) []netflow.Record
+}
+
+// keepDay is the checkpointer that keeps the whole day in the buffer.
+type keepDay struct{}
+
+func (keepDay) checkpoint(out []netflow.Record) []netflow.Record { return out }
+
+// synthesizeDay appends one day's records to out, in generation order,
+// running sp between generator calls; a nil sp keeps the whole day.
+func (w *World) synthesizeDay(d int, opts FlowOptions, out []netflow.Record, sp checkpointer) []netflow.Record {
+	if sp == nil {
+		sp = keepDay{}
+	}
 	rng := stats.NewRNG(w.Cfg.Seed ^ 0xf10f ^ uint64(d)<<16)
 	day := w.Date(d)
 
@@ -409,7 +417,7 @@ func (w *World) benignFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out
 // rare legitimate clients (the innocent population). Pools are derived
 // deterministically from the block base so the same hosts recur across
 // the window, exactly as hand-examination found in §6.2.
-func (w *World) candidateExtraFlows(rng *stats.RNG, d int, out []netflow.Record, sp *daySpiller) []netflow.Record {
+func (w *World) candidateExtraFlows(rng *stats.RNG, d int, out []netflow.Record, sp checkpointer) []netflow.Record {
 	day := w.Date(d)
 	var blocks []netaddr.Addr
 	w.botTestBlocks.Each(func(base netaddr.Addr) bool {
@@ -454,27 +462,4 @@ func (w *World) candidateExtraFlows(rng *stats.RNG, d int, out []netflow.Record,
 		out = sp.checkpoint(out)
 	}
 	return out
-}
-
-// PayloadBearingSources returns the distinct sources with at least one
-// payload-bearing flow in records.
-func PayloadBearingSources(records []netflow.Record) ipset.Set {
-	b := ipset.NewBuilder(0)
-	for i := range records {
-		if records[i].PayloadBearing() {
-			b.Add(records[i].SrcAddr)
-		}
-	}
-	return b.Build()
-}
-
-// TCPSources returns the distinct sources with at least one TCP flow.
-func TCPSources(records []netflow.Record) ipset.Set {
-	b := ipset.NewBuilder(0)
-	for i := range records {
-		if records[i].Proto == netflow.ProtoTCP {
-			b.Add(records[i].SrcAddr)
-		}
-	}
-	return b.Build()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/netflow"
 )
@@ -69,8 +70,7 @@ func TestFlowsDeterministicPerDay(t *testing.T) {
 
 func TestScannersAppearInTraffic(t *testing.T) {
 	w := getWorld(t)
-	records := synthWindow(t)
-	sources := TCPSources(records)
+	_, sources := sourceSets(synthWindow(t))
 	scanners := w.ScannersOn(date(2006, 10, 1))
 	missing := scanners.Difference(sources)
 	if missing.Len() > 0 {
@@ -103,10 +103,15 @@ func TestSpamFlowsTargetSMTP(t *testing.T) {
 	}
 }
 
+// sourceSets runs the source-set accumulator over records.
+func sourceSets(records []netflow.Record) (payload, tcp ipset.Set) {
+	s := NewSourceSets()
+	s.Consume(records)
+	return s.Sets()
+}
+
 func TestPayloadBearingSources(t *testing.T) {
-	records := synthWindow(t)
-	payload := PayloadBearingSources(records)
-	all := TCPSources(records)
+	payload, all := sourceSets(synthWindow(t))
 	if payload.IsEmpty() {
 		t.Fatal("no payload-bearing sources")
 	}
@@ -120,8 +125,7 @@ func TestPayloadBearingSources(t *testing.T) {
 
 func TestCandidateExtrasPopulateBotTestBlocks(t *testing.T) {
 	w := getWorld(t)
-	records := synthWindow(t)
-	sources := TCPSources(records)
+	_, sources := sourceSets(synthWindow(t))
 	inBlocks := sources.WithinBlocks(w.BotTest(), 24)
 	// Traffic inside bot-test /24s must exceed the bot-test members that
 	// happen to be active: the unknown/innocent populations exist.

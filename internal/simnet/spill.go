@@ -38,8 +38,7 @@ const spillChunkRecords = 8192
 // its file at a time: 224 KiB per open segment.
 const segmentBlockRecords = 4096
 
-// daySpiller accumulates one day's spilled runs. A nil spiller is valid
-// and never spills — the in-memory path.
+// daySpiller accumulates one day's spilled runs.
 type daySpiller struct {
 	dir    string
 	budget int
@@ -54,7 +53,7 @@ type daySpiller struct {
 // (emptied) buffer returned. On spill failure the error is recorded and
 // synthesis continues unspilled; the caller surfaces sp.err at day end.
 func (sp *daySpiller) checkpoint(out []netflow.Record) []netflow.Record {
-	if sp == nil || sp.err != nil {
+	if sp.err != nil {
 		return out
 	}
 	if len(out)*recordMemBytes < sp.budget {

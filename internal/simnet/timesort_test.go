@@ -213,7 +213,7 @@ func TestSynthesizeFlowsDigest(t *testing.T) {
 // against the reference comparison sort.
 func BenchmarkSortByTime(b *testing.B) {
 	w := getWorld(b)
-	day := w.synthesizeDay(w.DayIndex(date(2006, 10, 1)), DefaultFlowOptions(), nil, nil)
+	day := w.synthesizeDay(w.DayIndex(date(2006, 10, 1)), FlowOptions{BenignSourcesPerDay: 400, CandidateExtras: true}, nil, nil)
 	work := make([]netflow.Record, len(day))
 	for _, impl := range []struct {
 		name string

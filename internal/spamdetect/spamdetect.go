@@ -66,22 +66,34 @@ type senderStats struct {
 	payloadTotal uint64
 }
 
-// Detect runs the detector over a record slice and returns the flagged
-// spamming sources.
-func Detect(records []netflow.Record, cfg Config) (ipset.Set, error) {
+// Detector is the spam detector as a fold accumulator: Consume counts
+// each sender's SMTP flows, Merge adds another accumulator's counts, and
+// Spammers applies the thresholds. Detect is one Consume and Spammers
+// over a slice.
+type Detector struct {
+	cfg     Config
+	senders map[netaddr.Addr]*senderStats
+}
+
+// NewDetector returns an empty accumulator.
+func NewDetector(cfg Config) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
-		return ipset.Set{}, err
+		return nil, err
 	}
-	senders := make(map[netaddr.Addr]*senderStats)
+	return &Detector{cfg: cfg, senders: make(map[netaddr.Addr]*senderStats)}, nil
+}
+
+// Consume counts the SMTP flows of records.
+func (d *Detector) Consume(records []netflow.Record) {
 	for i := range records {
 		r := &records[i]
 		if r.Proto != netflow.ProtoTCP || r.DstPort != SMTPPort {
 			continue
 		}
-		s := senders[r.SrcAddr]
+		s := d.senders[r.SrcAddr]
 		if s == nil {
 			s = &senderStats{servers: make(map[netaddr.Addr]struct{})}
-			senders[r.SrcAddr] = s
+			d.senders[r.SrcAddr] = s
 		}
 		s.servers[r.DstAddr] = struct{}{}
 		s.flows++
@@ -91,9 +103,35 @@ func Detect(records []netflow.Record, cfg Config) (ipset.Set, error) {
 			s.rejected++
 		}
 	}
+}
+
+// Merge adds other's counts, sender by sender, to d; other must have
+// the same configuration and must not be used again.
+func (d *Detector) Merge(other *Detector) {
+	if d.cfg != other.cfg {
+		panic("spamdetect: merging detectors of different configurations")
+	}
+	for addr, o := range other.senders {
+		s := d.senders[addr]
+		if s == nil {
+			d.senders[addr] = o
+			continue
+		}
+		for srv := range o.servers {
+			s.servers[srv] = struct{}{}
+		}
+		s.flows += o.flows
+		s.rejected += o.rejected
+		s.payloadTotal += o.payloadTotal
+	}
+	other.senders = nil
+}
+
+// Spammers returns the senders that pass the thresholds.
+func (d *Detector) Spammers() ipset.Set {
 	out := ipset.NewBuilder(0)
-	for addr, s := range senders {
-		if len(s.servers) < cfg.MinServers || s.flows < cfg.MinFlows {
+	for addr, s := range d.senders {
+		if len(s.servers) < d.cfg.MinServers || s.flows < d.cfg.MinFlows {
 			continue
 		}
 		rejectRatio := float64(s.rejected) / float64(s.flows)
@@ -102,9 +140,20 @@ func Detect(records []netflow.Record, cfg Config) (ipset.Set, error) {
 		if delivered > 0 {
 			avgPayload = float64(s.payloadTotal) / float64(delivered)
 		}
-		if rejectRatio >= cfg.MinRejectRatio && avgPayload <= cfg.MaxAvgPayload {
+		if rejectRatio >= d.cfg.MinRejectRatio && avgPayload <= d.cfg.MaxAvgPayload {
 			out.Add(addr)
 		}
 	}
-	return out.Build(), nil
+	return out.Build()
+}
+
+// Detect runs the detector over a record slice and returns the flagged
+// spamming sources.
+func Detect(records []netflow.Record, cfg Config) (ipset.Set, error) {
+	d, err := NewDetector(cfg)
+	if err != nil {
+		return ipset.Set{}, err
+	}
+	d.Consume(records)
+	return d.Spammers(), nil
 }

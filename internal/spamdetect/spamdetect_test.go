@@ -1,6 +1,7 @@
 package spamdetect
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -132,5 +133,53 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Detect(nil, cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
+	}
+}
+
+// TestDetectorMergeProperty splits random SMTP record sets, with
+// senders on both sides of every threshold and servers repeated across
+// chunks, into arbitrary chunks over k accumulators, merges them in any
+// order and compares with the whole slice.
+func TestDetectorMergeProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20061001, 2))
+	cfg := Config{MinServers: 4, MinFlows: 6, MaxAvgPayload: 1500, MinRejectRatio: 0.3}
+	flagged := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.IntN(3000)
+		recs := make([]netflow.Record, n)
+		for i := range recs {
+			src := netaddr.MakeAddr(60, 0, 0, byte(rng.IntN(1+trial))).String()
+			recs[i] = smtpFlow(src, rng.IntN(12), uint32(rng.IntN(3000)), rng.IntN(2) == 0,
+				t0.Add(time.Duration(rng.IntN(48*3600))*time.Second))
+			if rng.IntN(10) == 0 {
+				recs[i].DstPort = 80 // not SMTP: ignored
+			}
+		}
+		want, err := Detect(recs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flagged += want.Len()
+		k := 1 + rng.IntN(5)
+		accs := make([]*Detector, k)
+		for i := range accs {
+			accs[i], _ = NewDetector(cfg)
+		}
+		for rest := recs; len(rest) > 0; {
+			c := min(len(rest), 1+rng.IntN(50))
+			accs[rng.IntN(k)].Consume(rest[:c])
+			rest = rest[c:]
+		}
+		order := rng.Perm(k)
+		acc := accs[order[0]]
+		for _, i := range order[1:] {
+			acc.Merge(accs[i])
+		}
+		if got := acc.Spammers(); !got.Equal(want) {
+			t.Fatalf("trial %d (k=%d): merged %v, whole %v", trial, k, got, want)
+		}
+	}
+	if flagged == 0 {
+		t.Fatal("no trial flagged a spammer")
 	}
 }
