@@ -1,23 +1,27 @@
 package ipset
 
 import (
+	"math/bits"
 	"sync"
 
 	"unclean/internal/stats"
 )
 
 // Scratch arenas for the Monte-Carlo draw kernels. Each worker of a
-// sampling loop owns one sampleArena; a steady-state draw (sample k
-// addresses, sort them, count blocks) touches only arena memory and the
-// output cell it was assigned, performing zero heap allocations. Arenas
-// are recycled through a sync.Pool so repeated experiments reuse the
-// high-water-mark buffers instead of regrowing them.
+// sampling loop owns one sampleArena; a steady-state draw (mark k ranks in
+// a bitmap, walk them in ascending order into the draw's counters)
+// touches only arena memory and the output cell it was assigned,
+// performing zero heap allocations. Arenas are recycled through a
+// sync.Pool so repeated experiments reuse the high-water-mark buffers
+// instead of regrowing them.
 
 type sampleArena struct {
-	buf    []uint32 // sampled addresses; sorted in place
-	tmp    []uint32 // radix-sort scratch
-	counts []int    // per-prefix block counts
-	table  idxTable // index set / displacement map for the samplers
+	// A two-level bitmap over the ranks of the population: one bit per
+	// rank, and one summary bit per nonzero word of ranks. Both levels
+	// are all zero between draws, because the walk clears what it reads.
+	ranks   []uint64
+	summary []uint64
+	table   idxTable // displacement map for sparse Fisher-Yates
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(sampleArena) }}
@@ -25,53 +29,39 @@ var arenaPool = sync.Pool{New: func() any { return new(sampleArena) }}
 func getArena() *sampleArena  { return arenaPool.Get().(*sampleArena) }
 func putArena(a *sampleArena) { arenaPool.Put(a) }
 
-func (a *sampleArena) ensure(k, prefixes int) {
-	if cap(a.buf) < k {
-		a.buf = make([]uint32, k)
-		a.tmp = make([]uint32, k)
-	}
-	if len(a.counts) < prefixes {
-		a.counts = make([]int, prefixes)
-	}
-}
-
-// sampleSorted draws a uniform k-subset of addrs (which must be sorted
-// and duplicate-free) into the arena and returns it sorted ascending. The
-// returned slice aliases arena memory and is valid until the next call.
-// When k == len(addrs) it returns addrs itself and consumes no
+// drawRanks draws a uniform k-subset of the ranks [0, n) and calls visit
+// on each chosen rank in ascending order; the caller has checked
+// 0 <= k <= n. When k == n it visits every rank and consumes no
 // randomness, mirroring Set.Sample's full-set fast path.
 //
 // The generator stream consumed here is bit-for-bit the stream the
 // original map/permutation implementation consumed (same branch point,
 // same Intn sequence), so seeded experiment outputs are unchanged.
-func (a *sampleArena) sampleSorted(addrs []uint32, k int, rng *stats.RNG) []uint32 {
-	n := len(addrs)
-	if k < 0 || k > n {
-		panic("ipset: sample size out of range")
-	}
+func (a *sampleArena) drawRanks(n, k int, rng *stats.RNG, visit func(rank int)) {
 	if k == 0 {
-		return nil
+		return
 	}
 	if k == n {
-		return addrs
+		for r := 0; r < n; r++ {
+			visit(r)
+		}
+		return
 	}
-	a.ensure(k, 0)
-	buf := a.buf[:0]
+	words := (n + 63) >> 6
+	if len(a.ranks) < words { // grow; a reused prefix is all zero, as every walk leaves it
+		a.ranks = make([]uint64, words)
+		a.summary = make([]uint64, (words+63)>>6)
+	}
 	if k <= n/16 {
-		// Floyd's subset sampling over indices. The hash-set replaces the
-		// map[int]struct{} of the original; membership decisions (and
-		// therefore the Intn stream) are identical.
-		t := &a.table
-		t.reset(k)
+		// Floyd's subset sampling over ranks. The rank bit is the chosen
+		// set; membership decisions (and therefore the Intn stream) are
+		// those of the original map[int]struct{}.
 		for i := n - k; i < n; i++ {
-			j := rng.Intn(i + 1)
-			if !t.insert(uint32(j)) {
-				// j already chosen: Floyd's fallback picks i, which can
+			if !a.mark(rng.Intn(i + 1)) {
+				// Already chosen: Floyd's fallback picks i, which can
 				// never be a duplicate (all prior picks are < i).
-				j = i
-				t.insert(uint32(j))
+				a.mark(i)
 			}
-			buf = append(buf, addrs[j])
 		}
 	} else {
 		// Sparse partial Fisher-Yates: the displacement map stands in for
@@ -84,57 +74,43 @@ func (a *sampleArena) sampleSorted(addrs []uint32, k int, rng *stats.RNG) []uint
 			j := uint32(i + rng.Intn(n-i))
 			vi, vj := t.get(uint32(i), uint32(i)), t.get(j, j)
 			t.put(j, vi)
-			buf = append(buf, addrs[vj])
+			a.mark(int(vj))
 		}
 	}
-	// Distinct indices of a sorted, deduplicated slice: sorting the
-	// values yields the canonical Set order with no dedup pass needed.
-	sortUint32s(buf, a.tmp)
-	return buf
+	a.walk((words+63)>>6, visit)
 }
 
-// sampleIndicesSorted draws a uniform k-subset of the ranks [0, n) into
-// the arena and returns it sorted ascending. It consumes bit-for-bit
-// the Intn stream sampleSorted consumes for the same (n, k) — the only
-// difference is that it records the chosen rank instead of addrs[rank].
-// Set.Sample maps the ranks to members with a container select walk, so
-// it returns exactly the subset sampleSorted draws from the materialized
-// membership under the same seed.
-func (a *sampleArena) sampleIndicesSorted(n, k int, rng *stats.RNG) []uint32 {
-	if k < 0 || k > n {
-		panic("ipset: sample size out of range")
+// mark sets rank r's bit and reports whether it was clear.
+func (a *sampleArena) mark(r int) bool {
+	w, bit := r>>6, uint64(1)<<(r&63)
+	if a.ranks[w]&bit != 0 {
+		return false
 	}
-	if k == 0 {
-		return nil
-	}
-	a.ensure(k, 0)
-	buf := a.buf[:0]
-	if k <= n/16 {
-		t := &a.table
-		t.reset(k)
-		for i := n - k; i < n; i++ {
-			j := rng.Intn(i + 1)
-			if !t.insert(uint32(j)) {
-				j = i
-				t.insert(uint32(j))
+	a.ranks[w] |= bit
+	a.summary[w>>6] |= 1 << (w & 63)
+	return true
+}
+
+// walk visits every marked rank in ascending order and clears both
+// levels behind it; summaries is the number of summary words the
+// population spans.
+func (a *sampleArena) walk(summaries int, visit func(rank int)) {
+	for si, s := range a.summary[:summaries] {
+		if s == 0 {
+			continue
+		}
+		a.summary[si] = 0
+		for ; s != 0; s &= s - 1 {
+			w := si<<6 | bits.TrailingZeros64(s)
+			for b := a.ranks[w]; b != 0; b &= b - 1 {
+				visit(w<<6 | bits.TrailingZeros64(b))
 			}
-			buf = append(buf, uint32(j))
-		}
-	} else {
-		t := &a.table
-		t.reset(k)
-		for i := 0; i < k; i++ {
-			j := uint32(i + rng.Intn(n-i))
-			vi, vj := t.get(uint32(i), uint32(i)), t.get(j, j)
-			t.put(j, vi)
-			buf = append(buf, vj)
+			a.ranks[w] = 0
 		}
 	}
-	sortUint32s(buf, a.tmp)
-	return buf
 }
 
-// idxTable is an epoch-stamped open-addressing hash table over sample
+// idxTable is an epoch-stamped open-addressing hash map over sample
 // indices. reset is O(1) (an epoch bump invalidates all slots), so one
 // table serves thousands of draws without clearing or allocating.
 type idxTable struct {
@@ -176,22 +152,6 @@ func (t *idxTable) reset(capacity int) {
 // bits, which scatters the near-sequential index keys well).
 func (t *idxTable) slot(key uint32) uint32 {
 	return (key * 0x9e3779b9) >> t.shift & t.mask
-}
-
-// insert adds key to the set and reports whether it was absent.
-func (t *idxTable) insert(key uint32) bool {
-	h := t.slot(key)
-	for {
-		if t.epoch[h] != t.cur {
-			t.epoch[h] = t.cur
-			t.keys[h] = key
-			return true
-		}
-		if t.keys[h] == key {
-			return false
-		}
-		h = (h + 1) & t.mask
-	}
 }
 
 // get returns the value stored at key, or fallback if key is absent.

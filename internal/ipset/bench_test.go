@@ -117,9 +117,10 @@ func BenchmarkSamplePaperScale(b *testing.B) {
 }
 
 // BenchmarkSampleBlocks measures the steady-state draw kernel at paper
-// scale: one op is one control draw (sample 30k of 1M, radix sort, count
-// blocks at every prefix in [16,32]) inside a single SampleBlocks call of
-// b.N draws. With -benchmem this must report 0 allocs/op: per-call setup
+// scale: one op is one control draw (mark 30k of 1M ranks by Floyd's
+// algorithm, walk them in ascending order, count blocks at every prefix
+// in [16,32] in the same pass) inside a single SampleBlocks call of b.N
+// draws. With -benchmem this must report 0 allocs/op: per-call setup
 // (output matrix, forked generators, arena checkout) amortizes across
 // draws, and the per-draw kernel itself never touches the heap.
 func BenchmarkSampleBlocks(b *testing.B) {
@@ -135,8 +136,9 @@ func BenchmarkSampleBlocks(b *testing.B) {
 }
 
 // BenchmarkSampleBlocksDense is BenchmarkSampleBlocks on the
-// Fisher-Yates branch (draw size > |S|/16), covering the sparse
-// displacement-map kernel. Also 0 allocs/op steady state.
+// Fisher-Yates branch (draw size > |S|/16): the sparse displacement map
+// picks the ranks, and the same bitmap walk orders them. Also 0
+// allocs/op steady state.
 func BenchmarkSampleBlocksDense(b *testing.B) {
 	s, _ := paperSets(b)
 	rng := stats.NewRNG(5)
@@ -150,8 +152,9 @@ func BenchmarkSampleBlocksDense(b *testing.B) {
 }
 
 // BenchmarkSampleIntersections measures the steady-state temporal-test
-// draw kernel (sample, sort, intersect against a 50k-address target at
-// every prefix in [16,32]). 0 allocs/op steady state.
+// draw kernel (mark and walk the ranks as BenchmarkSampleBlocks does,
+// and count the blocks each draw shares with a 50k-address target at
+// every prefix in [16,32] in the same pass). 0 allocs/op steady state.
 func BenchmarkSampleIntersections(b *testing.B) {
 	s, target := paperSets(b)
 	rng := stats.NewRNG(6)

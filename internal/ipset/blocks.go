@@ -1,8 +1,6 @@
 package ipset
 
 import (
-	"sort"
-
 	"unclean/internal/netaddr"
 )
 
@@ -17,58 +15,106 @@ func (s Set) BlockCount(n int) int {
 
 // BlockCounts returns |C_n(S)| for every n in [lo, hi]: the element at
 // index n-lo is the count at prefix length n. One walk over the members
-// serves every n (see blockCountsFromPairs).
+// serves every n (see prefixTally).
 func (s Set) BlockCounts(lo, hi int) []int {
-	if lo < 0 || hi > 32 || lo > hi {
-		panic("ipset: invalid prefix range")
-	}
-	var pairs [33]int
-	var prev uint32
-	first := true
+	checkPrefixRange(lo, hi)
+	var t prefixTally
 	s.Each(func(a netaddr.Addr) bool {
-		if !first {
-			pairs[commonPrefixLen(prev, uint32(a))]++
-		}
-		prev, first = uint32(a), false
+		t.add(uint32(a))
 		return true
 	})
 	out := make([]int, hi-lo+1)
-	blockCountsFromPairs(&pairs, s.Len(), lo, hi, out)
+	t.counts(lo, hi, out)
 	return out
 }
 
-// blockCountsInto is the allocation-free BlockCounts over a sorted,
-// duplicate-free slice, writing the counts for [lo, hi] into out
-// (len(out) >= hi-lo+1). The draw kernels call it against arena scratch.
-func blockCountsInto(addrs []uint32, lo, hi int, out []int) {
-	var pairs [33]int
-	for i := 1; i < len(addrs); i++ {
-		pairs[commonPrefixLen(addrs[i-1], addrs[i])]++
-	}
-	blockCountsFromPairs(&pairs, len(addrs), lo, hi, out)
+// prefixTally counts CIDR blocks at every prefix length in one ascending
+// walk over a set x. Member x_i opens a new /n block exactly when
+// n > p_i, where p_i is the common prefix length of x_i and x_{i-1} (-1
+// for i = 0), so |C_n(x)| = #{i : p_i < n}. Against a sorted set y, x_i's
+// block holds a member of y exactly when n <= q_i, where q_i is the
+// longer of x_i's common prefixes with its neighbours in y (32 when
+// x_i ∈ y), so |C_n(x) ∩ C_n(y)| = #{i : p_i < n <= q_i}. Each member
+// adds its range (p_i, q_i] to a difference array over n, which one
+// prefix sum turns into the counts at every n.
+type prefixTally struct {
+	diff [34]int // the count at n is diff[0] + ... + diff[n]
+	prev uint32  // the previous member
+	seen bool    // whether prev is set
+	j    int     // addMeet's position in y: y[:j] < the last member
 }
 
-// blockCountsFromPairs writes |C_n| for every n in [lo, hi] into out for
-// a set of size members whose consecutive pairs number pairs[k] with a
-// longest common prefix of exactly k bits (k = 32 cannot occur). It
-// uses the identity |C_n(S)| = 1 + #{consecutive pairs with common
-// prefix < n}.
-func blockCountsFromPairs(pairs *[33]int, size, lo, hi int, out []int) {
-	out = out[:hi-lo+1]
-	if size == 0 {
-		clear(out)
-		return
+// add feeds x, the next member in ascending order, toward |C_n(x)|. Its
+// span is (p, 32], whose end mark diff[33] no count reads, so add only
+// opens it.
+func (t *prefixTally) add(x uint32) {
+	t.diff[t.lead(x)+1]++
+}
+
+// addMeet feeds x, the next member in ascending order, toward
+// |C_n(x) ∩ C_n(y)|. Every call of one tally must pass the same y.
+func (t *prefixTally) addMeet(x uint32, y []uint32) {
+	p := t.lead(x)
+	t.j = seek(y, t.j, x)
+	q := -1
+	if t.j < len(y) {
+		q = commonPrefixLen(x, y[t.j])
 	}
-	below := 0 // pairs with a common prefix shorter than n
-	k := 0
+	if t.j > 0 {
+		q = max(q, commonPrefixLen(x, y[t.j-1]))
+	}
+	t.span(p, q)
+}
+
+// lead returns p for x and records x as the previous member.
+func (t *prefixTally) lead(x uint32) int {
+	p := -1
+	if t.seen {
+		p = commonPrefixLen(t.prev, x)
+	}
+	t.prev, t.seen = x, true
+	return p
+}
+
+// span counts one at every n with p < n <= q.
+func (t *prefixTally) span(p, q int) {
+	if p < q {
+		t.diff[p+1]++
+		t.diff[q+1]--
+	}
+}
+
+// counts writes the count at every n in [lo, hi] into out[n-lo].
+func (t *prefixTally) counts(lo, hi int, out []int) {
+	c := 0
 	for n := 0; n <= hi; n++ {
-		for ; k < n; k++ {
-			below += pairs[k]
-		}
+		c += t.diff[n]
 		if n >= lo {
-			out[n-lo] = 1 + below
+			out[n-lo] = c
 		}
 	}
+}
+
+// seek returns the least j >= from with y[j] >= v, or len(y). It gallops
+// from from, so a walk of ascending v pays O(log gap) per step rather
+// than a search of all of y.
+func seek(y []uint32, from int, v uint32) int {
+	lo, hi, step := from, from, 1
+	for hi < len(y) && y[hi] < v {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(y))
+	for lo < hi { // y[from:lo] < v, and hi == len(y) or y[hi] >= v
+		m := int(uint(lo+hi) >> 1)
+		if y[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Blocks returns C_n(S): the distinct n-bit blocks containing members of
@@ -118,58 +164,6 @@ func (s Set) BlockIntersectCount(other Set, n int) int {
 	return blockIntersectCountContainers(&s.c, &other.c, n)
 }
 
-// blockIntersectCount is |C_n(x) ∩ C_n(y)| over sorted slices, for
-// mask = C_n's mask; the draw kernels call it against arena scratch.
-func blockIntersectCount(x, y []uint32, mask uint32) int {
-	i, j := 0, 0
-	count := 0
-	for i < len(x) && j < len(y) {
-		a, b := x[i]&mask, y[j]&mask
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			count++
-			// Skip the rest of this block on both sides.
-			for i < len(x) && x[i]&mask == a {
-				i++
-			}
-			for j < len(y) && y[j]&mask == b {
-				j++
-			}
-		}
-	}
-	return count
-}
-
-// InBlocks reports whether a resides in one of the n-bit blocks covering
-// the set: the paper's inclusion relation a ⊏ C_n(S) (Eq. 2 restricted to a
-// single prefix length).
-func (s Set) InBlocks(a netaddr.Addr, n int) bool {
-	mask := maskFor(n)
-	lo := uint32(a) & mask
-	hi := lo | ^mask
-	loKey, hiKey := uint16(lo>>16), uint16(hi>>16)
-	// First container whose key could fall in the block's key range.
-	cs := s.c.cs
-	i := sort.Search(len(cs), func(i int) bool { return cs[i].key >= loKey })
-	for ; i < len(cs) && cs[i].key <= hiKey; i++ {
-		cLo, cHi := uint16(0), uint16(0xffff)
-		if cs[i].key == loKey {
-			cLo = uint16(lo)
-		}
-		if cs[i].key == hiKey {
-			cHi = uint16(hi)
-		}
-		if cs[i].anyInRange(cLo, cHi) {
-			return true
-		}
-	}
-	return false
-}
-
 // WithinBlocks returns the subset of s whose addresses fall inside the
 // n-bit blocks covering cover: {a ∈ s : a ⊏ C_n(cover)}. This is how the
 // blocking analysis materializes the candidate population.
@@ -195,17 +189,11 @@ func (s Set) WithinBlocks(cover Set, n int) Set {
 	return Set{c: compressSorted(out)}
 }
 
-// BlockPopulations returns, for each distinct n-bit block in the set, the
-// number of member addresses it holds, keyed by block. Used by density
-// diagnostics and the simulator's ground-truth assertions.
-func (s Set) BlockPopulations(n int) map[netaddr.Block]int {
-	mask := maskFor(n)
-	out := make(map[netaddr.Block]int)
-	s.Each(func(a netaddr.Addr) bool {
-		out[netaddr.Addr(uint32(a)&mask).Block(n)]++
-		return true
-	})
-	return out
+// checkPrefixRange panics unless [lo, hi] is a prefix range within [0, 32].
+func checkPrefixRange(lo, hi int) {
+	if lo < 0 || hi > 32 || lo > hi {
+		panic("ipset: invalid prefix range")
+	}
 }
 
 func maskFor(n int) uint32 {

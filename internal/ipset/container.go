@@ -228,49 +228,6 @@ func (c *ctr) contains(v uint16) bool {
 	return false
 }
 
-// anyInRange reports whether the container holds any value in [lo, hi].
-func (c *ctr) anyInRange(lo, hi uint16) bool {
-	switch c.kind {
-	case arrKind:
-		i, j := 0, len(c.arr)
-		for i < j {
-			mid := (i + j) / 2
-			if c.arr[mid] < lo {
-				i = mid + 1
-			} else {
-				j = mid
-			}
-		}
-		return i < len(c.arr) && c.arr[i] <= hi
-	case bmpKind:
-		lw, hw := int(lo>>6), int(hi>>6)
-		loMask := ^uint64(0) << (lo & 63)
-		hiMask := ^uint64(0) >> (63 - hi&63)
-		if lw == hw {
-			return c.bits[lw]&loMask&hiMask != 0
-		}
-		if c.bits[lw]&loMask != 0 || c.bits[hw]&hiMask != 0 {
-			return true
-		}
-		for w := lw + 1; w < hw; w++ {
-			if c.bits[w] != 0 {
-				return true
-			}
-		}
-		return false
-	case runKind:
-		for i := 0; i < len(c.arr); i += 2 {
-			if c.arr[i] > hi {
-				return false
-			}
-			if c.arr[i+1] >= lo {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // each calls fn with every full address of the container in ascending
 // order; it stops and reports false if fn returns false.
 func (c *ctr) each(fn func(netaddr.Addr) bool) bool {
@@ -825,7 +782,8 @@ func (c *ctr) presence(shift uint, b *[bmpWords]uint64) {
 
 // selectInto maps sorted member ranks to addresses: out[i] is the
 // idxs[i]-th smallest member. idxs must be ascending and in range; one
-// forward walk over the containers serves every rank.
+// forward walk over the containers serves every rank. out[i] is written
+// after idxs[i] is read, so out may be idxs itself.
 func (cs *containers) selectInto(idxs []uint32, out []uint32) {
 	ci := 0
 	base := uint32(0) // rank of the first member of container ci

@@ -282,7 +282,7 @@ func TestCompressedBlockCountsDifferential(t *testing.T) {
 
 // TestCompressedBlockIntersectDifferential checks |C_n(A) ∩ C_n(B)| for
 // all prefix lengths across shape pairs, from the containers and from
-// the draw kernels' sorted-slice merge.
+// the draw kernels' one-pass tally.
 func TestCompressedBlockIntersectDifferential(t *testing.T) {
 	shapes := shapedSets()
 	for _, sa := range shapes {
@@ -295,17 +295,90 @@ func TestCompressedBlockIntersectDifferential(t *testing.T) {
 					if got := a.BlockIntersectCount(b, n); got != want {
 						t.Fatalf("BlockIntersectCount(%d): got %d, want %d", n, got, want)
 					}
-					if got := blockIntersectCount(ar, br, maskFor(n)); got != want {
-						t.Fatalf("blockIntersectCount(/%d): got %d, want %d", n, got, want)
-					}
 				}
+				checkIntersectTally(t, ar, br)
 			})
 		}
 	}
 }
 
-// TestCompressedInBlocksDifferential checks the inclusion relation for
-// members, misses, and block neighbours across all prefix lengths.
+// TestIntersectTallyEdges holds the one-pass tally to the reference on
+// the pairs where a neighbour search or a prefix bound could slip: an
+// empty side, x ⊆ y, disjoint sets, x = y, the ends of the address
+// space, one-member sides, and sets inside one block.
+func TestIntersectTallyEdges(t *testing.T) {
+	rng := stats.NewRNG(20)
+	y := refSorted(randomAddrs(rng, 3000))
+	var everyThird, odd, even []uint32
+	for i, u := range y {
+		if i%3 == 0 {
+			everyThird = append(everyThird, u)
+		}
+		if u&1 == 1 {
+			odd = append(odd, u)
+		} else {
+			even = append(even, u)
+		}
+	}
+	block := make([]uint32, 0, 200) // every member inside 10.1.2.0/24
+	for v := uint32(0); v < 256; v += 3 {
+		block = append(block, 0x0a010200|v)
+	}
+	ends := []uint32{0, 0xffffffff}
+	pairs := []struct {
+		name string
+		x, y []uint32
+	}{
+		{"empty_x", nil, y},
+		{"empty_y", y, nil},
+		{"empty_both", nil, nil},
+		{"subset", everyThird, y},
+		{"superset", y, everyThird},
+		{"disjoint", odd, even},
+		{"equal", y, y},
+		{"ends_ends", ends, ends},
+		{"zero_ends", []uint32{0}, ends},
+		{"max_ends", []uint32{0xffffffff}, ends},
+		{"ends_mid", ends, []uint32{0x7fffffff, 0x80000000}},
+		{"ends_y", ends, y},
+		{"one_one_same", []uint32{0x0a010203}, []uint32{0x0a010203}},
+		{"one_one_near", []uint32{0x0a010203}, []uint32{0x0a010204}},
+		{"one_one_far", []uint32{0x0a010203}, []uint32{0xc0a80001}},
+		{"one_many", []uint32{y[1500]}, y},
+		{"many_one", y, []uint32{y[1500] + 1}},
+		{"block_block", block, []uint32{0x0a010201, 0x0a0102ff}},
+		{"block_y", block, y},
+		{"block_self", block, block},
+	}
+	for _, p := range pairs {
+		t.Run(p.name, func(t *testing.T) { checkIntersectTally(t, p.x, p.y) })
+	}
+}
+
+// checkIntersectTally feeds x through prefixTally.addMeet against y and
+// demands refBlockIntersectCount at every n, read over [0, 32] and over
+// sub-ranges.
+func checkIntersectTally(t *testing.T, x, y []uint32) {
+	t.Helper()
+	var tally prefixTally
+	for _, u := range x {
+		tally.addMeet(u, y)
+	}
+	for _, r := range [][2]int{{0, 32}, {16, 32}, {0, 15}, {8, 24}, {24, 24}, {0, 0}, {32, 32}} {
+		lo, hi := r[0], r[1]
+		got := make([]int, hi-lo+1)
+		tally.counts(lo, hi, got)
+		for n := lo; n <= hi; n++ {
+			if want := refBlockIntersectCount(x, y, n); got[n-lo] != want {
+				t.Fatalf("tally over [%d, %d] at /%d: got %d, want %d", lo, hi, n, got[n-lo], want)
+			}
+		}
+	}
+}
+
+// TestCompressedInBlocksDifferential checks the inclusion relation
+// a ⊏ C_n(S), as WithinBlocks materializes it, for members, misses, and
+// block neighbours across all prefix lengths and every cover shape.
 func TestCompressedInBlocksDifferential(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
@@ -321,12 +394,9 @@ func TestCompressedInBlocksDifferential(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				probes = append(probes, rng.Uint32())
 			}
-			for _, u := range probes {
-				for n := 0; n <= 32; n++ {
-					if got, want := s.InBlocks(netaddr.Addr(u), n), refInBlocks(ref, u, n); got != want {
-						t.Fatalf("InBlocks(%v, %d): got %v, want %v", netaddr.Addr(u), n, got, want)
-					}
-				}
+			probeSet, probeRef := FromUint32s(probes), refSorted(probes)
+			for n := 0; n <= 32; n++ {
+				sameAddrs(t, fmt.Sprintf("/%d", n), probeSet.WithinBlocks(s, n), refWithinBlocks(probeRef, ref, n))
 			}
 		})
 	}
@@ -430,15 +500,6 @@ func TestCompressedMaskedSetAndBlocks(t *testing.T) {
 				for i := range gb {
 					if gb[i] != wb[i] {
 						t.Fatalf("Blocks(%d)[%d]: got %v, want %v", n, i, gb[i], wb[i])
-					}
-				}
-				gp, wp := s.BlockPopulations(n), refBlockPopulations(ref, n)
-				if len(gp) != len(wp) {
-					t.Fatalf("BlockPopulations(%d): size mismatch", n)
-				}
-				for k, v := range wp {
-					if gp[k] != v {
-						t.Fatalf("BlockPopulations(%d)[%v]: got %d, want %d", n, k, gp[k], v)
 					}
 				}
 			}

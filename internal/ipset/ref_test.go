@@ -105,14 +105,6 @@ func refBlocks(s []uint32, n int) []netaddr.Block {
 	return out
 }
 
-func refBlockPopulations(s []uint32, n int) map[netaddr.Block]int {
-	out := make(map[netaddr.Block]int)
-	for _, u := range s {
-		out[netaddr.Addr(u).Block(n)]++
-	}
-	return out
-}
-
 func refInBlocks(s []uint32, a uint32, n int) bool {
 	mask := maskFor(n)
 	want := a & mask

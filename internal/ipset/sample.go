@@ -10,9 +10,10 @@ import (
 //
 // For k much smaller than |S| it uses Floyd's algorithm (O(k) expected);
 // when k approaches |S| it switches to a sparse partial Fisher-Yates to
-// avoid rejection stalls. Both draw ranks on a pooled scratch arena, and
-// one forward select walk over the containers maps them to members, so
-// the set is never decompressed.
+// avoid rejection stalls. Both mark ranks on a pooled scratch arena's
+// bitmap, whose walk yields them in ascending order, and one forward
+// select walk over the containers maps them to members, so the set is
+// never decompressed.
 func (s Set) Sample(k int, rng *stats.RNG) Set {
 	n := s.Len()
 	if k < 0 || k > n {
@@ -24,10 +25,11 @@ func (s Set) Sample(k int, rng *stats.RNG) Set {
 	if k == n {
 		return s // immutable, safe to share
 	}
+	members := make([]uint32, 0, k)
 	a := getArena()
-	members := make([]uint32, k)
-	s.c.selectInto(a.sampleIndicesSorted(n, k, rng), members)
+	a.drawRanks(n, k, rng, func(rank int) { members = append(members, uint32(rank)) })
 	putArena(a)
+	s.c.selectInto(members, members) // ranks to members, in place
 	return Set{c: compressSorted(members)}
 }
 
@@ -39,31 +41,11 @@ func (s Set) Sample(k int, rng *stats.RNG) Set {
 // Draws run concurrently on the shared worker pool: each draw's generator
 // is forked from rng up front (in draw order), so results are
 // deterministic and identical to a sequential evaluation of the same
-// forks. Each worker owns a scratch arena and every draw runs the fused
-// sample-sort-count kernel against it, so a steady-state draw performs
-// zero heap allocations.
+// forks. Each worker owns a scratch arena; a draw walks its ranks in
+// ascending order and feeds each member straight into a prefixTally, so
+// a steady-state draw keeps no sample and performs zero heap allocations.
 func (s Set) SampleBlocks(k, size, loBits, hiBits int, rng *stats.RNG) [][]float64 {
-	if loBits < 0 || hiBits > 32 || loBits > hiBits {
-		panic("ipset: invalid prefix range")
-	}
-	prefixes := hiBits - loBits + 1
-	out := make([][]float64, prefixes)
-	for i := range out {
-		out[i] = make([]float64, k)
-	}
-	addrs := s.raw() // one materialization shared by every draw
-	arenas := newArenas(stats.Workers(k), size, prefixes)
-	stats.ForEachDraw(k, rng, func(worker, draw int, drawRNG *stats.RNG) {
-		a := arenas[worker]
-		sub := a.sampleSorted(addrs, size, drawRNG)
-		counts := a.counts[:prefixes]
-		blockCountsInto(sub, loBits, hiBits, counts)
-		for i, c := range counts {
-			out[i][draw] = float64(c)
-		}
-	})
-	releaseArenas(arenas)
-	return out
+	return s.sampleTallies(nil, k, size, loBits, hiBits, rng)
 }
 
 // SampleIntersections draws k control subsets of size size and returns, for
@@ -71,41 +53,51 @@ func (s Set) SampleBlocks(k, size, loBits, hiBits int, rng *stats.RNG) [][]float
 // |C_n(subset) ∩ C_n(target)| across draws. This is the control side of the
 // temporal uncleanliness test (Figures 4 and 5). Draws run concurrently
 // under the same deterministic forking scheme — and the same zero-allocation
-// arena kernels — as SampleBlocks.
+// arena walk — as SampleBlocks.
 func (s Set) SampleIntersections(target Set, k, size, loBits, hiBits int, rng *stats.RNG) [][]float64 {
-	if loBits < 0 || hiBits > 32 || loBits > hiBits {
-		panic("ipset: invalid prefix range")
+	return s.sampleTallies(&target, k, size, loBits, hiBits, rng)
+}
+
+// sampleTallies runs k draws of size members and returns the matrix
+// [n-loBits][draw] of |C_n(draw)|, or of |C_n(draw) ∩ C_n(target)| when
+// target is not nil. Every argument is checked here, on the caller's
+// goroutine, before any draw starts: a panic inside a pool helper would
+// kill the process.
+func (s Set) sampleTallies(target *Set, k, size, loBits, hiBits int, rng *stats.RNG) [][]float64 {
+	checkPrefixRange(loBits, hiBits)
+	if k < 0 || size < 0 || size > s.Len() {
+		panic("ipset: sample size out of range")
 	}
-	prefixes := hiBits - loBits + 1
-	out := make([][]float64, prefixes)
+	out := make([][]float64, hiBits-loBits+1)
 	for i := range out {
 		out[i] = make([]float64, k)
 	}
-	addrs, targetAddrs := s.raw(), target.raw()
-	arenas := newArenas(stats.Workers(k), size, prefixes)
-	stats.ForEachDraw(k, rng, func(worker, draw int, drawRNG *stats.RNG) {
-		a := arenas[worker]
-		sub := a.sampleSorted(addrs, size, drawRNG)
-		for n := loBits; n <= hiBits; n++ {
-			out[n-loBits][draw] = float64(blockIntersectCount(sub, targetAddrs, maskFor(n)))
-		}
-	})
-	releaseArenas(arenas)
-	return out
-}
-
-// newArenas checks out one warmed scratch arena per worker.
-func newArenas(workers, size, prefixes int) []*sampleArena {
-	arenas := make([]*sampleArena, workers)
+	addrs := s.raw() // one materialization shared by every draw
+	var targetAddrs []uint32
+	if target != nil {
+		targetAddrs = target.raw()
+	}
+	arenas := make([]*sampleArena, stats.Workers(k))
 	for i := range arenas {
 		arenas[i] = getArena()
-		arenas[i].ensure(size, prefixes)
 	}
-	return arenas
-}
-
-func releaseArenas(arenas []*sampleArena) {
+	stats.ForEachDraw(k, rng, func(worker, draw int, drawRNG *stats.RNG) {
+		var t prefixTally
+		arenas[worker].drawRanks(len(addrs), size, drawRNG, func(rank int) {
+			if target == nil {
+				t.add(addrs[rank])
+			} else {
+				t.addMeet(addrs[rank], targetAddrs)
+			}
+		})
+		var counts [33]int
+		t.counts(loBits, hiBits, counts[:])
+		for i := range out {
+			out[i][draw] = float64(counts[i])
+		}
+	})
 	for _, a := range arenas {
 		putArena(a)
 	}
+	return out
 }

@@ -2,6 +2,7 @@ package ipset
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"unclean/internal/netaddr"
@@ -210,8 +211,8 @@ func TestSampleMatchesReference(t *testing.T) {
 
 // TestSampleDeterministicAcrossGOMAXPROCS locks in the concurrency
 // contract: sampling results — including the concurrent draw loops — are
-// identical at GOMAXPROCS=1 and at full parallelism, on both the Floyd
-// and Fisher-Yates branches.
+// identical at GOMAXPROCS=1, 2, 4 and at full parallelism, on both the
+// Floyd and Fisher-Yates branches.
 func TestSampleDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	s := randomSet(stats.NewRNG(901), 4000)
 	target := s.Sample(500, stats.NewRNG(2))
@@ -220,37 +221,39 @@ func TestSampleDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		blocks      [][]float64
 		intersected [][]float64
 	}
-	capture := func() snapshot {
+	capture := func(size int) snapshot {
 		return snapshot{
 			floyd:       s.Sample(100, stats.NewRNG(11).Fork(3)),  // 100 <= n/16
 			fy:          s.Sample(1500, stats.NewRNG(11).Fork(3)), // 1500 > n/16
-			blocks:      s.SampleBlocks(64, 600, 16, 28, stats.NewRNG(12)),
-			intersected: s.SampleIntersections(target, 64, 600, 16, 28, stats.NewRNG(13)),
+			blocks:      s.SampleBlocks(64, size, 16, 28, stats.NewRNG(12)),
+			intersected: s.SampleIntersections(target, 64, size, 16, 28, stats.NewRNG(13)),
 		}
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	var base snapshot
-	for i, procs := range []int{1, 2, prev} {
-		runtime.GOMAXPROCS(procs)
-		got := capture()
-		if i == 0 {
-			base = got
-			continue
-		}
-		if !got.floyd.Equal(base.floyd) {
-			t.Fatalf("GOMAXPROCS=%d: Floyd-branch sample differs", procs)
-		}
-		if !got.fy.Equal(base.fy) {
-			t.Fatalf("GOMAXPROCS=%d: Fisher-Yates-branch sample differs", procs)
-		}
-		for r := range base.blocks {
-			for c := range base.blocks[r] {
-				if got.blocks[r][c] != base.blocks[r][c] {
-					t.Fatalf("GOMAXPROCS=%d: SampleBlocks differs at [%d][%d]", procs, r, c)
-				}
-				if got.intersected[r][c] != base.intersected[r][c] {
-					t.Fatalf("GOMAXPROCS=%d: SampleIntersections differs at [%d][%d]", procs, r, c)
+	for _, size := range []int{200, 600} { // the Floyd and Fisher-Yates kernels
+		var base snapshot
+		for i, procs := range []int{1, 2, 4, prev} {
+			runtime.GOMAXPROCS(procs)
+			got := capture(size)
+			if i == 0 {
+				base = got
+				continue
+			}
+			if !got.floyd.Equal(base.floyd) {
+				t.Fatalf("GOMAXPROCS=%d: Floyd-branch sample differs", procs)
+			}
+			if !got.fy.Equal(base.fy) {
+				t.Fatalf("GOMAXPROCS=%d: Fisher-Yates-branch sample differs", procs)
+			}
+			for r := range base.blocks {
+				for c := range base.blocks[r] {
+					if got.blocks[r][c] != base.blocks[r][c] {
+						t.Fatalf("GOMAXPROCS=%d, size %d: SampleBlocks differs at [%d][%d]", procs, size, r, c)
+					}
+					if got.intersected[r][c] != base.intersected[r][c] {
+						t.Fatalf("GOMAXPROCS=%d, size %d: SampleIntersections differs at [%d][%d]", procs, size, r, c)
+					}
 				}
 			}
 		}
@@ -273,6 +276,144 @@ func TestSampleIntersections(t *testing.T) {
 			if v < 0 || v > 300 {
 				t.Fatalf("intersection %v out of range", v)
 			}
+		}
+	}
+}
+
+// sampleSorted is the hash-and-sort sampler the draw kernels ran before
+// the rank bitmap, kept as the reference drawRanks is held to. It hashes
+// each pick (a map as Floyd's chosen set, another as the sparse
+// Fisher-Yates displacement map), reads addrs[j] in draw order and sorts
+// the sample. addrs must be sorted and duplicate-free. It touches no
+// arena state. When k == len(addrs) it returns addrs itself and consumes
+// no randomness.
+func (a *sampleArena) sampleSorted(addrs []uint32, k int, rng *stats.RNG) []uint32 {
+	n := len(addrs)
+	if k < 0 || k > n {
+		panic("ipset: sample size out of range")
+	}
+	if k == 0 {
+		return nil
+	}
+	if k == n {
+		return addrs
+	}
+	out := make([]uint32, 0, k)
+	if k <= n/16 {
+		chosen := make(map[int]bool, k)
+		for i := n - k; i < n; i++ {
+			j := rng.Intn(i + 1)
+			if chosen[j] {
+				j = i
+			}
+			chosen[j] = true
+			out = append(out, addrs[j])
+		}
+	} else {
+		moved := make(map[int]int, k)
+		at := func(i int) int {
+			if v, ok := moved[i]; ok {
+				return v
+			}
+			return i
+		}
+		for i := 0; i < k; i++ {
+			j := i + rng.Intn(n-i)
+			vi, vj := at(i), at(j)
+			moved[j] = vi
+			out = append(out, addrs[vj])
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// drawn returns addrs at the ranks drawRanks visits, in visit order.
+func drawn(a *sampleArena, addrs []uint32, k int, rng *stats.RNG) []uint32 {
+	var out []uint32
+	a.drawRanks(len(addrs), k, rng, func(rank int) { out = append(out, addrs[rank]) })
+	return out
+}
+
+// checkDrawn holds one drawRanks call to the reference sampler: the same
+// members in the same order, the same generator consumption, and both
+// bitmap levels all zero afterwards.
+func checkDrawn(t *testing.T, a *sampleArena, addrs []uint32, k int, seed uint64) {
+	t.Helper()
+	rg, rr := stats.NewRNG(seed), stats.NewRNG(seed)
+	got, want := drawn(a, addrs, k, rg), a.sampleSorted(addrs, k, rr)
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d k=%d: drew other members than the reference", len(addrs), k)
+	}
+	if rg.Uint64() != rr.Uint64() {
+		t.Fatalf("n=%d k=%d: generator consumption differs from the reference", len(addrs), k)
+	}
+	for w, bits := range a.ranks {
+		if bits != 0 {
+			t.Fatalf("n=%d k=%d: rank word %d left at %#x", len(addrs), k, w, bits)
+		}
+	}
+	for w, bits := range a.summary {
+		if bits != 0 {
+			t.Fatalf("n=%d k=%d: summary word %d left at %#x", len(addrs), k, w, bits)
+		}
+	}
+}
+
+// TestDrawRanksMatchesReference pins both sampler branches, their
+// boundary and the k == 0 and k == n shortcuts against the reference, at
+// populations on either side of a bitmap word and of a summary word.
+func TestDrawRanksMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(902)
+	a := new(sampleArena)
+	for _, n := range []int{1, 63, 64, 65, 4095, 4096, 4097, 100000} {
+		addrs := randomSet(rng, n).raw()
+		for _, k := range []int{0, 1, n / 16, n/16 + 1, n - 1, n} {
+			if k <= n {
+				checkDrawn(t, a, addrs, k, rng.Uint64())
+			}
+		}
+	}
+}
+
+// TestDrawRanksLeavesArenaClear alternates large and small draws on one
+// arena. A walk that left a bit behind would surface as a stale member
+// in a later, smaller draw.
+func TestDrawRanksLeavesArenaClear(t *testing.T) {
+	rng := stats.NewRNG(903)
+	addrs := randomSet(rng, 100000).raw()
+	a := new(sampleArena)
+	for _, c := range [][2]int{
+		{100000, 6000}, {65, 3}, {100000, 50000}, {64, 40},
+		{4097, 256}, {100000, 1}, {63, 62}, {100000, 99999}, {1, 1}, {4096, 300},
+	} {
+		checkDrawn(t, a, addrs[:c[0]], c[1], rng.Uint64())
+	}
+}
+
+// TestDrawKernelsCheckSizeOnCaller: an out-of-range draw size or a
+// negative draw count panics on the caller's goroutine, before any draw
+// runs on a pool helper, where a panic would kill the process.
+func TestDrawKernelsCheckSizeOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := randomSet(stats.NewRNG(904), 500)
+	target := s.Sample(50, stats.NewRNG(905))
+	for _, c := range []struct{ draws, size int }{{1000, s.Len() + 1}, {1000, -1}, {-1, 10}} {
+		kernels := map[string]func(){
+			"SampleBlocks": func() { s.SampleBlocks(c.draws, c.size, 16, 32, stats.NewRNG(906)) },
+			"SampleIntersections": func() {
+				s.SampleIntersections(target, c.draws, c.size, 16, 32, stats.NewRNG(906))
+			},
+		}
+		for name, draw := range kernels {
+			func() {
+				defer func() {
+					if r := recover(); r != "ipset: sample size out of range" {
+						t.Errorf("%s(%d draws of %d): recovered %v", name, c.draws, c.size, r)
+					}
+				}()
+				draw()
+			}()
 		}
 	}
 }

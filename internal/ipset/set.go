@@ -7,9 +7,10 @@
 // analysis in the paper reduces to a handful of primitives on these sets:
 // cardinality (|S|), the CIDR masking function C_n(S), block counting
 // |C_n(S)|, block intersection |C_n(A) ∩ C_n(B)|, the inclusion relation
-// i ⊏ S, and random sampling for control subsets. The containers answer
-// all of them without decompressing wholesale; only WithinBlocks and the
-// Monte-Carlo draw kernels materialize sorted slices, once per call.
+// i ⊏ C_n(S), and random sampling for control subsets. The containers
+// answer them without decompressing wholesale; only WithinBlocks (the
+// inclusion relation over a whole set) and the Monte-Carlo draw kernels
+// materialize sorted slices, once per call.
 package ipset
 
 import (
