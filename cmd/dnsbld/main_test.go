@@ -25,18 +25,23 @@ import (
 	"unclean/internal/tracker"
 )
 
+// testReport is an observed report valid over 2006-10-01..14.
+func testReport(tag string, class report.Class, method, addrs string) *report.Report {
+	return &report.Report{Tag: tag, Type: report.Observed, Class: class, Method: method,
+		ValidFrom: time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC), ValidTo: time.Date(2006, 10, 14, 0, 0, 0, 0, time.UTC),
+		Addrs: ipset.MustParse(addrs)}
+}
+
 // writeReports drops a small inventory into dir: eight bot addresses in
 // 10.1.1.0/24 (dimension score 1-e^-2 ≈ 0.86) plus a handful of spam
 // addresses in 10.2.2.0/24.
 func writeReports(t *testing.T, dir string) {
 	t.Helper()
 	inv := &report.Inventory{}
-	inv.Add(report.New("bot", report.Observed, report.ClassBots,
-		"2006-10-01", "2006-10-14", "darknet",
-		ipset.MustParse("10.1.1.1 10.1.1.2 10.1.1.3 10.1.1.4 10.1.1.5 10.1.1.6 10.1.1.7 10.1.1.8")))
-	inv.Add(report.New("spam", report.Observed, report.ClassSpamming,
-		"2006-10-01", "2006-10-14", "trap",
-		ipset.MustParse("10.2.2.1 10.2.2.2 10.2.2.3 10.2.2.4 10.2.2.5 10.2.2.6 10.2.2.7 10.2.2.8")))
+	inv.Add(testReport("bot", report.ClassBots, "darknet",
+		"10.1.1.1 10.1.1.2 10.1.1.3 10.1.1.4 10.1.1.5 10.1.1.6 10.1.1.7 10.1.1.8"))
+	inv.Add(testReport("spam", report.ClassSpamming, "trap",
+		"10.2.2.1 10.2.2.2 10.2.2.3 10.2.2.4 10.2.2.5 10.2.2.6 10.2.2.7 10.2.2.8"))
 	if err := inv.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -838,9 +843,8 @@ func TestRunAnalyticsScoreboardEndToEnd(t *testing.T) {
 
 	// The feed catches up: a new report lists the queried /24.
 	inv := &report.Inventory{}
-	inv.Add(report.New("bot-late", report.Observed, report.ClassBots,
-		"2006-10-01", "2006-10-14", "darknet",
-		ipset.MustParse("10.9.9.1 10.9.9.2 10.9.9.3 10.9.9.4 10.9.9.5 10.9.9.6 10.9.9.7 10.9.9.8")))
+	inv.Add(testReport("bot-late", report.ClassBots, "darknet",
+		"10.9.9.1 10.9.9.2 10.9.9.3 10.9.9.4 10.9.9.5 10.9.9.6 10.9.9.7 10.9.9.8"))
 	if err := inv.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,9 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkSweepRange("bench", *lo, *hi); err != nil {
+		return err
+	}
 	cfg, err := configFrom(*scaleDen, *seed, 1, *benign)
 	if err != nil {
 		return err

@@ -24,6 +24,9 @@ func cmdInspect(args []string) error {
 	if *addrStr == "" {
 		return fmt.Errorf("inspect: -addr is required")
 	}
+	if err := checkBits("inspect", *bits); err != nil {
+		return err
+	}
 	addr, err := netaddr.ParseAddr(*addrStr)
 	if err != nil {
 		return err

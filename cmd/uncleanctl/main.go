@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -123,6 +124,27 @@ func commonFlags(fs *flag.FlagSet) (scaleDen *float64, seed *uint64, draws *int,
 	return
 }
 
+// checkBits refuses a -bits prefix length outside [0,32].
+func checkBits(cmd string, bits int) error {
+	if bits < 0 || bits > 32 {
+		return fmt.Errorf("%s: -bits must be in [0,32] (got %d)", cmd, bits)
+	}
+	return nil
+}
+
+// checkSweepRange refuses the -lo/-hi pairs blocklist.SweepSet refuses.
+func checkSweepRange(cmd string, lo, hi int) error {
+	switch {
+	case lo < 0 || lo > 32:
+		return fmt.Errorf("%s: -lo must be in [0,32] (got %d)", cmd, lo)
+	case hi < lo || hi > 32:
+		return fmt.Errorf("%s: -hi must be between -lo (%d) and 32 (got %d)", cmd, lo, hi)
+	case hi-lo+1 > 32:
+		return fmt.Errorf("%s: -lo %d to -hi %d sweeps %d prefix lengths, more than 32", cmd, lo, hi, hi-lo+1)
+	}
+	return nil
+}
+
 func configFrom(scaleDen float64, seed uint64, draws, benign int) (experiments.Config, error) {
 	if scaleDen < 1 {
 		return experiments.Config{}, fmt.Errorf("-scale must be >= 1 (got %v)", scaleDen)
@@ -164,6 +186,17 @@ func cmdRun(args []string) error {
 	if *format != "text" && *format != "csv" {
 		return fmt.Errorf("run: unknown format %q", *format)
 	}
+	ids := experiments.IDs()
+	if *exp != "all" {
+		ids = strings.Split(*exp, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+			if !slices.Contains(experiments.IDs(), ids[i]) && !slices.Contains(experiments.ExtraIDs(), ids[i]) {
+				return fmt.Errorf("run: -exp %q is no experiment (know %v + %v)",
+					ids[i], experiments.IDs(), experiments.ExtraIDs())
+			}
+		}
+	}
 	cfg, err := configFrom(*scaleDen, *seed, *draws, *benign)
 	if err != nil {
 		return err
@@ -172,12 +205,8 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	ids := experiments.IDs()
-	if *exp != "all" {
-		ids = strings.Split(*exp, ",")
-	}
 	for _, id := range ids {
-		res, err := experiments.Run(ds, strings.TrimSpace(id))
+		res, err := experiments.Run(ds, id)
 		if err != nil {
 			return err
 		}
@@ -274,6 +303,9 @@ func cmdBlock(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkSweepRange("block", *lo, *hi); err != nil {
+		return err
+	}
 	cfg, err := configFrom(*scaleDen, *seed, *draws, *benign)
 	if err != nil {
 		return err
@@ -309,6 +341,12 @@ func cmdScore(args []string) error {
 	top := fs.Int("top", 20, "networks to list")
 	bits := fs.Int("bits", 24, "scoring prefix length")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *top < 0 {
+		return fmt.Errorf("score: -top must be >= 0 (got %d)", *top)
+	}
+	if err := checkBits("score", *bits); err != nil {
 		return err
 	}
 	cfg, err := configFrom(*scaleDen, *seed, *draws, *benign)

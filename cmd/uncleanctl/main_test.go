@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestConfigFrom(t *testing.T) {
 	cfg, err := configFrom(64, 7, 100, 50)
@@ -42,5 +45,28 @@ func TestRunDispatch(t *testing.T) {
 	}
 	if err := run([]string{"run", "-format", "yaml"}); err == nil {
 		t.Error("unknown format accepted")
+	}
+	// Bad values are refused right after the flags parse, with the flag
+	// named, before any world is built.
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"score", "-scale", "512", "-top", "-1"}, "-top"},
+		{[]string{"score", "-scale", "512", "-bits", "33"}, "-bits"},
+		{[]string{"inspect", "-scale", "512", "-addr", "1.2.3.4", "-bits", "40"}, "-bits"},
+		{[]string{"inspect", "-scale", "512", "-addr", "1.2.3.4", "-bits", "-3"}, "-bits"},
+		{[]string{"run", "-scale", "512", "-exp", "bogus"}, "-exp"},
+		{[]string{"run", "-scale", "512", "-exp", "fig2, bogus"}, "-exp"},
+		{[]string{"block", "-scale", "512", "-lo", "40"}, "-lo"},
+		{[]string{"block", "-scale", "512", "-lo", "-1"}, "-lo"},
+		{[]string{"block", "-scale", "512", "-hi", "16"}, "-hi"},
+		{[]string{"block", "-scale", "512", "-hi", "33"}, "-hi"},
+		{[]string{"block", "-scale", "512", "-lo", "0", "-hi", "32"}, "-lo"},
+		{[]string{"bench", "-scale", "512", "-lo", "40"}, "-lo"},
+	} {
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%v: err = %v, want one naming %s", c.args, err, c.flag)
+		}
 	}
 }

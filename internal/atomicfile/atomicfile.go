@@ -11,7 +11,7 @@
 // feeds) already skips — so a v2 file remains parseable by a v1 reader
 // and remains hand-inspectable.
 //
-// WriteCheckpoint/LoadCheckpoint add one generation of history: the
+// WriteCheckpointHook/LoadCheckpoint add one generation of history: the
 // previous checkpoint is kept as <path>.prev, and recovery falls back to
 // the newest file that validates. Every stage of a write runs through an
 // injectable hook, so tests can crash the sequence at each step and
@@ -70,7 +70,7 @@ const (
 	StageTrailer = "trailer" // CRC trailer written
 	StageSync    = "sync"    // temp file fsynced
 	StageRename  = "rename"  // temp renamed over destination
-	StageRotate  = "rotate"  // old checkpoint rotated to .prev (WriteCheckpoint only)
+	StageRotate  = "rotate"  // old checkpoint rotated to .prev (WriteCheckpointHook only)
 	StageDirSync = "dirsync" // directory fsynced
 )
 
@@ -280,16 +280,12 @@ func Verify(raw []byte, name string) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteCheckpoint atomically writes data to path, preserving the
-// previous checkpoint as path+PrevSuffix. After it returns nil the data
-// is durable; after a crash at any interior point, LoadCheckpoint
-// returns either this data or the previous acknowledged data — never a
-// torn or empty state (provided one checkpoint existed before).
-func WriteCheckpoint(path string, data []byte) error {
-	return WriteCheckpointHook(path, data, nil)
-}
-
-// WriteCheckpointHook is WriteCheckpoint with a fault-injection hook.
+// WriteCheckpointHook atomically writes data to path, preserving the
+// previous checkpoint as path+PrevSuffix, and runs hook (when not nil) at
+// every stage. After it returns nil the data is durable; after a crash at
+// any interior point, LoadCheckpoint returns either this data or the
+// previous acknowledged data — never a torn or empty state (provided one
+// checkpoint existed before).
 func WriteCheckpointHook(path string, data []byte, hook Hook) error {
 	step := func(stage string) error {
 		if hook == nil {

@@ -103,10 +103,10 @@ func TestVerifyMalformedTrailers(t *testing.T) {
 
 func TestCheckpointRotationAndFallback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt")
-	if err := WriteCheckpoint(path, []byte("gen1\n")); err != nil {
+	if err := WriteCheckpointHook(path, []byte("gen1\n"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(path, []byte("gen2\n")); err != nil {
+	if err := WriteCheckpointHook(path, []byte("gen2\n"), nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadCheckpoint(path)
@@ -142,7 +142,7 @@ func TestCrashAtEveryStage(t *testing.T) {
 	for k := 0; k < stages; k++ {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "ckpt")
-		if err := WriteCheckpoint(path, []byte("old acknowledged\n")); err != nil {
+		if err := WriteCheckpointHook(path, []byte("old acknowledged\n"), nil); err != nil {
 			t.Fatal(err)
 		}
 		crash := faults.CrashAt(k)

@@ -2,7 +2,6 @@ package blocklist
 
 import (
 	"slices"
-	"strings"
 
 	"unclean/internal/netaddr"
 )
@@ -81,29 +80,4 @@ func compareEntries(a, b Entry) int {
 func siblingOf(b netaddr.Block) netaddr.Block {
 	bit := netaddr.Addr(1) << (32 - uint(b.Bits()))
 	return (b.Base() ^ bit).Block(b.Bits())
-}
-
-// CoversSameAddresses reports whether two blocklists block exactly the
-// same address set; used to validate aggregation. It compares the
-// canonical disjoint cover of both lists.
-func CoversSameAddresses(a, b *Trie) bool {
-	return canonicalCover(a) == canonicalCover(b)
-}
-
-// canonicalCover renders the list's covered space as a canonical string
-// of disjoint, fully-merged blocks.
-func canonicalCover(t *Trie) string {
-	agg := t.Aggregate()
-	blocks := make([]netaddr.Block, 0, agg.Len())
-	agg.Walk(func(e Entry) bool {
-		blocks = append(blocks, e.Block)
-		return true
-	})
-	slices.SortFunc(blocks, netaddr.Block.Compare)
-	var sb strings.Builder
-	for _, b := range blocks {
-		sb.WriteString(b.String())
-		sb.WriteByte(' ')
-	}
-	return sb.String()
 }

@@ -121,13 +121,14 @@ func BenchmarkMatcherLookup(b *testing.B) {
 	}
 }
 
+// benchMatcherSink keeps BenchmarkMatcherCompile's result live.
+var benchMatcherSink *Matcher
+
 func BenchmarkMatcherCompile(b *testing.B) {
 	tr, _, _ := benchMatcherSetup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if Compile(tr).Len() != tr.Len() {
-			b.Fatal("lost rules")
-		}
+		benchMatcherSink = Compile(tr)
 	}
 }
 

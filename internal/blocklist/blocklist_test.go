@@ -52,29 +52,6 @@ func TestDefaultRouteRule(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	var tr Trie
-	tr.Insert(netaddr.MustParseBlock("10.1.0.0/16"), "x")
-	tr.Insert(netaddr.MustParseBlock("10.1.2.0/24"), "y")
-	if !tr.Remove(netaddr.MustParseBlock("10.1.2.0/24")) {
-		t.Fatal("remove existing failed")
-	}
-	if tr.Remove(netaddr.MustParseBlock("10.1.2.0/24")) {
-		t.Fatal("double remove succeeded")
-	}
-	if tr.Remove(netaddr.MustParseBlock("99.0.0.0/8")) {
-		t.Fatal("removing absent rule succeeded")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	// The outer rule still matches where the inner used to.
-	e, ok := tr.Lookup(netaddr.MustParseAddr("10.1.2.3"))
-	if !ok || e.Reason != "x" {
-		t.Fatalf("after remove: %+v, %v", e, ok)
-	}
-}
-
 func TestWalkAndEntries(t *testing.T) {
 	var tr Trie
 	blocks := []string{"10.0.0.0/8", "10.1.0.0/16", "192.168.0.0/16", "10.1.0.0/24"}

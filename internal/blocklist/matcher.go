@@ -182,14 +182,6 @@ func (m *Matcher) Lookup(a netaddr.Addr) (Entry, bool) {
 // Blocks reports whether a is covered by any rule.
 func (m *Matcher) Blocks(a netaddr.Addr) bool { return m.slotFor(a) != 0 }
 
-// Len returns the number of rules compiled in.
-func (m *Matcher) Len() int { return len(m.entries) }
-
-// ShortPrefixRules returns how many rules were shorter than /16 and had
-// to be fan-out expanded across the root table (the DIR-24-8 slow-path
-// population, also counted on unclean_blocklist_compile_short_prefix_total).
-func (m *Matcher) ShortPrefixRules() int { return m.short }
-
 // sizeBytes returns the memory footprint of the compiled tables.
 func (m *Matcher) sizeBytes() int { return 4 * (len(m.root) + len(m.leaves)) }
 

@@ -19,13 +19,16 @@ func randomTrie(rng *stats.RNG, n int) *Trie {
 	return tr
 }
 
+// lastAddr returns the final address in b.
+func lastAddr(b netaddr.Block) netaddr.Addr { return b.Base() + netaddr.Addr(b.Size()-1) }
+
 // probeAddrs yields addresses that stress a rule set: every rule's
 // boundary addresses plus random ones.
 func probeAddrs(tr *Trie, rng *stats.RNG, extra int) []netaddr.Addr {
 	var addrs []netaddr.Addr
 	tr.Walk(func(e Entry) bool {
 		b := e.Block
-		addrs = append(addrs, b.Base(), b.Last(), b.Base()-1, b.Last()+1)
+		addrs = append(addrs, b.Base(), lastAddr(b), b.Base()-1, lastAddr(b)+1)
 		return true
 	})
 	for i := 0; i < extra; i++ {
@@ -39,9 +42,6 @@ func TestMatcherMatchesTrie(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		tr := randomTrie(rng, 300)
 		m := Compile(tr)
-		if m.Len() != tr.Len() {
-			t.Fatalf("seed %d: compiled %d rules, trie has %d", seed, m.Len(), tr.Len())
-		}
 		for _, a := range probeAddrs(tr, rng, 5000) {
 			we, wok := tr.Lookup(a)
 			ge, gok := m.Lookup(a)
@@ -102,9 +102,10 @@ func TestMatcherShortPrefixCount(t *testing.T) {
 	tr.Insert(netaddr.MustParseBlock("172.16.0.0/12"), "b")
 	tr.Insert(netaddr.MustParseBlock("192.168.0.0/16"), "c")
 	tr.Insert(netaddr.MustParseBlock("192.168.1.0/24"), "d")
-	m := Compile(tr)
-	if got := m.ShortPrefixRules(); got != 2 {
-		t.Errorf("ShortPrefixRules = %d, want 2", got)
+	before := compileShortPrefix.Value()
+	Compile(tr)
+	if got := compileShortPrefix.Value() - before; got != 2 {
+		t.Errorf("unclean_blocklist_compile_short_prefix_total rose by %d, want 2", got)
 	}
 }
 

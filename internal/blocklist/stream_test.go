@@ -106,7 +106,10 @@ func TestSweepEvaluatorMatchesPerListEvaluate(t *testing.T) {
 		colliding = append(colliding, flowFrom(src.String(), rng.Bool(0.5)))
 		n++
 	}
-	rng.Shuffle(len(colliding), func(i, j int) { colliding[i], colliding[j] = colliding[j], colliding[i] })
+	for i := len(colliding) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		colliding[i], colliding[j] = colliding[j], colliding[i]
+	}
 
 	// Enough distinct sources to grow the table at least three times.
 	growth := make([]netflow.Record, 0, 30000)

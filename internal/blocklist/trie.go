@@ -53,27 +53,6 @@ func (t *Trie) Insert(b netaddr.Block, reason string) bool {
 	return created
 }
 
-// Remove deletes the rule for exactly this block (not its sub-blocks).
-// It reports whether a rule existed. Interior nodes are left in place;
-// the trie is optimized for build-once/query-many use.
-func (t *Trie) Remove(b netaddr.Block) bool {
-	n := &t.root
-	base := uint32(b.Base())
-	for depth := 0; depth < b.Bits(); depth++ {
-		bit := (base >> (31 - uint(depth))) & 1
-		if n.children[bit] == nil {
-			return false
-		}
-		n = n.children[bit]
-	}
-	if n.entry == nil {
-		return false
-	}
-	n.entry = nil
-	t.size--
-	return true
-}
-
 // Len returns the number of rules.
 func (t *Trie) Len() int { return t.size }
 

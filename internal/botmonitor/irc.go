@@ -103,13 +103,3 @@ func HostOf(prefix string) string {
 	}
 	return prefix[at+1:]
 }
-
-// NickOf extracts the nick portion of a nick!user@host prefix; for a
-// server prefix it returns the whole prefix.
-func NickOf(prefix string) string {
-	bang := strings.IndexByte(prefix, '!')
-	if bang < 0 {
-		return prefix
-	}
-	return prefix[:bang]
-}

@@ -131,10 +131,4 @@ func TestHostNickOf(t *testing.T) {
 	if HostOf("irc.server.example") != "" {
 		t.Error("HostOf of server prefix should be empty")
 	}
-	if NickOf("bot!u@1.2.3.4") != "bot" {
-		t.Error("NickOf wrong")
-	}
-	if NickOf("irc.server.example") != "irc.server.example" {
-		t.Error("NickOf of server prefix should be whole prefix")
-	}
 }

@@ -31,22 +31,8 @@ type Monitor struct {
 	mu        sync.Mutex
 	hostAddrs *ipset.Builder
 	bodyAddrs *ipset.Builder
-	commands  []Command
 	lines     int
 	malformed int
-}
-
-// Command is one C&C instruction observed on the channel — a TOPIC set by
-// the botmaster (the standing command bots execute on join) or relayed as
-// RPL_TOPIC. Commands are the behavioral intelligence IRC monitoring
-// yields beyond addresses.
-type Command struct {
-	// Channel the command was set on.
-	Channel string
-	// Issuer is the setter's nick ("" for server-relayed 332 replies).
-	Issuer string
-	// Text is the command, e.g. ".advscan lsass 150 5 0 -r".
-	Text string
 }
 
 // NewMonitor builds a monitor for one channel name (e.g. "#owned").
@@ -69,13 +55,6 @@ func (m *Monitor) ObserveLine(line string) {
 		m.malformed++
 		return
 	}
-	m.observe(msg)
-}
-
-// Observe feeds one parsed message into the monitor.
-func (m *Monitor) Observe(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.observe(msg)
 }
 
@@ -103,30 +82,12 @@ func (m *Monitor) observe(msg Message) {
 		}
 		m.harvestPrefix(msg.Prefix)
 		m.harvestBody(msg.Trailing)
-		m.commands = append(m.commands, Command{
-			Channel: msg.Param(0),
-			Issuer:  NickOf(msg.Prefix),
-			Text:    msg.Trailing,
-		})
 	case "332": // RPL_TOPIC: server relaying the standing topic on join
 		if !m.wantChannel(msg.Param(1)) {
 			return
 		}
 		m.harvestBody(msg.Trailing)
-		m.commands = append(m.commands, Command{
-			Channel: msg.Param(1),
-			Text:    msg.Trailing,
-		})
 	}
-}
-
-// Commands returns the C&C instructions observed so far, in order.
-func (m *Monitor) Commands() []Command {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Command, len(m.commands))
-	copy(out, m.commands)
-	return out
 }
 
 func (m *Monitor) wantChannel(ch string) bool {
@@ -185,9 +146,6 @@ func (m *Monitor) ReportedAddrs() ipset.Set {
 	defer m.mu.Unlock()
 	return snapshot(m.bodyAddrs)
 }
-
-// All returns the union of both harvests.
-func (m *Monitor) All() ipset.Set { return m.BotAddrs().Union(m.ReportedAddrs()) }
 
 // Stats reports lines consumed and lines that failed to parse.
 func (m *Monitor) Stats() (lines, malformed int) {

@@ -43,9 +43,8 @@ func TestMonitorHarvestsPrivmsgBodies(t *testing.T) {
 	if reported.Len() != 2 {
 		t.Fatalf("ReportedAddrs = %v, want 2", reported)
 	}
-	all := m.All()
-	if all.Len() != 3 {
-		t.Fatalf("All = %v, want 3", all)
+	if all := bots.Union(reported); all.Len() != 3 {
+		t.Fatalf("both harvests = %v, want 3", all)
 	}
 }
 
@@ -86,34 +85,26 @@ func TestMonitorStats(t *testing.T) {
 	}
 }
 
-func TestMonitorRecordsTopicCommands(t *testing.T) {
+func TestMonitorHarvestsTopics(t *testing.T) {
 	m := NewMonitor("#owned")
 	m.ObserveLine(":boss!x@5.5.5.5 TOPIC #owned :.advscan lsass 150 5 0 -r")
-	m.ObserveLine(":cc.server 332 drone1 #owned :.advscan lsass 150 5 0 -r")
-	m.ObserveLine(":boss!x@5.5.5.5 TOPIC #other :.ddos 66.7.8.9 80") // other channel
-	cmds := m.Commands()
-	if len(cmds) != 2 {
-		t.Fatalf("commands = %d, want 2", len(cmds))
-	}
-	if cmds[0].Issuer != "boss" || cmds[0].Text != ".advscan lsass 150 5 0 -r" {
-		t.Fatalf("command[0] = %+v", cmds[0])
-	}
-	if cmds[1].Issuer != "" || cmds[1].Channel != "#owned" {
-		t.Fatalf("command[1] = %+v", cmds[1])
-	}
+	m.ObserveLine(":boss!x@6.6.6.6 TOPIC #other :.ddos 66.7.8.9 80") // other channel
 	// The topic setter's host is harvested like any other participant.
-	if !m.BotAddrs().Contains(netaddr.MustParseAddr("5.5.5.5")) {
-		t.Error("topic setter's address not harvested")
+	if bots := m.BotAddrs(); bots.Len() != 1 || !bots.Contains(netaddr.MustParseAddr("5.5.5.5")) {
+		t.Errorf("BotAddrs = %v, want only the topic setter 5.5.5.5", bots)
 	}
-	// Addresses in commands are harvested as reported victims.
+	if !m.ReportedAddrs().IsEmpty() {
+		t.Errorf("ReportedAddrs = %v, want none from another channel's topic", m.ReportedAddrs())
+	}
+	// Addresses in a topic, set or relayed as RPL_TOPIC, are harvested as
+	// reported victims.
 	m.ObserveLine(":boss!x@5.5.5.5 TOPIC #owned :.ddos 66.7.8.9 80")
-	if !m.ReportedAddrs().Contains(netaddr.MustParseAddr("66.7.8.9")) {
-		t.Error("DDoS target in topic not harvested")
-	}
-	// Returned slice is a copy.
-	cmds[0].Text = "mutated"
-	if m.Commands()[0].Text == "mutated" {
-		t.Error("Commands returns shared storage")
+	m.ObserveLine(":cc.server 332 drone1 #owned :.ddos 77.8.9.10 80")
+	m.ObserveLine(":cc.server 332 drone1 #other :.ddos 88.9.10.11 80")
+	reported := m.ReportedAddrs()
+	if reported.Len() != 2 || !reported.Contains(netaddr.MustParseAddr("66.7.8.9")) ||
+		!reported.Contains(netaddr.MustParseAddr("77.8.9.10")) {
+		t.Errorf("ReportedAddrs = %v, want 66.7.8.9 and 77.8.9.10", reported)
 	}
 }
 

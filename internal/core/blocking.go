@@ -8,7 +8,6 @@ import (
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/roc"
-	"unclean/internal/stats"
 )
 
 // Partition is the §6.1 decomposition of the candidate population: the
@@ -137,25 +136,6 @@ func BlockingTable(botTest ipset.Set, p Partition, pr PrefixRange) ([]BlockingRo
 		rows[i].Pop = rows[i].TP + rows[i].FP
 	}
 	return rows, nil
-}
-
-// blockingTableWithinBlocks is the seed implementation: one WithinBlocks
-// set operation per prefix length, fanned out over the worker pool. Kept
-// as the reference the compiled sweep is differentially tested against.
-func blockingTableWithinBlocks(botTest ipset.Set, p Partition, pr PrefixRange) []BlockingRow {
-	rows := make([]BlockingRow, pr.Len())
-	stats.Parallel(pr.Len(), func(_, i int) {
-		n := pr.Lo + i
-		row := BlockingRow{
-			Bits:    n,
-			TP:      p.Hostile.WithinBlocks(botTest, n).Len(),
-			FP:      p.Innocent.WithinBlocks(botTest, n).Len(),
-			Unknown: p.Unknown.WithinBlocks(botTest, n).Len(),
-		}
-		row.Pop = row.TP + row.FP
-		rows[i] = row
-	})
-	return rows
 }
 
 // BlockedAddressSpan returns |C_n(botTest)| * 2^(32-n): the number of

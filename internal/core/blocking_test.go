@@ -217,3 +217,22 @@ func TestBlockingTableMatchesWithinBlocks(t *testing.T) {
 		}
 	}
 }
+
+// blockingTableWithinBlocks is the seed implementation: one WithinBlocks
+// set operation per prefix length, fanned out over the worker pool. Kept
+// as the reference the compiled sweep is differentially tested against.
+func blockingTableWithinBlocks(botTest ipset.Set, p Partition, pr PrefixRange) []BlockingRow {
+	rows := make([]BlockingRow, pr.Len())
+	stats.Parallel(pr.Len(), func(_, i int) {
+		n := pr.Lo + i
+		row := BlockingRow{
+			Bits:    n,
+			TP:      p.Hostile.WithinBlocks(botTest, n).Len(),
+			FP:      p.Innocent.WithinBlocks(botTest, n).Len(),
+			Unknown: p.Unknown.WithinBlocks(botTest, n).Len(),
+		}
+		row.Pop = row.TP + row.FP
+		rows[i] = row
+	})
+	return rows
+}

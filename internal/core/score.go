@@ -90,9 +90,6 @@ func (s *Scorer) AddReport(dim Dimension, addrs ipset.Set, weight float64) {
 	})
 }
 
-// Bits returns the scorer's prefix length.
-func (s *Scorer) Bits() int { return s.bits }
-
 // BlockCount returns the number of blocks with any evidence.
 func (s *Scorer) BlockCount() int { return len(s.counts) }
 

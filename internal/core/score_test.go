@@ -37,8 +37,8 @@ func TestScorerBasics(t *testing.T) {
 	if s.BlockCount() != 1 {
 		t.Errorf("BlockCount = %d", s.BlockCount())
 	}
-	if s.Bits() != 24 {
-		t.Errorf("Bits = %d", s.Bits())
+	if s.bits != 24 {
+		t.Errorf("bits = %d", s.bits)
 	}
 }
 

@@ -165,9 +165,6 @@ func (a *Analytics) SetAttributor(fn Attributor) {
 	}
 }
 
-// SampleN reports the effective sketch sampling rate.
-func (a *Analytics) SampleN() int { return a.cfg.SampleN }
-
 // tap is one shard's analytics state, written only by the shard
 // goroutine. Sweeps read and consume the miss ring concurrently, so
 // its cells are atomic; the write position is the shard's alone.
@@ -307,7 +304,3 @@ func (a *Analytics) uniqueClientsLocked() float64 {
 	}
 	return h.Estimate()
 }
-
-// Predicted reports the confirmed-prediction total (tests and
-// uncleanctl).
-func (a *Analytics) Predicted() uint64 { return a.cPredicted.Value() }

@@ -75,7 +75,7 @@ func TestAnalyticsScoreboardConfirmsPredictions(t *testing.T) {
 	nl.Insert(netaddr.MustParseBlock("10.9.9.0/24"), "bot")
 	srv.SetList(nl)
 
-	if got := a.Predicted(); got != 3 {
+	if got := a.cPredicted.Value(); got != 3 {
 		t.Fatalf("Predicted = %d, want 3", got)
 	}
 	doc := a.Snapshot(10)
@@ -108,7 +108,7 @@ func TestAnalyticsScoreboardConfirmsPredictions(t *testing.T) {
 	nl2.Insert(netaddr.MustParseBlock("10.9.9.0/24"), "bot")
 	nl2.Insert(netaddr.MustParseBlock("192.0.2.0/24"), "bot")
 	srv.SetList(nl2)
-	if got := a.Predicted(); got != 3 {
+	if got := a.cPredicted.Value(); got != 3 {
 		t.Fatalf("Predicted after second sweep = %d, want 3 (no double count)", got)
 	}
 }
@@ -152,8 +152,8 @@ func TestAnalyticsSketchesSeeSampledTraffic(t *testing.T) {
 // packets — no second counter, no drift.
 func TestAnalyticsSharesShardSamplingCounter(t *testing.T) {
 	srv, a, sh := analyticsShard(t, AnalyticsConfig{}) // default SampleN = 64
-	if a.SampleN() != shardEventSample {
-		t.Fatalf("default SampleN = %d, want %d", a.SampleN(), shardEventSample)
+	if a.cfg.SampleN != shardEventSample {
+		t.Fatalf("default SampleN = %d, want %d", a.cfg.SampleN, shardEventSample)
 	}
 	events := 0
 	for i := 0; i < 4*shardEventSample; i++ {
@@ -262,7 +262,7 @@ func TestAnalyticsShardedEndToEnd(t *testing.T) {
 	nl.Insert(netaddr.MustParseBlock("10.50.0.0/16"), "bot")
 	srv.SetList(nl)
 
-	if got := a.Predicted(); got < 3 {
+	if got := a.cPredicted.Value(); got < 3 {
 		t.Fatalf("Predicted = %d, want ≥ 3", got)
 	}
 	doc := a.Snapshot(10)

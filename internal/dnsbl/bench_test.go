@@ -25,7 +25,7 @@ func benchServer(b *testing.B) *Server {
 	list := &blocklist.Trie{}
 	for i := 0; i < 256; i++ {
 		base := netaddr.Addr(uint32(10)<<24 | uint32(i)<<16 | 1<<8)
-		list.Insert(netaddr.MakeBlock(base, 24), "bot")
+		list.Insert(base.Block(24), "bot")
 	}
 	srv, err := NewServer("bl.bench.example", list, time.Minute)
 	if err != nil {
@@ -183,7 +183,7 @@ func BenchmarkAnalyticsTap(b *testing.B) {
 		tp.recordMiss(addr, now)
 		tp.observe(netaddr.MakeAddr(198, 51, 100, byte(i)), addr, i&1 == 0)
 	}
-	if a.Predicted() != 0 {
+	if a.cPredicted.Value() != 0 {
 		b.Fatal("no sweep ran, yet predictions appeared")
 	}
 }

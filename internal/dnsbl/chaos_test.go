@@ -136,9 +136,9 @@ func TestChaosLookupsSurviveFaultyNetwork(t *testing.T) {
 func TestChaosIngestSurvivesTornFeed(t *testing.T) {
 	dir := t.TempDir()
 	inv := &report.Inventory{}
-	inv.Add(report.New("bot", report.Observed, report.ClassBots,
-		"2006-10-01", "2006-10-14", "darknet",
-		ipset.MustParse("10.1.1.1 10.1.1.2 10.1.1.3 10.1.1.4 10.1.1.5 10.1.1.6 10.1.1.7 10.1.1.8")))
+	inv.Add(&report.Report{Tag: "bot", Type: report.Observed, Class: report.ClassBots, Method: "darknet",
+		ValidFrom: time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC), ValidTo: time.Date(2006, 10, 14, 0, 0, 0, 0, time.UTC),
+		Addrs: ipset.MustParse("10.1.1.1 10.1.1.2 10.1.1.3 10.1.1.4 10.1.1.5 10.1.1.6 10.1.1.7 10.1.1.8")})
 	if err := inv.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}

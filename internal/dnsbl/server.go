@@ -5,7 +5,6 @@ import (
 	"math"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,11 +47,6 @@ type Server struct {
 	// labels, terminal root label), precomputed so the batched fast
 	// path can match query names without allocating.
 	zoneWire []byte
-
-	// shards is set by ServeConns for ShardSnapshots; nil before the
-	// first ServeConns call.
-	shardsMu sync.Mutex
-	shards   []*shard
 
 	metrics   *obs.Registry
 	queries   *obs.Counter   // well-formed queries handled

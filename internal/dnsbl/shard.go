@@ -108,17 +108,6 @@ type shard struct {
 	dropped  *obs.Counter // responses lost to hard write errors
 }
 
-// ShardStats is a point-in-time snapshot of one shard's counters.
-type ShardStats struct {
-	Shard    int
-	Packets  uint64 // datagrams received
-	Batches  uint64 // batched reads (Packets/Batches = realized batch size)
-	FastPath uint64 // packets answered by the zero-copy codec
-	SlowPath uint64 // packets handed to the allocating slow path
-	Shed     uint64 // responses abandoned on transient send faults
-	Dropped  uint64 // responses lost to hard write errors
-}
-
 func (s *Server) newShard(id int, conn net.PacketConn, cfg ShardConfig) *shard {
 	sh := &shard{id: id, msgs: make([]batchMsg, cfg.Batch)}
 	// One contiguous arena per direction: better locality than
@@ -194,8 +183,8 @@ func ListenShards(addr string, n int) ([]net.PacketConn, error) {
 // shards share. Fewer shards than conns is an error.
 //
 // Shard counters roll into the server's Snapshot()/SLO/flight
-// machinery, plus per-shard series visible via ShardSnapshots and
-// /metrics.
+// machinery, plus the per-shard unclean_dnsbl_shard_*_total series
+// (zone and shard labels) on /metrics.
 func (s *Server) ServeConns(ctx context.Context, conns []net.PacketConn, cfg ShardConfig) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("dnsbl: ServeConns needs at least one conn")
@@ -209,9 +198,6 @@ func (s *Server) ServeConns(ctx context.Context, conns []net.PacketConn, cfg Sha
 	for i := range shards {
 		shards[i] = s.newShard(i, conns[i%len(conns)], cfg)
 	}
-	s.shardsMu.Lock()
-	s.shards = shards
-	s.shardsMu.Unlock()
 
 	// The closer: cancellation closes every conn, waking all blocked
 	// reads at once.
@@ -247,30 +233,6 @@ func (s *Server) ServeConns(ctx context.Context, conns []net.PacketConn, cfg Sha
 		}
 	}
 	return nil
-}
-
-// ShardSnapshots returns per-shard counters for the most recent (or
-// running) ServeConns call; nil before the first one.
-func (s *Server) ShardSnapshots() []ShardStats {
-	s.shardsMu.Lock()
-	shards := s.shards
-	s.shardsMu.Unlock()
-	if shards == nil {
-		return nil
-	}
-	out := make([]ShardStats, len(shards))
-	for i, sh := range shards {
-		out[i] = ShardStats{
-			Shard:    sh.id,
-			Packets:  sh.packets.Value(),
-			Batches:  sh.batches.Value(),
-			FastPath: sh.fastPath.Value(),
-			SlowPath: sh.slowPath.Value(),
-			Shed:     sh.shed.Value(),
-			Dropped:  sh.dropped.Value(),
-		}
-	}
-	return out
 }
 
 // runShard is one shard's serve loop: read a batch, answer every slot,

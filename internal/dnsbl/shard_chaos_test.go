@@ -69,11 +69,8 @@ func TestChaosShardedShedsOnSendFaults(t *testing.T) {
 	if st.Shed == 0 {
 		t.Fatal("40% write faults produced no sheds")
 	}
-	var shardShed, shardPkts uint64
-	for _, ss := range srv.ShardSnapshots() {
-		shardShed += ss.Shed
-		shardPkts += ss.Packets
-	}
+	sums := shardSeries(t, srv, 2)
+	shardShed, shardPkts := uint64(sums["shed"]), uint64(sums["packets"])
 	if shardShed != st.Shed {
 		t.Errorf("per-shard shed sum %d != server shed %d", shardShed, st.Shed)
 	}

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"unclean/internal/blocklist"
 	"unclean/internal/netaddr"
+	"unclean/internal/obs"
 	"unclean/internal/obs/flight"
 )
 
@@ -97,17 +99,9 @@ func TestServeConnsEndToEnd(t *testing.T) {
 	if st.Hits < 3 {
 		t.Errorf("Hits = %d, want >= 3", st.Hits)
 	}
-	ss := srv.ShardSnapshots()
-	if ss == nil {
-		t.Fatal("ShardSnapshots = nil after ServeConns")
-	}
-	var pkts, fast uint64
-	for _, s := range ss {
-		pkts += s.Packets
-		fast += s.FastPath
-	}
-	if pkts < uint64(len(probes)) || fast != pkts {
-		t.Errorf("shard rollup: packets=%d fastpath=%d, want >= %d and equal", pkts, fast, len(probes))
+	sums := shardSeries(t, srv, len(conns))
+	if pkts, fast := sums["packets"], sums["fastpath"]; pkts < float64(len(probes)) || fast != pkts {
+		t.Errorf("shard rollup: packets=%v fastpath=%v, want >= %d and equal", pkts, fast, len(probes))
 	}
 
 	cancel()
@@ -119,6 +113,40 @@ func TestServeConnsEndToEnd(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeConns did not exit on cancellation")
 	}
+}
+
+// shardSeries reads the per-shard counters ServeConns registers from the
+// server's /metrics series, unclean_dnsbl_shard_<name>_total{shard,zone},
+// and returns each name's sum over the shards. Every name must have
+// exactly one series per shard.
+func shardSeries(t *testing.T, srv *Server, shards int) map[string]float64 {
+	t.Helper()
+	vals, err := obs.Samples(srv.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := make(map[string]float64)
+	for _, name := range []string{"packets", "batches", "fastpath", "slowpath", "shed", "dropped"} {
+		series := "unclean_dnsbl_shard_" + name + "_total"
+		n := 0
+		for k := range vals {
+			if strings.HasPrefix(k, series+"{") {
+				n++
+			}
+		}
+		if n != shards {
+			t.Errorf("%d %s series, want one per shard (%d)", n, series, shards)
+		}
+		for i := 0; i < shards; i++ {
+			key := fmt.Sprintf(`%s{shard="%d",zone=%q}`, series, i, srv.zone)
+			v, ok := vals[key]
+			if !ok {
+				t.Errorf("no series %s", key)
+			}
+			sums[name] += v
+		}
+	}
+	return sums
 }
 
 // TestFastSlowCodecEquivalence is the differential test holding the
@@ -566,8 +594,8 @@ func TestServeConnsSharesOneConn(t *testing.T) {
 			t.Fatalf("shared-conn lookup %d: listed=%v err=%v", i, listed, err)
 		}
 	}
-	if ss := srv.ShardSnapshots(); len(ss) != 3 {
-		t.Errorf("got %d shard snapshots, want 3", len(ss))
+	if pkts := shardSeries(t, srv, 3)["packets"]; pkts < 20 {
+		t.Errorf("shard packets = %v, want >= 20", pkts)
 	}
 	cancel()
 	select {

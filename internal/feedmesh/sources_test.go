@@ -23,7 +23,9 @@ var testFold = Fold{HalfLife: 42 * 24 * time.Hour, Threshold: 0.5}
 func saveReport(t *testing.T, dir, tag string, c report.Class, addrs string) {
 	t.Helper()
 	inv := &report.Inventory{}
-	inv.Add(report.New(tag, report.Observed, c, "2006-10-01", "2006-10-14", "test", ipset.MustParse(addrs)))
+	inv.Add(&report.Report{Tag: tag, Type: report.Observed, Class: c, Method: "test",
+		ValidFrom: time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC), ValidTo: time.Date(2006, 10, 14, 0, 0, 0, 0, time.UTC),
+		Addrs: ipset.MustParse(addrs)})
 	if err := inv.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}

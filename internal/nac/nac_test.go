@@ -98,7 +98,7 @@ func TestClustersDisjointSorted(t *testing.T) {
 			if blocks[i-1].Base() >= blocks[i].Base() {
 				return false
 			}
-			if blocks[i-1].Last() >= blocks[i].Base() {
+			if blocks[i-1].Contains(blocks[i].Base()) {
 				return false // overlap
 			}
 		}

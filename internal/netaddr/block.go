@@ -14,10 +14,6 @@ type Block struct {
 	bits uint8
 }
 
-// MakeBlock builds the n-bit block containing addr. It is identical to
-// addr.Block(n) and exists for call sites where the block is primary.
-func MakeBlock(addr Addr, n int) Block { return addr.Block(n) }
-
 // ParseBlock parses CIDR notation such as "127.1.0.0/16". The base address
 // need not be pre-masked; "127.1.135.14/16" parses to 127.1.0.0/16.
 func ParseBlock(s string) (Block, error) {
@@ -53,9 +49,6 @@ func (b Block) Bits() int { return int(b.bits) }
 
 // Size returns the number of addresses the block spans (2^(32-bits)).
 func (b Block) Size() uint64 { return 1 << (32 - uint(b.bits)) }
-
-// Last returns the final address in the block.
-func (b Block) Last() Addr { return b.base + Addr(b.Size()-1) }
 
 // Contains reports whether addr lies inside the block.
 func (b Block) Contains(addr Addr) bool { return addr.Mask(int(b.bits)) == b.base }
@@ -93,20 +86,4 @@ func (b *Block) UnmarshalText(text []byte) error {
 	}
 	*b = parsed
 	return nil
-}
-
-// Compare orders blocks by base address, then by prefix length (shorter
-// first). It returns -1, 0 or +1.
-func (b Block) Compare(other Block) int {
-	switch {
-	case b.base < other.base:
-		return -1
-	case b.base > other.base:
-		return 1
-	case b.bits < other.bits:
-		return -1
-	case b.bits > other.bits:
-		return 1
-	}
-	return 0
 }

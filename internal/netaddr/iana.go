@@ -126,13 +126,3 @@ func PopulatedSlash8s() []byte {
 	}
 	return out
 }
-
-// IsPopulatedSlash8 reports whether the /8 containing a was allocated in the
-// 2006 registry.
-func IsPopulatedSlash8(a Addr) bool {
-	switch slash8Registry[a>>24] {
-	case Unallocated, Special:
-		return false
-	}
-	return true
-}

@@ -1,6 +1,9 @@
 package netaddr
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestIsReserved(t *testing.T) {
 	reserved := []string{
@@ -59,13 +62,13 @@ func TestPopulatedSlash8s(t *testing.T) {
 		}
 	}
 	// Spot checks for 2006-era status.
-	if !IsPopulatedSlash8(MustParseAddr("64.1.2.3")) {
+	if !slices.Contains(pop, 64) {
 		t.Error("64/8 (ARIN) should be populated")
 	}
-	if IsPopulatedSlash8(MustParseAddr("1.2.3.4")) {
+	if slices.Contains(pop, 1) {
 		t.Error("1/8 was in the IANA free pool in 2006")
 	}
-	if IsPopulatedSlash8(MustParseAddr("185.1.2.3")) {
+	if slices.Contains(pop, 185) {
 		t.Error("185/8 was unallocated in 2006")
 	}
 }

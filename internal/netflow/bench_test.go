@@ -58,7 +58,7 @@ func BenchmarkReader(b *testing.B) {
 	wire := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := NewReader(bytes.NewReader(wire)).ReadAll()
+		got, err := readAll(NewReader(bytes.NewReader(wire)))
 		if err != nil {
 			b.Fatal(err)
 		}

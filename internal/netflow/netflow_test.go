@@ -176,10 +176,10 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Sequence() != 95 {
-		t.Fatalf("Sequence = %d, want 95", w.Sequence())
+	if w.sequence != 95 {
+		t.Fatalf("sequence = %d, want 95", w.sequence)
 	}
-	got, err := NewReader(&out).ReadAll()
+	got, err := readAll(NewReader(&out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestWriterRejectsPastUptime(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewReader(&out).ReadAll()
+	got, err := readAll(NewReader(&out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,3 +318,18 @@ func TestWriteAfterErrorSticks(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// readAll drains r into a slice.
+func readAll(r *Reader) ([]Record, error) {
+	var out []Record
+	for {
+		rec, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}

@@ -82,9 +82,6 @@ func (r *Record) PayloadBearing() bool {
 		r.PayloadBytes() >= minPayload
 }
 
-// Duration returns Last-First; zero for single-packet flows.
-func (r *Record) Duration() time.Duration { return r.Last.Sub(r.First) }
-
 // Validate checks internal consistency: a flow must carry at least one
 // packet, at least as many octets as packets, and must not end before it
 // starts.

@@ -92,9 +92,6 @@ func (w *Writer) flushPacket() error {
 	return nil
 }
 
-// Sequence returns the number of records flushed so far.
-func (w *Writer) Sequence() uint32 { return w.sequence }
-
 // Reader streams records out of a concatenation of NetFlow V5 export
 // datagrams, as produced by Writer.
 type Reader struct {
@@ -119,21 +116,6 @@ func (r *Reader) Next() (Record, error) {
 	rec := r.pending[0]
 	r.pending = r.pending[1:]
 	return rec, nil
-}
-
-// ReadAll drains the stream into a slice.
-func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
 }
 
 func (r *Reader) readPacket() error {

@@ -137,11 +137,6 @@ func bestMetric(doc *Doc, unit string, filter *regexp.Regexp) map[string]float64
 	return best
 }
 
-// bestNs is the ns/op view of bestMetric.
-func bestNs(doc *Doc, filter *regexp.Regexp) map[string]float64 {
-	return bestMetric(doc, "ns/op", filter)
-}
-
 // compare gates doc against the baseline document at path: any shared
 // benchmark whose best ns/op — or, when both sides report it, best
 // peakRSS-bytes — regressed by more than tolerance fails the run.

@@ -91,7 +91,7 @@ func TestBestNsKeepsMinimumAcrossCounts(t *testing.T) {
 		{Package: "p", Name: "BenchmarkX", Metrics: map[string]float64{"ns/op": 100}},
 		{Package: "p", Name: "BenchmarkX", Metrics: map[string]float64{"ns/op": 140}},
 	}}
-	best := bestNs(d, nil)
+	best := bestMetric(d, "ns/op", nil)
 	if best["p.BenchmarkX"] != 100 {
 		t.Fatalf("best = %v, want 100", best["p.BenchmarkX"])
 	}

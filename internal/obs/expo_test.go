@@ -161,12 +161,12 @@ func TestConcurrentScrape(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Add(1)
+				g.Set(1)
 				h.Observe(time.Duration(i+1) * time.Microsecond)
 				// Concurrent registration of the same and new series.
 				r.Counter("hammer_total", "h").Inc()
 				r.Counter("hammer_lane_total", "h", "lane", string(rune('a'+i))).Inc()
-				g.Add(-1)
+				g.Set(0)
 			}
 		}(i)
 	}

@@ -80,7 +80,7 @@ const (
 	FlagShed                        // packet dropped by the overload valve
 	FlagPanic                       // a recovered (or fatal) panic
 	FlagHit                         // query matched a listing
-	FlagSlow                        // latency exceeded the recorder's slow threshold
+	FlagSlow                        // latency reached DefaultSlowThreshold
 	FlagRecovered                   // state was recovered from a fallback generation
 )
 
@@ -153,17 +153,14 @@ type Recorder struct {
 	ring     []atomic.Pointer[Event]
 	kept     []atomic.Pointer[Event]
 
-	// slowNS is the threshold (nanoseconds) above which an event is
-	// flagged slow and copied to the kept ring.
-	slowNS atomic.Int64
-
 	now func() time.Time // injectable for deterministic tests
 }
 
 // DefaultSize is the main ring's default capacity (events).
 const DefaultSize = 4096
 
-// DefaultSlowThreshold marks events slower than this as outliers.
+// DefaultSlowThreshold marks events slower than this as outliers: they
+// are flagged slow and copied to the kept ring.
 const DefaultSlowThreshold = 50 * time.Millisecond
 
 // New builds a recorder holding at least size events (rounded up to a
@@ -178,15 +175,13 @@ func New(size int) *Recorder {
 	if k < 64 {
 		k = 64
 	}
-	r := &Recorder{
+	return &Recorder{
 		mask:     uint64(n - 1),
 		keptMask: uint64(k - 1),
 		ring:     make([]atomic.Pointer[Event], n),
 		kept:     make([]atomic.Pointer[Event], k),
 		now:      time.Now,
 	}
-	r.slowNS.Store(int64(DefaultSlowThreshold))
-	return r
 }
 
 // defaultRecorder backs Default(): the process-wide ring every
@@ -196,13 +191,9 @@ var defaultRecorder = New(DefaultSize)
 // Default returns the process-wide recorder.
 func Default() *Recorder { return defaultRecorder }
 
-// SetSlowThreshold changes the latency above which events are flagged
-// slow and copied to the kept ring. Zero or negative disables the flag.
-func (r *Recorder) SetSlowThreshold(d time.Duration) { r.slowNS.Store(int64(d)) }
-
 // Record appends one event to the ring: one atomic claim, one Event
 // allocation, one pointer publish. Events flagged err/shed/panic — or
-// slower than the slow threshold — are also published to the kept ring
+// at least DefaultSlowThreshold slow — are also published to the kept ring
 // (same allocation, second pointer store). Record never blocks and is
 // safe from any goroutine, including inside a recover().
 func (r *Recorder) Record(ev Event) {
@@ -218,7 +209,7 @@ func (r *Recorder) RecordOwned(ev *Event) {
 	if ev.Unix == 0 {
 		ev.Unix = r.now().UnixNano()
 	}
-	if slow := r.slowNS.Load(); slow > 0 && ev.Latency >= time.Duration(slow) {
+	if ev.Latency >= DefaultSlowThreshold {
 		ev.Flags |= FlagSlow
 	}
 	ev.Seq = r.seq.Add(1)

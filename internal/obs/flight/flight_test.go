@@ -69,9 +69,8 @@ func TestRingWrapsKeepingNewest(t *testing.T) {
 // after a flood of healthy events has lapped the main ring.
 func TestKeptRingSurvivesFlood(t *testing.T) {
 	r := New(64)
-	r.SetSlowThreshold(10 * time.Millisecond)
 	r.Record(Event{Kind: KindCheckpoint, Verdict: "error", Flags: FlagErr, Name: "ckpt"})
-	r.Record(Event{Kind: KindQuery, Verdict: "hit", Flags: FlagHit, Latency: 25 * time.Millisecond})
+	r.Record(Event{Kind: KindQuery, Verdict: "hit", Flags: FlagHit, Latency: 2 * DefaultSlowThreshold})
 	for i := 0; i < 1000; i++ {
 		r.Record(Event{Kind: KindQuery, Verdict: "miss", Latency: time.Microsecond})
 	}

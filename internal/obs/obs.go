@@ -42,15 +42,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

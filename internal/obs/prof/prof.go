@@ -118,7 +118,6 @@ type Profiler struct {
 	mu    sync.Mutex
 	rings map[string][]Profile
 	seq   map[string]uint64
-	last  time.Time
 
 	mCollections *obs.Counter
 	mErrors      *obs.Counter
@@ -200,8 +199,7 @@ func (p *Profiler) CollectOnce(ctx context.Context) {
 		p.cpuBurst(ctx)
 	}
 	p.mu.Lock()
-	p.last = p.now()
-	last := p.last
+	last := p.now()
 	p.mu.Unlock()
 	p.gLastUnix.Set(last.Unix())
 }
@@ -279,12 +277,4 @@ func (p *Profiler) Snapshot() []Profile {
 		return out[i].Seq < out[j].Seq
 	})
 	return out
-}
-
-// LastCollection returns when the last cycle completed (zero before the
-// first).
-func (p *Profiler) LastCollection() time.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last
 }

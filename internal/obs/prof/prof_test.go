@@ -58,8 +58,8 @@ func TestRingBoundsAndDeterministicNames(t *testing.T) {
 	if got := byKind[KindHeap][0].Name(); got != "heap-000002.pprof" {
 		t.Fatalf("profile name %q, want heap-000002.pprof", got)
 	}
-	if p.LastCollection().IsZero() {
-		t.Fatal("LastCollection still zero after collecting")
+	if p.gLastUnix.Value() == 0 {
+		t.Fatal("unclean_prof_last_collection_unix still zero after collecting")
 	}
 }
 

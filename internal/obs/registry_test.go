@@ -113,7 +113,7 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 				c.Inc()
 				counters[w] = c
 				// And a per-worker series, plus deliberate collisions.
-				r.Gauge("hammer_gauge", "h", "w", string(rune('a'+w))).Inc()
+				r.Gauge("hammer_gauge", "h", "w", string(rune('a'+w))).Set(int64(i))
 				// Kind collision on the exact series: must not panic.
 				r.Gauge("hammer_total", "h", "a", "1", "b", "2")
 			}
@@ -155,12 +155,13 @@ func TestRegisterRuntimeGaugesOncePerRegistry(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
+	if v := g.Value(); v != 0 {
+		t.Fatalf("zero gauge = %d, want 0", v)
+	}
 	g.Set(5)
-	g.Inc()
-	g.Dec()
-	g.Add(-2)
-	if v := g.Value(); v != 3 {
-		t.Fatalf("gauge = %d, want 3", v)
+	g.Set(-3)
+	if v := g.Value(); v != -3 {
+		t.Fatalf("gauge = %d, want -3", v)
 	}
 }
 

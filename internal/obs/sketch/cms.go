@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -22,7 +21,6 @@ type CMS struct {
 	depth int
 	mask  uint32
 	cells []atomic.Uint32 // row-major, depth rows of mask+1 cells
-	n     atomic.Uint64   // total stream weight added
 }
 
 const (
@@ -69,7 +67,6 @@ func (c *CMS) slot(r int, key uint32) *atomic.Uint32 {
 // Add records delta occurrences of key (conservative update) and
 // returns the key's new estimate. It never allocates.
 func (c *CMS) Add(key uint32, delta uint32) uint32 {
-	c.n.Add(uint64(delta))
 	est := ^uint32(0)
 	for r := 0; r < c.depth; r++ {
 		if v := c.slot(r, key).Load(); v < est {
@@ -99,21 +96,8 @@ func (c *CMS) Estimate(key uint32) uint32 {
 	return est
 }
 
-// Count returns the total weight added (the stream length N the error
-// bound is stated against).
-func (c *CMS) Count() uint64 { return c.n.Load() }
-
 // Width returns the cells per row.
 func (c *CMS) Width() int { return int(c.mask) + 1 }
-
-// Depth returns the number of rows.
-func (c *CMS) Depth() int { return c.depth }
-
-// ErrorBound returns the sketch's additive error guarantee e·N/width:
-// with probability ≥ 1-exp(-depth), Estimate(k) ≤ true(k) + ErrorBound().
-func (c *CMS) ErrorBound() float64 {
-	return math.E * float64(c.Count()) / float64(c.Width())
-}
 
 // Merge folds other into c cell-wise. Both sketches must have the same
 // depth and width (they hash identically — seeds are fixed). Merging
@@ -134,6 +118,5 @@ func (c *CMS) Merge(other *CMS) error {
 			c.cells[i].Add(v)
 		}
 	}
-	c.n.Add(other.n.Load())
 	return nil
 }

@@ -79,11 +79,6 @@ func (h *HLL) Estimate() float64 {
 	return est
 }
 
-// StdError returns the estimator's relative standard error 1.04/√m.
-func (h *HLL) StdError() float64 {
-	return 1.04 / math.Sqrt(float64(len(h.regs)))
-}
-
 // Merge folds other into h by register-wise maximum. Precisions must
 // match. The merged sketch is exactly the sketch of the union stream.
 func (h *HLL) Merge(other *HLL) error {

@@ -14,16 +14,11 @@ func TestCMSExactOnSparseStream(t *testing.T) {
 		}
 	}
 	// 100 keys in 4096 cells: collisions possible but estimates must
-	// never undershoot and the total must be exact.
-	var want uint64
+	// never undershoot.
 	for i := 0; i < 100; i++ {
-		want += uint64(i + 1)
 		if got := c.Estimate(uint32(i)); got < uint32(i+1) {
 			t.Fatalf("Estimate(%d) = %d, below true count %d", i, got, i+1)
 		}
-	}
-	if c.Count() != want {
-		t.Fatalf("Count() = %d, want %d", c.Count(), want)
 	}
 }
 
@@ -45,8 +40,8 @@ func TestCMSNeverUnderestimates(t *testing.T) {
 
 func TestCMSAddDelta(t *testing.T) {
 	c := NewCMS(0, 0) // defaults
-	if c.Depth() != defaultCMSDepth || c.Width() != 1<<defaultCMSWidthBits {
-		t.Fatalf("defaults: got %dx%d", c.Depth(), c.Width())
+	if c.depth != defaultCMSDepth || c.Width() != 1<<defaultCMSWidthBits {
+		t.Fatalf("defaults: got %dx%d", c.depth, c.Width())
 	}
 	c.Add(42, 10)
 	c.Add(42, 5)
@@ -154,9 +149,9 @@ func TestHLLAccuracy(t *testing.T) {
 		}
 		est := h.Estimate()
 		rel := math.Abs(est-float64(distinct)) / float64(distinct)
-		// 5 standard errors at p=12 ≈ 8%; deterministic hash, fixed
-		// stream, so this either always passes or never does.
-		if rel > 5*h.StdError() {
+		// 5 standard errors (1.04/√m) at p=12 ≈ 8%; deterministic hash,
+		// fixed stream, so this either always passes or never does.
+		if rel > 5*1.04/math.Sqrt(1<<12) {
 			t.Fatalf("HLL(%d distinct): estimate %.0f off by %.1f%%", distinct, est, rel*100)
 		}
 	}

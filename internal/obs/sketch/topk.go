@@ -80,9 +80,6 @@ func NewTopK(k int) *TopK {
 	return t
 }
 
-// K returns the summary's capacity.
-func (t *TopK) K() int { return t.k }
-
 // find returns the entry slot for key, or -1.
 func (t *TopK) find(key uint32) int32 {
 	i := uint32(mix64(uint64(key)^topkSeed)) & t.idxMask

@@ -281,17 +281,6 @@ func (w *Watchdog) AddRule(rules ...Rule) error {
 	return nil
 }
 
-// Rules returns the installed rules in installation order.
-func (w *Watchdog) Rules() []Rule {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Rule, len(w.rules))
-	for i, st := range w.rules {
-		out[i] = st.rule
-	}
-	return out
-}
-
 // Tick evaluates every rule once and returns the non-suppressed
 // triggers (already delivered to OnTrigger). Call it on a fixed
 // interval — rule Hold and Window counts are measured in ticks.

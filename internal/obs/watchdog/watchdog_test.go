@@ -158,7 +158,7 @@ func TestUnknownSignalCountsErrorNotPanic(t *testing.T) {
 	// evaluation error instead of reading a value.
 	lat := h.reg.WindowedHistogram("lat_seconds", "Latency.")
 	lat.Clock(func() time.Time { return h.now })
-	lat.Observe(time.Second)
+	lat.ObserveAt(h.now, time.Second)
 	if err := h.wd.AddRule(Rule{Name: "slow", Signal: `lat_seconds{window="1m",quantile="0.5"}`,
 		Op: OpGT, Threshold: 0}); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,10 @@ func TestAddRuleReplacesByName(t *testing.T) {
 	if err := h.wd.AddRule(Rule{Name: "r", Signal: "sig", Op: OpGT, Threshold: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(h.wd.Rules()); n != 1 {
+	h.wd.mu.Lock()
+	n := len(h.wd.rules)
+	h.wd.mu.Unlock()
+	if n != 1 {
 		t.Fatalf("%d rules after same-name AddRule, want 1", n)
 	}
 	h.value = 50

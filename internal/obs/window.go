@@ -97,15 +97,9 @@ func (w *WindowedCounter) Clock(now func() time.Time) {
 	w.now = now
 }
 
-// Inc adds one to the current sub-window.
-func (w *WindowedCounter) Inc() { w.Add(1) }
-
-// Add adds n to the current sub-window.
-func (w *WindowedCounter) Add(n uint64) { w.AddAt(w.now(), n) }
-
-// IncAt is Inc for hot paths that already hold a fresh timestamp,
-// saving the clock read (a DNSBL worker stamps each packet once and
-// feeds every windowed metric from it).
+// IncAt adds one to the sub-window of t. Hot paths pass a timestamp they
+// already hold, saving the clock read (a DNSBL worker stamps each packet
+// once and feeds every windowed metric from it).
 func (w *WindowedCounter) IncAt(t time.Time) { w.AddAt(t, 1) }
 
 // AddAt adds n to the sub-window containing t.
@@ -182,11 +176,8 @@ func (w *WindowedHistogram) Clock(now func() time.Time) {
 	w.now = now
 }
 
-// Observe records one duration into the current sub-window.
-func (w *WindowedHistogram) Observe(d time.Duration) { w.ObserveAt(w.now(), d) }
-
-// ObserveAt is Observe for hot paths that already hold a fresh
-// timestamp, saving the clock read.
+// ObserveAt records one duration into the sub-window of t. Hot paths pass
+// a timestamp they already hold, saving the clock read.
 func (w *WindowedHistogram) ObserveAt(t time.Time, d time.Duration) {
 	e := winEpoch(t)
 	c := &w.cells[e%numSub]
@@ -225,13 +216,6 @@ func (w *WindowedHistogram) Count(window time.Duration) uint64 {
 	return count
 }
 
-// Quantile returns the q-quantile over the trailing window, NoData when
-// the window holds no observations.
-func (w *WindowedHistogram) Quantile(window time.Duration, q float64) time.Duration {
-	counts, _, _ := w.gather(window)
-	return quantileOf(&counts, q)
-}
-
 // Snapshot summarizes the trailing window: count, sum, p50/p95/p99.
 func (w *WindowedHistogram) Snapshot(window time.Duration) HistSnapshot {
 	counts, count, sum := w.gather(window)
@@ -267,7 +251,8 @@ func (w *WindowedHistogram) AsTotal() WindowTotal { return histTotal{w} }
 // rate of 1.0 means the error budget (1 - target) is being consumed
 // exactly as fast as it accrues; above 1 the budget is burning down.
 // The Google SRE workbook's multi-window alert is "short AND long
-// window both burning hot" — Burning reports exactly that.
+// window both burning hot"; the expositions derive a burn-rate series per
+// window for watchdog rules to read.
 type SLO struct {
 	// Name is the metric base name the expositions render.
 	Name string
@@ -328,12 +313,4 @@ func (s *SLO) BurnRate(window time.Duration) float64 {
 		budget = 1e-9 // a 100% target has no budget; any failure burns hard
 	}
 	return s.BadRatio(window) / budget
-}
-
-// Burning reports whether both burn-rate windows exceed threshold — the
-// page-worthy condition (threshold 1 = budget exhaustion pace;
-// operators typically alert at 2–14).
-func (s *SLO) Burning(threshold float64) bool {
-	short, long := s.windows()
-	return s.BurnRate(short) > threshold && s.BurnRate(long) > threshold
 }

@@ -36,13 +36,13 @@ func TestWindowedCounterRotation(t *testing.T) {
 	w := NewWindowedCounter()
 	w.Clock(clk.now)
 
-	w.Add(10)
+	w.AddAt(clk.now(), 10)
 	if got := w.Total(time.Minute); got != 10 {
 		t.Fatalf("fresh total = %d, want 10", got)
 	}
 	// 30s later the events are outside a 10s horizon but inside 1m.
 	clk.advance(30 * time.Second)
-	w.Inc()
+	w.IncAt(clk.now())
 	if got := w.Total(10 * time.Second); got != 1 {
 		t.Errorf("10s window = %d, want 1", got)
 	}
@@ -63,7 +63,7 @@ func TestWindowedCounterRotation(t *testing.T) {
 	if got := w.Total(time.Hour); got != 0 {
 		t.Errorf("after 2h idle, 1h window = %d, want 0", got)
 	}
-	w.Add(3)
+	w.AddAt(clk.now(), 3)
 	if got := w.Total(time.Minute); got != 3 {
 		t.Errorf("post-wrap total = %d, want 3", got)
 	}
@@ -73,7 +73,7 @@ func TestWindowedCounterRate(t *testing.T) {
 	clk := newFakeClock()
 	w := NewWindowedCounter()
 	w.Clock(clk.now)
-	w.Add(600)
+	w.AddAt(clk.now(), 600)
 	if got := w.Rate(time.Minute); got != 10 {
 		t.Errorf("rate = %v/s, want 10", got)
 	}
@@ -85,15 +85,15 @@ func TestWindowedHistogramQuantiles(t *testing.T) {
 	w.Clock(clk.now)
 
 	for i := 0; i < 100; i++ {
-		w.Observe(2 * time.Millisecond)
+		w.ObserveAt(clk.now(), 2*time.Millisecond)
 	}
 	clk.advance(3 * time.Minute)
 	for i := 0; i < 100; i++ {
-		w.Observe(60 * time.Millisecond)
+		w.ObserveAt(clk.now(), 60*time.Millisecond)
 	}
 
 	// 1m sees only the slow batch; 5m sees both.
-	if got := w.Quantile(time.Minute, 0.5); got < 32*time.Millisecond || got > 128*time.Millisecond {
+	if got := w.Snapshot(time.Minute).P50; got < 32*time.Millisecond || got > 128*time.Millisecond {
 		t.Errorf("1m p50 = %v, want ≈60ms", got)
 	}
 	fiveMin := w.Snapshot(5 * time.Minute)
@@ -109,10 +109,7 @@ func TestWindowedHistogramQuantiles(t *testing.T) {
 
 	// An empty window returns the documented sentinel.
 	clk.advance(2 * time.Hour)
-	if got := w.Quantile(time.Minute, 0.5); got != NoData {
-		t.Errorf("empty window quantile = %v, want NoData", got)
-	}
-	if s := w.Snapshot(time.Minute); s.Count != 0 || s.P95 != NoData {
+	if s := w.Snapshot(time.Minute); s.Count != 0 || s.P50 != NoData || s.P95 != NoData {
 		t.Errorf("empty window snapshot = %+v", s)
 	}
 }
@@ -126,8 +123,8 @@ func TestWindowedConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				w.Inc()
-				h.Observe(time.Millisecond)
+				w.IncAt(time.Now())
+				h.ObserveAt(time.Now(), time.Millisecond)
 				w.Total(time.Minute)
 				h.Count(time.Minute)
 			}
@@ -155,29 +152,26 @@ func TestSLOBurnRate(t *testing.T) {
 	if got := slo.BurnRate(5 * time.Minute); got != 0 {
 		t.Errorf("idle burn = %v, want 0", got)
 	}
-	if slo.Burning(1) {
-		t.Error("idle SLO reports burning")
-	}
 
 	// 1000 requests, 990 good → 1% failures against a 1% budget: burn 1.
-	total.Add(1000)
-	good.Add(990)
+	total.AddAt(clk.now(), 1000)
+	good.AddAt(clk.now(), 990)
 	if got := slo.BurnRate(5 * time.Minute); got < 0.99 || got > 1.01 {
 		t.Errorf("burn = %v, want ≈1.0", got)
 	}
 
 	// 10% failures → burn 10 on both windows: page.
-	total.Add(1000)
-	good.Add(100)
-	if !slo.Burning(2) {
+	total.AddAt(clk.now(), 1000)
+	good.AddAt(clk.now(), 100)
+	if slo.BurnRate(5*time.Minute) <= 2 || slo.BurnRate(time.Hour) <= 2 {
 		t.Errorf("hot SLO not burning: short=%v long=%v",
 			slo.BurnRate(5*time.Minute), slo.BurnRate(time.Hour))
 	}
 
 	// Good > total (independent rotation edge) clamps, never negative.
 	g2, t2 := NewWindowedCounter(), NewWindowedCounter()
-	g2.Add(10)
-	t2.Add(5)
+	g2.AddAt(time.Now(), 10)
+	t2.AddAt(time.Now(), 5)
 	s2 := &SLO{Name: "x", Target: 0.9, Good: g2, Total: t2}
 	if got := s2.BadRatio(time.Minute); got != 0 {
 		t.Errorf("clamped bad ratio = %v, want 0", got)
@@ -199,10 +193,10 @@ func TestWindowedExposition(t *testing.T) {
 	r.RegisterSLO(&SLO{Name: "unclean_test_avail", Help: "Availability SLO.",
 		Target: 0.999, Good: good, Total: total})
 
-	wc.Add(7)
-	wh.Observe(4 * time.Millisecond)
-	total.Add(100)
-	good.Add(90)
+	wc.AddAt(clk.now(), 7)
+	wh.ObserveAt(clk.now(), 4*time.Millisecond)
+	total.AddAt(clk.now(), 100)
+	good.AddAt(clk.now(), 90)
 
 	var buf bytes.Buffer
 	if err := WriteText(&buf, r); err != nil {

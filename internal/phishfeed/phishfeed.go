@@ -95,38 +95,14 @@ func parseLine(text string) (Incident, error) {
 	return Incident{Reported: date, URL: parts[1], Addr: addr}, nil
 }
 
-// Read parses a feed written by Write. Unknown header lines and comments
-// are ignored; malformed incident lines are errors.
-func Read(r io.Reader) (*Feed, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	f := &Feed{}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		inc, err := parseLine(text)
-		if err != nil {
-			return nil, fmt.Errorf("phishfeed: line %d: %v", line, err)
-		}
-		f.Add(inc)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ReadPrefix parses a feed like Read, but tolerates the one failure mode
-// a non-atomic producer leaves behind: a file truncated mid-line. When
-// the only malformed line is the final non-blank one, the valid prefix
-// is returned along with that line's 1-based number so the caller can
-// log exactly where the feed was cut; badLine is 0 for a fully
-// well-formed feed. A malformed line with valid lines after it is real
-// corruption, not truncation, and fails exactly as Read does.
+// ReadPrefix parses a feed written by Write. Unknown header lines and
+// comments are ignored. It tolerates the one failure mode a non-atomic
+// producer leaves behind: a file truncated mid-line. When the only
+// malformed line is the final non-blank one, the valid prefix is returned
+// along with that line's 1-based number so the caller can log exactly
+// where the feed was cut; badLine is 0 for a fully well-formed feed. A
+// malformed line with valid lines after it is real corruption, not
+// truncation, and is an error.
 func ReadPrefix(r io.Reader) (f *Feed, badLine int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 64*1024)

@@ -63,9 +63,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := f.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
+	got, badLine, err := ReadPrefix(strings.NewReader(buf.String()))
+	if err != nil || badLine != 0 {
+		t.Fatalf("round trip: bad line %d: %v", badLine, err)
 	}
 	want := f.Incidents()
 	gotIncs := got.Incidents()
@@ -94,15 +94,16 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"2006-05-01,http://x,1.2.3",
 		"0000-01-01,\r,0.0.0.0", // a URL Write would refuse
 	}
+	// A valid line after each bad one makes it corruption, not truncation.
 	for _, line := range bad {
-		if _, err := Read(strings.NewReader(line + "\n")); err == nil {
+		if _, _, err := ReadPrefix(strings.NewReader(line + "\n2006-05-02,http://y,5.6.7.8\n")); err == nil {
 			t.Errorf("accepted %q", line)
 		}
 	}
 	// Comments and blanks are fine.
-	got, err := Read(strings.NewReader("# header\n\n2006-05-01,http://x,1.2.3.4\n"))
-	if err != nil || got.Len() != 1 {
-		t.Fatalf("comment handling: %v, %v", got, err)
+	got, badLine, err := ReadPrefix(strings.NewReader("# header\n\n2006-05-01,http://x,1.2.3.4\n"))
+	if err != nil || badLine != 0 || got.Len() != 1 {
+		t.Fatalf("comment handling: %v, bad line %d, %v", got, badLine, err)
 	}
 }
 

@@ -99,31 +99,8 @@ type Report struct {
 	Addrs ipset.Set
 }
 
-// New assembles a report. The date strings are "2006-10-01" style; New
-// panics on malformed dates (reports are constructed from literals and
-// generator output, never from untrusted input — untrusted input goes
-// through Read).
-func New(tag string, typ Type, class Class, from, to string, method string, addrs ipset.Set) *Report {
-	f, err := time.Parse("2006-01-02", from)
-	if err != nil {
-		panic(fmt.Sprintf("report: bad from date %q: %v", from, err))
-	}
-	t, err := time.Parse("2006-01-02", to)
-	if err != nil {
-		panic(fmt.Sprintf("report: bad to date %q: %v", to, err))
-	}
-	return &Report{Tag: tag, Type: typ, Class: class, ValidFrom: f, ValidTo: t, Method: method, Addrs: addrs}
-}
-
 // Size returns |R|, the report cardinality.
 func (r *Report) Size() int { return r.Addrs.Len() }
-
-// Blocks returns C_n(R): the distinct n-bit CIDR blocks covering the
-// report (Eq. 1).
-func (r *Report) Blocks(n int) []netaddr.Block { return r.Addrs.Blocks(n) }
-
-// BlockCount returns |C_n(R)|.
-func (r *Report) BlockCount(n int) int { return r.Addrs.BlockCount(n) }
 
 // Sanitize returns a copy of the report with reserved addresses and
 // addresses inside the observed network removed — the filtering step of

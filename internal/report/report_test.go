@@ -3,13 +3,28 @@ package report
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 )
 
+// newReport assembles a report valid over "2006-10-01" style dates.
+func newReport(tag string, typ Type, class Class, from, to, method string, addrs ipset.Set) *Report {
+	return &Report{Tag: tag, Type: typ, Class: class, ValidFrom: mustDate(from), ValidTo: mustDate(to),
+		Method: method, Addrs: addrs}
+}
+
+func mustDate(s string) time.Time {
+	d, err := time.Parse("2006-01-02", s)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func sampleReport() *Report {
-	return New("bot", Provided, ClassBots, "2006-10-01", "2006-10-14",
+	return newReport("bot", Provided, ClassBots, "2006-10-01", "2006-10-14",
 		"Bot addresses acquired through private reports",
 		ipset.MustParse("12.1.1.1 12.1.1.2 200.5.6.7"))
 }
@@ -41,41 +56,25 @@ func TestTypeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnBadDate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with bad date did not panic")
-		}
-	}()
-	New("x", Provided, ClassBots, "10/01/2006", "2006-10-14", "", ipset.Set{})
-}
-
 func TestValidity(t *testing.T) {
 	r := sampleReport()
 	if got := r.Validity(); got != "2006/10/01-2006/10/14" {
 		t.Errorf("Validity = %q", got)
 	}
-	single := New("bot-test", Provided, ClassBots, "2006-05-10", "2006-05-10", "", ipset.Set{})
+	single := newReport("bot-test", Provided, ClassBots, "2006-05-10", "2006-05-10", "", ipset.Set{})
 	if got := single.Validity(); got != "2006/05/10" {
 		t.Errorf("single-day Validity = %q", got)
 	}
 }
 
-func TestBlocksDelegation(t *testing.T) {
-	r := sampleReport()
-	if r.Size() != 3 {
+func TestSize(t *testing.T) {
+	if r := sampleReport(); r.Size() != 3 {
 		t.Fatalf("Size = %d", r.Size())
-	}
-	if r.BlockCount(24) != 2 {
-		t.Errorf("BlockCount(24) = %d, want 2", r.BlockCount(24))
-	}
-	if len(r.Blocks(24)) != 2 {
-		t.Errorf("Blocks(24) = %v", r.Blocks(24))
 	}
 }
 
 func TestSanitize(t *testing.T) {
-	r := New("x", Observed, ClassScanning, "2006-10-01", "2006-10-14", "",
+	r := newReport("x", Observed, ClassScanning, "2006-10-01", "2006-10-14", "",
 		ipset.MustParse("10.0.0.1 192.168.1.1 12.1.1.1 131.10.2.3 224.0.0.9"))
 	observed := []netaddr.Block{netaddr.MustParseBlock("131.10.0.0/16")}
 	clean := r.Sanitize(observed)
@@ -154,7 +153,7 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 func TestInventory(t *testing.T) {
 	inv := &Inventory{Title: "Unclean reports"}
 	inv.Add(sampleReport())
-	inv.Add(New("scan", Observed, ClassScanning, "2006-10-01", "2006-10-14",
+	inv.Add(newReport("scan", Observed, ClassScanning, "2006-10-01", "2006-10-14",
 		"IP addresses scanning the observed network", ipset.MustParse("7.7.7.7")))
 	if inv.Get("scan") == nil || inv.Get("nope") != nil {
 		t.Fatal("Get lookup wrong")
@@ -184,7 +183,7 @@ func TestInventoryAddrs(t *testing.T) {
 		t.Fatal("empty inventory has addresses")
 	}
 	inv.Add(sampleReport()) // 12.1.1.1 12.1.1.2 200.5.6.7
-	inv.Add(New("scan", Observed, ClassScanning, "2006-10-01", "2006-10-14",
+	inv.Add(newReport("scan", Observed, ClassScanning, "2006-10-01", "2006-10-14",
 		"scanners", ipset.MustParse("12.1.1.2 7.7.7.7")))
 	got := inv.Addrs()
 	// The union view: overlap between reports collapses.

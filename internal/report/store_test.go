@@ -16,7 +16,7 @@ func TestSaveLoadDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	inv := &Inventory{}
 	inv.Add(sampleReport())
-	inv.Add(New("scan", Observed, ClassScanning, "2006-10-01", "2006-10-14", "m",
+	inv.Add(newReport("scan", Observed, ClassScanning, "2006-10-01", "2006-10-14", "m",
 		ipset.MustParse("7.7.7.7 8.8.8.8")))
 	if err := inv.SaveDir(dir); err != nil {
 		t.Fatal(err)

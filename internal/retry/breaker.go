@@ -19,15 +19,16 @@ var (
 	breakerLog = obs.Logger("breaker")
 )
 
-// ErrOpen is returned by Breaker.Do while the circuit is open: the
-// guarded operation has failed enough consecutive times that further
-// tries are refused until the cooldown elapses.
+// ErrOpen is the error a caller reports for a call that Breaker.Allow
+// refused: the guarded operation has failed enough consecutive times that
+// further tries are refused until the cooldown elapses.
 var ErrOpen = errors.New("retry: circuit open")
 
 // Breaker is a small consecutive-failure circuit breaker. After
-// Threshold consecutive failures it opens for Cooldown; the first call
-// after the cooldown is a half-open probe — success closes the circuit,
-// failure re-opens it for another cooldown.
+// Threshold consecutive failures it opens for Cooldown, and Allow refuses
+// every call. Once the cooldown has elapsed Allow admits every caller,
+// not one probe, until the next Record decides: a success closes the
+// circuit, a failure re-opens it for another cooldown.
 //
 // The zero value is not usable; construct with NewBreaker. All methods
 // are safe for concurrent use.
@@ -57,9 +58,9 @@ func (b *Breaker) SetClock(now func() time.Time) {
 	b.mu.Unlock()
 }
 
-// Allow reports whether a call may proceed. While open it returns false
-// until the cooldown has elapsed; then it lets one half-open probe
-// through.
+// Allow reports whether a call may proceed: false while the circuit is
+// open and its cooldown has not elapsed, true otherwise. After the
+// cooldown it admits every caller until the next Record.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -122,16 +123,4 @@ func (b *Breaker) Failures() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.failures
-}
-
-// Do guards op with the breaker: if the circuit is open it returns
-// ErrOpen without calling op; otherwise it runs op and records the
-// outcome.
-func (b *Breaker) Do(op func() error) error {
-	if !b.Allow() {
-		return ErrOpen
-	}
-	err := op()
-	b.Record(err)
-	return err
 }

@@ -75,12 +75,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var p *permanentError
-	return errors.As(err, &p)
-}
-
 // Do runs op until it succeeds, returns a permanent error, exhausts
 // p.MaxAttempts, or ctx is done. The last error is returned, annotated
 // with the attempt count when retries were exhausted.

@@ -82,11 +82,12 @@ func TestDoPermanentStopsImmediately(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
-	if !errors.Is(err, base) || IsPermanent(err) {
+	var perm *permanentError
+	if !errors.Is(err, base) || errors.As(err, &perm) {
 		t.Fatalf("err = %v, want unwrapped base error", err)
 	}
-	if !IsPermanent(Permanent(base)) {
-		t.Fatal("IsPermanent(Permanent(err)) = false")
+	if !errors.As(Permanent(base), &perm) {
+		t.Fatal("Permanent(err) carries no marker")
 	}
 	if Permanent(nil) != nil {
 		t.Fatal("Permanent(nil) != nil")
@@ -175,28 +176,27 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		}
 		b.Record(boom)
 	}
-	if b.Allow() {
+	if b.Allow() || !b.Open() {
 		t.Fatal("breaker still closed after threshold failures")
 	}
-	if err := b.Do(func() error { t.Fatal("op ran while open"); return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("Do while open = %v, want ErrOpen", err)
-	}
 
-	// Cooldown elapses: one half-open probe is allowed; failure re-opens.
+	// Cooldown elapses: calls are allowed until the next Record, and a
+	// failure re-opens the circuit.
 	clock = clock.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("no half-open probe after cooldown")
+	if !b.Allow() || !b.Allow() {
+		t.Fatal("calls refused after cooldown")
 	}
 	b.Record(boom)
 	if b.Allow() {
 		t.Fatal("breaker closed again after failed probe")
 	}
 
-	// Probe success closes the circuit fully.
+	// A success after the cooldown closes the circuit fully.
 	clock = clock.Add(2 * time.Minute)
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Fatal(err)
+	if !b.Allow() {
+		t.Fatal("call refused after cooldown")
 	}
+	b.Record(nil)
 	if !b.Allow() || b.Open() {
 		t.Fatal("breaker not closed after successful probe")
 	}

@@ -3,7 +3,8 @@ package simnet
 import (
 	"testing"
 
-	"unclean/internal/ddosdetect"
+	"unclean/internal/ipset"
+	"unclean/internal/netflow"
 )
 
 func TestCampaignsScheduled(t *testing.T) {
@@ -82,31 +83,22 @@ func TestDDoSFloodDetectableInTraffic(t *testing.T) {
 		t.Skip("no October campaign with enough participants at this scale")
 	}
 	day := w.Date(target.Day)
-	records := w.SynthesizeFlows(day, day, FlowOptions{BenignSourcesPerDay: 40})
-	attacks, err := ddosdetect.Detect(records, ddosdetect.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hit *ddosdetect.Attack
-	for i := range attacks {
-		if attacks[i].Target == target.Target {
-			hit = &attacks[i]
-			break
+	b := ipset.NewBuilder(0)
+	for _, r := range w.SynthesizeFlows(day, day, FlowOptions{BenignSourcesPerDay: 40}) {
+		if r.DstAddr == target.Target && r.DstPort == target.TargetPort && r.TCPFlags == netflow.FlagSYN {
+			b.Add(r.SrcAddr)
 		}
 	}
-	if hit == nil {
-		t.Fatalf("campaign against %v not detected (found %d other events)", target.Target, len(attacks))
-	}
+	flooders := b.Build()
 	truth := w.DDoSParticipants(target)
-	missed := hit.Sources.Difference(truth)
-	// Detected sources must be real participants (no benign collateral).
-	if frac := float64(missed.Len()) / float64(hit.Sources.Len()); frac > 0.05 {
-		t.Errorf("%.2f of detected sources are not ground-truth participants", frac)
+	// The SYN flood at the victim comes from the participants, all of them
+	// and no one else.
+	if !flooders.Equal(truth) {
+		t.Fatalf("SYN sources at %v: %d, %d of them not participants; %d participants",
+			target.Target, flooders.Len(), flooders.Difference(truth).Len(), truth.Len())
 	}
 	// And participants cluster spatially, like every bot population.
-	if hit.Sources.Len() >= 40 {
-		if c16 := hit.Sources.BlockCount(16); c16 >= hit.Sources.Len() {
-			t.Errorf("participants show no /16 clustering: %d blocks for %d sources", c16, hit.Sources.Len())
-		}
+	if c16 := truth.BlockCount(16); c16 >= truth.Len() {
+		t.Errorf("participants show no /16 clustering: %d blocks for %d sources", c16, truth.Len())
 	}
 }

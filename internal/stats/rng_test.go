@@ -145,19 +145,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(9)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: sum %d", sum)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRNG(10)
 	const n = 100000

@@ -166,19 +166,3 @@ func (r *RNG) Binomial(n int, p float64) int {
 	}
 	return k
 }
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials; used for retry/session-length modelling.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("stats: Geometric p must be in (0,1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}

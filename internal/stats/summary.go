@@ -6,23 +6,9 @@ import (
 	"sort"
 )
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample using linear
-// interpolation between order statistics (type-7, the R default). The input
-// need not be sorted; it is not modified. It panics on an empty sample or
-// q outside [0, 1].
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
+// quantileSorted returns the q-quantile (0 <= q <= 1) of the sorted sample
+// s using linear interpolation between order statistics (type-7, the R
+// default).
 func quantileSorted(s []float64, q float64) float64 {
 	n := len(s)
 	if n == 1 {
@@ -49,22 +35,6 @@ func Mean(sample []float64) float64 {
 		total += v
 	}
 	return total / float64(len(sample))
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator); zero for
-// samples of size < 2.
-func StdDev(sample []float64) float64 {
-	n := len(sample)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(sample)
-	ss := 0.0
-	for _, v := range sample {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Boxplot is the five-number summary plus mean that the paper's figures
@@ -103,56 +73,4 @@ func Summarize(sample []float64) Boxplot {
 func (b Boxplot) String() string {
 	return fmt.Sprintf("min=%.1f q1=%.1f med=%.1f q3=%.1f max=%.1f mean=%.1f n=%d",
 		b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean, b.N)
-}
-
-// Empirical is an empirical distribution built from a sample, used for the
-// paper's 95% better-predictor criterion: a report beats control at a prefix
-// length if its statistic exceeds the control statistic in at least 95% of
-// the 1000 random draws.
-type Empirical struct {
-	sorted []float64
-}
-
-// NewEmpirical builds an empirical distribution; it copies the sample.
-func NewEmpirical(sample []float64) *Empirical {
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	return &Empirical{sorted: s}
-}
-
-// N returns the sample size.
-func (e *Empirical) N() int { return len(e.sorted) }
-
-// FractionBelow returns the fraction of sample points strictly less than x.
-func (e *Empirical) FractionBelow(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile of the stored sample.
-func (e *Empirical) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		panic("stats: quantile of empty empirical distribution")
-	}
-	return quantileSorted(e.sorted, q)
-}
-
-// Summary returns the boxplot of the stored sample.
-func (e *Empirical) Summary() Boxplot {
-	if len(e.sorted) == 0 {
-		panic("stats: summary of empty empirical distribution")
-	}
-	return Boxplot{
-		Min:    e.sorted[0],
-		Q1:     quantileSorted(e.sorted, 0.25),
-		Median: quantileSorted(e.sorted, 0.5),
-		Q3:     quantileSorted(e.sorted, 0.75),
-		Max:    e.sorted[len(e.sorted)-1],
-		Mean:   Mean(e.sorted),
-		N:      len(e.sorted),
-	}
 }

@@ -29,8 +29,8 @@ func checkpointTracker(t *testing.T) *Tracker {
 
 func sameScores(t *testing.T, a, b *Tracker) {
 	t.Helper()
-	if a.BlockCount() != b.BlockCount() || !a.Now().Equal(b.Now()) {
-		t.Fatalf("trackers differ: %d/%v vs %d/%v", a.BlockCount(), a.Now(), b.BlockCount(), b.Now())
+	if a.BlockCount() != b.BlockCount() || !a.now.Equal(b.now) {
+		t.Fatalf("trackers differ: %d/%v vs %d/%v", a.BlockCount(), a.now, b.BlockCount(), b.now)
 	}
 	for _, probe := range []string{"10.1.1.7", "10.1.2.7", "20.2.2.7"} {
 		p := netaddr.MustParseAddr(probe)

@@ -24,11 +24,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Config() != tr.Config() {
-		t.Fatalf("config mismatch: %+v vs %+v", got.Config(), tr.Config())
+	if got.cfg != tr.cfg {
+		t.Fatalf("config mismatch: %+v vs %+v", got.cfg, tr.cfg)
 	}
-	if !got.Now().Equal(tr.Now()) {
-		t.Fatalf("clock mismatch: %v vs %v", got.Now(), tr.Now())
+	if !got.now.Equal(tr.now) {
+		t.Fatalf("clock mismatch: %v vs %v", got.now, tr.now)
 	}
 	if got.BlockCount() != tr.BlockCount() {
 		t.Fatalf("blocks: %d vs %d", got.BlockCount(), tr.BlockCount())
@@ -41,7 +41,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored tracker keeps working.
-	if err := got.Observe(core.DimScan, ipset.MustParse("10.1.1.9"), got.Now()); err != nil {
+	if err := got.Observe(core.DimScan, ipset.MustParse("10.1.1.9"), got.now); err != nil {
 		t.Fatal(err)
 	}
 	if got.Score(netaddr.MustParseAddr("10.1.1.9")).ByDim[core.DimScan] == 0 {

@@ -94,7 +94,7 @@ func TestLoadTruncatedCheckpointsNeverPanic(t *testing.T) {
 					t.Fatalf("cut=%d: nil tracker without error", cut)
 				}
 				// A parsed truncation must still be a usable tracker.
-				if err := tr.Observe(core.DimBot, ipset.MustParse("9.9.9.9"), tr.Now()); err != nil {
+				if err := tr.Observe(core.DimBot, ipset.MustParse("9.9.9.9"), tr.now); err != nil {
 					t.Fatalf("cut=%d: parsed tracker unusable: %v", cut, err)
 				}
 			}

@@ -75,12 +75,6 @@ func New(cfg Config) (*Tracker, error) {
 	}, nil
 }
 
-// Config returns the tracker's configuration.
-func (t *Tracker) Config() Config { return t.cfg }
-
-// Now returns the tracker's clock: the latest time it has seen.
-func (t *Tracker) Now() time.Time { return t.now }
-
 // BlockCount returns the number of blocks with evidence.
 func (t *Tracker) BlockCount() int { return len(t.blocks) }
 
@@ -176,23 +170,4 @@ func (t *Tracker) Blocklist(threshold float64) ipset.Set {
 		}
 	}
 	return b.Build()
-}
-
-// Prune drops blocks whose total decayed evidence, as of the tracker
-// clock, is below minEvidence; it returns how many were dropped. Long
-// deployments call this periodically to bound memory.
-func (t *Tracker) Prune(minEvidence float64) int {
-	dropped := 0
-	for base, b := range t.blocks {
-		t.decayTo(b, t.now)
-		total := 0.0
-		for _, c := range b.counts {
-			total += c
-		}
-		if total < minEvidence {
-			delete(t.blocks, base)
-			dropped++
-		}
-	}
-	return dropped
 }

@@ -69,8 +69,8 @@ func TestHalfLifeDecay(t *testing.T) {
 	a := netaddr.MustParseAddr("10.1.1.1")
 	fresh := tr.ScoreAt(a, epoch).ByDim[core.DimScan]
 	// One half-life later the evidence count halves: score of count 0.5.
-	later := tr.ScoreAt(a, epoch.Add(tr.Config().HalfLife)).ByDim[core.DimScan]
-	wantLater := 1 - math.Exp(-0.5/tr.Config().Tau)
+	later := tr.ScoreAt(a, epoch.Add(tr.cfg.HalfLife)).ByDim[core.DimScan]
+	wantLater := 1 - math.Exp(-0.5/tr.cfg.Tau)
 	if math.Abs(later-wantLater) > 1e-9 {
 		t.Fatalf("half-life score = %v, want %v", later, wantLater)
 	}
@@ -111,15 +111,15 @@ func TestObserveOrderIndependence(t *testing.T) {
 func TestClockAdvances(t *testing.T) {
 	tr := newTracker(t)
 	tr.Observe(core.DimBot, ipset.MustParse("10.1.1.1"), epoch)
-	if !tr.Now().Equal(epoch) {
+	if !tr.now.Equal(epoch) {
 		t.Fatal("clock not set by Observe")
 	}
 	tr.AdvanceTo(epoch.AddDate(0, 1, 0))
-	if !tr.Now().Equal(epoch.AddDate(0, 1, 0)) {
+	if !tr.now.Equal(epoch.AddDate(0, 1, 0)) {
 		t.Fatal("AdvanceTo did not move the clock")
 	}
 	tr.AdvanceTo(epoch) // backwards: ignored
-	if !tr.Now().Equal(epoch.AddDate(0, 1, 0)) {
+	if !tr.now.Equal(epoch.AddDate(0, 1, 0)) {
 		t.Fatal("clock moved backwards")
 	}
 }
@@ -135,7 +135,7 @@ func TestBlocklistThreshold(t *testing.T) {
 		t.Fatalf("blocklist = %v", bl)
 	}
 	// After several half-lives the hot block drops off too.
-	tr.AdvanceTo(epoch.Add(10 * tr.Config().HalfLife))
+	tr.AdvanceTo(epoch.Add(10 * tr.cfg.HalfLife))
 	if got := tr.Blocklist(0.8); !got.IsEmpty() {
 		t.Fatalf("stale blocklist = %v", got)
 	}
@@ -153,25 +153,6 @@ func TestMultidimensionalAggregate(t *testing.T) {
 	}
 	if sc.ByDim[core.DimScan] != 0 || sc.ByDim[core.DimSpam] != 0 {
 		t.Fatal("untouched dimensions non-zero")
-	}
-}
-
-func TestPrune(t *testing.T) {
-	tr := newTracker(t)
-	tr.Observe(core.DimBot, ipset.MustParse("10.1.1.1"), epoch)
-	tr.Observe(core.DimBot, ipset.MustParse("10.2.2.1 10.2.2.2 10.2.2.3 10.2.2.4 10.2.2.5 10.2.2.6 10.2.2.7 10.2.2.8"), epoch)
-	tr.AdvanceTo(epoch.Add(3 * tr.Config().HalfLife))
-	// 1 sighting decayed 3 half-lives = 0.125 < 0.2; 8 sightings = 1.0.
-	dropped := tr.Prune(0.2)
-	if dropped != 1 || tr.BlockCount() != 1 {
-		t.Fatalf("dropped %d, remaining %d", dropped, tr.BlockCount())
-	}
-	// Pruned block scores zero; surviving block still scores.
-	if tr.Score(netaddr.MustParseAddr("10.1.1.1")).Aggregate != 0 {
-		t.Fatal("pruned block still scores")
-	}
-	if tr.Score(netaddr.MustParseAddr("10.2.2.9")).Aggregate == 0 {
-		t.Fatal("surviving block lost its score")
 	}
 }
 
