@@ -24,7 +24,7 @@ func writeArchive(t *testing.T) string {
 		r := netflow.Record{
 			SrcAddr: netaddr.MustParseAddr(src),
 			DstAddr: netaddr.MustParseAddr("30.0.0.1"),
-			First:   boot.Add(time.Minute), Last: boot.Add(2 * time.Minute),
+			First:   netflow.TimeOf(boot.Add(time.Minute)), Last: netflow.TimeOf(boot.Add(2 * time.Minute)),
 			SrcPort: 4000, DstPort: dport, Proto: netflow.ProtoTCP,
 		}
 		if payload {

@@ -129,7 +129,7 @@ func flowFrom(src string, payload bool) netflow.Record {
 	r := netflow.Record{
 		SrcAddr: netaddr.MustParseAddr(src),
 		DstAddr: netaddr.MustParseAddr("30.0.0.1"),
-		First:   t0, Last: t0.Add(time.Second),
+		First:   netflow.TimeOf(t0), Last: netflow.TimeOf(t0.Add(time.Second)),
 		Proto: netflow.ProtoTCP, SrcPort: 2000, DstPort: 80,
 	}
 	if payload {

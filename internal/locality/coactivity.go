@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"unclean/internal/netaddr"
 	"unclean/internal/netflow"
@@ -21,7 +20,7 @@ type SourceSummary struct {
 	// signature that separates scanning from sessions.
 	Dsts, DstPorts int
 	// First and Last bound the source's activity.
-	First, Last time.Time
+	First, Last netflow.Time
 }
 
 // Suspicious applies a coarse triage: many distinct destinations with no
@@ -74,12 +73,8 @@ func BlockActivity(records []netflow.Record, block netaddr.Block) []SourceSummar
 		}
 		a.dsts[r.DstAddr] = struct{}{}
 		a.ports[r.DstPort] = struct{}{}
-		if r.First.Before(a.sum.First) {
-			a.sum.First = r.First
-		}
-		if r.Last.After(a.sum.Last) {
-			a.sum.Last = r.Last
-		}
+		a.sum.First = min(a.sum.First, r.First)
+		a.sum.Last = max(a.sum.Last, r.Last)
 	}
 	out := make([]SourceSummary, 0, len(bysrc))
 	for _, a := range bysrc {

@@ -44,7 +44,7 @@ func TestBlockActivitySummaries(t *testing.T) {
 	if client.PayloadFlows != 2 || client.Suspicious() {
 		t.Errorf("client summary = %+v", client)
 	}
-	if !client.Last.After(client.First) {
+	if client.Last <= client.First {
 		t.Error("time bounds not widened")
 	}
 	out := RenderBlockActivity(block, summaries)

@@ -41,6 +41,19 @@ type Analysis struct {
 	PayloadOnly bool
 }
 
+const secondsPerDay = 24 * 60 * 60
+
+// utcDay returns the number of the UTC day t falls in, counting from
+// 1970-01-01 and rounding down on either side of it.
+func utcDay(t netflow.Time) int64 {
+	const day = int64(secondsPerDay * time.Second)
+	d := int64(t) / day
+	if int64(t)%day < 0 {
+		d--
+	}
+	return d
+}
+
 // Analyze profiles the sources in a flow log, bucketing by the UTC day
 // of each flow's start. With payloadOnly set, only payload-bearing flows
 // count — the "meaningful activity" view.
@@ -52,7 +65,7 @@ func Analyze(records []netflow.Record, payloadOnly bool) *Analysis {
 		if payloadOnly && !r.PayloadBearing() {
 			continue
 		}
-		k := dayKey(r.First.UTC().Truncate(24 * time.Hour).Unix())
+		k := dayKey(utcDay(r.First))
 		m := perDay[k]
 		if m == nil {
 			m = make(map[netaddr.Addr]struct{})
@@ -70,7 +83,7 @@ func Analyze(records []netflow.Record, payloadOnly bool) *Analysis {
 	seen := make(map[netaddr.Addr]struct{})
 	working := ipset.NewBuilder(0)
 	for _, k := range keys {
-		day := DayStats{Date: time.Unix(int64(k), 0).UTC()}
+		day := DayStats{Date: time.Unix(int64(k)*secondsPerDay, 0).UTC()}
 		for src := range perDay[k] {
 			day.Sources++
 			if _, old := seen[src]; old {

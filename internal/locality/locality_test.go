@@ -17,7 +17,7 @@ func flow(src, dst string, day int, payload bool) netflow.Record {
 	r := netflow.Record{
 		SrcAddr: netaddr.MustParseAddr(src),
 		DstAddr: netaddr.MustParseAddr(dst),
-		First:   at, Last: at.Add(time.Minute),
+		First:   netflow.TimeOf(at), Last: netflow.TimeOf(at.Add(time.Minute)),
 		Proto: netflow.ProtoTCP, SrcPort: 2000, DstPort: 80,
 	}
 	if payload {

@@ -15,8 +15,8 @@ func benchRecords(n int) []Record {
 			SrcAddr: netaddr.Addr(0x0a000001 + uint32(i)),
 			DstAddr: netaddr.Addr(0x1e000001),
 			Packets: 10, Octets: 2000,
-			First:   boot.Add(time.Duration(i) * time.Millisecond),
-			Last:    boot.Add(time.Duration(i)*time.Millisecond + time.Second),
+			First:   TimeOf(boot.Add(time.Duration(i) * time.Millisecond)),
+			Last:    TimeOf(boot.Add(time.Duration(i)*time.Millisecond + time.Second)),
 			SrcPort: 4000, DstPort: 80,
 			TCPFlags: FlagSYN | FlagACK, Proto: ProtoTCP,
 		}

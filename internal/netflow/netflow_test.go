@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"unclean/internal/netaddr"
 )
@@ -19,8 +21,8 @@ func tcpFlow(src, dst string, pkts, octets uint32, flags uint8) Record {
 		DstAddr:  netaddr.MustParseAddr(dst),
 		Packets:  pkts,
 		Octets:   octets,
-		First:    boot.Add(time.Minute),
-		Last:     boot.Add(2 * time.Minute),
+		First:    TimeOf(boot.Add(time.Minute)),
+		Last:     TimeOf(boot.Add(2 * time.Minute)),
 		SrcPort:  40000,
 		DstPort:  80,
 		TCPFlags: flags,
@@ -86,7 +88,7 @@ func TestValidate(t *testing.T) {
 		t.Error("octets < packets accepted")
 	}
 	backwards := good
-	backwards.Last = backwards.First.Add(-time.Second)
+	backwards.Last = backwards.First - Time(time.Second)
 	if backwards.Validate() == nil {
 		t.Error("time-reversed flow accepted")
 	}
@@ -115,6 +117,34 @@ func TestRecordString(t *testing.T) {
 			t.Errorf("String %q missing %q", s, want)
 		}
 	}
+}
+
+// TestRecordIsPlainData holds Record to the size of its segment
+// encoding and to fields that hold no pointer, so a flow log stays memory
+// the garbage collector neither scans nor zeroes.
+func TestRecordIsPlainData(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != SegmentRecordSize {
+		t.Errorf("Record is %d bytes, want %d", got, SegmentRecordSize)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		default:
+			t.Errorf("%s is a %s, which can hold a pointer", path, typ.Kind())
+		}
+	}
+	walk("Record", reflect.TypeOf(Record{}))
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -166,8 +196,8 @@ func TestStreamRoundTrip(t *testing.T) {
 	for i := 0; i < 95; i++ { // 3 full packets + 1 short
 		r := tcpFlow("10.0.0.1", "20.0.0.2", uint32(i+1), uint32(100*(i+1)), FlagSYN|FlagACK)
 		r.SrcAddr = netaddr.Addr(uint32(r.SrcAddr) + uint32(i))
-		r.First = boot.Add(time.Duration(i) * time.Second)
-		r.Last = r.First.Add(500 * time.Millisecond)
+		r.First = TimeOf(boot.Add(time.Duration(i) * time.Second))
+		r.Last = r.First + Time(500*time.Millisecond)
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +221,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		if g.SrcAddr != ww.SrcAddr || g.DstAddr != ww.DstAddr ||
 			g.Packets != ww.Packets || g.Octets != ww.Octets ||
 			g.TCPFlags != ww.TCPFlags || g.Proto != ww.Proto ||
-			!g.First.Equal(ww.First) || !g.Last.Equal(ww.Last) {
+			g.First != ww.First || g.Last != ww.Last {
 			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, g, ww)
 		}
 	}
@@ -204,20 +234,20 @@ func TestRecordCodecQuick(t *testing.T) {
 			DstAddr:  netaddr.Addr(dst),
 			Packets:  uint32(pkts) + 1,
 			Octets:   (uint32(pkts) + 1) + uint32(extra),
-			First:    boot.Add(time.Duration(firstMs) * time.Millisecond),
+			First:    TimeOf(boot.Add(time.Duration(firstMs) * time.Millisecond)),
 			SrcPort:  sport,
 			DstPort:  dport,
 			TCPFlags: flags,
 			Proto:    proto,
 			TOS:      tos,
 		}
-		r.Last = r.First.Add(time.Duration(durMs) * time.Millisecond)
+		r.Last = r.First + Time(time.Duration(durMs)*time.Millisecond)
 		var buf [RecordSize]byte
-		marshalRecord(buf[:], &r, boot)
-		got := unmarshalRecord(buf[:], boot)
+		marshalRecord(buf[:], &r, TimeOf(boot))
+		got := unmarshalRecord(buf[:], TimeOf(boot))
 		return got.SrcAddr == r.SrcAddr && got.DstAddr == r.DstAddr &&
 			got.Packets == r.Packets && got.Octets == r.Octets &&
-			got.First.Equal(r.First) && got.Last.Equal(r.Last) &&
+			got.First == r.First && got.Last == r.Last &&
 			got.SrcPort == r.SrcPort && got.DstPort == r.DstPort &&
 			got.TCPFlags == r.TCPFlags && got.Proto == r.Proto && got.TOS == r.TOS
 	}
@@ -233,7 +263,7 @@ func TestWriterRejectsInvalid(t *testing.T) {
 		t.Error("invalid record accepted")
 	}
 	early := tcpFlow("1.2.3.4", "5.6.7.8", 1, 40, 0)
-	early.First = boot.Add(-time.Hour)
+	early.First = TimeOf(boot.Add(-time.Hour))
 	early.Last = early.First
 	if err := w.Write(early); err == nil {
 		t.Error("pre-boot record accepted")
@@ -248,14 +278,14 @@ func TestWriterRejectsPastUptime(t *testing.T) {
 	w := NewWriter(&out, boot)
 	limit := boot.Add(1 << 32 * time.Millisecond)
 	before := tcpFlow("1.2.3.4", "5.6.7.8", 1, 40, FlagSYN)
-	before.First = limit.Add(-time.Hour)
-	before.Last = limit.Add(-time.Millisecond)
+	before.First = TimeOf(limit.Add(-time.Hour))
+	before.Last = TimeOf(limit.Add(-time.Millisecond))
 	if err := w.Write(before); err != nil {
 		t.Fatal(err)
 	}
 	after := before
-	after.First = limit.Add(-time.Minute)
-	after.Last = limit
+	after.First = TimeOf(limit.Add(-time.Minute))
+	after.Last = TimeOf(limit)
 	if err := w.Write(after); err == nil {
 		t.Error("record ending 2^32 ms after boot accepted")
 	}
@@ -269,7 +299,7 @@ func TestWriterRejectsPastUptime(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("read back %d records, want 1", len(got))
 	}
-	if !got[0].First.Equal(before.First) || !got[0].Last.Equal(before.Last) {
+	if got[0].First != before.First || got[0].Last != before.Last {
 		t.Fatalf("record reads back as %v-%v, written as %v-%v", got[0].First, got[0].Last, before.First, before.Last)
 	}
 }

@@ -30,8 +30,27 @@ const (
 	FlagURG
 )
 
+// Time is a flow timestamp: Unix nanoseconds in UTC. It is plain data,
+// so a Record holds no pointer and a record buffer is memory the garbage
+// collector neither scans nor zeroes. Times compare and offset with
+// integer operators (a < b, t + Time(d), time.Duration(a - b)). Every
+// time a record can hold fits: int64 nanoseconds cover the years
+// 1678–2262, synthesized flows fall in 2006, and a decoded V5 record is
+// its header's 32-bit Unix seconds (up to 2106) give or take 49.7 days
+// of 32-bit uptime.
+type Time int64
+
+// TimeOf returns t as a Time.
+func TimeOf(t time.Time) Time { return Time(t.UnixNano()) }
+
+// UTC returns t as a time.Time in UTC.
+func (t Time) UTC() time.Time { return time.Unix(0, int64(t)).UTC() }
+
 // Record is one unidirectional flow: a log of all identically addressed
-// packets within a limited time (§6.1). Fields mirror NetFlow V5.
+// packets within a limited time (§6.1). Fields mirror NetFlow V5. A
+// Record is 56 bytes of plain data, the size of its spill-segment
+// encoding (segment.go), which stores every field as the record holds
+// it, timestamps included.
 type Record struct {
 	SrcAddr  netaddr.Addr
 	DstAddr  netaddr.Addr
@@ -40,8 +59,8 @@ type Record struct {
 	Output   uint16 // SNMP ifIndex out
 	Packets  uint32
 	Octets   uint32
-	First    time.Time // time of the first packet
-	Last     time.Time // time of the last packet
+	First    Time // time of the first packet
+	Last     Time // time of the last packet
 	SrcPort  uint16
 	DstPort  uint16
 	TCPFlags uint8 // cumulative OR of TCP flags
@@ -92,8 +111,8 @@ func (r *Record) Validate() error {
 	if r.Octets < r.Packets {
 		return fmt.Errorf("netflow: %d octets < %d packets", r.Octets, r.Packets)
 	}
-	if r.Last.Before(r.First) {
-		return fmt.Errorf("netflow: flow ends %v before it starts %v", r.Last, r.First)
+	if r.Last < r.First {
+		return fmt.Errorf("netflow: flow ends %v before it starts %v", r.Last.UTC(), r.First.UTC())
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // The stream reader consumes archive bytes; arbitrary input must return
@@ -53,7 +52,7 @@ func FuzzReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		off, left := 0, 0 // the next record's input offset; records left in its datagram
-		var boot time.Time
+		var boot Time
 		for {
 			rec, err := r.Next()
 			if err != nil {

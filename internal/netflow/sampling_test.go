@@ -14,8 +14,8 @@ func sampleInput(n int, pkts uint32) []Record {
 		out[i] = Record{
 			SrcAddr: 1, DstAddr: 2,
 			Packets: pkts, Octets: pkts * 100,
-			First: boot.Add(time.Duration(i) * time.Second),
-			Last:  boot.Add(time.Duration(i)*time.Second + time.Second),
+			First: TimeOf(boot.Add(time.Duration(i) * time.Second)),
+			Last:  TimeOf(boot.Add(time.Duration(i)*time.Second + time.Second)),
 			Proto: ProtoTCP, TCPFlags: FlagSYN | FlagACK,
 		}
 	}

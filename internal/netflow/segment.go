@@ -3,19 +3,16 @@ package netflow
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"unclean/internal/netaddr"
 )
 
 // Spill-segment record codec: the compact fixed-width binary form flow
 // records take when a synthesis run spills to disk. Unlike the V5
-// export encoding (whose 16-bit SysUptime-relative timestamps cannot
-// represent a full day), this form is lossless: timestamps are absolute
-// UTC nanoseconds, so a record survives a disk round trip with every
-// analysis-relevant field intact. Timestamps must be representable as
-// int64 Unix nanoseconds (years 1678–2262); the zero time.Time is not —
-// every synthesized flow carries a real timestamp.
+// export encoding, whose timestamps are milliseconds of 32-bit exporter
+// uptime, this form is lossless: it stores every field as the Record
+// holds it, timestamps as their Unix nanoseconds, in the record's own 56
+// bytes, so a record survives a disk round trip unchanged.
 //
 // Layout (little-endian, 56 bytes):
 //
@@ -44,8 +41,8 @@ func EncodeSegmentRecord(buf []byte, r *Record) {
 	segLE.PutUint16(buf[14:], r.Output)
 	segLE.PutUint32(buf[16:], r.Packets)
 	segLE.PutUint32(buf[20:], r.Octets)
-	segLE.PutUint64(buf[24:], uint64(r.First.UnixNano()))
-	segLE.PutUint64(buf[32:], uint64(r.Last.UnixNano()))
+	segLE.PutUint64(buf[24:], uint64(r.First))
+	segLE.PutUint64(buf[32:], uint64(r.Last))
 	segLE.PutUint16(buf[40:], r.SrcPort)
 	segLE.PutUint16(buf[42:], r.DstPort)
 	segLE.PutUint16(buf[44:], r.SrcAS)
@@ -58,17 +55,16 @@ func EncodeSegmentRecord(buf []byte, r *Record) {
 	buf[53], buf[54], buf[55] = 0, 0, 0
 }
 
-// SegmentRecordFirst returns the First timestamp, in Unix nanoseconds,
-// of the encoded record at the start of buf, without decoding the rest:
-// the key a merge of time-ordered segments compares. buf must hold at
-// least SegmentRecordSize bytes.
-func SegmentRecordFirst(buf []byte) int64 {
-	return int64(segLE.Uint64(buf[24:32]))
+// SegmentRecordFirst returns the First timestamp of the encoded record
+// at the start of buf, without decoding the rest: the key a merge of
+// time-ordered segments compares. buf must hold at least
+// SegmentRecordSize bytes.
+func SegmentRecordFirst(buf []byte) Time {
+	return Time(segLE.Uint64(buf[24:32]))
 }
 
-// DecodeSegmentRecord parses one spill record from buf. Timestamps come
-// back in UTC; they compare Equal to (and format identically to) the
-// times that were encoded.
+// DecodeSegmentRecord parses one spill record from buf: the record that
+// was encoded, field for field.
 func DecodeSegmentRecord(buf []byte, r *Record) error {
 	if len(buf) < SegmentRecordSize {
 		return fmt.Errorf("netflow: segment record truncated: %d bytes", len(buf))
@@ -80,8 +76,8 @@ func DecodeSegmentRecord(buf []byte, r *Record) error {
 	r.Output = segLE.Uint16(buf[14:])
 	r.Packets = segLE.Uint32(buf[16:])
 	r.Octets = segLE.Uint32(buf[20:])
-	r.First = time.Unix(0, int64(segLE.Uint64(buf[24:]))).UTC()
-	r.Last = time.Unix(0, int64(segLE.Uint64(buf[32:]))).UTC()
+	r.First = Time(segLE.Uint64(buf[24:]))
+	r.Last = Time(segLE.Uint64(buf[32:]))
 	r.SrcPort = segLE.Uint16(buf[40:])
 	r.DstPort = segLE.Uint16(buf[42:])
 	r.SrcAS = segLE.Uint16(buf[44:])

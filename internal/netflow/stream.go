@@ -12,7 +12,7 @@ import (
 // the layout of an on-disk flow archive.
 type Writer struct {
 	w        io.Writer
-	boot     time.Time
+	boot     Time
 	pending  []Record
 	sequence uint32
 	buf      [HeaderSize + MaxPerPacket*RecordSize]byte
@@ -27,7 +27,7 @@ const maxUptime = 1 << 32 * time.Millisecond
 // record timestamps must be >= boot and less than maxUptime after it;
 // Write rejects a record that is not.
 func NewWriter(w io.Writer, boot time.Time) *Writer {
-	return &Writer{w: w, boot: boot.UTC()}
+	return &Writer{w: w, boot: TimeOf(boot)}
 }
 
 // Write queues one record, flushing a datagram when 30 are pending.
@@ -38,13 +38,14 @@ func (w *Writer) Write(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if r.First.Before(w.boot) {
-		return fmt.Errorf("netflow: record starts %v before exporter boot %v", r.First, w.boot)
+	if r.First < w.boot {
+		return fmt.Errorf("netflow: record starts %v before exporter boot %v", r.First.UTC(), w.boot.UTC())
 	}
 	// Past maxUptime the uptime fields wrap, and the datagram's records
-	// would read back shifted by it.
-	if r.Last.Sub(w.boot) >= maxUptime {
-		return fmt.Errorf("netflow: record ends %v, past the 32-bit uptime of exporter boot %v", r.Last, w.boot)
+	// would read back shifted by it. Last >= First >= boot, so the
+	// unsigned difference is exact even where the signed one overflows.
+	if uint64(r.Last-w.boot) >= uint64(maxUptime) {
+		return fmt.Errorf("netflow: record ends %v, past the 32-bit uptime of exporter boot %v", r.Last.UTC(), w.boot.UTC())
 	}
 	w.pending = append(w.pending, r)
 	if len(w.pending) >= MaxPerPacket {
@@ -69,14 +70,12 @@ func (w *Writer) flushPacket() error {
 	// Export time: the latest record end in the batch.
 	export := w.pending[0].Last
 	for _, r := range w.pending[1:] {
-		if r.Last.After(export) {
-			export = r.Last
-		}
+		export = max(export, r.Last)
 	}
 	h := Header{
 		Count:        uint16(n),
-		SysUptime:    uint32(export.Sub(w.boot) / time.Millisecond),
-		ExportTime:   export,
+		SysUptime:    uint32(time.Duration(export-w.boot) / time.Millisecond),
+		ExportTime:   export.UTC(),
 		FlowSequence: w.sequence,
 	}
 	MarshalHeader(w.buf[:], &h)

@@ -29,8 +29,8 @@ type Header struct {
 
 // bootTime reconstructs the exporter's boot instant from the header's
 // export time and uptime; record First/Last are relative to it.
-func (h *Header) bootTime() time.Time {
-	return h.ExportTime.Add(-time.Duration(h.SysUptime) * time.Millisecond)
+func (h *Header) bootTime() Time {
+	return TimeOf(h.ExportTime) - Time(time.Duration(h.SysUptime)*time.Millisecond)
 }
 
 // MarshalHeader encodes h into buf, which must be at least HeaderSize
@@ -75,7 +75,7 @@ func UnmarshalHeader(buf []byte) (Header, error) {
 
 // marshalRecord encodes r into buf (>= RecordSize bytes) with First/Last
 // expressed as sysUptime milliseconds relative to boot.
-func marshalRecord(buf []byte, r *Record, boot time.Time) {
+func marshalRecord(buf []byte, r *Record, boot Time) {
 	be := binary.BigEndian
 	be.PutUint32(buf[0:], uint32(r.SrcAddr))
 	be.PutUint32(buf[4:], uint32(r.DstAddr))
@@ -84,8 +84,8 @@ func marshalRecord(buf []byte, r *Record, boot time.Time) {
 	be.PutUint16(buf[14:], r.Output)
 	be.PutUint32(buf[16:], r.Packets)
 	be.PutUint32(buf[20:], r.Octets)
-	be.PutUint32(buf[24:], uint32(r.First.Sub(boot)/time.Millisecond))
-	be.PutUint32(buf[28:], uint32(r.Last.Sub(boot)/time.Millisecond))
+	be.PutUint32(buf[24:], uint32(time.Duration(r.First-boot)/time.Millisecond))
+	be.PutUint32(buf[28:], uint32(time.Duration(r.Last-boot)/time.Millisecond))
 	be.PutUint16(buf[32:], r.SrcPort)
 	be.PutUint16(buf[34:], r.DstPort)
 	buf[36] = 0 // pad1
@@ -101,7 +101,7 @@ func marshalRecord(buf []byte, r *Record, boot time.Time) {
 
 // unmarshalRecord decodes one record from buf using boot to resolve
 // absolute times.
-func unmarshalRecord(buf []byte, boot time.Time) Record {
+func unmarshalRecord(buf []byte, boot Time) Record {
 	be := binary.BigEndian
 	return Record{
 		SrcAddr:  netaddr.Addr(be.Uint32(buf[0:])),
@@ -111,8 +111,8 @@ func unmarshalRecord(buf []byte, boot time.Time) Record {
 		Output:   be.Uint16(buf[14:]),
 		Packets:  be.Uint32(buf[16:]),
 		Octets:   be.Uint32(buf[20:]),
-		First:    boot.Add(time.Duration(be.Uint32(buf[24:])) * time.Millisecond),
-		Last:     boot.Add(time.Duration(be.Uint32(buf[28:])) * time.Millisecond),
+		First:    boot + Time(time.Duration(be.Uint32(buf[24:]))*time.Millisecond),
+		Last:     boot + Time(time.Duration(be.Uint32(buf[28:]))*time.Millisecond),
 		SrcPort:  be.Uint16(buf[32:]),
 		DstPort:  be.Uint16(buf[34:]),
 		TCPFlags: buf[37],

@@ -13,9 +13,9 @@ import (
 // they are both counted (obs default registry) and logged structurally.
 var (
 	mTrips = obs.Default().Counter("unclean_breaker_trips_total",
-		"Circuit-breaker openings (including re-opens after a failed half-open probe).")
+		"Circuit-breaker openings: the failure that reaches the threshold, and each later failure before a success, which re-opens the circuit for another cooldown.")
 	mCloses = obs.Default().Counter("unclean_breaker_closes_total",
-		"Circuit-breaker closings after a successful probe.")
+		"Circuit-breaker closings: the first success recorded after the circuit opened.")
 	breakerLog = obs.Logger("breaker")
 )
 
@@ -96,20 +96,21 @@ func (b *Breaker) Record(err error) {
 	b.failures++
 	if b.failures >= b.threshold {
 		b.openUntil = b.now().Add(b.cooldown)
-		// Count the closed→open edge and every re-open after a failed
-		// half-open probe, but not repeated failures while already open.
-		if !wasOpen || b.failures > b.threshold {
-			mTrips.Inc()
-			breakerLog.Warn("circuit opened",
-				"failures", b.failures, "cooldown", b.cooldown)
-			flight.Default().Record(flight.Event{
-				Kind:    flight.KindBreaker,
-				Flags:   flight.FlagErr,
-				Verdict: "open",
-				Detail:  err.Error(),
-				Value:   int64(b.failures),
-			})
-		}
+		// Every failure from the threshold on opens the circuit for a
+		// fresh cooldown, so each counts: the closed→open edge and every
+		// later failure before a success, whether it comes after the
+		// cooldown, when Allow admits every caller, or from a call
+		// admitted before the circuit opened.
+		mTrips.Inc()
+		breakerLog.Warn("circuit opened",
+			"failures", b.failures, "cooldown", b.cooldown)
+		flight.Default().Record(flight.Event{
+			Kind:    flight.KindBreaker,
+			Flags:   flight.FlagErr,
+			Verdict: "open",
+			Detail:  err.Error(),
+			Value:   int64(b.failures),
+		})
 	}
 }
 

@@ -202,6 +202,39 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
+// TestBreakerCountsTransitions holds the trip and close counters to
+// their HELP texts: every failure from the threshold on is a trip, and
+// the first success after the circuit opened is a close.
+func TestBreakerCountsTransitions(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	b := NewBreaker(2, time.Minute)
+	b.SetClock(func() time.Time { return clock })
+	trips, closes := mTrips.Value(), mCloses.Value()
+	check := func(step string, wantTrips, wantCloses uint64) {
+		t.Helper()
+		if got := mTrips.Value() - trips; got != wantTrips {
+			t.Errorf("%s: %d trips, want %d", step, got, wantTrips)
+		}
+		if got := mCloses.Value() - closes; got != wantCloses {
+			t.Errorf("%s: %d closes, want %d", step, got, wantCloses)
+		}
+	}
+	boom := errors.New("x")
+	b.Record(boom)
+	check("below the threshold", 0, 0)
+	b.Record(boom)
+	check("at the threshold", 1, 0)
+	b.Record(boom)
+	check("a failure inside the cooldown", 2, 0)
+	clock = clock.Add(2 * time.Minute)
+	b.Record(boom)
+	check("a failure after the cooldown", 3, 0)
+	b.Record(nil)
+	check("a success", 3, 1)
+	b.Record(nil)
+	check("a second success", 3, 1)
+}
+
 func TestBreakerFailuresCount(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	b := NewBreaker(3, time.Minute)

@@ -16,7 +16,7 @@ var t0 = time.Date(2006, 10, 1, 12, 0, 0, 0, time.UTC)
 func probe(src, dst string, at time.Time) netflow.Record {
 	return netflow.Record{
 		SrcAddr: netaddr.MustParseAddr(src), DstAddr: netaddr.MustParseAddr(dst),
-		Packets: 2, Octets: 96, First: at, Last: at.Add(time.Second),
+		Packets: 2, Octets: 96, First: netflow.TimeOf(at), Last: netflow.TimeOf(at.Add(time.Second)),
 		SrcPort: 4321, DstPort: 445, TCPFlags: netflow.FlagSYN, Proto: netflow.ProtoTCP,
 	}
 }
@@ -25,7 +25,7 @@ func probe(src, dst string, at time.Time) netflow.Record {
 func session(src, dst string, at time.Time) netflow.Record {
 	return netflow.Record{
 		SrcAddr: netaddr.MustParseAddr(src), DstAddr: netaddr.MustParseAddr(dst),
-		Packets: 12, Octets: 5000, First: at, Last: at.Add(30 * time.Second),
+		Packets: 12, Octets: 5000, First: netflow.TimeOf(at), Last: netflow.TimeOf(at.Add(30 * time.Second)),
 		SrcPort: 4321, DstPort: 80,
 		TCPFlags: netflow.FlagSYN | netflow.FlagACK | netflow.FlagPSH | netflow.FlagFIN,
 		Proto:    netflow.ProtoTCP,
@@ -314,7 +314,7 @@ func TestThresholdMergeProperty(t *testing.T) {
 		}
 		byDay := map[time.Time][]netflow.Record{}
 		for _, r := range recs {
-			day := r.First.Truncate(24 * time.Hour)
+			day := r.First.UTC().Truncate(24 * time.Hour)
 			byDay[day] = append(byDay[day], r)
 		}
 		for day, dayRecs := range byDay {

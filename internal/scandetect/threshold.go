@@ -83,7 +83,7 @@ func (t *Threshold) Consume(records []netflow.Record) {
 	var key hourBucket
 	for i := range records {
 		r := &records[i]
-		k := hourBucket{src: r.SrcAddr, hour: r.First.UnixNano() / int64(t.cfg.Window)}
+		k := hourBucket{src: r.SrcAddr, hour: int64(r.First) / int64(t.cfg.Window)}
 		if b == nil || k != key {
 			key = k
 			if b = t.buckets[key]; b == nil {

@@ -172,7 +172,7 @@ func DetectTRW(records []netflow.Record, cfg TRWConfig) (ipset.Set, error) {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		return records[idx[a]].First.Before(records[idx[b]].First)
+		return records[idx[a]].First < records[idx[b]].First
 	})
 	for _, i := range idx {
 		t.Observe(&records[i])

@@ -91,7 +91,7 @@ func (w *World) DDoSParticipants(c Campaign) ipset.Set {
 // SYN flows against the victim within the attack hour. NetFlow collapses
 // retransmitted SYNs into small per-source flows; the volume signature is
 // the source count, not per-source bytes.
-func (w *World) ddosFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, c Campaign, out []netflow.Record) []netflow.Record {
+func (w *World) ddosFlows(rng *stats.RNG, day netflow.Time, src netaddr.Addr, c Campaign, out []netflow.Record) []netflow.Record {
 	flows := 12 + rng.Intn(24)
 	hour := time.Duration(10+rng.Intn(8)) * time.Hour // campaigns hit working hours
 	for i := 0; i < flows; i++ {
@@ -99,7 +99,7 @@ func (w *World) ddosFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, c Cam
 		out = append(out, netflow.Record{
 			SrcAddr: src, DstAddr: c.Target,
 			Packets: 3, Octets: 132,
-			First: start, Last: start.Add(time.Duration(1+rng.Intn(20)) * time.Second),
+			First: start, Last: at(start, time.Duration(1+rng.Intn(20))*time.Second),
 			SrcPort: ephemeralPort(rng), DstPort: c.TargetPort,
 			TCPFlags: netflow.FlagSYN, Proto: netflow.ProtoTCP,
 		})

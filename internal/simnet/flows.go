@@ -22,10 +22,10 @@ type FlowOptions struct {
 	// day's synthesis holds before spilling a sorted run to a temp
 	// segment file (see spill.go). Zero keeps whole days in memory.
 	// StreamFlows honors the budget; SynthesizeFlows, which returns the
-	// complete log anyway, ignores it. Sorting a run takes 24 bytes of
-	// scratch per record on top of the record's own size
-	// (recordMemBytes), so peak synthesis memory is roughly
-	// workers × SpillBudget × (1 + 24/recordMemBytes).
+	// complete log anyway, ignores it. A record takes recordMemBytes (56)
+	// in memory, so a 32 MiB budget holds about 599,000 records. Sorting
+	// a run takes 24 bytes of scratch per record on top of that, so peak
+	// synthesis memory is roughly workers × SpillBudget × (1 + 24/56).
 	SpillBudget int
 	// SpillDir is where spill segments are created; empty means the
 	// system temp directory. Segments are removed as they are consumed.
@@ -66,14 +66,14 @@ func (w *World) SynthesizeFlows(from, to time.Time, opts FlowOptions) []netflow.
 func mergeByTime(perDay [][]netflow.Record) []netflow.Record {
 	total := 0
 	overlap := false
-	var prevMax time.Time
+	var prevMax netflow.Time
 	havePrev := false
 	for _, day := range perDay {
 		total += len(day)
 		if len(day) == 0 {
 			continue
 		}
-		if havePrev && day[0].First.Before(prevMax) {
+		if havePrev && day[0].First < prevMax {
 			overlap = true
 		}
 		prevMax = day[len(day)-1].First
@@ -221,7 +221,7 @@ func (w *World) synthesizeDay(d int, opts FlowOptions, out []netflow.Record, sp 
 		sp = keepDay{}
 	}
 	rng := stats.NewRNG(w.Cfg.Seed ^ 0xf10f ^ uint64(d)<<16)
-	day := w.Date(d)
+	day := netflow.TimeOf(w.Date(d))
 
 	// 1. Bot activity: scanning and spamming.
 	for _, epIdx := range w.episodesByDay[d] {
@@ -270,8 +270,8 @@ func (w *World) synthesizeDay(d int, opts FlowOptions, out []netflow.Record, sp 
 	return out
 }
 
-// at builds a timestamp on day at the given offset.
-func at(day time.Time, offset time.Duration) time.Time { return day.Add(offset) }
+// at returns the time offset after t.
+func at(t netflow.Time, offset time.Duration) netflow.Time { return t + netflow.Time(offset) }
 
 // randObservedAddr draws a uniform address inside the observed network —
 // overwhelmingly dark space, as a scanner would find.
@@ -298,7 +298,7 @@ func ephemeralPort(rng *stats.RNG) uint16 { return uint16(1024 + rng.Intn(64000)
 // fastScanFlows emits a burst scan: dozens of distinct targets within a
 // single hour, nearly all failing — what the hourly threshold detector is
 // calibrated to catch.
-func (w *World) fastScanFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
+func (w *World) fastScanFlows(rng *stats.RNG, day netflow.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
 	targets := 40 + rng.Intn(40)
 	hour := time.Duration(rng.Intn(24)) * time.Hour
 	port := scanPorts[rng.Intn(len(scanPorts))]
@@ -307,7 +307,7 @@ func (w *World) fastScanFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, o
 		r := netflow.Record{
 			SrcAddr: src, DstAddr: w.randObservedAddr(rng),
 			Packets: 2, Octets: 96,
-			First: start, Last: start.Add(3 * time.Second),
+			First: start, Last: at(start, 3*time.Second),
 			SrcPort: ephemeralPort(rng), DstPort: port,
 			TCPFlags: netflow.FlagSYN, Proto: netflow.ProtoTCP,
 		}
@@ -322,7 +322,7 @@ func (w *World) fastScanFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, o
 
 // slowScanFlows emits a low-and-slow scan: under 30 targets spread across
 // the whole day — invisible to the hourly detector (§6.2).
-func (w *World) slowScanFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
+func (w *World) slowScanFlows(rng *stats.RNG, day netflow.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
 	targets := 8 + rng.Intn(18) // < 30 addresses per day
 	port := scanPorts[rng.Intn(len(scanPorts))]
 	for i := 0; i < targets; i++ {
@@ -330,7 +330,7 @@ func (w *World) slowScanFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, o
 		out = append(out, netflow.Record{
 			SrcAddr: src, DstAddr: w.randObservedAddr(rng),
 			Packets: 3, Octets: 156, // 36 "payload" bytes of TCP options
-			First: start, Last: start.Add(9 * time.Second),
+			First: start, Last: at(start, 9*time.Second),
 			SrcPort: ephemeralPort(rng), DstPort: port,
 			TCPFlags: netflow.FlagSYN, Proto: netflow.ProtoTCP,
 		})
@@ -340,14 +340,14 @@ func (w *World) slowScanFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, o
 
 // spamFlows emits a bot's SMTP delivery attempts: many distinct mail
 // servers, small template messages, a high rejection rate.
-func (w *World) spamFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
+func (w *World) spamFlows(rng *stats.RNG, day netflow.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
 	flows := 15 + rng.Intn(20)
 	base := time.Duration(rng.Intn(20)) * time.Hour
 	for i := 0; i < flows; i++ {
 		start := at(day, base+time.Duration(rng.Intn(7200))*time.Second)
 		r := netflow.Record{
 			SrcAddr: src, DstAddr: w.mailServer(rng.Intn(64)),
-			First: start, Last: start.Add(8 * time.Second),
+			First: start, Last: at(start, 8*time.Second),
 			SrcPort: ephemeralPort(rng), DstPort: 25, Proto: netflow.ProtoTCP,
 		}
 		if rng.Bool(0.55) { // delivered: small, uniform template mail
@@ -365,7 +365,7 @@ func (w *World) spamFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out [
 
 // benignFlows emits a legitimate client's sessions against the observed
 // network's public servers.
-func (w *World) benignFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
+func (w *World) benignFlows(rng *stats.RNG, day netflow.Time, src netaddr.Addr, out []netflow.Record) []netflow.Record {
 	sessions := 2 + rng.Intn(9)
 	base := time.Duration(rng.Intn(22)) * time.Hour
 	for i := 0; i < sessions; i++ {
@@ -379,7 +379,7 @@ func (w *World) benignFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out
 		r := netflow.Record{
 			SrcAddr: src, DstAddr: dst,
 			Packets: pkts, Octets: pkts*40 + uint32(rng.LogNormal(7.2, 1.1)),
-			First: start, Last: start.Add(time.Duration(5+rng.Intn(120)) * time.Second),
+			First: start, Last: at(start, time.Duration(5+rng.Intn(120))*time.Second),
 			SrcPort: ephemeralPort(rng), DstPort: dport,
 			TCPFlags: netflow.FlagSYN | netflow.FlagACK | netflow.FlagPSH | netflow.FlagFIN,
 			Proto:    netflow.ProtoTCP,
@@ -401,7 +401,7 @@ func (w *World) benignFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out
 			out = append(out, netflow.Record{
 				SrcAddr: src, DstAddr: w.mailServer(rng.Intn(6)),
 				Packets: pkts, Octets: pkts*40 + 8000 + uint32(rng.Intn(60000)),
-				First: start, Last: start.Add(20 * time.Second),
+				First: start, Last: at(start, 20*time.Second),
 				SrcPort: ephemeralPort(rng), DstPort: 25,
 				TCPFlags: netflow.FlagSYN | netflow.FlagACK | netflow.FlagPSH | netflow.FlagFIN,
 				Proto:    netflow.ProtoTCP,
@@ -418,7 +418,7 @@ func (w *World) benignFlows(rng *stats.RNG, day time.Time, src netaddr.Addr, out
 // deterministically from the block base so the same hosts recur across
 // the window, exactly as hand-examination found in §6.2.
 func (w *World) candidateExtraFlows(rng *stats.RNG, d int, out []netflow.Record, sp checkpointer) []netflow.Record {
-	day := w.Date(d)
+	day := netflow.TimeOf(w.Date(d))
 	var blocks []netaddr.Addr
 	w.botTestBlocks.Each(func(base netaddr.Addr) bool {
 		blocks = append(blocks, base)
@@ -444,7 +444,7 @@ func (w *World) candidateExtraFlows(rng *stats.RNG, d int, out []netflow.Record,
 					out = append(out, netflow.Record{
 						SrcAddr: host, DstAddr: w.randObservedAddr(rng),
 						Packets: 2, Octets: 104,
-						First: start, Last: start.Add(2 * time.Second),
+						First: start, Last: at(start, 2*time.Second),
 						SrcPort: ephemeralPort(rng), DstPort: ephemeralPort(rng),
 						TCPFlags: netflow.FlagSYN, Proto: netflow.ProtoTCP,
 					})

@@ -24,15 +24,15 @@ func TestFlowsWellFormed(t *testing.T) {
 	if len(records) < 1000 {
 		t.Fatalf("only %d flows synthesized", len(records))
 	}
-	lo := date(2006, 10, 1)
-	hi := date(2006, 10, 3) // end of Oct 2 + slack
+	lo := netflow.TimeOf(date(2006, 10, 1))
+	hi := netflow.TimeOf(date(2006, 10, 3)) // end of Oct 2 + slack
 	for i := range records {
 		r := &records[i]
 		if err := r.Validate(); err != nil {
 			t.Fatalf("flow %d invalid: %v", i, err)
 		}
-		if r.First.Before(lo) || r.First.After(hi) {
-			t.Fatalf("flow %d outside window: %v", i, r.First)
+		if r.First < lo || r.First > hi {
+			t.Fatalf("flow %d outside window: %v", i, r.First.UTC())
 		}
 		if !w.Model.InObserved(r.DstAddr) {
 			t.Fatalf("flow %d destination %v outside observed network", i, r.DstAddr)
@@ -40,7 +40,7 @@ func TestFlowsWellFormed(t *testing.T) {
 		if w.Model.InObserved(r.SrcAddr) {
 			t.Fatalf("flow %d source %v inside observed network", i, r.SrcAddr)
 		}
-		if i > 0 && records[i].First.Before(records[i-1].First) {
+		if i > 0 && records[i].First < records[i-1].First {
 			t.Fatal("flows not sorted by start time")
 		}
 	}
@@ -54,7 +54,7 @@ func TestFlowsDeterministicPerDay(t *testing.T) {
 	b := w.SynthesizeFlows(date(2006, 10, 1), date(2006, 10, 3), opts)
 	var bDay2 []netflow.Record
 	for _, r := range b {
-		if !r.First.Before(date(2006, 10, 2)) && r.First.Before(date(2006, 10, 3)) {
+		if r.First >= netflow.TimeOf(date(2006, 10, 2)) && r.First < netflow.TimeOf(date(2006, 10, 3)) {
 			bDay2 = append(bDay2, r)
 		}
 	}
@@ -196,7 +196,7 @@ func TestStreamFlowsMatchesSynthesize(t *testing.T) {
 	var got []netflow.Record
 	days := 0
 	err := w.StreamFlows(from, to, opts, func(day time.Time, recs []netflow.Record) error {
-		if days > 0 && len(recs) > 0 && len(got) > 0 && recs[0].First.Before(got[len(got)-1].First) {
+		if days > 0 && len(recs) > 0 && len(got) > 0 && recs[0].First < got[len(got)-1].First {
 			t.Fatalf("chunk for %v delivered out of order", day)
 		}
 		days++
@@ -248,7 +248,7 @@ func TestMergeByTimeHeapPath(t *testing.T) {
 		return netflow.Record{
 			SrcAddr: netaddr.MakeAddr(60, 0, 0, srcLow),
 			DstAddr: netaddr.MakeAddr(30, 0, 0, 1),
-			First:   t0.Add(time.Duration(sec) * time.Second),
+			First:   netflow.TimeOf(t0.Add(time.Duration(sec) * time.Second)),
 		}
 	}
 	slices := [][]netflow.Record{
@@ -262,7 +262,7 @@ func TestMergeByTimeHeapPath(t *testing.T) {
 	for _, s := range slices {
 		want = append(want, s...)
 	}
-	sort.SliceStable(want, func(i, j int) bool { return want[i].First.Before(want[j].First) })
+	sort.SliceStable(want, func(i, j int) bool { return want[i].First < want[j].First })
 	if len(got) != len(want) {
 		t.Fatalf("merged %d records, want %d", len(got), len(want))
 	}

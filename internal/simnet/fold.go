@@ -29,7 +29,7 @@ type DayFolder interface {
 }
 
 // foldChunkRecords is the size of the chunks Fold hands a DayFolder
-// (704 KiB of records); only a day's last chunk may be shorter.
+// (448 KiB of records); only a day's last chunk may be shorter.
 const foldChunkRecords = 8192
 
 // Fold synthesizes every day of [from, to] (inclusive dates) and hands

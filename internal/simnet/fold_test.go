@@ -35,9 +35,10 @@ func (p *foldProbe) Consume(recs []netflow.Record) {
 }
 
 func (p *foldProbe) EndDay(day time.Time) {
+	lo, hi := netflow.TimeOf(day), netflow.TimeOf(day.Add(24*time.Hour))
 	for i := range p.day {
-		if f := p.day[i].First; f.Before(day) || !f.Before(day.Add(24*time.Hour)) {
-			p.t.Fatalf("record %d of %s starts at %v", i, day.Format(time.DateOnly), f)
+		if f := p.day[i].First; f < lo || f >= hi {
+			p.t.Fatalf("record %d of %s starts at %v", i, day.Format(time.DateOnly), f.UTC())
 		}
 	}
 	p.endDays = append(p.endDays, day)
@@ -104,15 +105,16 @@ func TestGeneratorsKeepFirstInsideDay(t *testing.T) {
 	w := getWorld(t)
 	d := w.DayIndex(date(2006, 10, 3))
 	day := w.Date(d)
+	lo, hi := netflow.TimeOf(day), netflow.TimeOf(day.Add(24*time.Hour))
 	src := netaddr.MakeAddr(60, 1, 2, 3)
 	rng := stats.NewRNG(7)
 	camp := Campaign{Day: d, Target: w.webServer(0), TargetPort: 80}
 	generators := map[string]func(out []netflow.Record) []netflow.Record{
-		"fastScan": func(out []netflow.Record) []netflow.Record { return w.fastScanFlows(rng, day, src, out) },
-		"slowScan": func(out []netflow.Record) []netflow.Record { return w.slowScanFlows(rng, day, src, out) },
-		"spam":     func(out []netflow.Record) []netflow.Record { return w.spamFlows(rng, day, src, out) },
-		"benign":   func(out []netflow.Record) []netflow.Record { return w.benignFlows(rng, day, src, out) },
-		"ddos":     func(out []netflow.Record) []netflow.Record { return w.ddosFlows(rng, day, src, camp, out) },
+		"fastScan": func(out []netflow.Record) []netflow.Record { return w.fastScanFlows(rng, lo, src, out) },
+		"slowScan": func(out []netflow.Record) []netflow.Record { return w.slowScanFlows(rng, lo, src, out) },
+		"spam":     func(out []netflow.Record) []netflow.Record { return w.spamFlows(rng, lo, src, out) },
+		"benign":   func(out []netflow.Record) []netflow.Record { return w.benignFlows(rng, lo, src, out) },
+		"ddos":     func(out []netflow.Record) []netflow.Record { return w.ddosFlows(rng, lo, src, camp, out) },
 		"candidateExtra": func(out []netflow.Record) []netflow.Record {
 			return w.candidateExtraFlows(rng, d, out, keepDay{})
 		},
@@ -126,8 +128,8 @@ func TestGeneratorsKeepFirstInsideDay(t *testing.T) {
 			t.Errorf("%s generated nothing", name)
 		}
 		for i := range out {
-			if f := out[i].First; f.Before(day) || !f.Before(day.Add(24*time.Hour)) {
-				t.Fatalf("%s: record %d starts at %v, outside %s", name, i, f, day.Format(time.DateOnly))
+			if f := out[i].First; f < lo || f >= hi {
+				t.Fatalf("%s: record %d starts at %v, outside %s", name, i, f.UTC(), day.Format(time.DateOnly))
 			}
 		}
 	}
@@ -139,11 +141,11 @@ func randomRecords(rng *stats.RNG, n, srcs, dsts int) []netflow.Record {
 	t0 := date(2006, 10, 1)
 	recs := make([]netflow.Record, n)
 	for i := range recs {
-		start := t0.Add(time.Duration(rng.Intn(2))*24*time.Hour + time.Duration(rng.Intn(4*3600))*time.Second)
+		start := netflow.TimeOf(t0.Add(time.Duration(rng.Intn(2))*24*time.Hour + time.Duration(rng.Intn(4*3600))*time.Second))
 		r := netflow.Record{
 			SrcAddr: netaddr.MakeAddr(60, 0, byte(rng.Intn(srcs)), 1),
 			DstAddr: netaddr.MakeAddr(30, 0, byte(rng.Intn(dsts)/256), byte(rng.Intn(dsts))),
-			First:   start, Last: start.Add(time.Second),
+			First:   start, Last: at(start, time.Second),
 			Packets: 2, Octets: 96,
 			DstPort:  uint16(rng.Intn(3) * 25),
 			TCPFlags: netflow.FlagSYN, Proto: netflow.ProtoTCP,

@@ -11,7 +11,7 @@ import (
 )
 
 // External-memory flow synthesis. A day's traffic at paper scale is
-// millions of ~90-byte records; holding a whole day (let alone a
+// millions of 56-byte records; holding a whole day (let alone a
 // worker-pool batch of days) in memory is what capped the old pipeline.
 // With FlowOptions.SpillBudget set, synthesis accumulates records until
 // the budget is exceeded, then spills the run to a temp segment file in
@@ -27,8 +27,8 @@ import (
 // generators never observe the spilling (the RNG streams are untouched),
 // so spilled and unspilled synthesis yield identical flow sequences.
 
-// recordMemBytes approximates the in-memory footprint of one record for
-// budget accounting.
+// recordMemBytes is the in-memory size of one record for budget
+// accounting: 56 bytes of plain data, the size of its segment encoding.
 var recordMemBytes = int(unsafe.Sizeof(netflow.Record{}))
 
 // spillChunkRecords is the delivery granularity of a merged spilled day.
@@ -172,9 +172,9 @@ func (r *dayRuns) deliver(chunk []netflow.Record, fn func(records []netflow.Reco
 
 // runCursor walks one sorted run: an in-memory slice, or a spill segment
 // read a block at a time into buf. While live, key is the current
-// record's First in Unix nanoseconds.
+// record's First.
 type runCursor struct {
-	key  int64
+	key  netflow.Time
 	live bool
 	// In-memory run: recs[pos] is the current record.
 	recs []netflow.Record
@@ -193,7 +193,7 @@ type runCursor struct {
 func (c *runCursor) setMem(recs []netflow.Record) {
 	*c = runCursor{recs: recs, live: len(recs) > 0}
 	if c.live {
-		c.key = recs[0].First.UnixNano()
+		c.key = recs[0].First
 	}
 }
 
@@ -232,7 +232,7 @@ func (c *runCursor) take(dst *netflow.Record) error {
 		*dst = c.recs[c.pos]
 		c.pos++
 		if c.live = c.pos < len(c.recs); c.live {
-			c.key = c.recs[c.pos].First.UnixNano()
+			c.key = c.recs[c.pos].First
 		}
 		return nil
 	}

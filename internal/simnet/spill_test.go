@@ -20,15 +20,8 @@ func recordsIdentical(t *testing.T, label string, got, want []netflow.Record) {
 	if len(got) != len(want) {
 		t.Fatalf("%s: got %d records, want %d", label, len(got), len(want))
 	}
-	// Compare through the segment encoding: it covers every
-	// analysis-relevant field and normalizes time.Time representation
-	// differences (a disk round trip rebuilds wall-clock UTC times that
-	// are Equal but not structurally identical).
-	var gb, wb [netflow.SegmentRecordSize]byte
 	for i := range got {
-		netflow.EncodeSegmentRecord(gb[:], &got[i])
-		netflow.EncodeSegmentRecord(wb[:], &want[i])
-		if gb != wb {
+		if got[i] != want[i] {
 			t.Fatalf("%s: record %d differs:\n got %v\nwant %v", label, i, &got[i], &want[i])
 		}
 	}
@@ -164,11 +157,11 @@ func tieRun(rng *stats.RNG, id, n, span int) []netflow.Record {
 	t0 := date(2006, 10, 1)
 	recs := make([]netflow.Record, n)
 	for i := range recs {
-		start := t0.Add(time.Duration(rng.Intn(span)) * time.Second)
+		start := netflow.TimeOf(t0.Add(time.Duration(rng.Intn(span)) * time.Second))
 		recs[i] = netflow.Record{
 			SrcAddr: netaddr.Addr(id<<20 | i), DstAddr: netaddr.Addr(rng.Uint32()),
 			Packets: uint32(1 + rng.Intn(9)), Octets: uint32(40 + rng.Intn(2000)),
-			First: start, Last: start.Add(time.Second),
+			First: start, Last: at(start, time.Second),
 			SrcPort: uint16(rng.Intn(65536)), DstPort: 80, Proto: netflow.ProtoTCP,
 		}
 	}
@@ -220,7 +213,7 @@ func checkNoSegments(t *testing.T, dir string) {
 func TestRunMergeMatchesStableSort(t *testing.T) {
 	rng := stats.NewRNG(41)
 	const b = segmentBlockRecords
-	maxTime := time.Unix(0, math.MaxInt64).UTC()
+	maxTime := netflow.Time(math.MaxInt64)
 	withMax := func(recs []netflow.Record, at ...int) []netflow.Record {
 		for _, i := range at {
 			recs[i].First, recs[i].Last = maxTime, maxTime

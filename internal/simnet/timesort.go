@@ -61,16 +61,14 @@ func appendPasses(dst []timePass, ns bool, n int) []timePass {
 
 // timeOrder returns the permutation that stable-sorts records by First:
 // records[perm[0]], records[perm[1]], ... run in time order, and records
-// with equal First keep their relative order. A record's key is
-// First.UnixNano() minus the run's minimum, read as whole seconds and
-// nanoseconds within the second. The nanoseconds are sorted first, then
-// the seconds, each in counting passes of at most passBits bits over
-// only the bits that part of the key needs; a digit that every key
-// shares is skipped. A synthesized day is whole seconds with a 17-bit
-// span: no nanosecond pass and two seconds passes. Synthesized and
-// decoded times carry no monotonic clock reading, so UnixNano order is
-// First.Compare order. The permutation lives in s and is valid until s
-// orders another run.
+// with equal First keep their relative order. A record's key is First
+// minus the run's minimum, read as whole seconds and nanoseconds within
+// the second. The nanoseconds are sorted first, then the seconds, each
+// in counting passes of at most passBits bits over only the bits that
+// part of the key needs; a digit that every key shares is skipped. A
+// synthesized day is whole seconds with a 17-bit span: no nanosecond
+// pass and two seconds passes. The permutation lives in s and is valid
+// until s orders another run.
 func (s *timeScratch) timeOrder(records []netflow.Record) []uint32 {
 	n := len(records)
 	s.keys = slices.Grow(s.keys[:0], 2*n)
@@ -80,9 +78,9 @@ func (s *timeScratch) timeOrder(records []netflow.Record) []uint32 {
 		return b.p
 	}
 	k := b.k
-	lo := records[0].First.UnixNano()
+	lo := records[0].First
 	for i := range records {
-		t := records[i].First.UnixNano()
+		t := records[i].First
 		k[i] = uint64(t)
 		lo = min(lo, t)
 	}

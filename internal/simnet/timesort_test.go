@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -19,7 +20,7 @@ import (
 // replaced; it defines the order timeOrder must reproduce.
 func referenceSortByTime(records []netflow.Record) {
 	slices.SortStableFunc(records, func(a, b netflow.Record) int {
-		return a.First.Compare(b.First)
+		return cmp.Compare(a.First, b.First)
 	})
 }
 
@@ -77,7 +78,7 @@ func checkTimeOrder(t *testing.T, label string, records []netflow.Record) {
 func recordsAt(base time.Time, offsets []int64) []netflow.Record {
 	out := make([]netflow.Record, len(offsets))
 	for i, off := range offsets {
-		out[i] = netflow.Record{SrcAddr: netaddr.Addr(i), First: base.Add(time.Duration(off))}
+		out[i] = netflow.Record{SrcAddr: netaddr.Addr(i), First: netflow.TimeOf(base.Add(time.Duration(off)))}
 	}
 	return out
 }
@@ -142,7 +143,7 @@ func FuzzTimeOrder(f *testing.F) {
 		records := make([]netflow.Record, len(offsets)/8)
 		for i := range records {
 			off := int64(binary.LittleEndian.Uint64(offsets[8*i:]))
-			records[i] = netflow.Record{SrcAddr: netaddr.Addr(i), First: time.Unix(0, base+off).UTC()}
+			records[i] = netflow.Record{SrcAddr: netaddr.Addr(i), First: netflow.Time(base + off)}
 		}
 		want := slices.Clone(records)
 		referenceSortByTime(want)

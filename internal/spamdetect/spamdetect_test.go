@@ -15,7 +15,7 @@ func smtpFlow(src string, dstIdx int, payload uint32, delivered bool, at time.Ti
 	r := netflow.Record{
 		SrcAddr: netaddr.MustParseAddr(src),
 		DstAddr: netaddr.MakeAddr(30, 1, byte(dstIdx), 25),
-		First:   at, Last: at.Add(5 * time.Second),
+		First:   netflow.TimeOf(at), Last: netflow.TimeOf(at.Add(5 * time.Second)),
 		SrcPort: 3456, DstPort: SMTPPort, Proto: netflow.ProtoTCP,
 	}
 	if delivered {
