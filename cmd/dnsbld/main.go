@@ -171,7 +171,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.batch, "batch", 0, "datagrams per batched syscall (0 = default)")
 	fs.IntVar(&o.maxUDP, "max-udp", 0, "UDP response size limit; larger answers are truncated with TC set (0 = 512)")
 	fs.IntVar(&o.analyticsSample, "analytics-sample", 64,
-		"sample 1 in N packets into the query-analytics sketches, rounded to a power of two (0 disables analytics and /debug/topk)")
+		"sample 1 in N packets into the query-analytics sketches, rounded to a power of two, N at most 2^32 (0 disables analytics and /debug/topk)")
 	fs.BoolVar(&o.tcp, "tcp", false, "also answer queries over TCP on the same address (serves TC-bit retries)")
 	fs.Func("feed", "mesh feed as NAME=PATH (report directory or phishfeed file); repeatable", func(v string) error {
 		o.feeds = append(o.feeds, v)
@@ -218,8 +218,9 @@ func parseFlags(args []string) (*options, error) {
 	if o.maxUDP < 0 {
 		return nil, fmt.Errorf("-max-udp must be 0 (default 512) or a positive byte limit; got %d", o.maxUDP)
 	}
-	if o.analyticsSample < 0 {
-		return nil, fmt.Errorf("-analytics-sample must be 0 (disabled) or a positive 1-in-N rate; got %d", o.analyticsSample)
+	if o.analyticsSample < 0 || uint64(o.analyticsSample) > dnsbl.MaxAnalyticsSample {
+		return nil, fmt.Errorf("-analytics-sample must be 0 (disabled) or a positive 1-in-N rate of at most %d; got %d",
+			uint64(dnsbl.MaxAnalyticsSample), o.analyticsSample)
 	}
 	if o.meshThreshold <= 0 || o.meshThreshold > 1 {
 		return nil, fmt.Errorf("-mesh-threshold must be in (0, 1]; got %g", o.meshThreshold)
@@ -559,7 +560,7 @@ func run(ctx context.Context, args []string) (err error) {
 	// predictions to the feeds that voted the block in.
 	var analytics *dnsbl.Analytics
 	if o.analyticsSample > 0 {
-		analytics = srv.EnableAnalytics(dnsbl.AnalyticsConfig{SampleN: o.analyticsSample})
+		analytics = srv.EnableAnalytics(o.analyticsSample)
 		analytics.SetAttributor(mesh.Contributors)
 	}
 	mesh.OnSwap(srv.SetList)

@@ -561,6 +561,9 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-max-udp", "-1"},
 		{"-mesh-threshold", "0"},
 		{"-mesh-threshold", "1.1"},
+		// The shard's sampling tick is 32 bits: no rate above 2^32.
+		{"-analytics-sample", "4294967297"},
+		{"-analytics-sample", "4611686018427387905"},
 		// Mesh flag shape and exclusivity.
 		{"-feed", "nameonly", "-reload", "1s"},
 		{"-feed", "=path", "-reload", "1s"},
@@ -586,11 +589,15 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-batch", "0"},
 		{"-reload", "0"},
 		{"-feed", "a=x", "-feed", "b=y", "-reload", "1s"},
+		{"-analytics-sample", "4294967296"},
 	}
 	for _, args := range good {
 		if _, err := parseFlags(args); err != nil {
 			t.Errorf("parseFlags(%v): %v", args, err)
 		}
+	}
+	if _, err := parseFlags([]string{"-analytics-sample", "4294967297"}); err == nil || !strings.Contains(err.Error(), "at most 4294967296") {
+		t.Errorf("-analytics-sample over the bound: error %v does not name the bound", err)
 	}
 
 	if o, err := parseFlags([]string{"-log-format", "json", "-log-level", "debug"}); err != nil {

@@ -43,14 +43,10 @@ func cmdInspect(args []string) error {
 	summaries := locality.BlockActivity(ds.Flows, block)
 	fmt.Print(locality.RenderBlockActivity(block, summaries))
 
-	scorer, err := core.NewScorer(*bits, 4)
+	scorer, err := ds.Scores(*bits)
 	if err != nil {
 		return err
 	}
-	scorer.AddReport(core.DimBot, ds.Report("bot").Addrs, 1)
-	scorer.AddReport(core.DimScan, ds.Report("scan").Addrs, 1)
-	scorer.AddReport(core.DimSpam, ds.Report("spam").Addrs, 1)
-	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
 	sc := scorer.Score(addr)
 	fmt.Printf("\nuncleanliness score of %s: aggregate %.3f (bot %.2f, scan %.2f, spam %.2f, phish %.2f)\n",
 		block, sc.Aggregate,

@@ -357,14 +357,10 @@ func cmdScore(args []string) error {
 	if err != nil {
 		return err
 	}
-	scorer, err := core.NewScorer(*bits, 4)
+	scorer, err := ds.Scores(*bits)
 	if err != nil {
 		return err
 	}
-	scorer.AddReport(core.DimBot, ds.Report("bot").Addrs, 1)
-	scorer.AddReport(core.DimScan, ds.Report("scan").Addrs, 1)
-	scorer.AddReport(core.DimSpam, ds.Report("spam").Addrs, 1)
-	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
 	fmt.Printf("top %d unclean /%d networks (of %d with evidence):\n\n", *top, *bits, scorer.BlockCount())
 	fmt.Printf("%-20s %9s %7s %7s %7s %7s  ground truth u\n", "block", "aggregate", "bot", "scan", "spam", "phish")
 	for _, sb := range scorer.Rank(*top) {

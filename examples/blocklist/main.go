@@ -31,14 +31,10 @@ func main() {
 	// The /24 block list, and the refinement the paper proposes as
 	// future work: a multidimensional score instead of a raw /24 list.
 	list := blocklist.FromSet(botTest, 24, "bot-test /24")
-	scorer, err := core.NewScorer(24, 4)
+	scorer, err := ds.Scores(24)
 	if err != nil {
 		log.Fatal(err)
 	}
-	scorer.AddReport(core.DimBot, ds.Report("bot").Addrs, 1)
-	scorer.AddReport(core.DimScan, ds.Report("scan").Addrs, 1)
-	scorer.AddReport(core.DimSpam, ds.Report("spam").Addrs, 1)
-	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
 	scored := blocklist.FromSet(scorer.Blocklist(0.8), 24, "score>=0.8")
 
 	// Compile both lists into one matcher set and virtually apply them

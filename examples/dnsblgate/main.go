@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"unclean/internal/blocklist"
-	"unclean/internal/core"
 	"unclean/internal/dnsbl"
 	"unclean/internal/experiments"
 	"unclean/internal/ipset"
@@ -31,14 +30,10 @@ func main() {
 
 	// Score the October reports into a /24 list and serve it as a DNSBL
 	// zone on loopback UDP.
-	scorer, err := core.NewScorer(24, 4)
+	scorer, err := ds.Scores(24)
 	if err != nil {
 		log.Fatal(err)
 	}
-	scorer.AddReport(core.DimBot, ds.Report("bot").Addrs, 1)
-	scorer.AddReport(core.DimScan, ds.Report("scan").Addrs, 1)
-	scorer.AddReport(core.DimSpam, ds.Report("spam").Addrs, 1)
-	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
 	list := blocklist.FromSet(scorer.Blocklist(0.5), 24, "spam evidence").Aggregate()
 
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")

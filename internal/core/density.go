@@ -1,8 +1,9 @@
 // Package core implements the paper's uncleanliness analyses: the spatial
 // uncleanliness test (comparative CIDR-block density, §4), the temporal
 // uncleanliness test (predictive capacity with the 95% criterion, §5),
-// the virtual blocking evaluation (Eqs. 6–9, §6), and the multidimensional
-// uncleanliness score the paper proposes as future work (§7).
+// the virtual blocking evaluation (Eqs. 6–9, §6), and the dimensions of
+// the multidimensional uncleanliness score the paper proposes as future
+// work (§7), which internal/tracker computes.
 package core
 
 import (

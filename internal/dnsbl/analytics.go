@@ -1,6 +1,7 @@
 package dnsbl
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +21,7 @@ import (
 // accept mail or connections from. The tap watches that traffic at
 // line rate, two ways:
 //
-//   - Sampled sketches (1 in SampleN fast-path packets, sharing the
+//   - Sampled sketches (1 in sampleN fast-path packets, sharing the
 //     shard's flight-event sampling counter): who queries us (top-k
 //     clients + an HLL distinct-client estimate), which /24s the
 //     queries ask about (top-k + count-min), and which /8, /16, /24
@@ -42,49 +43,27 @@ import (
 // allocs/op budget (enforced by BenchmarkAnalyticsTap and the
 // BenchmarkServeShardedAnalytics regression gate).
 
-// AnalyticsConfig sizes the tap. The zero value is ready to use.
-type AnalyticsConfig struct {
-	// SampleN samples 1 in N fast-path packets into the sketches
-	// (rounded up to a power of two; 0 means 64, matching the flight
-	// recorder's event sampling; 1 samples everything).
-	SampleN int
-	// TopK is the capacity of each heavy-hitter summary (0 means 32).
-	TopK int
-	// MissRing is the per-shard capacity of the recent-miss ring the
-	// scoreboard sweeps (rounded up to a power of two; 0 means 4096).
-	MissRing int
-	// CMSDepth and CMSWidthBits size the per-/24 count-min grid
-	// (0 means 4×4096).
-	CMSDepth, CMSWidthBits int
-}
+// MaxAnalyticsSample is the sparsest analytics sampling rate: the
+// shard's sampling tick is a uint32, so its mask selects at most 1 in
+// 2^32 packets.
+const MaxAnalyticsSample = 1 << 32
 
-func (c AnalyticsConfig) withDefaults() AnalyticsConfig {
-	if c.SampleN <= 0 {
-		c.SampleN = shardEventSample
-	}
-	c.SampleN = 1 << ceilLog2(c.SampleN)
-	if c.TopK <= 0 {
-		c.TopK = 32
-	}
-	if c.MissRing <= 0 {
-		c.MissRing = 4096
-	}
-	if c.MissRing < 256 {
-		c.MissRing = 256
-	}
-	if c.MissRing > 1<<20 {
-		c.MissRing = 1 << 20
-	}
-	c.MissRing = 1 << ceilLog2(c.MissRing)
-	return c
-}
+// The tap's sizes. Each heavy-hitter summary keeps analyticsTopK
+// entries and each shard's recent-miss ring (a power of two) the last
+// missRingSize not-listed answers; the count-min grid and the HLL take
+// the sketch package's defaults.
+const (
+	analyticsTopK = 32
+	missRingSize  = 4096
+)
 
-func ceilLog2(n int) uint {
-	var b uint
-	for 1<<b < n {
-		b++
+// sampleRate rounds a requested 1-in-n sampling rate up to a power of
+// two in [1, MaxAnalyticsSample]; n <= 0 means shardEventSample.
+func sampleRate(n int) uint64 {
+	if n <= 0 {
+		return shardEventSample
 	}
-	return b
+	return min(uint64(1)<<bits.Len64(uint64(n-1)), MaxAnalyticsSample)
 }
 
 // Attributor maps a listed address to the names of the feeds that
@@ -98,7 +77,7 @@ type Attributor func(netaddr.Addr) []string
 // Server.EnableAnalytics before serving.
 type Analytics struct {
 	zone       string
-	cfg        AnalyticsConfig
+	sampleN    uint64 // 1-in-sampleN sketch sampling, a power of two
 	sampleMask uint32
 
 	// mu guards tap registration and the predicted-block summary, and
@@ -124,20 +103,23 @@ type Analytics struct {
 
 // EnableAnalytics switches on the query-analytics tap and prediction
 // scoreboard, registering the unclean_analytics_* series on the
-// server's metrics registry. Call before ServeConns (the shard loops
-// capture the tap at startup); calling again returns the
+// server's metrics registry. The tap samples 1 in sampleN fast-path
+// packets into its sketches, rounded up to a power of two and capped at
+// MaxAnalyticsSample; 0 means 64, matching the flight recorder's event
+// sampling, and 1 samples everything. Call before ServeConns (the shard
+// loops capture the tap at startup); calling again returns the
 // existing instance. Mount Analytics.Handler at /debug/topk to read
 // the merged view.
-func (s *Server) EnableAnalytics(cfg AnalyticsConfig) *Analytics {
+func (s *Server) EnableAnalytics(sampleN int) *Analytics {
 	if s.analytics != nil {
 		return s.analytics
 	}
-	cfg = cfg.withDefaults()
+	rate := sampleRate(sampleN)
 	a := &Analytics{
 		zone:       s.zone,
-		cfg:        cfg,
-		sampleMask: uint32(cfg.SampleN - 1),
-		pred24:     sketch.NewTopK(cfg.TopK),
+		sampleN:    rate,
+		sampleMask: uint32(rate - 1),
+		pred24:     sketch.NewTopK(analyticsTopK),
 		reg:        s.metrics,
 		zl:         []string{"zone", s.zone},
 	}
@@ -188,15 +170,15 @@ type tap struct {
 // newTap builds a tap and registers it for sweeps and scrapes.
 func (a *Analytics) newTap() *tap {
 	t := &tap{
-		clients:  sketch.NewTopK(a.cfg.TopK),
-		hot24:    sketch.NewTopK(a.cfg.TopK),
-		hit8:     sketch.NewTopK(a.cfg.TopK),
-		hit16:    sketch.NewTopK(a.cfg.TopK),
-		hit24:    sketch.NewTopK(a.cfg.TopK),
-		cms:      sketch.NewCMS(a.cfg.CMSDepth, a.cfg.CMSWidthBits),
+		clients:  sketch.NewTopK(analyticsTopK),
+		hot24:    sketch.NewTopK(analyticsTopK),
+		hit8:     sketch.NewTopK(analyticsTopK),
+		hit16:    sketch.NewTopK(analyticsTopK),
+		hit24:    sketch.NewTopK(analyticsTopK),
+		cms:      sketch.NewCMS(0, 0),
 		hll:      sketch.NewHLL(0),
-		ring:     make([]atomic.Uint64, a.cfg.MissRing),
-		ringMask: uint32(a.cfg.MissRing - 1),
+		ring:     make([]atomic.Uint64, missRingSize),
+		ringMask: missRingSize - 1,
 	}
 	a.mu.Lock()
 	a.taps = append(a.taps, t)

@@ -58,7 +58,7 @@ type PredictionDoc struct {
 // TopKDoc is the body of /debug/topk.
 type TopKDoc struct {
 	Zone    string `json:"zone"`
-	SampleN int    `json:"sample_n"`
+	SampleN uint64 `json:"sample_n"`
 	// Sampled is how many packets entered the sketches; multiply by
 	// SampleN for the approximate packet volume they represent.
 	Sampled uint64 `json:"sampled_observations"`
@@ -80,7 +80,7 @@ func (a *Analytics) Snapshot(n int) TopKDoc {
 	if n <= 0 {
 		n = 10
 	}
-	scale := uint64(a.cfg.SampleN)
+	scale := a.sampleN
 	attr := a.attributor.Load()
 
 	a.mu.Lock()
@@ -122,7 +122,7 @@ func (a *Analytics) Snapshot(n int) TopKDoc {
 
 	doc := TopKDoc{
 		Zone:          a.zone,
-		SampleN:       a.cfg.SampleN,
+		SampleN:       a.sampleN,
 		Sampled:       a.cSampled.Value(),
 		UniqueClients: uint64(unique),
 		TopClients:    render(collect(func(t *tap) *sketch.TopK { return t.clients }), addrKey, true, false),
@@ -132,7 +132,7 @@ func (a *Analytics) Snapshot(n int) TopKDoc {
 	// Hot subnets get the merged CMS estimate alongside the
 	// space-saving count: two independent overestimates of the same
 	// quantity, and the tighter one is whichever is smaller.
-	cms := sketch.NewCMS(a.cfg.CMSDepth, a.cfg.CMSWidthBits)
+	cms := sketch.NewCMS(0, 0)
 	for _, t := range taps {
 		cms.Merge(t.cms) //nolint:errcheck // taps share one geometry
 	}

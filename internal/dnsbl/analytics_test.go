@@ -3,6 +3,7 @@ package dnsbl
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -30,13 +31,13 @@ func testQuery(t *testing.T, zone, addr string) []byte {
 
 // analyticsShard builds a server with analytics on and one hand-driven
 // shard (no sockets): tests feed packets straight through serveMsg.
-func analyticsShard(t *testing.T, cfg AnalyticsConfig) (*Server, *Analytics, *shard) {
+func analyticsShard(t *testing.T, sampleN int) (*Server, *Analytics, *shard) {
 	t.Helper()
 	srv, err := NewServer("bl.shard.example", shardTestList(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := srv.EnableAnalytics(cfg)
+	a := srv.EnableAnalytics(sampleN)
 	sh := srv.newShard(0, nil, ShardConfig{}.withDefaults(1))
 	sh.nowMS = uint32(time.Now().UnixMilli()) // runShard sets this per batch
 	return srv, a, sh
@@ -53,7 +54,7 @@ func serveAddr(t *testing.T, srv *Server, sh *shard, addr string) *batchMsg {
 }
 
 func TestAnalyticsScoreboardConfirmsPredictions(t *testing.T) {
-	srv, a, sh := analyticsShard(t, AnalyticsConfig{SampleN: 1})
+	srv, a, sh := analyticsShard(t, 1)
 	rec := flight.New(256)
 	srv.SetFlightRecorder(rec)
 
@@ -114,7 +115,7 @@ func TestAnalyticsScoreboardConfirmsPredictions(t *testing.T) {
 }
 
 func TestAnalyticsSketchesSeeSampledTraffic(t *testing.T) {
-	srv, a, sh := analyticsShard(t, AnalyticsConfig{SampleN: 1})
+	srv, a, sh := analyticsShard(t, 1)
 	for i := 0; i < 8; i++ {
 		serveAddr(t, srv, sh, "10.1.1.9") // hits in 10.1.1.0/24
 	}
@@ -151,9 +152,9 @@ func TestAnalyticsSketchesSeeSampledTraffic(t *testing.T) {
 // with both at the default 1-in-64 they fire on exactly the same
 // packets — no second counter, no drift.
 func TestAnalyticsSharesShardSamplingCounter(t *testing.T) {
-	srv, a, sh := analyticsShard(t, AnalyticsConfig{}) // default SampleN = 64
-	if a.cfg.SampleN != shardEventSample {
-		t.Fatalf("default SampleN = %d, want %d", a.cfg.SampleN, shardEventSample)
+	srv, a, sh := analyticsShard(t, 0) // default sampleN = 64
+	if a.sampleN != shardEventSample {
+		t.Fatalf("default sampleN = %d, want %d", a.sampleN, shardEventSample)
 	}
 	events := 0
 	for i := 0; i < 4*shardEventSample; i++ {
@@ -176,8 +177,32 @@ func TestAnalyticsSharesShardSamplingCounter(t *testing.T) {
 	}
 }
 
+// The shard's sampling tick is a uint32, so the sparsest rate the tap
+// can honour is 1 in 2^32: the largest accepted rate and every larger
+// request sample exactly that, and /debug/topk reports and scales by
+// it. Ordinary rates round up to a power of two.
+func TestAnalyticsSampleRateCapped(t *testing.T) {
+	for _, n := range []uint64{MaxAnalyticsSample, MaxAnalyticsSample - 1, 1 << 40, 1<<62 + 1, math.MaxInt64} {
+		if n > math.MaxInt {
+			continue // not an int on this platform
+		}
+		_, a, _ := analyticsShard(t, int(n))
+		if a.sampleMask != 0xffffffff {
+			t.Errorf("EnableAnalytics(%d): mask %#x, want 0xffffffff", n, a.sampleMask)
+		}
+		if got := a.Snapshot(0).SampleN; got != MaxAnalyticsSample {
+			t.Errorf("EnableAnalytics(%d): sample_n %d, want %d", n, got, uint64(MaxAnalyticsSample))
+		}
+	}
+	for n, want := range map[int]uint64{-1: 64, 0: 64, 1: 1, 3: 4, 64: 64, 65: 128} {
+		if got := sampleRate(n); got != want {
+			t.Errorf("sampleRate(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
 func TestAnalyticsFeedAttribution(t *testing.T) {
-	srv, a, sh := analyticsShard(t, AnalyticsConfig{SampleN: 1})
+	srv, a, sh := analyticsShard(t, 1)
 	a.SetAttributor(func(addr netaddr.Addr) []string {
 		if addr.Mask(24) == netaddr.MustParseAddr("10.9.9.0") {
 			return []string{"honeypot", "spamtrap"}
@@ -203,7 +228,7 @@ func TestAnalyticsFeedAttribution(t *testing.T) {
 }
 
 func TestAnalyticsHandlerJSON(t *testing.T) {
-	srv, a, sh := analyticsShard(t, AnalyticsConfig{SampleN: 1})
+	srv, a, sh := analyticsShard(t, 1)
 	serveAddr(t, srv, sh, "10.1.1.9")
 	serveAddr(t, srv, sh, "172.16.0.5")
 
@@ -238,7 +263,7 @@ func TestAnalyticsShardedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := srv.EnableAnalytics(AnalyticsConfig{SampleN: 1})
+	a := srv.EnableAnalytics(1)
 	conns, err := ListenShards("127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func BenchmarkServeSharded(b *testing.B) {
 // ≤5% over the baseline with allocs/op still 0 (CI gates both).
 func BenchmarkServeShardedAnalytics(b *testing.B) {
 	srv := benchServer(b)
-	srv.EnableAnalytics(AnalyticsConfig{})
+	srv.EnableAnalytics(0)
 	q := benchQuery(b, "10.42.1.9")
 	cfg := ShardConfig{}.withDefaults(1)
 	sh := srv.newShard(0, nil, cfg)
@@ -173,7 +173,7 @@ func BenchmarkServeShardedAnalytics(b *testing.B) {
 // stay 0 allocs/op — CI gates on it.
 func BenchmarkAnalyticsTap(b *testing.B) {
 	srv := benchServer(b)
-	a := srv.EnableAnalytics(AnalyticsConfig{SampleN: 1})
+	a := srv.EnableAnalytics(1)
 	tp := a.newTap()
 	now := uint32(time.Now().UnixMilli())
 	b.ReportAllocs()

@@ -19,8 +19,6 @@ type Config struct {
 	// Draws is the number of random control subsets per estimate; the
 	// paper uses 1000.
 	Draws int
-	// Threshold is the better-predictor criterion; the paper uses 0.95.
-	Threshold float64
 	// BenignPerDay is the number of distinct benign sources per day in
 	// synthesized traffic.
 	BenignPerDay int
@@ -33,7 +31,6 @@ func Default() Config {
 		Scale:        1.0 / 64,
 		Seed:         20061001,
 		Draws:        1000,
-		Threshold:    0.95,
 		BenignPerDay: 400,
 	}
 }
@@ -45,7 +42,6 @@ func Quick() Config {
 		Scale:        0.002,
 		Seed:         20061001,
 		Draws:        100,
-		Threshold:    0.95,
 		BenignPerDay: 60,
 	}
 }
@@ -58,14 +54,16 @@ func (c Config) Validate() error {
 	if c.Draws < 1 {
 		return fmt.Errorf("experiments: Draws must be positive")
 	}
-	if c.Threshold <= 0 || c.Threshold > 1 {
-		return fmt.Errorf("experiments: Threshold must be in (0,1]")
-	}
 	if c.BenignPerDay < 0 {
 		return fmt.Errorf("experiments: BenignPerDay must be non-negative")
 	}
 	return nil
 }
+
+// threshold is the paper's better-predictor criterion (§5): a report is
+// the better predictor at a prefix length if it beats the control in at
+// least 95% of draws.
+const threshold = 0.95
 
 // The paper's fixed experiment windows.
 var (

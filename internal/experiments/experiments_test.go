@@ -33,7 +33,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Scale = 0 },
 		func(c *Config) { c.Scale = 2 },
 		func(c *Config) { c.Draws = 0 },
-		func(c *Config) { c.Threshold = 0 },
 		func(c *Config) { c.BenignPerDay = -1 },
 	}
 	for i, mutate := range bad {

@@ -30,7 +30,7 @@ func Figure4(ds *Dataset) (*Figure4Result, error) {
 		"scan":  ds.Report("scan").Addrs,
 	}
 	rng := stats.NewRNG(ds.Cfg.Seed ^ 0xf164)
-	panels, err := core.CrossPrediction(botTest, presents, control, ds.Cfg.Draws, ds.Cfg.Threshold,
+	panels, err := core.CrossPrediction(botTest, presents, control, ds.Cfg.Draws, threshold,
 		core.DefaultPrefixRange(), rng)
 	if err != nil {
 		return nil, err
@@ -92,7 +92,7 @@ func Figure5(ds *Dataset) (*Figure5Result, error) {
 	control := ds.Report("control").Addrs
 	rng := stats.NewRNG(ds.Cfg.Seed ^ 0xf165)
 	p, err := core.PredictiveCapacity(ds.PhishTest, ds.PhishPresent, control,
-		ds.Cfg.Draws, ds.Cfg.Threshold, core.DefaultPrefixRange(), rng)
+		ds.Cfg.Draws, threshold, core.DefaultPrefixRange(), rng)
 	if err != nil {
 		return nil, err
 	}

@@ -42,6 +42,27 @@ func Tracker(ds *Dataset) (*TrackerResult, error) {
 	return TrackerWithHalfLife(ds, tracker.DefaultConfig().HalfLife)
 }
 
+// Scores folds the four October reports into a tracker over bits-bit
+// blocks, all on one date, so nothing decays: a block with k addresses
+// in a report scores 1 - exp(-k/τ) in that report's dimension. This is
+// the static form of the §7 score that uncleanctl's score and inspect
+// commands and the examples rank and list.
+func (ds *Dataset) Scores(bits int) (*tracker.Tracker, error) {
+	cfg := tracker.DefaultConfig()
+	cfg.Bits = bits
+	tr, err := tracker.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for d := core.DimBot; d <= core.DimPhish; d++ {
+		// Each dimension's name is its report's tag.
+		if err := tr.Observe(d, ds.Report(d.String()).Addrs, UncleanTo); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
+}
+
 // TrackerWithHalfLife runs the extension experiment with an explicit
 // evidence half-life.
 func TrackerWithHalfLife(ds *Dataset, halfLife time.Duration) (*TrackerResult, error) {

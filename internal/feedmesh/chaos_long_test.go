@@ -113,8 +113,8 @@ func TestChaosLongAllAdversaries(t *testing.T) {
 			reporters["dead1"].r = sim.CleanReporter("dead1", 0.9)
 		}
 		r := mesh.Tick(context.Background())
-		if r.PoisonFrac > cfg.MaxPoisonFrac {
-			t.Fatalf("round %d: poison fraction %.3f over bound %.3f", round, r.PoisonFrac, cfg.MaxPoisonFrac)
+		if r.PoisonFrac > maxPoisonFrac {
+			t.Fatalf("round %d: poison fraction %.3f over bound %.3f", round, r.PoisonFrac, maxPoisonFrac)
 		}
 		listed, _, err := dnsbl.Lookup(addr, "mesh.example", probe, 2*time.Second)
 		if err != nil {

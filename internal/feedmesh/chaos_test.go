@@ -4,7 +4,7 @@ package feedmesh_test
 // honest, two poisoned, one flapping, one dead — driven by a seeded
 // fault schedule against a live DNSBL server. The mesh must quarantine
 // the bad feeds within one quality window, keep the poisoned
-// contribution of the served list under the configured bound every
+// contribution of the served list under maxPoisonFrac every
 // round, keep answering queries throughout, re-admit feeds that turn
 // clean only after probation, and do all of it identically under the
 // same seed.
@@ -29,6 +29,10 @@ const (
 	chaosRounds = 26
 	flipRound   = 12
 )
+
+// maxPoisonFrac bounds the known-clean share of the served list, every
+// round, in both chaos suites.
+const maxPoisonFrac = 0.05
 
 // roundRecord is one round's observable outcome, used for the
 // determinism comparison.
@@ -134,7 +138,7 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 	}
 	probe := hostile.At(0)    // hostile from round 0: should be listed quickly
 	cleanProbe := clean.At(0) // known clean: must never be listed
-	cleanBits := clean.MaskedSet(cfg.Bits)
+	cleanBits := clean.MaskedSet(feedmesh.Bits)
 
 	for round := 1; round <= chaosRounds; round++ {
 		if round == flipRound {
@@ -146,9 +150,9 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 		r := mesh.Tick(context.Background())
 
 		// The poisoned share of the served list stays bounded, every round.
-		if r.PoisonFrac > cfg.MaxPoisonFrac {
+		if r.PoisonFrac > maxPoisonFrac {
 			t.Fatalf("round %d: poison fraction %.3f exceeds bound %.3f",
-				round, r.PoisonFrac, cfg.MaxPoisonFrac)
+				round, r.PoisonFrac, maxPoisonFrac)
 		}
 
 		// Queries keep answering, bad rounds included.
@@ -192,7 +196,7 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 		}
 		mset := merged.Build()
 		if mset.Len() > 0 {
-			if frac := float64(mset.Intersect(cleanBits).Len()) / float64(mset.Len()); frac > cfg.MaxPoisonFrac {
+			if frac := float64(mset.Intersect(cleanBits).Len()) / float64(mset.Len()); frac > maxPoisonFrac {
 				t.Fatalf("round %d: served list poison fraction %.3f over bound", round, frac)
 			}
 		}
@@ -213,7 +217,7 @@ func TestChaosMeshQuarantinesAndServes(t *testing.T) {
 
 	// Every bad feed is caught within one quality window of its badness
 	// becoming observable (EWMA boundary: +1).
-	window := feedmesh.DefaultConfig().QualityWindow + 1
+	window := feedmesh.QualityWindow + 1
 	for _, bad := range []string{"poison1", "poison2", "flap", "dead"} {
 		at, ok := out.quarantinedAt[bad]
 		if !ok {
@@ -240,7 +244,7 @@ func TestChaosMeshQuarantinesAndServes(t *testing.T) {
 		}
 	}
 	// The flip round itself is poison1's first clean load.
-	if at := out.readmittedAt["poison1"]; at < flipRound+feedmesh.DefaultConfig().ProbationLoads-1 {
+	if at := out.readmittedAt["poison1"]; at < flipRound+feedmesh.ProbationLoads-1 {
 		t.Errorf("poison1 re-admitted at round %d, before probation could complete", at)
 	}
 	if at := out.readmittedAt["flap"]; at <= flipRound {

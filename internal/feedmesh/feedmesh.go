@@ -104,47 +104,48 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// The mesh's fixed tuning. Intervals scale with Config.Interval: a
+// report older than maxLagIntervals intervals loses freshness, and an
+// open feed breaker stays open for breakerCooldownIntervals intervals.
+const (
+	// Bits is the block granularity of the merged list.
+	Bits = 24
+	// QualityWindow is the number of rounds the quality EWMA integrates
+	// over; a feed whose per-round quality collapses crosses minQuality
+	// within about one window.
+	QualityWindow = 4
+	// minQuality is the quarantine line: a feed whose smoothed quality
+	// drops below it stops being trusted.
+	minQuality = 0.35
+	// ProbationLoads is the number of consecutive clean loads a
+	// quarantined feed must produce before re-admission.
+	ProbationLoads = 3
+	// decay multiplies a quarantined feed's merge weight every round, so
+	// its last accepted contribution fades out instead of disappearing.
+	decay = 0.5
+	// breakerThreshold is the number of consecutive load failures that
+	// open a feed's circuit breaker.
+	breakerThreshold = 3
+	// minHealthyFrac is the degradation line: when fewer than this
+	// fraction of feeds are healthy the mesh keeps serving its last-good
+	// merged list instead of rebuilding from the survivors.
+	minHealthyFrac = 0.5
+
+	maxLagIntervals          = 4
+	breakerCooldownIntervals = 2
+)
+
 // Config parameterizes a Mesh. The zero value is not usable; start from
 // DefaultConfig.
 type Config struct {
-	// Bits is the block granularity of the merged list (default 24).
-	Bits int
 	// Threshold is the weighted vote share a block needs to be listed,
 	// in (0, 1]. With eight equal feeds the default 0.34 needs roughly
 	// three of them to agree.
 	Threshold float64
-	// Interval is the cadence the caller ticks the mesh at; MaxLag and
-	// BreakerCooldown default to multiples of it.
+	// Interval is the cadence the caller ticks the mesh at; the report
+	// age that starts to cost freshness and each feed breaker's cooldown
+	// are multiples of it.
 	Interval time.Duration
-	// QualityWindow is the number of rounds the quality EWMA integrates
-	// over; a feed whose per-round quality collapses crosses MinQuality
-	// within about one window.
-	QualityWindow int
-	// MinQuality is the quarantine line: a feed whose smoothed quality
-	// drops below it stops being trusted.
-	MinQuality float64
-	// ProbationLoads is the number of consecutive clean loads a
-	// quarantined feed must produce before re-admission.
-	ProbationLoads int
-	// Decay multiplies a quarantined feed's merge weight every round, so
-	// its last accepted contribution fades out instead of disappearing.
-	Decay float64
-	// MaxLag is the report age (now minus Batch.AsOf) above which
-	// freshness starts penalizing quality.
-	MaxLag time.Duration
-	// BreakerThreshold and BreakerCooldown configure each feed's circuit
-	// breaker (consecutive load failures to open; how long to stay open).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MinHealthyFrac is the degradation line: when fewer than this
-	// fraction of feeds are healthy the mesh keeps serving its last-good
-	// merged list instead of rebuilding from the survivors.
-	MinHealthyFrac float64
-	// MaxPoisonFrac is the operator's bound on the fraction of merged
-	// blocks that are known-clean (Truth mode). The mesh reports the
-	// observed fraction per round; chaos tests assert it stays under
-	// this bound.
-	MaxPoisonFrac float64
 	// Truth, when set, scores feeds against ground truth instead of
 	// cross-feed corroboration.
 	Truth *Truth
@@ -155,58 +156,17 @@ type Config struct {
 // DefaultConfig returns the production-shaped defaults at a one-minute
 // cadence.
 func DefaultConfig() Config {
-	return Config{
-		Bits:             24,
-		Threshold:        0.34,
-		Interval:         time.Minute,
-		QualityWindow:    4,
-		MinQuality:       0.35,
-		ProbationLoads:   3,
-		Decay:            0.5,
-		BreakerThreshold: 3,
-		MinHealthyFrac:   0.5,
-		MaxPoisonFrac:    0.05,
-	}
+	return Config{Threshold: 0.34, Interval: time.Minute}
 }
 
-// withDefaults fills derived and zero fields.
+// withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.Bits == 0 {
-		c.Bits = d.Bits
-	}
 	if c.Threshold == 0 {
 		c.Threshold = d.Threshold
 	}
 	if c.Interval == 0 {
 		c.Interval = d.Interval
-	}
-	if c.QualityWindow == 0 {
-		c.QualityWindow = d.QualityWindow
-	}
-	if c.MinQuality == 0 {
-		c.MinQuality = d.MinQuality
-	}
-	if c.ProbationLoads == 0 {
-		c.ProbationLoads = d.ProbationLoads
-	}
-	if c.Decay == 0 {
-		c.Decay = d.Decay
-	}
-	if c.MaxLag == 0 {
-		c.MaxLag = 4 * c.Interval
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = d.BreakerThreshold
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * c.Interval
-	}
-	if c.MinHealthyFrac == 0 {
-		c.MinHealthyFrac = d.MinHealthyFrac
-	}
-	if c.MaxPoisonFrac == 0 {
-		c.MaxPoisonFrac = d.MaxPoisonFrac
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -215,26 +175,11 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.Bits < 8 || c.Bits > 32 {
-		return fmt.Errorf("feedmesh: Bits must be in [8, 32], got %d", c.Bits)
-	}
 	if c.Threshold <= 0 || c.Threshold > 1 {
 		return fmt.Errorf("feedmesh: Threshold must be in (0, 1], got %v", c.Threshold)
 	}
 	if c.Interval <= 0 {
 		return fmt.Errorf("feedmesh: Interval must be positive")
-	}
-	if c.MinQuality <= 0 || c.MinQuality >= 1 {
-		return fmt.Errorf("feedmesh: MinQuality must be in (0, 1), got %v", c.MinQuality)
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		return fmt.Errorf("feedmesh: Decay must be in (0, 1), got %v", c.Decay)
-	}
-	if c.MinHealthyFrac < 0 || c.MinHealthyFrac > 1 {
-		return fmt.Errorf("feedmesh: MinHealthyFrac must be in [0, 1], got %v", c.MinHealthyFrac)
-	}
-	if c.ProbationLoads < 1 {
-		return fmt.Errorf("feedmesh: ProbationLoads must be at least 1")
 	}
 	return nil
 }

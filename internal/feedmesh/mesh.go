@@ -33,7 +33,7 @@ type feed struct {
 	state          State
 	quality        float64                 // EWMA of per-round quality, starts at 1
 	weight         float64                 // merge weight (quality for healthy, decaying residue after)
-	contribBits    ipset.Set               // last accepted batch masked to Config.Bits block bases
+	contribBits    ipset.Set               // last accepted batch masked to Bits block bases
 	contribReasons map[netaddr.Addr]string // that batch's reasons
 	prevBatch      ipset.Set               // last loaded batch, accepted or not (duplicate ratio)
 
@@ -115,7 +115,7 @@ func New(cfg Config, sources ...Source) (*Mesh, error) {
 	if cfg.Truth != nil {
 		m.hostile = cfg.Truth.Hostile
 		m.clean = cfg.Truth.Clean
-		m.cleanBits = cfg.Truth.Clean.MaskedSet(cfg.Bits)
+		m.cleanBits = cfg.Truth.Clean.MaskedSet(Bits)
 	}
 	m.mRounds = m.reg.Counter("unclean_feedmesh_rounds_total", "Merge rounds executed.")
 	m.mSwaps = m.reg.Counter("unclean_feedmesh_swaps_total", "Merged-list changes handed to the server.")
@@ -138,7 +138,7 @@ func New(cfg Config, sources ...Source) (*Mesh, error) {
 		seen[name] = true
 		f := &feed{
 			src:     src,
-			breaker: retry.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			breaker: retry.NewBreaker(breakerThreshold, breakerCooldownIntervals*cfg.Interval),
 			state:   StateHealthy,
 			quality: 1,
 		}
@@ -286,7 +286,7 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 			f.gLastSuccess.Set(now.Unix())
 			f.gBatch.Set(int64(f.lastBatchLen))
 			f.roundLoaded = true
-			f.roundBits = r.batch.Addrs.MaskedSet(m.cfg.Bits)
+			f.roundBits = r.batch.Addrs.MaskedSet(Bits)
 			m.events.Record(flight.Event{
 				Kind: flight.KindFeedLoad, Name: f.src.Name(), Verdict: "loaded",
 				Latency: r.latency, Value: int64(f.lastBatchLen),
@@ -313,7 +313,7 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 	}
 
 	// Pass 2: per-round quality and the EWMA.
-	alpha := 2.0 / float64(m.cfg.QualityWindow+1)
+	alpha := 2.0 / float64(QualityWindow+1)
 	for i, f := range m.feeds {
 		r := &results[i]
 		f.roundQ = 0
@@ -326,10 +326,10 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 
 	// Pass 3: the quarantine state machine and merge weights.
 	for i, f := range m.feeds {
-		cleanLoad := f.roundLoaded && f.roundQ >= m.cfg.MinQuality && !f.breaker.Open()
+		cleanLoad := f.roundLoaded && f.roundQ >= minQuality && !f.breaker.Open()
 		switch f.state {
 		case StateHealthy:
-			if f.breaker.Open() || f.quality < m.cfg.MinQuality {
+			if f.breaker.Open() || f.quality < minQuality {
 				m.transition(f, StateQuarantined, now)
 			} else if f.roundLoaded {
 				f.contribBits = f.roundBits
@@ -341,16 +341,16 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 				f.weight = f.quality
 			}
 		case StateQuarantined:
-			f.weight *= m.cfg.Decay
+			f.weight *= decay
 			if cleanLoad {
 				f.probationOK = 1
 				m.transition(f, StateProbation, now)
 			}
 		case StateProbation:
-			f.weight *= m.cfg.Decay
+			f.weight *= decay
 			if cleanLoad {
 				f.probationOK++
-				if f.probationOK >= m.cfg.ProbationLoads && f.quality >= m.cfg.MinQuality {
+				if f.probationOK >= ProbationLoads && f.quality >= minQuality {
 					f.contribBits = f.roundBits
 					f.contribReasons = results[i].batch.Reasons
 					f.weight = f.quality
@@ -376,7 +376,7 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 	// Degradation gate: with too few healthy feeds, freeze the last-good
 	// list rather than rebuild from a minority.
 	wasDegraded := m.degraded
-	m.degraded = float64(healthy)/float64(len(m.feeds)) < m.cfg.MinHealthyFrac && m.built
+	m.degraded = float64(healthy)/float64(len(m.feeds)) < minHealthyFrac && m.built
 	if m.degraded {
 		m.gDegraded.Set(1)
 	} else {
@@ -403,7 +403,7 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (round Round, newList
 		merged, why := m.merge()
 		if !maps.Equal(why, m.lastWhy) {
 			newList = &blocklist.Trie{}
-			for _, b := range merged.Blocks(m.cfg.Bits) {
+			for _, b := range merged.Blocks(Bits) {
 				newList.Insert(b, why[b.Base()])
 			}
 			m.lastGood, m.lastBits, m.lastWhy = newList, merged, why
@@ -505,7 +505,8 @@ func (m *Mesh) scoreBatch(f *feed, batch Batch, now time.Time, votes map[netaddr
 	f.lastFP = fpRate
 	f.gFP.Set(permille(fpRate))
 
-	// Freshness: full credit up to MaxLag, then proportional decay.
+	// Freshness: full credit up to maxLagIntervals intervals, then
+	// proportional decay.
 	lag := time.Duration(0)
 	if !batch.AsOf.IsZero() && batch.AsOf.Before(now) {
 		lag = now.Sub(batch.AsOf)
@@ -513,8 +514,8 @@ func (m *Mesh) scoreBatch(f *feed, batch Batch, now time.Time, votes map[netaddr
 	f.lastLag = lag
 	f.gLagMS.Set(lag.Milliseconds())
 	fresh := 1.0
-	if lag > m.cfg.MaxLag && lag > 0 {
-		fresh = float64(m.cfg.MaxLag) / float64(lag)
+	if maxLag := maxLagIntervals * m.cfg.Interval; lag > maxLag {
+		fresh = float64(maxLag) / float64(lag)
 	}
 
 	f.prevBatch = batch.Addrs
@@ -544,7 +545,7 @@ func (m *Mesh) transition(f *feed, to State, now time.Time) {
 		})
 	case StateProbation:
 		meshLog.Info("feed entered probation", "feed", name,
-			"needed", m.cfg.ProbationLoads)
+			"needed", ProbationLoads)
 		m.events.Record(flight.Event{
 			Kind: flight.KindMesh, Name: name, Verdict: "probation",
 			Value: int64(f.probationOK),
@@ -614,7 +615,7 @@ func (m *Mesh) merge() (ipset.Set, map[netaddr.Addr]string) {
 func (m *Mesh) Contributors(addr netaddr.Addr) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := m.contrib[addr.Mask(m.cfg.Bits)]
+	names := m.contrib[addr.Mask(Bits)]
 	if len(names) == 0 {
 		return nil
 	}

@@ -39,11 +39,10 @@ func (f *fakeFeed) Load(context.Context) (Batch, error) {
 	return Batch{Addrs: f.addrs, AsOf: f.asOf}, nil
 }
 
-// testConfig is a small, fast-converging config on a fake clock.
+// testConfig is the default config on a fake clock.
 func testConfig(clk *fakeClock) Config {
 	cfg := DefaultConfig()
 	cfg.Interval = time.Minute
-	cfg.ProbationLoads = 2
 	cfg.Now = clk.now
 	return cfg
 }
@@ -83,9 +82,9 @@ func TestNewValidation(t *testing.T) {
 		t.Error("threshold > 1 accepted")
 	}
 	bad = DefaultConfig()
-	bad.Decay = 1
+	bad.Interval = -time.Minute
 	if _, err := New(bad, a); err == nil {
-		t.Error("decay = 1 accepted")
+		t.Error("negative interval accepted")
 	}
 }
 
@@ -127,7 +126,6 @@ func TestDeadFeedQuarantinedAndContributionDecays(t *testing.T) {
 	clk := newClock()
 	cfg := testConfig(clk)
 	cfg.Threshold = 0.2
-	cfg.MinHealthyFrac = 0.1 // keep merging even with c gone
 	// Ground truth vouches for every block, so this test isolates the
 	// availability dynamics: in corroboration mode c's wholly-unique
 	// content would (correctly) erode its quality on its own.
@@ -333,7 +331,6 @@ func TestDegradedServesLastGood(t *testing.T) {
 func TestProbationReadmission(t *testing.T) {
 	clk := newClock()
 	cfg := testConfig(clk)
-	cfg.MinHealthyFrac = 0.1
 	shared := ipset.MustParse("60.0.1.1")
 	a := &fakeFeed{name: "a", addrs: shared}
 	b := &fakeFeed{name: "b", addrs: shared}
@@ -375,7 +372,7 @@ func TestProbationReadmission(t *testing.T) {
 	}
 	// One clean load is not enough: probation takes ProbationLoads of
 	// them (plus the breaker's cooldown before the first probe).
-	if readmittedAt < cfg.ProbationLoads {
+	if readmittedAt < ProbationLoads {
 		t.Fatalf("re-admitted after %d rounds, faster than probation allows", readmittedAt)
 	}
 }
@@ -383,9 +380,6 @@ func TestProbationReadmission(t *testing.T) {
 func TestProbationRelapseResets(t *testing.T) {
 	clk := newClock()
 	cfg := testConfig(clk)
-	cfg.ProbationLoads = 3
-	cfg.MinHealthyFrac = 0.1
-	cfg.BreakerCooldown = time.Minute // probe again next round
 	shared := ipset.MustParse("60.0.1.1")
 	a := &fakeFeed{name: "a", addrs: shared}
 	b := &fakeFeed{name: "b", addrs: shared}
@@ -430,14 +424,14 @@ func TestTruthModePoisonedFeedQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	quarantinedAt := 0
-	for i := 1; i <= cfg.QualityWindow+1; i++ {
+	for i := 1; i <= QualityWindow+1; i++ {
 		tick(t, m, clk)
 		if feedByName(t, m.Status(), "poisoned").State == StateQuarantined {
 			quarantinedAt = i
 			break
 		}
 		// The poisoned blocks must never reach the served list.
-		for _, cb := range clean.Blocks(cfg.Bits) {
+		for _, cb := range clean.Blocks(Bits) {
 			if m.List() != nil && m.List().Blocks(cb.Base()) {
 				t.Fatalf("round %d: known-clean block %v served", i, cb)
 			}

@@ -1,8 +1,7 @@
 // Package prof is the continuous profiler: it collects short, bounded
 // delta profiles of the running daemon on a schedule — a windowed CPU
-// burst, heap, goroutine, and (when their runtime rates are enabled)
-// mutex and block profiles — and keeps a small in-memory ring of the
-// most recent ones per kind. The point is not live profiling (the
+// burst, heap and goroutine profiles — and keeps a small in-memory ring
+// of the most recent ones per kind. The point is not live profiling (the
 // /debug/pprof endpoints already do that); it is having the profiles
 // from *just before* an incident already in hand when the watchdog
 // captures a diagnostics bundle, because by the time a human attaches a
@@ -19,7 +18,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"sync"
@@ -28,20 +26,20 @@ import (
 	"unclean/internal/obs"
 )
 
-// Profile kinds, in collection order. CPU is a windowed delta by
-// nature; heap/goroutine/mutex/block are point-in-time snapshots whose
-// deltas fall out of comparing consecutive ring entries.
+// Profile kinds. CPU is a windowed delta by nature; heap and goroutine
+// are point-in-time snapshots whose deltas fall out of comparing
+// consecutive ring entries.
 const (
 	KindCPU       = "cpu"
 	KindHeap      = "heap"
 	KindGoroutine = "goroutine"
-	KindMutex     = "mutex"
-	KindBlock     = "block"
 )
 
+// keepPerKind is how many profiles of each kind the ring retains.
+const keepPerKind = 4
+
 // Config tunes the profiler. The zero value collects heap and
-// goroutine profiles every minute with a 2s CPU burst and keeps 4 of
-// each kind.
+// goroutine profiles every minute with a 2s CPU burst.
 type Config struct {
 	// Interval is the collection cycle period (default 1m, minimum 1s).
 	Interval time.Duration
@@ -50,15 +48,6 @@ type Config struct {
 	// Interval/10 so the profiling duty cycle — the overhead budget —
 	// never exceeds 10%.
 	CPUDuration time.Duration
-	// Keep is how many profiles of each kind the ring retains
-	// (default 4).
-	Keep int
-	// MutexFraction, when > 0, is passed to
-	// runtime.SetMutexProfileFraction and enables mutex profiles.
-	MutexFraction int
-	// BlockRate, when > 0, is passed to runtime.SetBlockProfileRate and
-	// enables block profiles.
-	BlockRate int
 	// Registry receives the profiler's own metrics (nil = obs.Default()).
 	Registry *obs.Registry
 }
@@ -79,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if max := c.Interval / 10; c.CPUDuration > max {
 		c.CPUDuration = max
-	}
-	if c.Keep <= 0 {
-		c.Keep = 4
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
@@ -128,16 +114,9 @@ type Profiler struct {
 }
 
 // New builds a profiler (collection starts when Run is called, or on
-// demand via CollectOnce). Mutex/block profile rates are applied here,
-// once, so enabling them is an explicit configuration act.
+// demand via CollectOnce).
 func New(cfg Config) *Profiler {
 	cfg = cfg.withDefaults()
-	if cfg.MutexFraction > 0 {
-		runtime.SetMutexProfileFraction(cfg.MutexFraction)
-	}
-	if cfg.BlockRate > 0 {
-		runtime.SetBlockProfileRate(cfg.BlockRate)
-	}
 	return &Profiler{
 		cfg:   cfg,
 		rings: make(map[string][]Profile),
@@ -186,13 +165,7 @@ func (p *Profiler) Run(ctx context.Context) {
 // counted and logged, never fatal — a diagnostics layer must not take
 // the daemon down.
 func (p *Profiler) CollectOnce(ctx context.Context) {
-	for _, kind := range []string{KindHeap, KindGoroutine, KindMutex, KindBlock} {
-		if kind == KindMutex && p.cfg.MutexFraction <= 0 {
-			continue
-		}
-		if kind == KindBlock && p.cfg.BlockRate <= 0 {
-			continue
-		}
+	for _, kind := range []string{KindHeap, KindGoroutine} {
 		p.snapshot(kind)
 	}
 	if p.cfg.CPUDuration > 0 {
@@ -239,15 +212,15 @@ func (p *Profiler) cpuBurst(ctx context.Context) {
 }
 
 // keep stamps and appends pr to its kind's ring, evicting the oldest
-// beyond Keep, and refreshes the footprint gauge.
+// beyond keepPerKind, and refreshes the footprint gauge.
 func (p *Profiler) keep(pr Profile) {
 	p.mu.Lock()
 	p.seq[pr.Kind]++
 	pr.Seq = p.seq[pr.Kind]
 	pr.TakenAt = p.now()
 	ring := append(p.rings[pr.Kind], pr)
-	if len(ring) > p.cfg.Keep {
-		ring = ring[len(ring)-p.cfg.Keep:]
+	if len(ring) > keepPerKind {
+		ring = ring[len(ring)-keepPerKind:]
 	}
 	p.rings[pr.Kind] = ring
 	total := int64(0)

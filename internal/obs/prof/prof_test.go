@@ -13,11 +13,10 @@ import (
 
 // newTestProfiler builds a profiler with CPU bursts disabled (no
 // sleeping in unit tests) and a deterministic clock.
-func newTestProfiler(keep int) *Profiler {
+func newTestProfiler() *Profiler {
 	p := New(Config{
 		Interval:    time.Second,
 		CPUDuration: -1, // disabled: snapshots only
-		Keep:        keep,
 		Registry:    obs.NewRegistry(),
 	})
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
@@ -30,27 +29,29 @@ func newTestProfiler(keep int) *Profiler {
 }
 
 func TestRingBoundsAndDeterministicNames(t *testing.T) {
-	p := newTestProfiler(2)
-	for i := 0; i < 3; i++ {
+	p := newTestProfiler()
+	for i := 0; i < keepPerKind+1; i++ {
 		p.CollectOnce(context.Background())
 	}
 	snap := p.Snapshot()
-	// 3 cycles × (heap, goroutine), ring keeps 2 per kind.
+	// keepPerKind+1 cycles × (heap, goroutine), ring keeps keepPerKind.
 	byKind := map[string][]Profile{}
 	for _, pr := range snap {
 		byKind[pr.Kind] = append(byKind[pr.Kind], pr)
 	}
 	for _, kind := range []string{KindHeap, KindGoroutine} {
 		ring := byKind[kind]
-		if len(ring) != 2 {
-			t.Fatalf("%s: ring holds %d profiles, want 2 (Keep)", kind, len(ring))
+		if len(ring) != keepPerKind {
+			t.Fatalf("%s: ring holds %d profiles, want %d", kind, len(ring), keepPerKind)
 		}
 		// Eviction keeps the newest: cycle 1's profile is gone.
-		if ring[0].Seq != 2 || ring[1].Seq != 3 {
-			t.Fatalf("%s: ring seqs %d,%d, want 2,3", kind, ring[0].Seq, ring[1].Seq)
+		for i, pr := range ring {
+			if want := uint64(i + 2); pr.Seq != want {
+				t.Fatalf("%s: ring[%d] seq %d, want %d", kind, i, pr.Seq, want)
+			}
 		}
 	}
-	// Mutex/block are disabled by default (rates 0) — no stray kinds.
+	// Only the two snapshot kinds: no stray kinds.
 	if len(byKind) != 2 {
 		t.Fatalf("collected kinds %v, want heap+goroutine only", keys(byKind))
 	}
@@ -64,7 +65,7 @@ func TestRingBoundsAndDeterministicNames(t *testing.T) {
 }
 
 func TestProfilesAreParseableGzip(t *testing.T) {
-	p := newTestProfiler(4)
+	p := newTestProfiler()
 	p.CollectOnce(context.Background())
 	snap := p.Snapshot()
 	if len(snap) == 0 {

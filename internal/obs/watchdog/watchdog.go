@@ -16,8 +16,9 @@
 //     (a one-tick spike is noise, not an incident);
 //   - cooldown: once fired, a rule stays quiet for its cooldown window
 //     even if the condition persists — at most one capture per window;
-//   - global rate limit: across all rules, at most MaxTriggers fire per
-//     RatePeriod; the excess is counted and logged, not captured.
+//   - global rate limit: across all rules, at most maxTriggers (4) fire
+//     per ratePeriod (1h); the excess is counted and logged, not
+//     captured.
 //
 // Rules are declarative and parseable from flag strings — see ParseRule
 // for the syntax — so operators can tune thresholds without a rebuild.
@@ -149,13 +150,15 @@ type Trigger struct {
 	Evidence string `json:"evidence"`
 }
 
+// The global rate limit: at most maxTriggers fires across all rules per
+// ratePeriod.
+const (
+	maxTriggers = 4
+	ratePeriod  = time.Hour
+)
+
 // Config tunes the watchdog.
 type Config struct {
-	// MaxTriggers caps fires across all rules per RatePeriod
-	// (default 4).
-	MaxTriggers int
-	// RatePeriod is the global rate-limit horizon (default 1h).
-	RatePeriod time.Duration
 	// OnTrigger runs for each non-suppressed fire (typically: capture a
 	// bundle). It runs synchronously inside Tick; heavy work should
 	// hand off.
@@ -188,7 +191,7 @@ type Watchdog struct {
 
 	mu    sync.Mutex
 	rules []*ruleState
-	fires []time.Time // non-suppressed fire times inside RatePeriod
+	fires []time.Time // non-suppressed fire times inside ratePeriod
 
 	mTicks      *obs.Counter
 	mSuppressed *obs.Counter
@@ -205,12 +208,6 @@ type Watchdog struct {
 
 // New builds a watchdog with no rules.
 func New(cfg Config) *Watchdog {
-	if cfg.MaxTriggers <= 0 {
-		cfg.MaxTriggers = 4
-	}
-	if cfg.RatePeriod <= 0 {
-		cfg.RatePeriod = time.Hour
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default()
 	}
@@ -336,7 +333,7 @@ func (w *Watchdog) Tick() []Trigger {
 	// out, then admit fires until the budget is spent.
 	keep := w.fires[:0]
 	for _, t := range w.fires {
-		if now.Sub(t) < w.cfg.RatePeriod {
+		if now.Sub(t) < ratePeriod {
 			keep = append(keep, t)
 		}
 	}
@@ -344,7 +341,7 @@ func (w *Watchdog) Tick() []Trigger {
 	var out []Trigger
 	var suppressed []Trigger
 	for _, p := range fired {
-		if len(w.fires) >= w.cfg.MaxTriggers {
+		if len(w.fires) >= maxTriggers {
 			suppressed = append(suppressed, p.trig)
 			continue
 		}

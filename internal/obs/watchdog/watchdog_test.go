@@ -20,23 +20,18 @@ type harness struct {
 	fired []Trigger
 }
 
-func newHarness(t *testing.T, cfg Config, rules ...Rule) *harness {
+func newHarness(t *testing.T, rules ...Rule) *harness {
 	t.Helper()
 	h := &harness{now: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC), reg: obs.NewRegistry()}
 	sig := h.reg.Gauge("sig", "The controllable series.")
 	h.reg.OnScrape(func() { sig.Set(h.value) })
-	cfg.Now = func() time.Time { return h.now }
-	cfg.Registry = h.reg
-	cfg.Registries = []*obs.Registry{h.reg}
-	cfg.Flight = flight.New(64)
-	prev := cfg.OnTrigger
-	cfg.OnTrigger = func(tr Trigger) {
-		h.fired = append(h.fired, tr)
-		if prev != nil {
-			prev(tr)
-		}
-	}
-	h.wd = New(cfg)
+	h.wd = New(Config{
+		Now:        func() time.Time { return h.now },
+		Registry:   h.reg,
+		Registries: []*obs.Registry{h.reg},
+		Flight:     flight.New(64),
+		OnTrigger:  func(tr Trigger) { h.fired = append(h.fired, tr) },
+	})
 	for _, r := range rules {
 		if err := h.wd.AddRule(r); err != nil {
 			t.Fatal(err)
@@ -53,7 +48,7 @@ func (h *harness) tick() []Trigger {
 }
 
 func TestHoldHysteresisPreventsFlapping(t *testing.T) {
-	h := newHarness(t, Config{},
+	h := newHarness(t,
 		Rule{Name: "r", Signal: "sig", Op: OpGT, Threshold: 1, Hold: 3, Cooldown: time.Minute})
 
 	// Two breaching ticks, then a clean one: the streak resets, no fire.
@@ -83,7 +78,7 @@ func TestHoldHysteresisPreventsFlapping(t *testing.T) {
 }
 
 func TestCooldownFiresOncePerWindow(t *testing.T) {
-	h := newHarness(t, Config{},
+	h := newHarness(t,
 		Rule{Name: "r", Signal: "sig", Op: OpGT, Threshold: 1, Cooldown: time.Minute})
 	h.value = 5
 	// 12 ticks × 10s = two minutes of sustained breach.
@@ -99,27 +94,28 @@ func TestCooldownFiresOncePerWindow(t *testing.T) {
 }
 
 func TestGlobalRateLimitSuppresses(t *testing.T) {
-	cfg := Config{MaxTriggers: 2, RatePeriod: time.Hour}
-	h := newHarness(t, cfg,
-		Rule{Name: "a", Signal: "sig", Op: OpGT, Threshold: 1, Cooldown: 24 * time.Hour},
-		Rule{Name: "b", Signal: "sig", Op: OpGT, Threshold: 1, Cooldown: 24 * time.Hour},
-		Rule{Name: "c", Signal: "sig", Op: OpGT, Threshold: 1, Cooldown: 24 * time.Hour})
+	// One rule more than the budget of maxTriggers per ratePeriod.
+	var rules []Rule
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		rules = append(rules, Rule{Name: name, Signal: "sig", Op: OpGT, Threshold: 1, Cooldown: 24 * time.Hour})
+	}
+	h := newHarness(t, rules...)
 	h.value = 5
 	out := h.tick()
-	if len(out) != 2 || len(h.fired) != 2 {
-		t.Fatalf("admitted %d triggers with MaxTriggers=2, want 2", len(out))
+	if len(out) != maxTriggers || len(h.fired) != maxTriggers {
+		t.Fatalf("admitted %d triggers with a budget of %d", len(out), maxTriggers)
 	}
 	// The suppressed rule took no cooldown: it retries once budget
 	// frees. Advance past the rate period.
-	h.now = h.now.Add(2 * time.Hour)
+	h.now = h.now.Add(ratePeriod + time.Hour)
 	out = h.tick()
-	if len(out) != 1 || out[0].Rule != "c" {
-		t.Fatalf("after budget reset got %v, want the suppressed rule c", out)
+	if len(out) != 1 || out[0].Rule != "e" {
+		t.Fatalf("after budget reset got %v, want the suppressed rule e", out)
 	}
 }
 
 func TestSlopeRuleMeasuresGrowth(t *testing.T) {
-	h := newHarness(t, Config{},
+	h := newHarness(t,
 		Rule{Name: "grow", Signal: "sig", Op: OpGT, Threshold: 50, Window: 3, Cooldown: time.Minute})
 	// Warmup: a slope rule stays silent until it has Window+1 readings,
 	// however large the absolute value.
@@ -146,7 +142,7 @@ func TestSlopeRuleMeasuresGrowth(t *testing.T) {
 }
 
 func TestUnknownSignalCountsErrorNotPanic(t *testing.T) {
-	h := newHarness(t, Config{})
+	h := newHarness(t)
 	// A series the registries do not expose is refused at install, with
 	// the rule and the series named.
 	err := h.wd.AddRule(Rule{Name: "ghost", Signal: "no_such_series", Op: OpGT, Threshold: 1})
@@ -172,7 +168,7 @@ func TestUnknownSignalCountsErrorNotPanic(t *testing.T) {
 }
 
 func TestAddRuleReplacesByName(t *testing.T) {
-	h := newHarness(t, Config{},
+	h := newHarness(t,
 		Rule{Name: "r", Signal: "sig", Op: OpGT, Threshold: 100})
 	// Override with a lower threshold, as a -watch flag would.
 	if err := h.wd.AddRule(Rule{Name: "r", Signal: "sig", Op: OpGT, Threshold: 1}); err != nil {

@@ -4,12 +4,15 @@
 // uncleanliness. Reports arrive dated; evidence decays exponentially with
 // a configurable half-life, so a network that stops emitting hostile
 // traffic is eventually forgiven — the operational fix for the
-// stale-blocklist problem static lists have.
+// stale-blocklist problem static lists have. Evidence observed on one
+// date does not decay, so a tracker fed every report on the same date
+// gives the static score.
 package tracker
 
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"unclean/internal/core"
@@ -26,8 +29,9 @@ type Config struct {
 	// shows unclean networks persist for months, so half-lives of weeks
 	// keep prediction strong while allowing recovery.
 	HalfLife time.Duration
-	// Tau is the evidence scale mapping decayed counts to [0,1] scores,
-	// as in core.Scorer: a dimension reaches 1-1/e at Tau evidence.
+	// Tau is the evidence scale mapping decayed counts to [0,1] scores:
+	// a dimension with k evidence scores 1 - exp(-k/Tau), so it reaches
+	// 1-1/e at Tau evidence and saturates at 1.
 	Tau float64
 }
 
@@ -143,7 +147,13 @@ func (t *Tracker) ScoreAt(a netaddr.Addr, at time.Time) core.Score {
 	if b == nil {
 		return core.Score{}
 	}
-	var decayed [4]float64
+	return t.scoreOf(b, at)
+}
+
+// scoreOf is the §7 score of one block's evidence decayed to at: each
+// dimension scores 1 - exp(-k/Tau) of its count k, and the aggregate is
+// 1 - Π(1 - d), the chance the block is unclean in any dimension.
+func (t *Tracker) scoreOf(b *blockState, at time.Time) core.Score {
 	f := 1.0
 	if dt := at.Sub(b.asOf); dt > 0 {
 		f = math.Exp(-t.lambda * float64(dt))
@@ -151,8 +161,7 @@ func (t *Tracker) ScoreAt(a netaddr.Addr, at time.Time) core.Score {
 	var out core.Score
 	cleanProduct := 1.0
 	for d := range b.counts {
-		decayed[d] = b.counts[d] * f
-		v := 1 - math.Exp(-decayed[d]/t.cfg.Tau)
+		v := 1 - math.Exp(-b.counts[d]*f/t.cfg.Tau)
 		out.ByDim[d] = v
 		cleanProduct *= 1 - v
 	}
@@ -164,10 +173,33 @@ func (t *Tracker) ScoreAt(a netaddr.Addr, at time.Time) core.Score {
 // the tracker clock, meets the threshold.
 func (t *Tracker) Blocklist(threshold float64) ipset.Set {
 	b := ipset.NewBuilder(0)
-	for base := range t.blocks {
-		if t.ScoreAt(base, t.now).Aggregate >= threshold {
+	for base, st := range t.blocks {
+		if t.scoreOf(st, t.now).Aggregate >= threshold {
 			b.Add(base)
 		}
 	}
 	return b.Build()
+}
+
+// ScoredBlock pairs a block with its score for ranking output.
+type ScoredBlock struct {
+	Block netaddr.Block
+	Score core.Score
+}
+
+// Rank returns the k blocks with the highest aggregate score as of the
+// tracker clock, descending; ties break toward lower base addresses so
+// the order is deterministic.
+func (t *Tracker) Rank(k int) []ScoredBlock {
+	all := make([]ScoredBlock, 0, len(t.blocks))
+	for base, st := range t.blocks {
+		all = append(all, ScoredBlock{Block: base.Block(t.cfg.Bits), Score: t.scoreOf(st, t.now)})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score.Aggregate != all[j].Score.Aggregate {
+			return all[i].Score.Aggregate > all[j].Score.Aggregate
+		}
+		return all[i].Block.Base() < all[j].Block.Base()
+	})
+	return all[:min(k, len(all))]
 }

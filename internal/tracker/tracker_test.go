@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
@@ -153,6 +154,69 @@ func TestMultidimensionalAggregate(t *testing.T) {
 	}
 	if sc.ByDim[core.DimScan] != 0 || sc.ByDim[core.DimSpam] != 0 {
 		t.Fatal("untouched dimensions non-zero")
+	}
+}
+
+func TestAggregateBounds(t *testing.T) {
+	tr := newTracker(t)
+	addrs := ipset.MustParse("10.1.1.1 10.1.1.2 10.1.1.3 10.1.1.4 10.1.1.5 10.1.1.6 10.1.1.7 10.1.1.8 10.1.1.9")
+	for d := core.DimBot; d <= core.DimPhish; d++ {
+		tr.Observe(d, addrs, epoch)
+	}
+	sc := tr.Score(netaddr.MustParseAddr("10.1.1.1"))
+	if sc.Aggregate <= 0.99 || sc.Aggregate > 1 {
+		t.Errorf("saturated aggregate = %v", sc.Aggregate)
+	}
+	for d, v := range sc.ByDim {
+		if v < 0 || v > 1 {
+			t.Errorf("dimension %d out of bounds: %v", d, v)
+		}
+	}
+}
+
+func TestDimensionsIndependent(t *testing.T) {
+	// The §5.2 lesson: a network phishing-only and a network bot-only
+	// must be distinguishable even when aggregates are equal.
+	tr := newTracker(t)
+	tr.Observe(core.DimPhish, ipset.MustParse("20.1.1.1 20.1.1.2"), epoch)
+	tr.Observe(core.DimBot, ipset.MustParse("30.1.1.1 30.1.1.2"), epoch)
+	phishy := tr.Score(netaddr.MustParseAddr("20.1.1.99"))
+	botty := tr.Score(netaddr.MustParseAddr("30.1.1.99"))
+	if phishy.ByDim[core.DimBot] != 0 || botty.ByDim[core.DimPhish] != 0 {
+		t.Error("dimensions leaked into each other")
+	}
+	if phishy.Aggregate != botty.Aggregate {
+		t.Error("symmetric evidence should give equal aggregates")
+	}
+}
+
+func TestRankOrderAndTies(t *testing.T) {
+	tr := newTracker(t)
+	tr.Observe(core.DimBot, ipset.MustParse("10.1.1.1 10.1.1.2 10.1.1.3"), epoch) // strong
+	tr.Observe(core.DimBot, ipset.MustParse("10.4.4.1"), epoch)                   // weak, tied with 10.2.2.0
+	tr.Observe(core.DimScan, ipset.MustParse("10.3.3.1 10.3.3.2"), epoch)         // middling
+	tr.Observe(core.DimSpam, ipset.MustParse("10.2.2.1"), epoch)                  // weak
+	ranked := tr.Rank(10)
+	var got []string
+	for i, sb := range ranked {
+		got = append(got, sb.Block.String())
+		if sb.Score != tr.Score(sb.Block.Base()) {
+			t.Errorf("%s: ranked score %+v, Score gives %+v", sb.Block, sb.Score, tr.Score(sb.Block.Base()))
+		}
+		if i > 0 && sb.Score.Aggregate > ranked[i-1].Score.Aggregate {
+			t.Error("rank not descending")
+		}
+	}
+	// Equal aggregates rank the lower base first.
+	want := "[10.1.1.0/24 10.3.3.0/24 10.2.2.0/24 10.4.4.0/24]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("Rank(10) = %v, want %s", got, want)
+	}
+	if top := tr.Rank(1); len(top) != 1 || top[0].Block.String() != "10.1.1.0/24" {
+		t.Errorf("Rank(1) = %v", top)
+	}
+	if none := tr.Rank(0); len(none) != 0 {
+		t.Errorf("Rank(0) = %v", none)
 	}
 }
 
