@@ -191,7 +191,7 @@ type feedRow struct {
 // vanish.
 func writeFeedTable(w io.Writer, mets *obs.MetricsDoc) {
 	rows := map[string]*feedRow{}
-	var merged, healthy, poisonPm, degraded *int64
+	var merged, healthy, degraded *int64
 	for _, m := range mets.Metrics {
 		if !strings.HasPrefix(m.Name, "unclean_feedmesh_") || m.Value == nil {
 			continue
@@ -203,8 +203,6 @@ func writeFeedTable(w io.Writer, mets *obs.MetricsDoc) {
 				merged = m.Value
 			case "unclean_feedmesh_healthy_feeds":
 				healthy = m.Value
-			case "unclean_feedmesh_poison_permille":
-				poisonPm = m.Value
 			case "unclean_feedmesh_degraded":
 				degraded = m.Value
 			}
@@ -244,9 +242,6 @@ func writeFeedTable(w io.Writer, mets *obs.MetricsDoc) {
 	fmt.Fprintf(w, "\nfeed mesh: %d/%d feeds healthy", deref64(healthy), len(rows))
 	if merged != nil {
 		fmt.Fprintf(w, ", %d merged blocks", *merged)
-	}
-	if poisonPm != nil {
-		fmt.Fprintf(w, ", poison %.1f%%", float64(*poisonPm)/10)
 	}
 	if degraded != nil && *degraded != 0 {
 		fmt.Fprint(w, " — DEGRADED, serving last-good list")

@@ -119,7 +119,6 @@ func TestWriteStatusFeedMeshTable(t *testing.T) {
 			{"name": "unclean_feedmesh_weight_permille", "labels": {"feed": "beta"}, "kind": "gauge", "value": 40},
 			{"name": "unclean_feedmesh_merged_blocks", "kind": "gauge", "value": 17},
 			{"name": "unclean_feedmesh_healthy_feeds", "kind": "gauge", "value": 1},
-			{"name": "unclean_feedmesh_poison_permille", "kind": "gauge", "value": 12},
 			{"name": "unclean_feedmesh_degraded", "kind": "gauge", "value": 0}
 		]}`))
 	})
@@ -132,7 +131,7 @@ func TestWriteStatusFeedMeshTable(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"feed mesh: 1/2 feeds healthy, 17 merged blocks, poison 1.2%",
+		"feed mesh: 1/2 feeds healthy, 17 merged blocks",
 		"FEED", "STATE", "QUALITY",
 		"alpha", "healthy", "0.97", "1m0s", "42",
 		"beta", "quarantined", "0.15",

@@ -2,12 +2,13 @@ package feedmesh_test
 
 // The acceptance chaos scenario for the feed mesh: eight feeds — four
 // honest, two poisoned, one flapping, one dead — driven by a seeded
-// fault schedule against a live DNSBL server. The mesh must quarantine
-// the bad feeds within one quality window, keep the poisoned
-// contribution of the served list under maxPoisonFrac every
-// round, keep answering queries throughout, re-admit feeds that turn
-// clean only after probation, and do all of it identically under the
-// same seed.
+// fault schedule against a live DNSBL server. The mesh scores them as
+// dnsbld does, by cross-feed corroboration; the generator's ground
+// truth only measures the outcome. The mesh must quarantine the bad
+// feeds within one quality window, keep the known-clean share of the
+// served list under maxPoisonFrac every round, keep answering queries
+// throughout, re-admit feeds that turn clean only after probation, and
+// do all of it identically under the same seed, at every seed swept.
 
 import (
 	"context"
@@ -34,14 +35,17 @@ const (
 // round, in both chaos suites.
 const maxPoisonFrac = 0.05
 
+// chaosSeeds are the seeds the eight-feed scenario sweeps: 42 first,
+// the seed the determinism check replays.
+var chaosSeeds = []uint64{42, 1, 2, 3, 4, 5, 6, 7, 8}
+
 // roundRecord is one round's observable outcome, used for the
 // determinism comparison.
 type roundRecord struct {
-	merged     ipset.Set
-	healthy    int
-	degraded   bool
-	poisonFrac float64
-	states     string // "clean1=healthy clean2=healthy ..." sorted
+	merged   ipset.Set
+	healthy  int
+	degraded bool
+	states   string // "clean1=healthy clean2=healthy ..." sorted
 }
 
 // chaosOutcome is everything the scenario asserts on.
@@ -55,13 +59,30 @@ type chaosOutcome struct {
 // between rounds (Tick is synchronous, so this is race-free).
 type mutableReporter struct{ r *simnet.Reporter }
 
-// runChaosScenario executes the full scenario. serve controls whether a
-// live DNSBL server rides along (both determinism runs use the same
-// value so serving cannot perturb the comparison — and must not).
-func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
+// servedPoison returns the block bases of the mesh's served list and
+// the share of them that is known-clean space.
+func servedPoison(mesh *feedmesh.Mesh, cleanBits ipset.Set) (ipset.Set, float64) {
+	merged := ipset.NewBuilder(0)
+	if l := mesh.List(); l != nil {
+		for _, e := range l.Entries() {
+			merged.Add(e.Block.Base())
+		}
+	}
+	mset := merged.Build()
+	if mset.Len() == 0 {
+		return mset, 0
+	}
+	return mset, float64(mset.Intersect(cleanBits).Len()) / float64(mset.Len())
+}
+
+// runChaosScenario executes the full scenario under seed. serve
+// controls whether a live DNSBL server rides along (both determinism
+// runs use the same value so serving cannot perturb the comparison —
+// and must not).
+func runChaosScenario(t *testing.T, seed uint64, serve bool) chaosOutcome {
 	t.Helper()
 	sim := simnet.NewFeedSim(simnet.FeedSimConfig{
-		Seed:          42,
+		Seed:          seed,
 		Rounds:        chaosRounds + 2,
 		HostileBlocks: 12,
 		CleanBlocks:   36,
@@ -100,7 +121,6 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 
 	cfg := feedmesh.DefaultConfig()
 	cfg.Interval = time.Minute
-	cfg.Truth = &feedmesh.Truth{Hostile: hostile, Clean: clean}
 	cfg.Now = sim.Now
 	mesh, err := feedmesh.New(cfg, sources...)
 	if err != nil {
@@ -147,12 +167,13 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 			reporters["flap"].r = sim.CleanReporter("flap", 0.9)
 			reporters["poison1"].r = sim.CleanReporter("poison1", 0.9)
 		}
-		r := mesh.Tick(context.Background())
+		mesh.Tick(context.Background())
 
 		// The poisoned share of the served list stays bounded, every round.
-		if r.PoisonFrac > maxPoisonFrac {
-			t.Fatalf("round %d: poison fraction %.3f exceeds bound %.3f",
-				round, r.PoisonFrac, maxPoisonFrac)
+		mset, frac := servedPoison(mesh, cleanBits)
+		if frac > maxPoisonFrac {
+			t.Fatalf("round %d: served list poison fraction %.3f exceeds bound %.3f",
+				round, frac, maxPoisonFrac)
 		}
 
 		// Queries keep answering, bad rounds included.
@@ -188,24 +209,11 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 				}
 			}
 		}
-		merged := ipset.NewBuilder(0)
-		if l := mesh.List(); l != nil {
-			for _, e := range l.Entries() {
-				merged.Add(e.Block.Base())
-			}
-		}
-		mset := merged.Build()
-		if mset.Len() > 0 {
-			if frac := float64(mset.Intersect(cleanBits).Len()) / float64(mset.Len()); frac > maxPoisonFrac {
-				t.Fatalf("round %d: served list poison fraction %.3f over bound", round, frac)
-			}
-		}
 		out.rounds = append(out.rounds, roundRecord{
-			merged:     mset,
-			healthy:    r.HealthyFeeds,
-			degraded:   r.Degraded,
-			poisonFrac: r.PoisonFrac,
-			states:     states,
+			merged:   mset,
+			healthy:  st.HealthyFeeds,
+			degraded: st.Degraded,
+			states:   states,
 		})
 		sim.Advance()
 	}
@@ -213,7 +221,15 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 }
 
 func TestChaosMeshQuarantinesAndServes(t *testing.T) {
-	out := runChaosScenario(t, true)
+	for _, seed := range chaosSeeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkChaosContract(t, seed) })
+	}
+}
+
+// checkChaosContract runs the served scenario under seed and holds it
+// to the quarantine and re-admission contract.
+func checkChaosContract(t *testing.T, seed uint64) {
+	out := runChaosScenario(t, seed, true)
 
 	// Every bad feed is caught within one quality window of its badness
 	// becoming observable (EWMA boundary: +1).
@@ -265,8 +281,8 @@ func TestChaosMeshQuarantinesAndServes(t *testing.T) {
 }
 
 func TestChaosMeshDeterministic(t *testing.T) {
-	a := runChaosScenario(t, false)
-	b := runChaosScenario(t, false)
+	a := runChaosScenario(t, chaosSeeds[0], false)
+	b := runChaosScenario(t, chaosSeeds[0], false)
 	if len(a.rounds) != len(b.rounds) {
 		t.Fatalf("round counts differ: %d vs %d", len(a.rounds), len(b.rounds))
 	}
@@ -277,9 +293,6 @@ func TestChaosMeshDeterministic(t *testing.T) {
 		}
 		if ra.states != rb.states || ra.healthy != rb.healthy || ra.degraded != rb.degraded {
 			t.Fatalf("round %d: feed states differ:\n  %s\n  %s", i+1, ra.states, rb.states)
-		}
-		if fmt.Sprintf("%.6f", ra.poisonFrac) != fmt.Sprintf("%.6f", rb.poisonFrac) {
-			t.Fatalf("round %d: poison fractions differ", i+1)
 		}
 	}
 	if fmt.Sprint(a.quarantinedAt) != fmt.Sprint(b.quarantinedAt) {

@@ -58,19 +58,19 @@ func TestDirSourceReasonOnlyChangeSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tick(t, m, clk); !r.Swapped || r.MergedBlocks != 1 {
-		t.Fatalf("first round %+v, want one block swapped in", r)
+	if swapped := tick(t, m, clk); !swapped || m.Status().MergedBlocks != 1 {
+		t.Fatalf("first round swapped=%v with %d blocks, want one block swapped in", swapped, m.Status().MergedBlocks)
 	}
 	if got := reasonOf(t, m, "10.1.1.9"); got != "bot" {
 		t.Fatalf("reason %q, want bot", got)
 	}
-	if r := tick(t, m, clk); r.Swapped {
+	if tick(t, m, clk) {
 		t.Fatal("an unchanged directory swapped the list")
 	}
 
 	saveReport(t, dir, "r", report.ClassScanning, eightIn1011)
-	if r := tick(t, m, clk); !r.Swapped || r.MergedBlocks != 1 {
-		t.Fatalf("round after the dimension change %+v, want one block swapped", r)
+	if swapped := tick(t, m, clk); !swapped || m.Status().MergedBlocks != 1 {
+		t.Fatalf("round after the dimension change swapped=%v with %d blocks, want one block swapped", swapped, m.Status().MergedBlocks)
 	}
 	if got := reasonOf(t, m, "10.1.1.9"); got != "scan" {
 		t.Fatalf("reason %q after the change, want scan", got)

@@ -429,7 +429,7 @@ func TestCaptureDegradesPerMember(t *testing.T) {
 	err := Capture(&buf, CaptureConfig{
 		Reason:     "manual",
 		Registries: []*obs.Registry{obs.NewRegistry()},
-		MeshStatus: func() feedmesh.Status { return feedmesh.Status{PoisonFrac: math.NaN()} }, // unmarshalable
+		MeshStatus: func() feedmesh.Status { return feedmesh.Status{Feeds: []feedmesh.FeedStatus{{Quality: math.NaN()}}} }, // unmarshalable
 		Now:        func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) },
 	})
 	if err != nil {

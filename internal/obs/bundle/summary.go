@@ -76,8 +76,8 @@ func Summarize(w io.Writer, b *Bundle) error {
 		if err := json.Unmarshal(data, &m); err != nil {
 			return fmt.Errorf("%s: %w", MeshName, err)
 		}
-		fmt.Fprintf(w, "\nMESH     round=%d feeds=%d/%d healthy poison=%.2f degraded=%v\n",
-			m.Round, m.HealthyFeeds, m.TotalFeeds, m.PoisonFrac, m.Degraded)
+		fmt.Fprintf(w, "\nMESH     round=%d feeds=%d/%d healthy degraded=%v\n",
+			m.Round, m.HealthyFeeds, m.TotalFeeds, m.Degraded)
 		for _, f := range m.Feeds {
 			if f.State == feedmesh.StateHealthy {
 				continue

@@ -45,7 +45,7 @@ func goldenMembers(t *testing.T) []File {
 	h.ReadyHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 
 	mesh := indent(feedmesh.Status{Round: 12, MergedBlocks: 17, Degraded: true,
-		HealthyFeeds: 1, TotalFeeds: 3, PoisonFrac: 0.04, Feeds: []feedmesh.FeedStatus{
+		HealthyFeeds: 1, TotalFeeds: 3, Feeds: []feedmesh.FeedStatus{
 			{Name: "alpha", State: feedmesh.StateHealthy, Quality: 0.97, LastSuccess: at},
 			{Name: "beta", State: feedmesh.StateQuarantined, LastError: "load: connection refused"},
 			{Name: "gamma", State: feedmesh.StateProbation},

@@ -139,7 +139,6 @@ func writeSLO(w io.Writer, m *Metric, first bool) error {
 	if s == nil {
 		return nil
 	}
-	short, long := s.windows()
 	if first {
 		if m.Help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s_burn_rate %s\n", m.Name, m.Help); err != nil {
@@ -159,28 +158,14 @@ func writeSLO(w io.Writer, m *Metric, first bool) error {
 		strconv.FormatFloat(s.Target, 'g', -1, 64)); err != nil {
 		return err
 	}
-	for _, win := range [...]struct {
-		name string
-		d    time.Duration
-	}{{shortWindowName(short), short}, {shortWindowName(long), long}} {
+	for _, win := range burnWindows {
 		if _, err := fmt.Fprintf(w, "%s_burn_rate{%s} %s\n",
-			m.Name, renderLabels(m.labels, "window", win.name),
-			strconv.FormatFloat(s.BurnRate(win.d), 'g', -1, 64)); err != nil {
+			m.Name, renderLabels(m.labels, "window", win.Name),
+			strconv.FormatFloat(s.BurnRate(win.D), 'g', -1, 64)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// shortWindowName renders a duration as a compact window label ("5m",
-// "1h") matching the Windows table where possible.
-func shortWindowName(d time.Duration) string {
-	for _, win := range Windows {
-		if win.D == d {
-			return win.Name
-		}
-	}
-	return d.String()
 }
 
 // writeHistogram renders cumulative le-buckets (seconds), sum, and
@@ -329,10 +314,9 @@ func WriteJSON(w io.Writer, regs ...*Registry) error {
 			if s := m.slo; s != nil {
 				target := s.Target
 				jm.Target = &target
-				short, long := s.windows()
-				jm.BurnRate = map[string]float64{
-					shortWindowName(short): s.BurnRate(short),
-					shortWindowName(long):  s.BurnRate(long),
+				jm.BurnRate = make(map[string]float64, len(burnWindows))
+				for _, win := range burnWindows {
+					jm.BurnRate[win.Name] = s.BurnRate(win.D)
 				}
 			}
 		}

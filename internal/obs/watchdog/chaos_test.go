@@ -37,7 +37,6 @@ func TestChaosQuarantineTriggersWatchdogOncePerCooldown(t *testing.T) {
 		ChurnPerRound: 4,
 		Interval:      time.Minute,
 	})
-	hostile, clean := sim.Truth()
 
 	reporters := map[string]*simnet.Reporter{
 		"clean1":  sim.CleanReporter("clean1", 0.9),
@@ -63,7 +62,6 @@ func TestChaosQuarantineTriggersWatchdogOncePerCooldown(t *testing.T) {
 
 	cfg := feedmesh.DefaultConfig()
 	cfg.Interval = time.Minute
-	cfg.Truth = &feedmesh.Truth{Hostile: hostile, Clean: clean}
 	cfg.Now = sim.Now
 	mesh, err := feedmesh.New(cfg, sources...)
 	if err != nil {
