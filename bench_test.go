@@ -263,10 +263,7 @@ func BenchmarkAblationUniformUncleanliness(b *testing.B) {
 // flow log.
 func BenchmarkAblationSampling(b *testing.B) {
 	ds := dataset(b)
-	baseline, err := scandetect.DetectThreshold(ds.Flows, scandetect.DefaultThresholdConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	baseline := thresholdScanners(b, ds.Flows)
 	for _, interval := range []int{1, 10, 100} {
 		b.Run(byInterval(interval), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -274,15 +271,22 @@ func BenchmarkAblationSampling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				got, err := scandetect.DetectThreshold(sampled, scandetect.DefaultThresholdConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
+				got := thresholdScanners(b, sampled)
 				b.ReportMetric(float64(got.Len())/float64(baseline.Len()), "scan-recall")
 				b.ReportMetric(float64(len(sampled))/float64(len(ds.Flows)), "flow-survival")
 			}
 		})
 	}
+}
+
+// thresholdScanners runs the hourly scan detector over records.
+func thresholdScanners(b *testing.B, records []netflow.Record) ipset.Set {
+	t, err := scandetect.NewThreshold(scandetect.DefaultThresholdConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	t.Consume(records)
+	return t.Scanners()
 }
 
 func byInterval(i int) string {
@@ -328,10 +332,7 @@ func BenchmarkExtLocality(b *testing.B) {
 func BenchmarkAblationDetectors(b *testing.B) {
 	ds := dataset(b)
 	for i := 0; i < b.N; i++ {
-		threshold, err := scandetect.DetectThreshold(ds.Flows, scandetect.DefaultThresholdConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		threshold := thresholdScanners(b, ds.Flows)
 		trw, err := scandetect.DetectTRW(ds.Flows, scandetect.DefaultTRWConfig())
 		if err != nil {
 			b.Fatal(err)

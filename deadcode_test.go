@@ -33,8 +33,6 @@ var testOnlyAllowlist = []allowed{
 	{"internal/scandetect/trw.go", "ablation: the TRW scan detector, awaiting a claim in experiments", false},
 	{"internal/netflow.SampleRecords", "ablation: 1-in-N packet sampling, awaiting a claim in experiments", false},
 	{"internal/simnet.World.SynthesizeFlows", "reference: the fold tests hold simnet.Fold and experiments.Build to it", false},
-	{"internal/scandetect.DetectThreshold", "reference: TestBuildFoldMatchesWholeLog holds the per-day Threshold fold to it", false},
-	{"internal/spamdetect.Detect", "reference: TestBuildFoldMatchesWholeLog holds the streaming Detector to it", false},
 	{"internal/ipset.Set.Sample", "reference: the sampling tests and benchmarks draw single subsets with it", false},
 	{"internal/ipset.MustParse", "fixture: many packages' tests build sets from it", false},
 	{"internal/ipset.FromUint32s", "fixture: many packages' tests build sets from it", false},

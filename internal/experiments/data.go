@@ -86,22 +86,26 @@ func Build(cfg Config) (*Dataset, error) {
 	spamSet := acc.spam.Spammers()
 	spDetect.End()
 
-	// Provided reports from the world's ground-truth observers.
-	botSet := world.MonitoredBotsActive(UncleanFrom, UncleanTo)
-	phishSet := world.PhishFeed().AddrsBetween(PhishFrom, UncleanTo)
-	ds.PhishPresent = world.PhishFeed().AddrsBetween(PhishPresentFrom, UncleanTo)
-	ds.PhishTest = world.PhishFeed().AddrsBetween(PhishFrom, PhishTestTo)
-
 	// Control report: payload-bearing TCP sources of the prior week,
 	// modeled by an activity-weighted population draw.
+	spControl := obs.StartSpan("build/control")
 	controlSize := world.ScaledSize(PaperControlSize)
 	if limit := world.Model.TotalHosts() / 2; controlSize > limit {
 		controlSize = limit
 	}
 	controlSet, err := world.ControlSample(controlSize, stats.NewRNG(cfg.Seed^0xc0417))
+	spControl.End()
 	if err != nil {
 		return nil, err
 	}
+
+	// Provided reports from the world's ground-truth observers, and the
+	// inventory of all six.
+	spReports := obs.StartSpan("build/reports")
+	botSet := world.MonitoredBotsActive(UncleanFrom, UncleanTo)
+	phishSet := world.PhishFeed().AddrsBetween(PhishFrom, UncleanTo)
+	ds.PhishPresent = world.PhishFeed().AddrsBetween(PhishPresentFrom, UncleanTo)
+	ds.PhishTest = world.PhishFeed().AddrsBetween(PhishFrom, PhishTestTo)
 
 	observed := world.Model.Observed()
 	inv := &report.Inventory{Title: "Unclean reports"}
@@ -123,6 +127,7 @@ func Build(cfg Config) (*Dataset, error) {
 	add("control", report.Observed, report.ClassNone, "2006-09-25", "2006-10-02",
 		"Control addresses acquired from the observed network", controlSet)
 	ds.Inventory = inv
+	spReports.End()
 	return ds, nil
 }
 

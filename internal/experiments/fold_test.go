@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/netflow"
+	"unclean/internal/obs"
 	"unclean/internal/report"
 	"unclean/internal/scandetect"
 	"unclean/internal/simnet"
@@ -52,16 +54,18 @@ func TestBuildFoldMatchesWholeLog(t *testing.T) {
 				if !ds.PayloadSources.Equal(payload) || !ds.TCPSources.Equal(tcp) {
 					t.Errorf("source sets %v %v, whole log %v %v", ds.PayloadSources, ds.TCPSources, payload, tcp)
 				}
-				scan, err := scandetect.DetectThreshold(want, scandetect.DefaultThresholdConfig())
+				scan, err := scandetect.NewThreshold(scandetect.DefaultThresholdConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
-				spam, err := spamdetect.Detect(want, spamdetect.DefaultConfig())
+				scan.Consume(want)
+				spam, err := spamdetect.NewDetector(spamdetect.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
+				spam.Consume(want)
 				observed := ds.World.Model.Observed()
-				for tag, set := range map[string]ipset.Set{"scan": scan, "spam": spam} {
+				for tag, set := range map[string]ipset.Set{"scan": scan.Scanners(), "spam": spam.Spammers()} {
 					if set.IsEmpty() {
 						t.Errorf("whole-log %s report is empty", tag)
 					}
@@ -146,4 +150,26 @@ func sweepDigest(evals []blocklist.Eval) string {
 	}
 	bw.Flush()
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildSpansCoverBuild holds Build's stage table to its wall time:
+// the build/* spans sum to at least 98% of one Build at Quick() scale,
+// so the table says where Build went.
+func TestBuildSpansCoverBuild(t *testing.T) {
+	tr := obs.DefaultTrace()
+	tr.Reset()
+	start := time.Now()
+	if _, err := Build(Quick()); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	var spans time.Duration
+	for _, st := range tr.Stages() {
+		if strings.HasPrefix(st.Name, "build/") {
+			spans += st.Total
+		}
+	}
+	if frac := float64(spans) / float64(wall); frac < 0.98 {
+		t.Fatalf("build/* spans sum to %v of Build's %v (%.1f%%), want at least 98%%:\n%s", spans, wall, 100*frac, tr.Table())
+	}
 }

@@ -427,16 +427,15 @@ func (m *Mesh) scoreBatch(f *feed, batch Batch, now time.Time, votes map[netaddr
 	// at least a Threshold share of the loaded, non-quarantined feeds,
 	// this one included, reported this round. A clique of poisoners
 	// smaller than that share cannot vouch for its own blocks. With
-	// fewer than three reporting peers there is no quorum to
-	// corroborate against, and an empty feed is useless, not hostile:
+	// fewer than three voters, this feed among them, there is no quorum
+	// to corroborate against, and an empty feed is useless, not hostile:
 	// either way precision stays 1 rather than quarantine the feed.
 	precision := 1.0
-	if loadedPeers >= 3 && f.roundBits.Len() > 0 {
-		self := 0
-		if f.state == StateQuarantined {
-			self = 1 // its vote is not in the map; count it as if re-admitted
-		}
-		voters := float64(loadedPeers + self)
+	self := 0
+	if f.state == StateQuarantined {
+		self = 1 // its vote is not in the map; count it as if re-admitted
+	}
+	if voters := float64(loadedPeers + self); voters >= 3 && f.roundBits.Len() > 0 {
 		corroborated := 0
 		f.roundBits.Each(func(a netaddr.Addr) bool {
 			if float64(votes[a]+self)/voters >= m.cfg.Threshold {

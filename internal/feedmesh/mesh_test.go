@@ -501,6 +501,37 @@ func TestPairwiseOverlapCorroborates(t *testing.T) {
 	}
 }
 
+// A feed the others do not corroborate stays quarantined among three
+// feeds. Its own vote counts toward the quorum, so it counts among the
+// three voters the quorum needs too, and it is scored on every round it
+// loads in quarantine rather than passing as clean into probation. Here
+// a and b list the same /24s and p lists others.
+func TestUncorroboratedFeedStaysQuarantined(t *testing.T) {
+	clk := newClock()
+	m, err := New(testConfig(clk),
+		&fakeFeed{name: "a", addrs: ipset.MustParse("60.0.1.1 60.0.2.1 60.0.3.1")},
+		&fakeFeed{name: "b", addrs: ipset.MustParse("60.0.1.1 60.0.2.1 60.0.3.1")},
+		&fakeFeed{name: "p", addrs: ipset.MustParse("70.0.1.1 70.0.2.1 70.0.3.1")},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarantined := false
+	for round := 1; round <= QualityWindow+1 && !quarantined; round++ {
+		tick(t, m, clk)
+		quarantined = feedByName(t, m.Status(), "p").State == StateQuarantined
+	}
+	if !quarantined {
+		t.Fatal("p not quarantined within one quality window (+1)")
+	}
+	for round := 1; round <= 4*QualityWindow; round++ {
+		tick(t, m, clk)
+		if f := feedByName(t, m.Status(), "p"); f.State != StateQuarantined {
+			t.Fatalf("round %d after the quarantine: p is %v, want quarantined", round, f.State)
+		}
+	}
+}
+
 func TestOnSwapFiresOnlyOnChange(t *testing.T) {
 	clk := newClock()
 	a := &fakeFeed{name: "a", addrs: ipset.MustParse("60.0.1.1")}

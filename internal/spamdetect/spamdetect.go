@@ -12,6 +12,7 @@ package spamdetect
 
 import (
 	"fmt"
+	"slices"
 
 	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
@@ -59,20 +60,33 @@ func (c Config) validate() error {
 	return nil
 }
 
-type senderStats struct {
-	servers      map[netaddr.Addr]struct{}
+// sender is one sender's row: its SMTP flow counts and the distinct
+// servers it reached, up to MinServers of them, which the rule only
+// needs to count to MinServers. They are held in Detector.servers at
+// [off, off+n), with room up to off+room.
+type sender struct {
+	addr         netaddr.Addr
+	off, n, room int
 	flows        int
 	rejected     int
 	payloadTotal uint64
 }
 
+// firstRoom is the room a sender's servers start with, within
+// MinServers; the default MinServers fits in it.
+const firstRoom = 8
+
 // Detector is the spam detector as a fold accumulator: Consume counts
 // each sender's SMTP flows, Merge adds another accumulator's counts, and
-// Spammers applies the thresholds. Detect is one Consume and Spammers
-// over a slice.
+// Spammers applies the thresholds. Each sender is one pointer-free row
+// of a flat slice, found through one map lookup per run of its records,
+// and its servers share one flat slice, so nothing is allocated per
+// sender.
 type Detector struct {
 	cfg     Config
-	senders map[netaddr.Addr]*senderStats
+	index   map[netaddr.Addr]uint32 // sender -> its row
+	rows    []sender
+	servers []netaddr.Addr
 }
 
 // NewDetector returns an empty accumulator.
@@ -80,22 +94,21 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Detector{cfg: cfg, senders: make(map[netaddr.Addr]*senderStats)}, nil
+	return &Detector{cfg: cfg, index: make(map[netaddr.Addr]uint32)}, nil
 }
 
 // Consume counts the SMTP flows of records.
 func (d *Detector) Consume(records []netflow.Record) {
+	var s *sender
 	for i := range records {
 		r := &records[i]
 		if r.Proto != netflow.ProtoTCP || r.DstPort != SMTPPort {
 			continue
 		}
-		s := d.senders[r.SrcAddr]
-		if s == nil {
-			s = &senderStats{servers: make(map[netaddr.Addr]struct{})}
-			d.senders[r.SrcAddr] = s
+		if s == nil || s.addr != r.SrcAddr {
+			s = d.row(r.SrcAddr)
 		}
-		s.servers[r.DstAddr] = struct{}{}
+		d.remember(s, r.DstAddr)
 		s.flows++
 		if r.PayloadBearing() {
 			s.payloadTotal += uint64(r.PayloadBytes())
@@ -105,33 +118,62 @@ func (d *Detector) Consume(records []netflow.Record) {
 	}
 }
 
-// Merge adds other's counts, sender by sender, to d; other must have
-// the same configuration and must not be used again.
+// row returns a's row, adding an empty one if a is new. The pointer
+// lasts until the next new row.
+func (d *Detector) row(a netaddr.Addr) *sender {
+	i, ok := d.index[a]
+	if !ok {
+		i = uint32(len(d.rows))
+		d.index[a] = i
+		d.rows = append(d.rows, sender{addr: a})
+	}
+	return &d.rows[i]
+}
+
+// remember adds server to s's servers unless s already holds it or
+// holds MinServers of them. A sender out of room moves its servers to
+// the end of the flat slice with twice the room, up to MinServers.
+func (d *Detector) remember(s *sender, server netaddr.Addr) {
+	if s.n >= d.cfg.MinServers || slices.Contains(d.servers[s.off:s.off+s.n], server) {
+		return
+	}
+	if s.n == s.room {
+		room := min(max(2*s.room, firstRoom), d.cfg.MinServers)
+		off := len(d.servers)
+		d.servers = slices.Grow(d.servers, room)[:off+room]
+		copy(d.servers[off:], d.servers[s.off:s.off+s.n])
+		s.off, s.room = off, room
+	}
+	d.servers[s.off+s.n] = server
+	s.n++
+}
+
+// Merge adds other's counts, sender by sender, to d, and its servers
+// under the same cap; other must have the same configuration and must
+// not be used again.
 func (d *Detector) Merge(other *Detector) {
 	if d.cfg != other.cfg {
 		panic("spamdetect: merging detectors of different configurations")
 	}
-	for addr, o := range other.senders {
-		s := d.senders[addr]
-		if s == nil {
-			d.senders[addr] = o
-			continue
-		}
-		for srv := range o.servers {
-			s.servers[srv] = struct{}{}
+	for i := range other.rows {
+		o := &other.rows[i]
+		s := d.row(o.addr)
+		for _, server := range other.servers[o.off : o.off+o.n] {
+			d.remember(s, server)
 		}
 		s.flows += o.flows
 		s.rejected += o.rejected
 		s.payloadTotal += o.payloadTotal
 	}
-	other.senders = nil
+	*other = Detector{}
 }
 
 // Spammers returns the senders that pass the thresholds.
 func (d *Detector) Spammers() ipset.Set {
 	out := ipset.NewBuilder(0)
-	for addr, s := range d.senders {
-		if len(s.servers) < d.cfg.MinServers || s.flows < d.cfg.MinFlows {
+	for i := range d.rows {
+		s := &d.rows[i]
+		if s.n < d.cfg.MinServers || s.flows < d.cfg.MinFlows {
 			continue
 		}
 		rejectRatio := float64(s.rejected) / float64(s.flows)
@@ -141,19 +183,8 @@ func (d *Detector) Spammers() ipset.Set {
 			avgPayload = float64(s.payloadTotal) / float64(delivered)
 		}
 		if rejectRatio >= d.cfg.MinRejectRatio && avgPayload <= d.cfg.MaxAvgPayload {
-			out.Add(addr)
+			out.Add(s.addr)
 		}
 	}
 	return out.Build()
-}
-
-// Detect runs the detector over a record slice and returns the flagged
-// spamming sources.
-func Detect(records []netflow.Record, cfg Config) (ipset.Set, error) {
-	d, err := NewDetector(cfg)
-	if err != nil {
-		return ipset.Set{}, err
-	}
-	d.Consume(records)
-	return d.Spammers(), nil
 }
