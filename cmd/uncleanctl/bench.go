@@ -15,7 +15,6 @@ import (
 	"unclean/internal/ipset"
 	"unclean/internal/obs"
 	"unclean/internal/simnet"
-	"unclean/internal/stats"
 )
 
 // cmdBench runs the §6 pipeline end-to-end at the requested scale and
@@ -88,15 +87,11 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 		metric{int64(world.Model.NetworkCount()), "networks"})
 
 	// Phase 2: the control report — the set whose raw form is ~188 MB
-	// at paper scale — drawn into containers. Same size cap and RNG
-	// stream as experiments.Build, so this is the §6 artifact itself.
+	// at paper scale — drawn into containers. The same draw as
+	// experiments.Build, so this is the §6 artifact itself.
 	progress.Stage("control")
 	sp = obs.StartSpan("bench/control")
-	controlSize := world.ScaledSize(experiments.PaperControlSize)
-	if limit := world.Model.TotalHosts() / 2; controlSize > limit {
-		controlSize = limit
-	}
-	control, err := world.ControlSample(controlSize, stats.NewRNG(cfg.Seed^0xc0417))
+	control, err := experiments.DrawControl(world, cfg.Seed)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package blocklist
 
 import (
+	"cmp"
 	"slices"
 
 	"unclean/internal/netaddr"
@@ -61,18 +62,16 @@ func (t *Trie) Aggregate() *Trie {
 	return out
 }
 
-// compareEntries orders by prefix length, then base address.
-func compareEntries(a, b Entry) int {
-	if c := a.Block.Bits() - b.Block.Bits(); c != 0 {
+// compareEntries orders rules by prefix length, then base address.
+func compareEntries(a, b Entry) int { return compareBlocks(a.Block, b.Block) }
+
+// compareBlocks orders blocks by prefix length, then base address: the
+// order in which a compiled table writes its rules.
+func compareBlocks(a, b netaddr.Block) int {
+	if c := a.Bits() - b.Bits(); c != 0 {
 		return c
 	}
-	if a.Block.Base() != b.Block.Base() {
-		if a.Block.Base() < b.Block.Base() {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.Base(), b.Base())
 }
 
 // siblingOf returns the block differing from b only in its last prefix

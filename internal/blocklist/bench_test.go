@@ -1,6 +1,7 @@
 package blocklist
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,69 @@ func BenchmarkMatcherCompile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchMatcherSink = Compile(tr)
+	}
+}
+
+// ---- compiling and probing the §6 sweep set ----
+
+// randomSeed returns n random addresses as a set: the shape of
+// R_bot-test, which holds 186 addresses at every scale.
+func randomSeed(rng *stats.RNG, n int) ipset.Set {
+	b := ipset.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.Add(netaddr.Addr(rng.Uint32()))
+	}
+	return b.Build()
+}
+
+// benchSetSink keeps the set benchmarks' results live.
+var benchSetSink *MatcherSet
+
+// BenchmarkSweepSetCompile compiles C_n(seed) for every n in the range
+// into one MatcherSet: Table 3's shape (186 addresses at /24–/32) and a
+// larger seed over a wider range.
+func BenchmarkSweepSetCompile(b *testing.B) {
+	for _, c := range []struct{ addrs, lo, hi int }{{186, 24, 32}, {2000, 16, 32}} {
+		seed := randomSeed(stats.NewRNG(14), c.addrs)
+		b.Run(fmt.Sprintf("addrs=%d,n=%d-%d", c.addrs, c.lo, c.hi), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ms, err := SweepSet(seed, c.lo, c.hi)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSetSink = ms
+			}
+		})
+	}
+}
+
+// BenchmarkMatcherSetMask probes Table 3's sweep set: half the probes
+// share a /24 with a seed address, as the partition members it scores
+// do, and half are random.
+func BenchmarkMatcherSetMask(b *testing.B) {
+	rng := stats.NewRNG(15)
+	seed := randomSeed(rng, 186)
+	ms, err := SweepSet(seed, 24, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	near := seed.Addrs()
+	probes := make([]netaddr.Addr, 4096)
+	for i := range probes {
+		probes[i] = netaddr.Addr(rng.Uint32())
+		if i%2 == 0 {
+			probes[i] = near[rng.Intn(len(near))]&^0xff | probes[i]&0xff
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var or uint32
+	for i := 0; i < b.N; i++ {
+		or |= ms.Mask(probes[i%len(probes)])
+	}
+	if b.N > 0 && or == 0 {
+		b.Fatal("no probe matched")
 	}
 }
 

@@ -124,33 +124,48 @@ func TestMatcherLookupNoAlloc(t *testing.T) {
 
 func TestCompileSetMatchesTries(t *testing.T) {
 	rng := stats.NewRNG(42)
-	lists := make([]*Trie, 5)
-	for i := range lists {
-		lists[i] = randomTrie(rng, 120)
+	random := make([]*Trie, 5)
+	for i := range random {
+		random[i] = randomTrie(rng, 120)
 	}
-	ms, err := CompileSet(lists)
-	if err != nil {
-		t.Fatal(err)
+	// One block in two lists, and a /16 ⊃ /24 ⊃ /32 chain whose levels
+	// sit in different lists, so a rule's mask must carry the lists of
+	// the rules that contain it.
+	hand := []*Trie{{}, {}, {}}
+	for _, r := range []struct {
+		list  int
+		block string
+	}{
+		{0, "192.168.7.0/24"}, {2, "192.168.7.0/24"},
+		{0, "10.1.0.0/16"}, {1, "10.1.2.0/24"}, {2, "10.1.2.3/32"},
+	} {
+		hand[r.list].Insert(netaddr.MustParseBlock(r.block), "hand")
 	}
-	if ms.Lists() != len(lists) {
-		t.Fatalf("Lists = %d, want %d", ms.Lists(), len(lists))
-	}
-	for _, tr := range lists {
-		for _, a := range probeAddrs(tr, rng, 0) {
-			mask := ms.Mask(a)
-			for i, l := range lists {
-				if got, want := mask>>uint(i)&1 == 1, l.Blocks(a); got != want {
-					t.Fatalf("Mask(%v) bit %d = %v, trie says %v", a, i, got, want)
+	for _, lists := range [][]*Trie{random, hand} {
+		ms, err := CompileSet(lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms.Lists() != len(lists) {
+			t.Fatalf("Lists = %d, want %d", ms.Lists(), len(lists))
+		}
+		for _, tr := range lists {
+			for _, a := range probeAddrs(tr, rng, 0) {
+				mask := ms.Mask(a)
+				for i, l := range lists {
+					if got, want := mask>>uint(i)&1 == 1, l.Blocks(a); got != want {
+						t.Fatalf("Mask(%v) bit %d = %v, trie says %v", a, i, got, want)
+					}
 				}
 			}
 		}
-	}
-	for i := 0; i < 5000; i++ {
-		a := netaddr.Addr(rng.Uint32())
-		mask := ms.Mask(a)
-		for j, l := range lists {
-			if got, want := mask>>uint(j)&1 == 1, l.Blocks(a); got != want {
-				t.Fatalf("Mask(%v) bit %d = %v, trie says %v", a, j, got, want)
+		for i := 0; i < 5000; i++ {
+			a := netaddr.Addr(rng.Uint32())
+			mask := ms.Mask(a)
+			for j, l := range lists {
+				if got, want := mask>>uint(j)&1 == 1, l.Blocks(a); got != want {
+					t.Fatalf("Mask(%v) bit %d = %v, trie says %v", a, j, got, want)
+				}
 			}
 		}
 	}
@@ -201,6 +216,20 @@ func TestSweepSetMatchesFromSet(t *testing.T) {
 	})
 }
 
+// TestSweepSetAllocs holds SweepSet at Table 3's shape to a few
+// allocations per compile: the seed's blocks go straight into the table,
+// with no trie per prefix length.
+func TestSweepSetAllocs(t *testing.T) {
+	seed := randomSeed(stats.NewRNG(16), 186)
+	if avg := testing.AllocsPerRun(10, func() {
+		if _, err := SweepSet(seed, 24, 32); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1000 {
+		t.Errorf("SweepSet allocates %.0f times per compile, want at most 1000", avg)
+	}
+}
+
 func TestSweepSetRangeValidation(t *testing.T) {
 	var empty ipset.Set
 	for _, r := range [][2]int{{-1, 8}, {8, 33}, {20, 10}} {
@@ -212,7 +241,10 @@ func TestSweepSetRangeValidation(t *testing.T) {
 
 // FuzzMatcherLookup is the differential fuzz harness: a seeded random
 // rule set is compiled and the matcher must agree with the reference
-// trie on the fuzzed address and its rule-boundary neighbours.
+// trie on the fuzzed address and its rule-boundary neighbours. The rules
+// are then dealt over one to five lists, some into two, and a set of
+// those lists must agree with their tries on every rule's boundary
+// addresses; so must a sweep over the rules' bases with FromSet's tries.
 func FuzzMatcherLookup(f *testing.F) {
 	f.Add(uint64(1), uint32(0), uint16(50))
 	f.Add(uint64(2), uint32(0xc0a80101), uint16(1))
@@ -221,15 +253,16 @@ func FuzzMatcherLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, addr uint32, nRules uint16) {
 		rng := stats.NewRNG(seed)
 		tr := randomTrie(rng, int(nRules%512))
+		fuzzed := []netaddr.Addr{
+			netaddr.Addr(addr), netaddr.Addr(addr) - 1, netaddr.Addr(addr) + 1,
+			netaddr.Addr(addr ^ 0x80000000), netaddr.Addr(rng.Uint32()),
+		}
 		m := Compile(tr)
 		ms, err := CompileSet([]*Trie{tr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range []netaddr.Addr{
-			netaddr.Addr(addr), netaddr.Addr(addr) - 1, netaddr.Addr(addr) + 1,
-			netaddr.Addr(addr ^ 0x80000000), netaddr.Addr(rng.Uint32()),
-		} {
+		for _, a := range fuzzed {
 			we, wok := tr.Lookup(a)
 			ge, gok := m.Lookup(a)
 			if wok != gok || (wok && ge.Block != we.Block) {
@@ -237,6 +270,50 @@ func FuzzMatcherLookup(f *testing.F) {
 			}
 			if got, want := ms.Mask(a) == 1, tr.Blocks(a); got != want {
 				t.Fatalf("set Mask(%v) = %v, trie says %v", a, got, want)
+			}
+		}
+
+		lists := make([]*Trie, 1+rng.Intn(5))
+		for i := range lists {
+			lists[i] = &Trie{}
+		}
+		bases := ipset.NewBuilder(tr.Len())
+		tr.Walk(func(e Entry) bool {
+			lists[rng.Intn(len(lists))].Insert(e.Block, e.Reason)
+			if rng.Intn(4) == 0 {
+				lists[rng.Intn(len(lists))].Insert(e.Block, e.Reason)
+			}
+			bases.Add(e.Block.Base())
+			return true
+		})
+		seeds := bases.Build()
+		lo := rng.Intn(33)
+		hi := lo + rng.Intn(min(32, 33-lo))
+		sweep := make([]*Trie, 0, hi-lo+1)
+		for n := lo; n <= hi; n++ {
+			sweep = append(sweep, FromSet(seeds, n, "sweep"))
+		}
+		dealt, err := CompileSet(lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept, err := SweepSet(seeds, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := append(probeAddrs(tr, rng, 0), fuzzed...)
+		for _, c := range []struct {
+			name  string
+			set   *MatcherSet
+			tries []*Trie
+		}{{"dealt", dealt, lists}, {"sweep", swept, sweep}} {
+			for _, a := range probes {
+				mask := c.set.Mask(a)
+				for i, l := range c.tries {
+					if got, want := mask>>uint(i)&1 == 1, l.Blocks(a); got != want {
+						t.Fatalf("%s set: Mask(%v) bit %d = %v, trie says %v", c.name, a, i, got, want)
+					}
+				}
 			}
 		}
 	})

@@ -145,16 +145,12 @@ func BlockedAddressSpan(botTest ipset.Set, n int) uint64 {
 	return uint64(botTest.BlockCount(n)) << (32 - uint(n))
 }
 
-// BlockingROC converts a blocking sweep into ROC operating points: at
-// each prefix length, hostile candidates inside the blocked networks are
-// true positives, innocents inside are false positives, and the
-// remainder of each class (not blocked) supplies FN/TN. Unknowns stay
-// unscored, as in §6.1.
-func BlockingROC(botTest ipset.Set, p Partition, pr PrefixRange) (*roc.Curve, error) {
-	rows, err := BlockingTable(botTest, p, pr)
-	if err != nil {
-		return nil, err
-	}
+// BlockingROC converts the rows of a blocking sweep over partition p
+// (BlockingTable's) into ROC operating points: at each prefix length,
+// hostile candidates inside the blocked networks are true positives,
+// innocents inside are false positives, and the remainder of each class
+// (not blocked) supplies FN/TN. Unknowns stay unscored, as in §6.1.
+func BlockingROC(rows []BlockingRow, p Partition) (*roc.Curve, error) {
 	points := make([]roc.Point, 0, len(rows))
 	for _, row := range rows {
 		points = append(points, roc.Point{

@@ -140,7 +140,11 @@ func TestBlockingROC(t *testing.T) {
 		Candidate: hostile.Union(unknown).Union(innocent),
 		Hostile:   hostile, Unknown: unknown, Innocent: innocent,
 	}
-	curve, err := BlockingROC(botTest, p, PrefixRange{24, 32})
+	rows, err := BlockingTable(botTest, p, PrefixRange{24, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve, err := BlockingROC(rows, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +159,6 @@ func TestBlockingROC(t *testing.T) {
 		if pt.TP+pt.FN != hostile.Len() || pt.FP+pt.TN != innocent.Len() {
 			t.Fatalf("confusion does not partition classes: %+v", pt)
 		}
-	}
-	if _, err := BlockingROC(ipset.Set{}, p, PrefixRange{24, 32}); err == nil {
-		t.Error("empty bot-test accepted")
 	}
 }
 

@@ -74,7 +74,7 @@ func Table3(ds *Dataset) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve, err := core.BlockingROC(botTest, t2.Partition, core.PrefixRange{Lo: 24, Hi: 32})
+	curve, err := core.BlockingROC(rows, t2.Partition)
 	if err != nil {
 		return nil, err
 	}

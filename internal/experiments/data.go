@@ -86,14 +86,8 @@ func Build(cfg Config) (*Dataset, error) {
 	spamSet := acc.spam.Spammers()
 	spDetect.End()
 
-	// Control report: payload-bearing TCP sources of the prior week,
-	// modeled by an activity-weighted population draw.
 	spControl := obs.StartSpan("build/control")
-	controlSize := world.ScaledSize(PaperControlSize)
-	if limit := world.Model.TotalHosts() / 2; controlSize > limit {
-		controlSize = limit
-	}
-	controlSet, err := world.ControlSample(controlSize, stats.NewRNG(cfg.Seed^0xc0417))
+	controlSet, err := DrawControl(world, cfg.Seed)
 	spControl.End()
 	if err != nil {
 		return nil, err
@@ -129,6 +123,15 @@ func Build(cfg Config) (*Dataset, error) {
 	ds.Inventory = inv
 	spReports.End()
 	return ds, nil
+}
+
+// DrawControl draws the control report of a world built from seed: the
+// payload-bearing TCP sources of the prior week, modeled by an
+// activity-weighted population draw of the paper's control size scaled
+// to the world, capped at half its hosts.
+func DrawControl(world *simnet.World, seed uint64) (ipset.Set, error) {
+	size := min(world.ScaledSize(PaperControlSize), world.Model.TotalHosts()/2)
+	return world.ControlSample(size, stats.NewRNG(seed^0xc0417))
 }
 
 // windowOptions are the flow options of the unclean window: benign
