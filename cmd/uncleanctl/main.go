@@ -221,9 +221,13 @@ func cmdRun(args []string) error {
 		fmt.Printf("==== %s ====\n%s\n\n%s\n", res.ID(), res.Title(), res.Render())
 	}
 	// The per-run stage-timing table: world build stages plus one span
-	// per experiment, slowest first.
+	// per experiment, slowest first. Then the kernel's peak resident set
+	// (VmHWM), where /proc has it.
 	if tbl := obs.DefaultTrace().Table(); tbl != "" {
 		fmt.Fprintf(os.Stderr, "\nstage timings:\n%s", tbl)
+	}
+	if pm, ok := obs.ReadProcMem(); ok {
+		fmt.Fprintf(os.Stderr, "peak RSS %d MB\n", pm.Peak>>20)
 	}
 	return nil
 }

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"unclean/internal/obs"
 )
 
 func TestConfigFrom(t *testing.T) {
@@ -68,5 +73,46 @@ func TestRunDispatch(t *testing.T) {
 		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%v: err = %v, want one naming %s", c.args, err, c.flag)
 		}
+	}
+}
+
+// TestRunPrintsPeakRSS holds `uncleanctl run` to its last stderr line,
+// `peak RSS <N> MB`, the kernel's VmHWM, wherever /proc has it; stdout
+// carries only the renders.
+func TestRunPrintsPeakRSS(t *testing.T) {
+	if _, ok := obs.ReadProcMem(); !ok {
+		t.Skip("no /proc/self/status")
+	}
+	dir := t.TempDir()
+	stdout, stderr := os.Stdout, os.Stderr
+	defer func() { os.Stdout, os.Stderr = stdout, stderr }()
+	var err error
+	if os.Stdout, err = os.Create(filepath.Join(dir, "stdout")); err != nil {
+		t.Fatal(err)
+	}
+	if os.Stderr, err = os.Create(filepath.Join(dir, "stderr")); err != nil {
+		t.Fatal(err)
+	}
+	runErr := run([]string{"run", "-exp", "table1", "-scale", "2000", "-seed", "7"})
+	os.Stdout.Close()
+	os.Stderr.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	out, err := os.ReadFile(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errOut, err := os.ReadFile(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(errOut), "\n"), "\n")
+	var mb int
+	if n, err := fmt.Sscanf(lines[len(lines)-1], "peak RSS %d MB", &mb); n != 1 || err != nil || mb <= 0 {
+		t.Fatalf("last stderr line %q, want peak RSS <N> MB", lines[len(lines)-1])
+	}
+	if strings.Contains(string(out), "peak RSS") || !strings.HasPrefix(string(out), "==== table1 ====") {
+		t.Fatalf("stdout holds more than the render:\n%s", out)
 	}
 }

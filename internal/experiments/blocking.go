@@ -18,15 +18,22 @@ type Table2Result struct {
 
 // Table2 derives the candidate population and its partition from the
 // October traffic: candidates are TCP sources sharing a /24 with
-// R_bot-test; hostile/unknown/innocent follow §6.1.
+// R_bot-test; hostile/unknown/innocent follow §6.1. It is derived once
+// per dataset, and Table 3 and the tracker read the same result.
 func Table2(ds *Dataset) (*Table2Result, error) {
+	ds.table2Once.Do(func() { ds.table2, ds.table2Err = table2(ds) })
+	return ds.table2, ds.table2Err
+}
+
+func table2(ds *Dataset) (*Table2Result, error) {
 	botTest := ds.Report("bot-test").Addrs
 	candidate := ds.TCPSources.WithinBlocks(botTest, 24)
-	p := core.PartitionCandidates(candidate, ds.Unclean(), ds.PayloadSources)
+	unclean := ds.Unclean()
+	p := core.PartitionCandidates(candidate, unclean, ds.PayloadSources)
 	if err := p.Check(); err != nil {
 		return nil, err
 	}
-	return &Table2Result{UncleanSize: ds.Unclean().Len(), Partition: p}, nil
+	return &Table2Result{UncleanSize: unclean.Len(), Partition: p}, nil
 }
 
 // ID implements Result.

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"unclean/internal/blocklist"
@@ -43,6 +45,11 @@ type Dataset struct {
 	// PhishTest is the old phishing sub-report (the paper's 1386
 	// addresses) used in Figure 5.
 	PhishTest ipset.Set
+
+	// Table 2's partition, derived on first use (Table2).
+	table2Once sync.Once
+	table2     *Table2Result
+	table2Err  error
 }
 
 // Build generates the dataset: world, traffic, detector-derived observed
@@ -63,12 +70,13 @@ func Build(cfg Config) (*Dataset, error) {
 	}
 	ds := &Dataset{Cfg: cfg, World: world}
 
-	// Traffic for the unclean window and the observed reports, in one
-	// fold over its days: each worker keeps its days' records and feeds
-	// them to its own source sets and detectors, and the workers'
-	// accumulators merge once every day is done.
+	// The observed reports, in one fold over the unclean window's days:
+	// each worker counts its days' records and feeds them to its own
+	// source sets and detectors, and the workers' accumulators merge
+	// once every day is done.
+	opts := windowOptions(cfg.BenignPerDay)
 	spFlows := obs.StartSpan("build/flows")
-	parts, err := simnet.Fold(world, UncleanFrom, UncleanTo, windowOptions(cfg.BenignPerDay), newWindowFold)
+	parts, err := simnet.Fold(world, UncleanFrom, UncleanTo, opts, newWindowFold)
 	spFlows.End()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: observed reports: %w", err)
@@ -79,12 +87,24 @@ func Build(cfg Config) (*Dataset, error) {
 	for _, p := range parts[1:] {
 		acc.Merge(p)
 	}
-	ds.Flows = acc.log.Records()
-	ds.FlowCount = acc.flows
+	slices.SortFunc(acc.days, func(a, b dayCount) int { return a.day.Compare(b.day) })
+	perDay := make([]int, len(acc.days))
+	for i, d := range acc.days {
+		perDay[i] = d.flows
+		ds.FlowCount += d.flows
+	}
 	ds.PayloadSources, ds.TCPSources = acc.sources.Sets()
 	scanSet := acc.scan.Scanners()
 	spamSet := acc.spam.Spammers()
 	spDetect.End()
+
+	// The flow log, each day synthesized again straight into its slot.
+	spLog := obs.StartSpan("build/log")
+	ds.Flows, err = world.SynthesizeCounted(UncleanFrom, UncleanTo, opts, perDay)
+	spLog.End()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: flow log: %w", err)
+	}
 
 	spControl := obs.StartSpan("build/control")
 	controlSet, err := DrawControl(world, cfg.Seed)
@@ -141,15 +161,21 @@ func windowOptions(benignPerDay int) simnet.FlowOptions {
 }
 
 // windowFold is one worker's share of Build's fold over the unclean
-// window: the flow log, its count, the payload-bearing and TCP sources,
-// and the detectors of the observed scan and spam reports. The scan
-// detector evaluates each day's hourly buckets at the day's end.
+// window: the record count of each of its days, the payload-bearing and
+// TCP sources, and the detectors of the observed scan and spam reports.
+// The scan detector evaluates each day's hourly buckets at the day's end.
 type windowFold struct {
-	log     simnet.FlowLog
-	flows   int
+	days    []dayCount
+	flows   int // the current day's records so far
 	sources *simnet.SourceSets
 	scan    *scandetect.Threshold
 	spam    *spamdetect.Detector
+}
+
+// dayCount is the number of records of one day of the window.
+type dayCount struct {
+	day   time.Time
+	flows int
 }
 
 func newWindowFold() (*windowFold, error) {
@@ -165,7 +191,6 @@ func newWindowFold() (*windowFold, error) {
 }
 
 func (f *windowFold) Consume(recs []netflow.Record) {
-	f.log.Consume(recs)
 	f.flows += len(recs)
 	f.sources.Consume(recs)
 	f.scan.Consume(recs)
@@ -173,13 +198,13 @@ func (f *windowFold) Consume(recs []netflow.Record) {
 }
 
 func (f *windowFold) EndDay(day time.Time) {
-	f.log.EndDay(day)
+	f.days = append(f.days, dayCount{day, f.flows})
+	f.flows = 0
 	f.scan.EndDay(day)
 }
 
 func (f *windowFold) Merge(other *windowFold) {
-	f.log.Merge(&other.log)
-	f.flows += other.flows
+	f.days = append(f.days, other.days...)
 	f.sources.Merge(other.sources)
 	f.scan.Merge(other.scan)
 	f.spam.Merge(other.spam)

@@ -25,8 +25,8 @@ import (
 // TestBuildFoldMatchesWholeLog holds Build's fold to the whole-log
 // functions it replaced, for both golden seeds on one worker and on
 // four: the flow log equals SynthesizeFlows over the window byte for
-// byte, and the source sets and the observed scan and spam reports equal
-// the accumulators run over that whole log.
+// byte, at its exact size, and the source sets and the observed scan and
+// spam reports equal the accumulators run over that whole log.
 func TestBuildFoldMatchesWholeLog(t *testing.T) {
 	for _, seed := range []uint64{20061001, 424242} {
 		for _, procs := range []int{1, 4} {
@@ -41,6 +41,9 @@ func TestBuildFoldMatchesWholeLog(t *testing.T) {
 				want := ds.World.SynthesizeFlows(UncleanFrom, UncleanTo, windowOptions(cfg.BenignPerDay))
 				if len(ds.Flows) != len(want) || ds.FlowCount != len(want) {
 					t.Fatalf("Build kept %d flows and counted %d, SynthesizeFlows %d", len(ds.Flows), ds.FlowCount, len(want))
+				}
+				if cap(ds.Flows) != len(ds.Flows) {
+					t.Errorf("Build's log of %d flows has capacity %d", len(ds.Flows), cap(ds.Flows))
 				}
 				for i := range want {
 					if ds.Flows[i] != want[i] {

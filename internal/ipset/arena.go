@@ -29,6 +29,14 @@ var arenaPool = sync.Pool{New: func() any { return new(sampleArena) }}
 func getArena() *sampleArena  { return arenaPool.Get().(*sampleArena) }
 func putArena(a *sampleArena) { arenaPool.Put(a) }
 
+// populationPool recycles the draw kernels' population buffers: the
+// sampled set's addresses, then the target's, which a kernel call fills
+// once and its draws share. It is a pool of its own because a call takes
+// exactly one buffer, so the next call gets back the buffer this one
+// grew, where the arena pool hands a call's several arenas back last in,
+// first out.
+var populationPool = sync.Pool{New: func() any { return new([]uint32) }}
+
 // drawRanks draws a uniform k-subset of the ranks [0, n) and calls visit
 // on each chosen rank in ascending order; the caller has checked
 // 0 <= k <= n. When k == n it visits every rank and consumes no

@@ -1,6 +1,8 @@
 package ipset
 
 import (
+	"slices"
+
 	"unclean/internal/stats"
 )
 
@@ -72,10 +74,17 @@ func (s Set) sampleTallies(target *Set, k, size, loBits, hiBits int, rng *stats.
 	for i := range out {
 		out[i] = make([]float64, k)
 	}
-	addrs := s.raw() // one materialization shared by every draw
+	// The population's addresses, then the target's, filled into one
+	// pooled buffer that every draw of this call shares.
+	pop := populationPool.Get().(*[]uint32)
+	need := s.Len()
+	if target != nil {
+		need += target.Len()
+	}
+	addrs := s.c.appendAddrs(slices.Grow((*pop)[:0], need))
 	var targetAddrs []uint32
 	if target != nil {
-		targetAddrs = target.raw()
+		targetAddrs = target.c.appendAddrs(addrs)[len(addrs):]
 	}
 	arenas := make([]*sampleArena, stats.Workers(k))
 	for i := range arenas {
@@ -99,5 +108,7 @@ func (s Set) sampleTallies(target *Set, k, size, loBits, hiBits int, rng *stats.
 	for _, a := range arenas {
 		putArena(a)
 	}
+	*pop = addrs[:0]
+	populationPool.Put(pop)
 	return out
 }

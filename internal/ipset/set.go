@@ -10,7 +10,8 @@
 // i ⊏ C_n(S), and random sampling for control subsets. The containers
 // answer them without decompressing wholesale; only WithinBlocks (the
 // inclusion relation over a whole set) and the Monte-Carlo draw kernels
-// materialize sorted slices, once per call.
+// materialize sorted slices, once per call, the kernels into a pooled
+// buffer they reuse from call to call.
 package ipset
 
 import (
@@ -100,9 +101,8 @@ func MustParse(s string) Set {
 // it.
 func (s Set) Compress() Set { return s }
 
-// raw materializes the membership as a fresh sorted slice: the one
-// decompression, which WithinBlocks and the Monte-Carlo draw kernels
-// read once per call.
+// raw materializes the membership as a fresh sorted slice, which
+// WithinBlocks reads once per call.
 func (s Set) raw() []uint32 {
 	return s.c.appendAddrs(make([]uint32, 0, s.c.n))
 }

@@ -1,7 +1,8 @@
 package simnet
 
 import (
-	"slices"
+	"errors"
+	"fmt"
 	"time"
 
 	"unclean/internal/ipset"
@@ -16,7 +17,10 @@ import (
 // cross-day merge and the spill path: each day is synthesized by one
 // worker of the shared pool, straight into that worker's accumulator,
 // and the per-worker accumulators merge in worker order once every day
-// is done, the shard-and-merge discipline of obs/sketch.
+// is done, the shard-and-merge discipline of obs/sketch. A consumer that
+// also needs the ordered log counts each day's records in its fold, and
+// SynthesizeCounted then places every day at its final offset in one
+// log of the exact size.
 
 // A DayFolder is one worker's accumulator in a fold over days (Fold).
 type DayFolder interface {
@@ -85,52 +89,46 @@ func (s foldSink) checkpoint(out []netflow.Record) []netflow.Record {
 	return out[:copy(out, out[whole:])]
 }
 
-// FlowLog is the fold accumulator that keeps the records themselves:
-// each day is put in time order on the worker that synthesized it, by
-// the stable radix order, and kept at its exact size. Records then
-// concatenates the days in date order, which gives the log
-// SynthesizeFlows returns for the same window and options.
-type FlowLog struct {
-	cur   []netflow.Record // the current day, in generation order
-	order timeScratch
-	days  []loggedDay
-}
-
-type loggedDay struct {
-	day  time.Time
-	recs []netflow.Record
-}
-
-// Consume implements DayFolder.
-func (l *FlowLog) Consume(records []netflow.Record) { l.cur = append(l.cur, records...) }
-
-// EndDay implements DayFolder: it keeps the day in time order.
-func (l *FlowLog) EndDay(day time.Time) {
-	perm := l.order.timeOrder(l.cur)
-	recs := make([]netflow.Record, len(perm))
-	for i, j := range perm {
-		recs[i] = l.cur[j]
+// SynthesizeCounted returns SynthesizeFlows's log for the window and
+// options, given the number of records each of its days holds, in date
+// order, as a fold over the same window and options counted them. The
+// log is allocated once at its exact size and each day is synthesized
+// straight into its own slot of it, then put in time order there by the
+// stable radix order on the worker that synthesized it; no day is held
+// anywhere else. Every generator keeps a record's First inside its day,
+// so the days in date order are the log's time order. A perDay of the
+// wrong length, or a day whose records differ in number from its count,
+// is an error, and no log is returned.
+func (w *World) SynthesizeCounted(from, to time.Time, opts FlowOptions, perDay []int) ([]netflow.Record, error) {
+	lo, hi := w.clampDays(from, to)
+	n := max(hi-lo+1, 0)
+	if len(perDay) != n {
+		return nil, fmt.Errorf("simnet: %d day counts for a window of %d days", len(perDay), n)
 	}
-	l.days = append(l.days, loggedDay{day, recs})
-	l.cur = l.cur[:0]
-}
-
-// Merge takes other's days.
-func (l *FlowLog) Merge(other *FlowLog) {
-	l.days = append(l.days, other.days...)
-	other.days = nil
-}
-
-// Records returns the kept days in date order as one log allocated at
-// its exact size, and releases them.
-func (l *FlowLog) Records() []netflow.Record {
-	slices.SortFunc(l.days, func(a, b loggedDay) int { return a.day.Compare(b.day) })
-	perDay := make([][]netflow.Record, len(l.days))
-	for i := range l.days {
-		perDay[i] = l.days[i].recs
+	offs := make([]int, n+1)
+	for i, c := range perDay {
+		if c < 0 {
+			return nil, fmt.Errorf("simnet: %s counted %d records", w.Date(lo+i).Format(time.DateOnly), c)
+		}
+		offs[i+1] = offs[i] + c
 	}
-	l.days = nil
-	return mergeByTime(perDay)
+	log := make([]netflow.Record, offs[n])
+	order := make([]timeScratch, stats.Workers(n))
+	errs := make([]error, n)
+	stats.Parallel(n, func(worker, i int) {
+		// The slot's capacity is the day's count, so a day that outgrows
+		// it moves to a buffer of its own and leaves its neighbour alone.
+		day := w.synthesizeDay(lo+i, opts, log[offs[i]:offs[i]:offs[i+1]], nil)
+		if len(day) != perDay[i] {
+			errs[i] = fmt.Errorf("simnet: %s has %d records, counted %d", w.Date(lo+i).Format(time.DateOnly), len(day), perDay[i])
+			return
+		}
+		order[worker].sortByTime(day)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return log, nil
 }
 
 // SourceSets is the fold accumulator of a window's distinct sources:

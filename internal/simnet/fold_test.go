@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,10 +14,11 @@ import (
 
 // foldProbe is a DayFolder that checks the fold's delivery contract:
 // fixed-size chunks, only a day's last one shorter, and every record
-// consumed before an EndDay inside that day.
+// consumed before an EndDay inside that day. It counts each day's
+// records, as a fold that has SynthesizeCounted place the log does.
 type foldProbe struct {
 	t       *testing.T
-	log     FlowLog
+	counts  map[time.Time]int
 	day     []netflow.Record // the current day, as delivered
 	short   bool             // the current day had a short chunk
 	endDays []time.Time
@@ -31,7 +33,6 @@ func (p *foldProbe) Consume(recs []netflow.Record) {
 	}
 	p.short = len(recs) < foldChunkRecords
 	p.day = append(p.day, recs...)
-	p.log.Consume(recs)
 }
 
 func (p *foldProbe) EndDay(day time.Time) {
@@ -42,13 +43,17 @@ func (p *foldProbe) EndDay(day time.Time) {
 		}
 	}
 	p.endDays = append(p.endDays, day)
+	if p.counts == nil {
+		p.counts = map[time.Time]int{}
+	}
+	p.counts[day] = len(p.day)
 	p.day, p.short = p.day[:0], false
-	p.log.EndDay(day)
 }
 
 // TestFoldFlowLogMatchesSynthesize holds the fold to the ordered path:
 // at one worker and at four, every day ends once, chunks keep their
-// size, and the FlowLog's records equal SynthesizeFlows byte for byte.
+// size, and SynthesizeCounted over the fold's per-day counts equals
+// SynthesizeFlows byte for byte, in a log of exactly its length.
 func TestFoldFlowLogMatchesSynthesize(t *testing.T) {
 	w := getWorld(t)
 	opts := FlowOptions{BenignSourcesPerDay: 60, CandidateExtras: true}
@@ -65,36 +70,111 @@ func TestFoldFlowLogMatchesSynthesize(t *testing.T) {
 				t.Fatalf("%d folders, want %d", len(parts), stats.Workers(6))
 			}
 			days := map[time.Time]int{}
-			for _, p := range parts[1:] {
-				parts[0].log.Merge(&p.log)
-			}
+			counts := map[time.Time]int{}
 			for _, p := range parts {
 				for _, d := range p.endDays {
 					days[d]++
 				}
+				for d, n := range p.counts {
+					counts[d] = n
+				}
 			}
+			var perDay []int
 			for d := from; !d.After(to); d = d.Add(24 * time.Hour) {
 				if days[d] != 1 {
 					t.Errorf("%s ended %d times", d.Format(time.DateOnly), days[d])
 				}
+				perDay = append(perDay, counts[d])
 			}
-			recordsIdentical(t, "fold log vs SynthesizeFlows", parts[0].log.Records(), want)
+			log, err := w.SynthesizeCounted(from, to, opts, perDay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(log) != len(log) {
+				t.Errorf("log of %d records has capacity %d", len(log), cap(log))
+			}
+			recordsIdentical(t, "counted log vs SynthesizeFlows", log, want)
 		})
 	}
 }
 
-// TestFoldEmptyWindow gives one empty folder for a window outside the
-// horizon.
+// TestFoldEmptyWindow gives one empty folder, and an empty log, for a
+// window outside the horizon.
 func TestFoldEmptyWindow(t *testing.T) {
 	w := getWorld(t)
-	parts, err := Fold(w, date(2005, 1, 1), date(2005, 1, 5), FlowOptions{}, func() (*foldProbe, error) {
+	from, to := date(2005, 1, 1), date(2005, 1, 5)
+	parts, err := Fold(w, from, to, FlowOptions{}, func() (*foldProbe, error) {
 		return &foldProbe{t: t}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 1 || len(parts[0].endDays) != 0 || len(parts[0].log.Records()) != 0 {
+	if len(parts) != 1 || len(parts[0].endDays) != 0 {
 		t.Fatalf("empty window: %d folders", len(parts))
+	}
+	log, err := w.SynthesizeCounted(from, to, FlowOptions{}, nil)
+	if err != nil || len(log) != 0 {
+		t.Fatalf("empty window: %d records, err %v", len(log), err)
+	}
+}
+
+// TestSynthesizeCountedRejectsMiscounts gives SynthesizeCounted day
+// counts that do not match the days: each is an error on the caller's
+// goroutine, with no log, and never a crash in a pool worker.
+func TestSynthesizeCountedRejectsMiscounts(t *testing.T) {
+	w := getWorld(t)
+	opts := FlowOptions{BenignSourcesPerDay: 60, CandidateExtras: true}
+	from, to := date(2006, 10, 1), date(2006, 10, 4)
+	var perDay []int
+	for d := from; !d.After(to); d = d.Add(24 * time.Hour) {
+		perDay = append(perDay, len(w.SynthesizeFlows(d, d, opts)))
+	}
+	if _, err := w.SynthesizeCounted(from, to, opts, perDay); err != nil {
+		t.Fatalf("exact counts: %v", err)
+	}
+	miscount := func(i, delta int) []int {
+		c := slices.Clone(perDay)
+		c[i] += delta
+		return c
+	}
+	for name, counts := range map[string][]int{
+		"one day over":  miscount(1, +1),
+		"one day under": miscount(2, -1),
+		"last day zero": miscount(3, -perDay[3]),
+		"negative day":  miscount(0, -perDay[0]-1),
+		"short":         perDay[:3],
+		"long":          append(slices.Clone(perDay), 5),
+	} {
+		log, err := w.SynthesizeCounted(from, to, opts, counts)
+		if err == nil || log != nil {
+			t.Errorf("%s: %d records, err %v; want an error and no log", name, len(log), err)
+		}
+	}
+}
+
+// TestSynthesizeCountedAllocatesTheLogOnce holds SynthesizeCounted to
+// one allocation of the log: everything it allocates, the radix order's
+// scratch included, stays under 1.5 times the log's bytes. Keeping each
+// sorted day and concatenating them allocates over twice the log.
+func TestSynthesizeCountedAllocatesTheLogOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	w := getWorld(t)
+	opts := FlowOptions{BenignSourcesPerDay: 60, CandidateExtras: true}
+	from, to := date(2006, 10, 1), date(2006, 10, 14)
+	var perDay []int
+	for d := from; !d.After(to); d = d.Add(24 * time.Hour) {
+		perDay = append(perDay, len(w.SynthesizeFlows(d, d, opts)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	log, err := w.SynthesizeCounted(from, to, opts, perDay)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBytes := uint64(len(log) * recordMemBytes)
+	if got := after.TotalAlloc - before.TotalAlloc; 2*got >= 3*logBytes {
+		t.Fatalf("building a log of %d bytes allocated %d bytes (%.2fx), want under 1.5x", logBytes, got, float64(got)/float64(logBytes))
 	}
 }
 

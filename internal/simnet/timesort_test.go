@@ -232,3 +232,27 @@ func BenchmarkSortByTime(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSynthesizeCounted places a week of the unclean window, each
+// day synthesized and time-sorted in its slot of one exact-size log.
+func BenchmarkSynthesizeCounted(b *testing.B) {
+	w := getWorld(b)
+	opts := FlowOptions{BenignSourcesPerDay: 400, CandidateExtras: true}
+	from, to := date(2006, 10, 1), date(2006, 10, 7)
+	var perDay []int
+	for d := from; !d.After(to); d = d.Add(24 * time.Hour) {
+		perDay = append(perDay, len(w.SynthesizeFlows(d, d, opts)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var records int
+	for i := 0; i < b.N; i++ {
+		log, err := w.SynthesizeCounted(from, to, opts, perDay)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = len(log)
+	}
+	b.SetBytes(int64(records * recordMemBytes))
+	b.ReportMetric(float64(records), "records")
+}
