@@ -182,12 +182,21 @@ func reservePort(t *testing.T) (string, func(), error) {
 	return ln.Addr().String(), func() { ln.Close() }, nil
 }
 
-// The diagnostic mux must serve all four surfaces the -metrics flag
-// advertises: Prometheus text, JSON exposition, pprof, and expvar.
+// The diagnostic mux must serve the surfaces the -metrics flag
+// advertises: Prometheus text, JSON exposition, health, the mesh's
+// status, the flight ring, pprof, and expvar.
 func TestMetricsMuxEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("unclean_test_mux_total", "mux test counter").Add(7)
-	mux := metricsMux(nil, nil, nil, nil, reg)
+	batch := feedmesh.Batch{Addrs: ipset.MustParse("10.1.1.1 10.1.1.2")}
+	mesh, err := feedmesh.New(feedmesh.DefaultConfig(),
+		feedmesh.SourceFunc("alpha", func(context.Context) (feedmesh.Batch, error) { return batch, nil }),
+		feedmesh.SourceFunc("beta", func(context.Context) (feedmesh.Batch, error) { return batch, nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh.Tick(context.Background())
+	mux := metricsMux(nil, nil, mesh, nil, nil, reg)
 
 	get := func(path string) (*http.Response, string) {
 		t.Helper()
@@ -233,6 +242,19 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(body, `"ready": true`) {
 		t.Errorf("/readyz with no checks not ready:\n%s", body)
+	}
+
+	res, body = get("/debug/mesh")
+	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("/debug/mesh Content-Type = %q, want application/json", ct)
+	}
+	var st feedmesh.Status
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("/debug/mesh is not a feedmesh.Status: %v\n%s", err, body)
+	}
+	if st.Round != 1 || st.HealthyFeeds != 2 || st.TotalFeeds != 2 || st.MergedBlocks != 1 ||
+		len(st.Feeds) != 2 || st.Feeds[0].Name != "alpha" || st.Feeds[0].Health() != "healthy" {
+		t.Errorf("/debug/mesh decoded to %+v, want round 1 of two healthy feeds merging one block", st)
 	}
 
 	res, body = get("/debug/events")
@@ -558,7 +580,6 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-batch", "-1"},
 		{"-reload", "-1s"},
 		{"-selfcheck", "-1"},
-		{"-max-udp", "-1"},
 		{"-mesh-threshold", "0"},
 		{"-mesh-threshold", "1.1"},
 		// The shard's sampling tick is 32 bits: no rate above 2^32.
@@ -608,16 +629,16 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 }
 
 // TestRunShardedSelfcheckWithTCP boots the daemon on the sharded
-// batched path with a TCP listener and a deliberately tiny UDP response
-// limit, so the selfcheck lookups travel the whole line-rate stack:
-// SO_REUSEPORT shards answer with TC set, and the client's TC-bit
-// retry completes over TCP.
+// batched path with a TCP listener beside it on the same address, so
+// the selfcheck lookups travel the whole line-rate stack over
+// SO_REUSEPORT shards while the TCP listener starts and drains with
+// them.
 func TestRunShardedSelfcheckWithTCP(t *testing.T) {
 	dir := t.TempDir()
 	writeReports(t, dir)
 	err := run(context.Background(), []string{
 		"-listen", "127.0.0.1:0", "-reports", dir, "-threshold", "0.5",
-		"-selfcheck", "2", "-shards", "2", "-batch", "8", "-tcp", "-max-udp", "50",
+		"-selfcheck", "2", "-shards", "2", "-batch", "8", "-tcp",
 	})
 	if err != nil {
 		t.Fatalf("sharded selfcheck with TCP retry: %v", err)
@@ -730,6 +751,35 @@ func TestRunMeshModeSurvivesDeadFeed(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+
+	// /debug/mesh serves the same verdict as the readiness detail: read
+	// one after the other, they agree on every feed the detail names,
+	// and alpha, which it does not name, counts as healthy.
+	res, err := http.Get("http://" + addr + "/debug/mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st feedmesh.Status
+	err = json.NewDecoder(res.Body).Decode(&st)
+	res.Body.Close()
+	if err != nil {
+		t.Fatalf("/debug/mesh is not a feedmesh.Status: %v", err)
+	}
+	_, doc, err := getReady()
+	if err != nil {
+		t.Fatal(err)
+	}
+	detail := doc.Checks["feed_mesh"].Detail
+	labels := map[string]string{}
+	for _, f := range st.Feeds {
+		labels[f.Name] = f.Health()
+	}
+	if labels["beta"] != "quarantined" || !strings.Contains(detail, "beta="+labels["beta"]) {
+		t.Errorf("/debug/mesh labels beta %q; /readyz feed_mesh reads %q", labels["beta"], detail)
+	}
+	if labels["alpha"] != "healthy" || strings.Contains(detail, "alpha=") {
+		t.Errorf("/debug/mesh labels alpha %q; /readyz feed_mesh reads %q", labels["alpha"], detail)
+	}
 	listed, _, err = dnsbl.Lookup(udpAddr, "bl.unclean.example",
 		netaddr.MustParseAddr("10.1.1.9"), 2*time.Second)
 	if err != nil || !listed {
@@ -737,7 +787,7 @@ func TestRunMeshModeSurvivesDeadFeed(t *testing.T) {
 	}
 
 	// Phase 4: the per-feed health series ride the metrics endpoint.
-	res, err := http.Get("http://" + addr + "/metrics")
+	res, err = http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,8 +100,8 @@ commands:
                         on disk (see: uncleanctl reports)
   inspect [flags]       coordinated-activity view of one network's traffic
   figures -out DIR      render every figure (and the Table 3 sweep) as SVG
-  status  -metrics ADDR one-screen health/SLO/event view of a running
-                        dnsbld (reads its diagnostic HTTP surface)
+  status  -metrics ADDR one-screen health/feed/SLO/event view of a
+                        running dnsbld (reads its diagnostic HTTP surface)
   top     -metrics ADDR live query analytics of a running dnsbld: top
                         clients, hottest subnets, and the prediction
                         scoreboard (addresses queried before listing)

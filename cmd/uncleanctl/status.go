@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -18,10 +17,11 @@ import (
 )
 
 // cmdStatus is the operator's one-screen view of a running dnsbld: it
-// reads the daemon's diagnostic HTTP surface (/readyz, /metrics.json,
-// /debug/events) and renders health, SLO burn, rolling-window serving
-// rates, and the most recent flight-recorder events. It needs only the
-// -metrics address the daemon was started with.
+// reads the daemon's diagnostic HTTP surface (/readyz, /debug/mesh,
+// /metrics.json, /debug/events) and renders health, the feed table, SLO
+// burn, rolling-window serving rates, and the most recent
+// flight-recorder events. It needs only the -metrics address the daemon
+// was started with.
 func cmdStatus(args []string) error {
 	fs := flag.NewFlagSet("status", flag.ContinueOnError)
 	metrics := fs.String("metrics", "", "dnsbld diagnostic HTTP address (required; host:port of its -metrics flag)")
@@ -69,6 +69,10 @@ func writeStatus(w io.Writer, client *http.Client, base string, nEvents int) err
 	if err := getJSON(client, base, "/readyz", &ready); err != nil {
 		return fmt.Errorf("status: %w", err)
 	}
+	var mesh feedmesh.Status
+	if err := getJSON(client, base, "/debug/mesh", &mesh); err != nil {
+		return fmt.Errorf("status: %w", err)
+	}
 	var mets obs.MetricsDoc
 	if err := getJSON(client, base, "/metrics.json", &mets); err != nil {
 		return fmt.Errorf("status: %w", err)
@@ -105,7 +109,7 @@ func writeStatus(w io.Writer, client *http.Client, base string, nEvents int) err
 		fmt.Fprintln(w)
 	}
 
-	writeFeedTable(w, &mets)
+	writeFeedTable(w, mesh)
 
 	// SLOs and the rolling serving windows.
 	for _, m := range mets.Metrics {
@@ -174,110 +178,22 @@ func writeStatus(w io.Writer, client *http.Client, base string, nEvents int) err
 	return nil
 }
 
-// feedRow accumulates one feed's unclean_feedmesh_* series for the
-// per-feed health table.
-type feedRow struct {
-	state                    int64
-	quality, weight, dup, fp float64
-	lagMS, addrs             int64
-	loads, fails             int64
-	seen                     bool
-}
-
-// writeFeedTable renders the feed-mesh section: one summary line for
-// the mesh, then a row per feed, from the daemon's unclean_feedmesh_*
-// series. Every dnsbld serves through the mesh, so a scrape without
-// those series means they went missing; the section says so rather than
-// vanish.
-func writeFeedTable(w io.Writer, mets *obs.MetricsDoc) {
-	rows := map[string]*feedRow{}
-	var merged, healthy, degraded *int64
-	for _, m := range mets.Metrics {
-		if !strings.HasPrefix(m.Name, "unclean_feedmesh_") || m.Value == nil {
-			continue
-		}
-		feed := m.Labels["feed"]
-		if feed == "" {
-			switch m.Name {
-			case "unclean_feedmesh_merged_blocks":
-				merged = m.Value
-			case "unclean_feedmesh_healthy_feeds":
-				healthy = m.Value
-			case "unclean_feedmesh_degraded":
-				degraded = m.Value
-			}
-			continue
-		}
-		r := rows[feed]
-		if r == nil {
-			r = &feedRow{}
-			rows[feed] = r
-		}
-		v := *m.Value
-		switch m.Name {
-		case "unclean_feedmesh_state":
-			r.state, r.seen = v, true
-		case "unclean_feedmesh_quality_permille":
-			r.quality = float64(v) / 1000
-		case "unclean_feedmesh_weight_permille":
-			r.weight = float64(v) / 1000
-		case "unclean_feedmesh_dup_permille":
-			r.dup = float64(v) / 1000
-		case "unclean_feedmesh_fp_permille":
-			r.fp = float64(v) / 1000
-		case "unclean_feedmesh_lag_ms":
-			r.lagMS = v
-		case "unclean_feedmesh_batch_addrs":
-			r.addrs = v
-		case "unclean_feedmesh_loads_total":
-			r.loads = v
-		case "unclean_feedmesh_load_failures_total":
-			r.fails = v
-		}
-	}
-	if len(rows) == 0 {
-		fmt.Fprintf(w, "\nfeed mesh: none (no unclean_feedmesh_* series in the scrape; dnsbld always exposes them)\n")
-		return
-	}
-	fmt.Fprintf(w, "\nfeed mesh: %d/%d feeds healthy", deref64(healthy), len(rows))
-	if merged != nil {
-		fmt.Fprintf(w, ", %d merged blocks", *merged)
-	}
-	if degraded != nil && *degraded != 0 {
+// writeFeedTable renders the feed-mesh section from the daemon's
+// /debug/mesh document: one summary line for the mesh, then a row per
+// feed, labeled by the mesh's own health rule.
+func writeFeedTable(w io.Writer, st feedmesh.Status) {
+	fmt.Fprintf(w, "\nfeed mesh: %d/%d feeds healthy, %d merged blocks", st.HealthyFeeds, st.TotalFeeds, st.MergedBlocks)
+	if st.Degraded {
 		fmt.Fprint(w, " — DEGRADED, serving last-good list")
 	}
 	fmt.Fprintln(w)
-	names := make([]string, 0, len(rows))
-	for n := range rows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Fprintf(w, "  %-16s %-12s %7s %7s %6s %6s %9s %7s %6s %6s\n",
 		"FEED", "STATE", "QUALITY", "WEIGHT", "DUP", "FP", "LAG", "ADDRS", "LOADS", "FAILS")
-	for _, n := range names {
-		r := rows[n]
-		state := "?"
-		if r.seen {
-			// A gauge value outside the uint8 range names no state.
-			state = feedmesh.State(min(uint64(r.state), math.MaxUint8)).String()
-		}
-		if state == "healthy" && r.loads == 0 {
-			// The state gauge starts at healthy, but a feed that has never
-			// loaded has nothing to vote with; /readyz words it the same.
-			state = "never-loaded"
-		}
+	for _, f := range st.Feeds {
 		fmt.Fprintf(w, "  %-16s %-12s %7.2f %7.2f %6.2f %6.2f %9s %7d %6d %6d\n",
-			n, state, r.quality, r.weight, r.dup, r.fp,
-			(time.Duration(r.lagMS) * time.Millisecond).Round(time.Second),
-			r.addrs, r.loads, r.fails)
+			f.Name, f.Health(), f.Quality, f.Weight, f.DupRatio, f.FPRate,
+			f.Lag.Round(time.Second), f.BatchAddrs, f.Loads, f.Failures)
 	}
-}
-
-func deref64(v *int64) int64 {
-	if v == nil {
-		return 0
-	}
-	return *v
 }
 
 func deref(f *float64) float64 {

@@ -1,16 +1,50 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"unclean/internal/feedmesh"
 )
 
-// The status view renders health, SLO burn, windowed rates, and recent
-// events from a daemon's diagnostic surface — verified against a fake
-// daemon so the rendering contract is pinned without a live dnsbld.
+// serveMesh answers /debug/mesh as dnsbld does: with the JSON encoding
+// of a feedmesh.Status.
+func serveMesh(t *testing.T, mux *http.ServeMux, st feedmesh.Status) {
+	t.Helper()
+	body, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux.HandleFunc("/debug/mesh", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	})
+}
+
+// serveReady answers /readyz with a ready document whose feed_mesh
+// check reads detail, and /metrics.json with no series.
+func serveReady(mux *http.ServeMux, detail string) {
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"ready": true, "checks": {
+			"feed_mesh": {"ok": true, "detail": "` + detail + `"}
+		}, "info": {}}`))
+	})
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"metrics": []}`))
+	})
+}
+
+// The status view renders health, the feed table, SLO burn, windowed
+// rates, and recent events from a daemon's diagnostic surface —
+// verified against a fake daemon so the rendering contract is pinned
+// without a live dnsbld. A daemon without /debug/mesh is an error that
+// names the path.
 func TestWriteStatus(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
@@ -19,11 +53,27 @@ func TestWriteStatus(t *testing.T) {
 		w.Write([]byte(`{
 			"ready": false,
 			"checks": {
-				"feed_breaker": {"ok": false, "detail": "feed circuit open; serving last-good list"},
+				"feed_mesh": {"ok": false, "detail": "0/1 feeds healthy (reports=quarantined); degraded: serving last-good list"},
 				"shed": {"ok": true, "detail": "shed rate 0.00 over the last minute"}
 			},
 			"info": {"udp_addr": "127.0.0.1:5354", "zone": "bl.unclean.example"}
 		}`))
+	})
+	meshBody, err := json.Marshal(feedmesh.Status{Round: 9, MergedBlocks: 17, Degraded: true,
+		TotalFeeds: 1, Feeds: []feedmesh.FeedStatus{
+			{Name: "reports", State: feedmesh.StateQuarantined, Quality: 0.2, Loads: 3, Failures: 5},
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshMissing := false
+	mux.HandleFunc("/debug/mesh", func(w http.ResponseWriter, r *http.Request) {
+		if meshMissing {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(meshBody)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -53,18 +103,20 @@ func TestWriteStatus(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
+	client := &http.Client{Timeout: time.Second}
 	var out strings.Builder
-	if err := writeStatus(&out, &http.Client{Timeout: time.Second}, ts.URL, 5); err != nil {
+	if err := writeStatus(&out, client, ts.URL, 5); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
 	for _, want := range []string{
 		"NOT READY",
-		"[FAIL] feed_breaker",
-		"feed circuit open",
+		"[FAIL] feed_mesh",
+		"reports=quarantined",
 		"[ok  ] shed",
 		"udp_addr=127.0.0.1:5354",
 		"zone=bl.unclean.example",
+		"feed mesh: 0/1 feeds healthy, 17 merged blocks — DEGRADED, serving last-good list",
 		"slo unclean_dnsbl_availability{zone=bl.unclean.example}: target 99.9%",
 		"burn[5m]=2.5",
 		"unclean_dnsbl_window_query_seconds{zone=bl.unclean.example} last 1m: 42 observed",
@@ -78,50 +130,50 @@ func TestWriteStatus(t *testing.T) {
 			t.Errorf("status output missing %q:\n%s", want, got)
 		}
 	}
+	if states := feedStates(got); states["reports"] != "quarantined" {
+		t.Errorf("reports row reads %q, want quarantined:\n%s", states["reports"], got)
+	}
 	// The idle shed counter must be suppressed, not rendered as zero.
 	if strings.Contains(got, "unclean_dnsbl_window_shed_total") {
 		t.Errorf("idle windowed counter rendered:\n%s", got)
 	}
-	// No unclean_feedmesh_* series: the section must say they are
-	// missing rather than silently vanish.
-	if !strings.Contains(got, "feed mesh: none") {
-		t.Errorf("scrape without mesh series missing the explicit no-mesh line:\n%s", got)
+
+	meshMissing = true
+	out.Reset()
+	err = writeStatus(&out, client, ts.URL, 5)
+	if err == nil || !strings.Contains(err.Error(), "/debug/mesh") || !strings.Contains(err.Error(), "404") {
+		t.Errorf("daemon without /debug/mesh: err = %v, want a 404 naming the path", err)
 	}
-	if strings.Contains(got, "FEED") {
-		t.Errorf("feed table rendered without mesh series:\n%s", got)
+	if out.Len() != 0 {
+		t.Errorf("status printed a partial screen before failing:\n%s", out.String())
 	}
 }
 
-// A daemon running the feed mesh exposes per-feed gauges; the status
-// view must fold them into one health table.
+// feedStates maps each row of the printed feed table to its STATE.
+func feedStates(out string) map[string]string {
+	states := map[string]string{}
+	_, table, _ := strings.Cut(out, "  FEED ")
+	for _, line := range strings.Split(table, "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) < 2 || !strings.HasPrefix(line, "  ") {
+			break
+		}
+		states[f[0]] = f[1]
+	}
+	return states
+}
+
+// The feed table prints every feed of the daemon's feedmesh.Status,
+// its ratios from the float fields at two decimals.
 func TestWriteStatusFeedMeshTable(t *testing.T) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"ready": true, "checks": {
-			"feed_mesh": {"ok": true, "detail": "1/2 feeds healthy (beta=quarantined)"}
-		}, "info": {}}`))
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"metrics": [
-			{"name": "unclean_feedmesh_state", "labels": {"feed": "alpha"}, "kind": "gauge", "value": 0},
-			{"name": "unclean_feedmesh_quality_permille", "labels": {"feed": "alpha"}, "kind": "gauge", "value": 970},
-			{"name": "unclean_feedmesh_weight_permille", "labels": {"feed": "alpha"}, "kind": "gauge", "value": 970},
-			{"name": "unclean_feedmesh_dup_permille", "labels": {"feed": "alpha"}, "kind": "gauge", "value": 120},
-			{"name": "unclean_feedmesh_fp_permille", "labels": {"feed": "alpha"}, "kind": "gauge", "value": 0},
-			{"name": "unclean_feedmesh_lag_ms", "labels": {"feed": "alpha"}, "kind": "gauge", "value": 60000},
-			{"name": "unclean_feedmesh_batch_addrs", "labels": {"feed": "alpha"}, "kind": "gauge", "value": 64},
-			{"name": "unclean_feedmesh_loads_total", "labels": {"feed": "alpha"}, "kind": "counter", "value": 42},
-			{"name": "unclean_feedmesh_load_failures_total", "labels": {"feed": "alpha"}, "kind": "counter", "value": 1},
-			{"name": "unclean_feedmesh_state", "labels": {"feed": "beta"}, "kind": "gauge", "value": 2},
-			{"name": "unclean_feedmesh_quality_permille", "labels": {"feed": "beta"}, "kind": "gauge", "value": 150},
-			{"name": "unclean_feedmesh_weight_permille", "labels": {"feed": "beta"}, "kind": "gauge", "value": 40},
-			{"name": "unclean_feedmesh_merged_blocks", "kind": "gauge", "value": 17},
-			{"name": "unclean_feedmesh_healthy_feeds", "kind": "gauge", "value": 1},
-			{"name": "unclean_feedmesh_degraded", "kind": "gauge", "value": 0}
-		]}`))
-	})
+	serveReady(mux, "1/2 feeds healthy (beta=quarantined)")
+	serveMesh(t, mux, feedmesh.Status{Round: 40, MergedBlocks: 17, HealthyFeeds: 1, TotalFeeds: 2,
+		Feeds: []feedmesh.FeedStatus{
+			{Name: "alpha", State: feedmesh.StateHealthy, Quality: 0.97, Weight: 0.97, DupRatio: 0.6051,
+				Lag: time.Minute, Loads: 42, Failures: 1, BatchAddrs: 64},
+			{Name: "beta", State: feedmesh.StateQuarantined, Quality: 0.15, Weight: 0.04, Loads: 30, Failures: 12},
+		}})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -131,10 +183,10 @@ func TestWriteStatusFeedMeshTable(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"feed mesh: 1/2 feeds healthy, 17 merged blocks",
-		"FEED", "STATE", "QUALITY",
-		"alpha", "healthy", "0.97", "1m0s", "42",
-		"beta", "quarantined", "0.15",
+		"feed mesh: 1/2 feeds healthy, 17 merged blocks\n",
+		"  FEED             STATE        QUALITY  WEIGHT    DUP     FP       LAG   ADDRS  LOADS  FAILS\n",
+		"  alpha            healthy         0.97    0.97   0.61   0.00      1m0s      64     42      1\n",
+		"  beta             quarantined     0.15    0.04   0.00   0.00        0s       0     30     12\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("mesh table missing %q:\n%s", want, got)
@@ -145,27 +197,16 @@ func TestWriteStatusFeedMeshTable(t *testing.T) {
 	}
 }
 
-// A feed whose state gauge still reads healthy but which has never
-// loaded is shown as never-loaded, the word /readyz uses, not healthy.
+// A feed in the healthy state that has never loaded is shown as
+// never-loaded, the word /readyz uses, not healthy.
 func TestWriteStatusNeverLoadedFeed(t *testing.T) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"ready": true, "checks": {
-			"feed_mesh": {"ok": true, "detail": "1/2 feeds healthy (c=never-loaded)"}
-		}, "info": {}}`))
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"metrics": [
-			{"name": "unclean_feedmesh_state", "labels": {"feed": "a"}, "kind": "gauge", "value": 0},
-			{"name": "unclean_feedmesh_loads_total", "labels": {"feed": "a"}, "kind": "counter", "value": 3},
-			{"name": "unclean_feedmesh_state", "labels": {"feed": "c"}, "kind": "gauge", "value": 0},
-			{"name": "unclean_feedmesh_loads_total", "labels": {"feed": "c"}, "kind": "counter", "value": 0},
-			{"name": "unclean_feedmesh_load_failures_total", "labels": {"feed": "c"}, "kind": "counter", "value": 1},
-			{"name": "unclean_feedmesh_healthy_feeds", "kind": "gauge", "value": 1}
-		]}`))
-	})
+	serveReady(mux, "1/2 feeds healthy (c=never-loaded)")
+	serveMesh(t, mux, feedmesh.Status{Round: 1, HealthyFeeds: 1, TotalFeeds: 2,
+		Feeds: []feedmesh.FeedStatus{
+			{Name: "a", State: feedmesh.StateHealthy, Quality: 1, Weight: 1, Loads: 3},
+			{Name: "c", State: feedmesh.StateHealthy, Quality: 0.6, Failures: 1},
+		}})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -173,12 +214,7 @@ func TestWriteStatusNeverLoadedFeed(t *testing.T) {
 	if err := writeStatus(&out, &http.Client{Timeout: time.Second}, ts.URL, 0); err != nil {
 		t.Fatal(err)
 	}
-	states := map[string]string{}
-	for _, line := range strings.Split(out.String(), "\n") {
-		if f := strings.Fields(line); len(f) > 1 {
-			states[f[0]] = f[1]
-		}
-	}
+	states := feedStates(out.String())
 	if states["a"] != "healthy" || states["c"] != "never-loaded" {
 		t.Errorf("states a=%q c=%q, want healthy and never-loaded:\n%s", states["a"], states["c"], out.String())
 	}

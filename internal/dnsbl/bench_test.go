@@ -67,7 +67,7 @@ func BenchmarkHandleHit(b *testing.B) {
 	b.ResetTimer()
 	var ev flight.Event
 	for i := 0; i < b.N; i++ {
-		if srv.handle(q, maxMessage, &ev) == nil {
+		if srv.handle(q, &ev) == nil {
 			b.Fatal("handle dropped a valid query")
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkHandleMiss(b *testing.B) {
 	b.ResetTimer()
 	var ev flight.Event
 	for i := 0; i < b.N; i++ {
-		if srv.handle(q, maxMessage, &ev) == nil {
+		if srv.handle(q, &ev) == nil {
 			b.Fatal("handle dropped a valid query")
 		}
 	}

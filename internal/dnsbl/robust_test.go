@@ -79,7 +79,7 @@ func TestServerHandleNeverPanics(t *testing.T) {
 				t.Fatalf("handle panicked: %v", r)
 			}
 		}()
-		_ = srv.handle(data, maxMessage, &flight.Event{})
+		_ = srv.handle(data, &flight.Event{})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -37,12 +37,6 @@ type Server struct {
 
 	list atomic.Pointer[blocklist.Matcher]
 
-	// maxUDP bounds UDP responses: anything larger is truncated to
-	// header + question with the TC bit set, telling the client to
-	// retry over TCP. Defaults to the classic 512-byte DNS limit; tests
-	// shrink it to force the truncation path.
-	maxUDP int
-
 	// zoneWire is the server's zone in DNS wire format (lowercased
 	// labels, terminal root label), precomputed so the batched fast
 	// path can match query names without allocating.
@@ -119,9 +113,8 @@ func NewServer(zone string, list *blocklist.Trie, ttl time.Duration) (*Server, e
 		return nil, fmt.Errorf("dnsbl: TTL below one second")
 	}
 	s := &Server{
-		zone:   strings.TrimSuffix(zone, "."),
-		ttl:    uint32(ttl / time.Second),
-		maxUDP: maxMessage,
+		zone: strings.TrimSuffix(zone, "."),
+		ttl:  uint32(ttl / time.Second),
 	}
 	zw, err := encodeName(s.zone)
 	if err != nil {
@@ -129,7 +122,9 @@ func NewServer(zone string, list *blocklist.Trie, ttl time.Duration) (*Server, e
 	}
 	// Every query name, up to 255.255.255.255.<zone>, must fit the DNS
 	// name limit: otherwise the slow path could not echo a question the
-	// fast path answers.
+	// fast path answers. With the name at most 254 wire bytes, the
+	// largest answer either path writes is 12 + 254 + 4 + 16 = 286
+	// bytes, so every answer fits the 512-byte UDP limit whole.
 	if _, err := encodeName(QueryName(netaddr.Addr(^uint32(0)), s.zone)); err != nil {
 		return nil, fmt.Errorf("dnsbl: zone too long for a query name: %w", err)
 	}
@@ -183,16 +178,6 @@ func (s *Server) SetList(list *blocklist.Trie) {
 		if a := s.analytics; a != nil {
 			a.sweep(s.events, m)
 		}
-	}
-}
-
-// SetMaxUDPSize lowers the UDP response size limit (default 512 bytes).
-// Responses that exceed it are truncated to header + question with the
-// TC bit set, steering the client to TCP. Values below the 12-byte
-// header or above 512 are ignored. Call before serving.
-func (s *Server) SetMaxUDPSize(n int) {
-	if n >= 12 && n <= maxMessage {
-		s.maxUDP = n
 	}
 }
 
@@ -260,11 +245,9 @@ func peerAddr(a net.Addr) netaddr.Addr {
 
 // handle builds the response bytes for one query packet, or nil to
 // drop, annotating the packet's wide event with the subject address and
-// the one-word verdict. maxSize bounds the encoded response: anything
-// larger is re-encoded as header + question with the TC bit set (the
-// client retries over TCP). TCP callers pass maxMessage, which no
-// DNSBL answer can exceed.
-func (s *Server) handle(pkt []byte, maxSize int, ev *flight.Event) []byte {
+// the one-word verdict. UDP and TCP share it: no answer exceeds the
+// 512-byte UDP limit (see NewServer).
+func (s *Server) handle(pkt []byte, ev *flight.Event) []byte {
 	q, err := Decode(pkt)
 	if err != nil || q.Response || len(q.Questions) != 1 {
 		s.malformed.Inc()
@@ -313,14 +296,6 @@ func (s *Server) handle(pkt []byte, maxSize int, ev *flight.Event) []byte {
 		}
 	}
 	out, err := resp.Encode()
-	if err == nil && len(out) > maxSize {
-		// Too big for the transport: answer with TC set and no records,
-		// steering the client to retry over TCP (RFC 1035 §4.2.1).
-		resp.Answers = nil
-		resp.Truncated = true
-		ev.Verdict = "truncated"
-		out, err = resp.Encode()
-	}
 	if err != nil {
 		ev.Verdict = "encode_error"
 		ev.Flags |= flight.FlagErr

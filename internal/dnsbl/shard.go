@@ -325,7 +325,7 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *blocklist.Matcher) {
 		ev.Kind = flight.KindQuery
 		ev.Client = m.client
 		ev.Name = s.zone
-		if resp := s.handle(pkt, s.maxUDP, ev); resp != nil {
+		if resp := s.handle(pkt, ev); resp != nil {
 			m.outN = copy(m.out, resp)
 		}
 		// The rare shapes still answer real queries; feed them to the
@@ -353,7 +353,7 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *blocklist.Matcher) {
 		s.hits.Inc()
 		code = codeFor(entry.Reason)
 	}
-	m.outN = encodeFastResponse(m.out, pkt, qlen, listed, code, s.ttl, s.maxUDP)
+	m.outN = encodeFastResponse(m.out, pkt, qlen, listed, code, s.ttl)
 
 	// Analytics tap: every not-listed answer enters the prediction
 	// ring (one atomic store); 1 in SampleN packets — the same tick that

@@ -151,53 +151,54 @@ func shardSeries(t *testing.T, srv *Server, shards int) map[string]float64 {
 
 // TestFastSlowCodecEquivalence is the differential test holding the
 // zero-copy fast path to byte-equality with the allocating slow path,
-// across listed/unlisted addresses, reasons, RD values, query IDs,
-// mixed-case names, and the TC-truncation threshold.
+// across listed/unlisted addresses, reasons, RD values, query IDs and
+// mixed-case names, and holds every answer to the 512-byte UDP limit.
 func TestFastSlowCodecEquivalence(t *testing.T) {
 	srv, err := NewServer("bl.shard.example", shardTestList(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs := []string{"10.1.1.9", "10.2.2.1", "10.3.3.255", "10.4.4.4", "0.0.0.0", "255.255.255.255", "192.0.2.55"}
-	for _, maxUDP := range []int{maxMessage, 40} {
-		for _, a := range addrs {
-			for _, rd := range []bool{false, true} {
-				for _, upper := range []bool{false, true} {
-					name := QueryName(netaddr.MustParseAddr(a), "bl.shard.example")
-					if upper {
-						name = QueryName(netaddr.MustParseAddr(a), "BL.Shard.EXAMPLE")
-					}
-					q := &Message{ID: 0x1234, RecursionDesired: rd,
-						Questions: []Question{{Name: name, Type: TypeA, Class: ClassIN}}}
-					pkt, err := q.Encode()
-					if err != nil {
-						t.Fatal(err)
-					}
+	for _, a := range addrs {
+		for _, rd := range []bool{false, true} {
+			for _, upper := range []bool{false, true} {
+				name := QueryName(netaddr.MustParseAddr(a), "bl.shard.example")
+				if upper {
+					name = QueryName(netaddr.MustParseAddr(a), "BL.Shard.EXAMPLE")
+				}
+				q := &Message{ID: 0x1234, RecursionDesired: rd,
+					Questions: []Question{{Name: name, Type: TypeA, Class: ClassIN}}}
+				pkt, err := q.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					qa, qlen, qrd, ok := parseFastQuery(pkt, srv.zoneWire)
-					if !ok {
-						t.Fatalf("fast path rejected canonical query for %s (upper=%v)", a, upper)
-					}
-					if qrd != rd || qa != netaddr.MustParseAddr(a) {
-						t.Fatalf("fast parse %s: addr=%s rd=%v, want %s/%v", a, qa, qrd, a, rd)
-					}
-					entry, listed := srv.list.Load().Lookup(qa)
-					var code netaddr.Addr
-					if listed {
-						code = codeFor(entry.Reason)
-					}
-					var out [outSlotSize]byte
-					n := encodeFastResponse(out[:], pkt, qlen, listed, code, srv.ttl, maxUDP)
+				qa, qlen, qrd, ok := parseFastQuery(pkt, srv.zoneWire)
+				if !ok {
+					t.Fatalf("fast path rejected canonical query for %s (upper=%v)", a, upper)
+				}
+				if qrd != rd || qa != netaddr.MustParseAddr(a) {
+					t.Fatalf("fast parse %s: addr=%s rd=%v, want %s/%v", a, qa, qrd, a, rd)
+				}
+				entry, listed := srv.list.Load().Lookup(qa)
+				var code netaddr.Addr
+				if listed {
+					code = codeFor(entry.Reason)
+				}
+				var out [outSlotSize]byte
+				n := encodeFastResponse(out[:], pkt, qlen, listed, code, srv.ttl)
+				if n > maxMessage {
+					t.Errorf("fast path wrote a %d-byte answer for %s", n, a)
+				}
 
-					var ev flight.Event
-					slow := srv.handle(pkt, maxUDP, &ev)
-					if slow == nil {
-						t.Fatalf("slow path dropped canonical query for %s", a)
-					}
-					if !bytes.Equal(out[:n], slow) {
-						t.Errorf("codec divergence for %s (rd=%v upper=%v maxUDP=%d):\n fast %x\n slow %x",
-							a, rd, upper, maxUDP, out[:n], slow)
-					}
+				var ev flight.Event
+				slow := srv.handle(pkt, &ev)
+				if slow == nil {
+					t.Fatalf("slow path dropped canonical query for %s", a)
+				}
+				if !bytes.Equal(out[:n], slow) {
+					t.Errorf("codec divergence for %s (rd=%v upper=%v):\n fast %x\n slow %x",
+						a, rd, upper, out[:n], slow)
 				}
 			}
 		}
@@ -411,30 +412,54 @@ func TestServeConnsRejectsUnreadConns(t *testing.T) {
 	}
 }
 
-// TestShardedTruncationAndTCPRetry forces UDP truncation with a small
-// -max-udp and checks the full TC path end to end: the sharded UDP
-// server answers TC, the client retries over TCP against ServeTCP, and
-// the verdict comes back complete.
+// TestShardedTruncationAndTCPRetry checks the client's TC path end to
+// end. The server's own answers always fit UDP, so a stub UDP responder
+// stands in for one that truncates: it answers with the TC bit set and
+// no records, the client retries over TCP against ServeTCP on the same
+// port, and the verdict comes back complete. An answer the stub sends
+// whole must not detour to TCP.
 func TestShardedTruncationAndTCPRetry(t *testing.T) {
 	srv, err := NewServer("bl.shard.example", shardTestList(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetMaxUDPSize(50) // hit answers (~62 bytes) truncate; the question echo fits
-
-	conns, err := ListenShards("127.0.0.1:0", 1)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := conns[0].LocalAddr().String()
+	addr := pc.LocalAddr().String()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		pc.Close()
 		t.Fatal(err)
 	}
+	whole := QueryName(netaddr.MustParseAddr("192.0.2.1"), "bl.shard.example")
+	stubDone := make(chan struct{})
+	go func() {
+		defer close(stubDone)
+		buf := make([]byte, maxMessage)
+		for {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return // closed
+			}
+			q, err := Decode(buf[:n])
+			if err != nil || len(q.Questions) != 1 {
+				continue
+			}
+			resp := &Message{ID: q.ID, Response: true, Questions: q.Questions}
+			if q.Questions[0].Name == whole {
+				resp.RCode = RCodeNXDomain
+			} else {
+				resp.Truncated = true
+			}
+			if out, err := resp.Encode(); err == nil {
+				pc.WriteTo(out, from)
+			}
+		}
+	}()
 	ctx, cancel := context.WithCancel(context.Background())
-	udpDone := make(chan error, 1)
 	tcpDone := make(chan error, 1)
-	go func() { udpDone <- srv.ServeConns(ctx, conns, ShardConfig{}) }()
 	go func() { tcpDone <- srv.ServeTCP(ctx, ln) }()
 
 	listed, code, err := Lookup(addr, "bl.shard.example", netaddr.MustParseAddr("10.2.2.9"), 2*time.Second)
@@ -444,22 +469,24 @@ func TestShardedTruncationAndTCPRetry(t *testing.T) {
 	if !listed || code != CodeSpam {
 		t.Fatalf("truncated lookup = listed=%v code=%s, want spam", listed, code)
 	}
-	// Misses fit under the shrunk limit and must not detour to TCP.
 	listed, _, err = Lookup(addr, "bl.shard.example", netaddr.MustParseAddr("192.0.2.1"), 2*time.Second)
 	if err != nil || listed {
-		t.Fatalf("miss lookup = listed=%v err=%v", listed, err)
+		t.Fatalf("whole-answer lookup = listed=%v err=%v", listed, err)
+	}
+	if q := srv.Snapshot().Queries; q != 1 {
+		t.Errorf("ServeTCP answered %d queries, want 1: only the truncated answer retries", q)
 	}
 
 	cancel()
-	for name, ch := range map[string]chan error{"udp": udpDone, "tcp": tcpDone} {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Errorf("%s serve: %v", name, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s serve did not exit on cancellation", name)
+	pc.Close()
+	<-stubDone
+	select {
+	case err := <-tcpDone:
+		if err != nil {
+			t.Errorf("tcp serve: %v", err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("tcp serve did not exit on cancellation")
 	}
 }
 

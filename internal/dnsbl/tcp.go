@@ -20,11 +20,12 @@ const tcpIdleTimeout = 10 * time.Second
 
 // ServeTCP answers length-prefixed DNS queries on ln until the listener
 // is closed or ctx is canceled (RFC 1035 §4.2.2 framing: two-byte
-// big-endian length before each message). It exists for one purpose:
-// answers that did not fit the UDP limit come back truncated with the
-// TC bit set, and the client retries here, where the 512-byte ceiling
-// does not apply. Queries share the UDP path's counters, flight events,
-// and blocklist, so a TC retry is just another query in the stats.
+// big-endian length before each message). TCP is DNS's other standard
+// transport: resolvers use it by policy, and a client whose UDP answer
+// came back with the TC bit set retries over it (Lookup does). This
+// server's own answers always fit UDP, so it never sets TC. Queries
+// share the UDP path's counters, flight events, and blocklist, so a TCP
+// query is just another query in the stats.
 //
 // Each connection is handled on its own goroutine with panic isolation
 // and an idle deadline; multiple queries per connection are allowed.
@@ -103,9 +104,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		ev.Unix = start.UnixNano()
 		ev.Client = peerTCPAddr(conn.RemoteAddr())
 		ev.Name = s.zone
-		// maxMessage, not maxUDP: TCP is the escape hatch the TC bit
-		// points at, so the full answer always fits.
-		resp := s.handle(buf[:n], maxMessage, ev)
+		resp := s.handle(buf[:n], ev)
 		good := resp != nil && ev.Flags&flight.FlagErr == 0
 		if resp != nil {
 			binary.BigEndian.PutUint16(lenb[:], uint16(len(resp)))

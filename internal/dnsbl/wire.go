@@ -18,10 +18,9 @@ import "unclean/internal/netaddr"
 // rdlength (2) + rdata (4).
 const respOverhead = 16
 
-// outSlotSize is the capacity of one outbound batch slot: a maximal
-// 512-byte question section plus the answer record. Responses above
-// the server's UDP limit are truncated before sending, so the slot is
-// the only place the oversized form ever exists.
+// outSlotSize is the capacity of one outbound batch slot: a 512-byte
+// message plus one answer record, more than any answer needs. NewServer
+// bounds every answer either path writes at 286 bytes.
 const outSlotSize = maxMessage + respOverhead
 
 // parseFastQuery matches pkt against the fast-path shape: a standard
@@ -97,10 +96,9 @@ func parseFastQuery(pkt, zoneWire []byte) (addr netaddr.Addr, qlen int, rd bool,
 // into dst (which must have outSlotSize capacity): the request's header
 // and question echoed back with the response bits patched, plus one A
 // record (compression pointer to the question name) when listed. rcode
-// is RCodeNXDomain for misses, RCodeOK for hits. Responses longer than
-// maxUDP are truncated to header + question with TC set. Returns the
-// number of bytes written.
-func encodeFastResponse(dst, req []byte, qlen int, listed bool, code netaddr.Addr, ttl uint32, maxUDP int) int {
+// is RCodeNXDomain for misses, RCodeOK for hits. Returns the number of
+// bytes written.
+func encodeFastResponse(dst, req []byte, qlen int, listed bool, code netaddr.Addr, ttl uint32) int {
 	n := copy(dst, req[:qlen])
 	dst[2] = 0x84 | (req[2] & 0x01) // QR | AA, RD echoed
 	dst[3] = RCodeNXDomain          // RA=0, Z=0
@@ -119,13 +117,6 @@ func encodeFastResponse(dst, req []byte, qlen int, listed bool, code netaddr.Add
 		ans[10], ans[11] = 0, 4
 		ans[12], ans[13], ans[14], ans[15] = o0, o1, o2, o3
 		n += respOverhead
-	}
-	if n > maxUDP {
-		// Too big for the transport: TC bit, no records (the rcode
-		// stands), client retries over TCP.
-		dst[2] |= 0x02
-		dst[7] = 0
-		n = qlen
 	}
 	return n
 }

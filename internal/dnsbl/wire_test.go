@@ -21,9 +21,9 @@ var longestZone = strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + "." 
 // every other packet and every TCP query takes. For any input neither
 // parseFastQuery nor Server.handle may panic, and whenever the fast
 // parser accepts a packet it must read the address the slow path reads
-// and encodeFastResponse must write exactly the bytes handle returns, at
-// the full UDP limit and at one that forces truncation. Each input runs
-// against the shard tests' zone and the longest legal zone.
+// and encodeFastResponse must write exactly the bytes handle returns.
+// Every answer either path writes must fit the 512-byte UDP limit. Each
+// input runs against the shard tests' zone and the longest legal zone.
 func FuzzFastQuery(f *testing.F) {
 	var srvs []*Server
 	for _, zone := range []string{"bl.shard.example", longestZone} {
@@ -52,18 +52,22 @@ func FuzzFastQuery(f *testing.F) {
 					code = codeFor(entry.Reason)
 				}
 			}
-			for _, maxUDP := range []int{maxMessage, 40} {
-				var ev flight.Event
-				slow := srv.handle(pkt, maxUDP, &ev)
-				if !ok {
-					continue
-				}
-				var out [outSlotSize]byte
-				n := encodeFastResponse(out[:], pkt, qlen, listed, code, srv.ttl, maxUDP)
-				if !bytes.Equal(out[:n], slow) {
-					t.Fatalf("zone %q maxUDP %d: codec divergence for %x:\n fast %x\n slow %x",
-						srv.zone, maxUDP, pkt, out[:n], slow)
-				}
+			var ev flight.Event
+			slow := srv.handle(pkt, &ev)
+			if len(slow) > maxMessage {
+				t.Fatalf("zone %q: slow path wrote a %d-byte answer for %x", srv.zone, len(slow), pkt)
+			}
+			if !ok {
+				continue
+			}
+			var out [outSlotSize]byte
+			n := encodeFastResponse(out[:], pkt, qlen, listed, code, srv.ttl)
+			if n > maxMessage {
+				t.Fatalf("zone %q: fast path wrote a %d-byte answer for %x", srv.zone, n, pkt)
+			}
+			if !bytes.Equal(out[:n], slow) {
+				t.Fatalf("zone %q: codec divergence for %x:\n fast %x\n slow %x",
+					srv.zone, pkt, out[:n], slow)
 			}
 		}
 	})

@@ -2,9 +2,11 @@ package feedmesh
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -340,7 +342,7 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (newList *blocklist.T
 
 	healthy := 0
 	for _, f := range m.feeds {
-		if f.healthy() {
+		if countsHealthy(f.state, f.loads) {
 			healthy++
 		}
 	}
@@ -393,10 +395,12 @@ func (m *Mesh) settle(now time.Time, results []loadResult) (newList *blocklist.T
 	return newList, m.onSwap
 }
 
-// healthy reports whether the feed counts toward the mesh's capacity:
-// in the healthy state and loaded at least once, so a feed that has
-// never delivered a batch has nothing to vote with. Callers hold m.mu.
-func (f *feed) healthy() bool { return f.state == StateHealthy && f.loads > 0 }
+// countsHealthy is the mesh's one health rule: a feed counts toward the
+// mesh's capacity only in the healthy state and after at least one load,
+// since a feed that has never delivered a batch has nothing to vote
+// with. The round's healthy count and degradation test, Status and
+// FeedStatus.Health all go through it.
+func countsHealthy(s State, loads uint64) bool { return s == StateHealthy && loads > 0 }
 
 // scoreBatch computes the per-round quality of a successfully loaded
 // batch: squared corroborated precision, times a freshness factor,
@@ -585,6 +589,18 @@ type FeedStatus struct {
 	BatchAddrs  int
 }
 
+// Health labels the feed by the mesh's health rule: "healthy" when it
+// counts toward the mesh's capacity, otherwise its state, or
+// "never-loaded" when it is in the healthy state but has not loaded yet.
+// Every view of feed health (/readyz, `uncleanctl status`, a bundle
+// summary) prints this label.
+func (f FeedStatus) Health() string {
+	if f.State == StateHealthy && !countsHealthy(f.State, f.Loads) {
+		return "never-loaded"
+	}
+	return f.State.String()
+}
+
 // Status is a point-in-time snapshot of the whole mesh.
 type Status struct {
 	Round        uint64
@@ -606,7 +622,7 @@ func (m *Mesh) Status() Status {
 		TotalFeeds:   len(m.feeds),
 	}
 	for _, f := range m.feeds {
-		if f.healthy() {
+		if countsHealthy(f.state, f.loads) {
 			st.HealthyFeeds++
 		}
 		st.Feeds = append(st.Feeds, FeedStatus{
@@ -630,6 +646,18 @@ func (m *Mesh) Status() Status {
 	return st
 }
 
+// Handler serves Status as indented JSON — mount at /debug/mesh. The
+// document is the one a diagnostics bundle carries as mesh.json, so
+// `uncleanctl status` and `uncleanctl diagnose` decode one type.
+func (m *Mesh) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(m.Status()) //nolint:errcheck // client went away
+	})
+}
+
 // HealthCheck returns an obs readiness check: failing while the mesh is
 // degraded, with a detail line naming the feeds that do not count as
 // healthy either way — quarantined, on probation, or never loaded.
@@ -639,11 +667,8 @@ func (m *Mesh) HealthCheck() obs.Check {
 		detail := fmt.Sprintf("%d/%d feeds healthy", st.HealthyFeeds, st.TotalFeeds)
 		var bad []string
 		for _, f := range st.Feeds {
-			switch {
-			case f.State != StateHealthy:
-				bad = append(bad, f.Name+"="+f.State.String())
-			case f.Loads == 0:
-				bad = append(bad, f.Name+"=never-loaded")
+			if !countsHealthy(f.State, f.Loads) {
+				bad = append(bad, f.Name+"="+f.Health())
 			}
 		}
 		if len(bad) > 0 {

@@ -2,8 +2,11 @@ package feedmesh
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -214,6 +217,63 @@ func TestNeverLoadedFeedNotHealthy(t *testing.T) {
 		if !ok || !strings.Contains(detail, "2/3 feeds healthy") || !strings.Contains(detail, "c=never-loaded") {
 			t.Errorf("round %d: readiness %v %q, want ready, 2/3 and c named", round, ok, detail)
 		}
+	}
+}
+
+// TestFeedHealthRule pins the one health rule over state × loads: a
+// feed counts as healthy only in the healthy state after at least one
+// load, and otherwise reads as its state, or as never-loaded when it is
+// in the healthy state with no load.
+func TestFeedHealthRule(t *testing.T) {
+	for _, tc := range []struct {
+		state State
+		loads uint64
+		want  string
+	}{
+		{StateHealthy, 0, "never-loaded"},
+		{StateHealthy, 1, "healthy"},
+		{StateHealthy, 40, "healthy"},
+		{StateProbation, 0, "probation"},
+		{StateProbation, 2, "probation"},
+		{StateQuarantined, 0, "quarantined"},
+		{StateQuarantined, 7, "quarantined"},
+		{State(9), 3, "unknown"},
+	} {
+		f := FeedStatus{Name: "f", State: tc.state, Loads: tc.loads}
+		if got := f.Health(); got != tc.want {
+			t.Errorf("%v with %d loads: Health() = %q, want %q", tc.state, tc.loads, got, tc.want)
+		}
+		if got := countsHealthy(tc.state, tc.loads); got != (tc.want == "healthy") {
+			t.Errorf("%v with %d loads: countsHealthy = %v, but Health() reads %q", tc.state, tc.loads, got, tc.want)
+		}
+	}
+}
+
+// Handler serves Status as JSON that decodes back into the same Status,
+// labels included.
+func TestHandlerServesStatus(t *testing.T) {
+	clk := newClock()
+	shared := ipset.MustParse("60.0.1.1 60.0.2.1")
+	m, err := New(testConfig(clk), &fakeFeed{name: "a", addrs: shared}, &fakeFeed{name: "b", addrs: shared},
+		&fakeFeed{name: "c", err: errors.New("no such feed")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick(t, m, clk)
+	rec := httptest.NewRecorder()
+	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/mesh", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
+	}
+	var got Status
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("body is not a Status: %v\n%s", err, rec.Body.Bytes())
+	}
+	if want := m.Status(); !reflect.DeepEqual(got, want) {
+		t.Errorf("served status decoded to\n%+v\nwant\n%+v", got, want)
+	}
+	if h := feedByName(t, got, "c").Health(); h != "never-loaded" {
+		t.Errorf("served c reads %q, want never-loaded", h)
 	}
 }
 

@@ -79,10 +79,11 @@ func Summarize(w io.Writer, b *Bundle) error {
 		fmt.Fprintf(w, "\nMESH     round=%d feeds=%d/%d healthy degraded=%v\n",
 			m.Round, m.HealthyFeeds, m.TotalFeeds, m.Degraded)
 		for _, f := range m.Feeds {
-			if f.State == feedmesh.StateHealthy {
+			health := f.Health()
+			if health == feedmesh.StateHealthy.String() {
 				continue
 			}
-			line := fmt.Sprintf("  %s %s", f.State, f.Name)
+			line := fmt.Sprintf("  %s %s", health, f.Name)
 			if f.LastError != "" {
 				line += ": " + f.LastError
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func goldenMembers(t *testing.T) []File {
 
 	mesh := indent(feedmesh.Status{Round: 12, MergedBlocks: 17, Degraded: true,
 		HealthyFeeds: 1, TotalFeeds: 3, Feeds: []feedmesh.FeedStatus{
-			{Name: "alpha", State: feedmesh.StateHealthy, Quality: 0.97, LastSuccess: at},
+			{Name: "alpha", State: feedmesh.StateHealthy, Quality: 0.97, Loads: 12, LastSuccess: at},
 			{Name: "beta", State: feedmesh.StateQuarantined, LastError: "load: connection refused"},
 			{Name: "gamma", State: feedmesh.StateProbation},
 		}})
@@ -131,5 +132,40 @@ func TestSummarizeGolden(t *testing.T) {
 	}
 	if !bytes.Equal(sum.Bytes(), want) {
 		t.Errorf("summary drifted from its golden file.\n--- got ---\n%s--- want ---\n%s", sum.Bytes(), want)
+	}
+}
+
+// A feed in the healthy state that has never loaded does not count
+// toward feeds=H/T healthy, so the summary names it, with the label
+// /readyz and `uncleanctl status` print.
+func TestSummarizeNamesNeverLoadedFeed(t *testing.T) {
+	mesh, err := json.Marshal(feedmesh.Status{Round: 1, HealthyFeeds: 1, TotalFeeds: 2,
+		Feeds: []feedmesh.FeedStatus{
+			{Name: "alpha", State: feedmesh.StateHealthy, Loads: 1},
+			{Name: "ghost", State: feedmesh.StateHealthy, Failures: 1, LastError: "open /feeds/ghost: no such file or directory"},
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, testManifest(), []File{{Name: MeshName, Data: mesh}}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum bytes.Buffer
+	if err := Summarize(&sum, b); err != nil {
+		t.Fatal(err)
+	}
+	got := sum.String()
+	want := "\nMESH     round=1 feeds=1/2 healthy degraded=false\n" +
+		"  never-loaded ghost: open /feeds/ghost: no such file or directory\n"
+	if !strings.Contains(got, want) {
+		t.Errorf("summary does not name the never-loaded feed; want %q in:\n%s", want, got)
+	}
+	if strings.Contains(got, "alpha") {
+		t.Errorf("summary names the healthy feed:\n%s", got)
 	}
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"time"
 
 	"unclean/internal/netaddr"
@@ -20,12 +21,13 @@ type FlowOptions struct {
 	CandidateExtras bool
 	// SpillBudget caps the approximate bytes of in-memory records one
 	// day's synthesis holds before spilling a sorted run to a temp
-	// segment file (see spill.go). Zero keeps whole days in memory.
-	// StreamFlows honors the budget; SynthesizeFlows, which returns the
-	// complete log anyway, ignores it. A record takes recordMemBytes (56)
-	// in memory, so a 32 MiB budget holds about 599,000 records. Sorting
-	// a run takes 24 bytes of scratch per record on top of that, so peak
-	// synthesis memory is roughly workers × SpillBudget × (1 + 24/56).
+	// segment file (see spill.go). Zero never spills: each day is held
+	// whole in memory and delivered in one call. StreamFlows honors the
+	// budget; SynthesizeFlows, which returns the complete log anyway,
+	// ignores it. A record takes recordMemBytes (56) in memory, so a
+	// 32 MiB budget holds about 599,000 records. Sorting a run takes 24
+	// bytes of scratch per record on top of that, so peak synthesis
+	// memory is roughly workers × SpillBudget × (1 + 24/56).
 	SpillBudget int
 	// SpillDir is where spill segments are created; empty means the
 	// system temp directory. Segments are removed as they are consumed.
@@ -41,7 +43,8 @@ var scanPorts = []uint16{135, 139, 445, 1433, 2967, 5554}
 // flow start time. Generation is deterministic per (world seed, day) and
 // independent across days, so days are synthesized concurrently;
 // overlapping windows agree on their shared days and concurrency never
-// changes the output.
+// changes the output. Every generator keeps a record's First inside its
+// day, so the time-sorted days in date order are the sorted log.
 func (w *World) SynthesizeFlows(from, to time.Time, opts FlowOptions) []netflow.Record {
 	lo, hi := w.clampDays(from, to)
 	if hi < lo {
@@ -53,47 +56,7 @@ func (w *World) SynthesizeFlows(from, to time.Time, opts FlowOptions) []netflow.
 		sortByTime(day)
 		perDay[i] = day
 	})
-	return mergeByTime(perDay)
-}
-
-// mergeByTime merges already-sorted per-day slices into one
-// chronological log. Ties across slices resolve to the lower slice
-// index, mirroring concatenation order under a stable sort. Every
-// generator emits a day's flows with First inside that day, so in
-// practice consecutive days never overlap and the merge is a straight
-// concatenation; the runMerge path keeps the merge correct if a future
-// generator crosses midnight.
-func mergeByTime(perDay [][]netflow.Record) []netflow.Record {
-	total := 0
-	overlap := false
-	var prevMax netflow.Time
-	havePrev := false
-	for _, day := range perDay {
-		total += len(day)
-		if len(day) == 0 {
-			continue
-		}
-		if havePrev && day[0].First < prevMax {
-			overlap = true
-		}
-		prevMax = day[len(day)-1].First
-		havePrev = true
-	}
-	out := make([]netflow.Record, 0, total)
-	if !overlap {
-		for _, day := range perDay {
-			out = append(out, day...)
-		}
-		return out
-	}
-	runs := make([]runCursor, len(perDay))
-	for i := range perDay {
-		runs[i].setMem(perDay[i])
-	}
-	out = out[:total]
-	// In-memory cursors never error.
-	_, _ = newRunMerge(runs).fill(out)
-	return out
+	return slices.Concat(perDay...)
 }
 
 // StreamFlows synthesizes the window's traffic one pool-sized batch of
@@ -104,54 +67,23 @@ func mergeByTime(perDay [][]netflow.Record) []netflow.Record {
 // runs to disk and the day streams back as a k-way merge in bounded
 // chunks — fn may then see several calls with the same day timestamp,
 // and peak memory stays near workers × SpillBudget regardless of day
-// size. Either way, concatenating the records across calls reproduces
+// size. With a zero budget nothing spills and each day arrives in one
+// call. Either way, concatenating the records across calls reproduces
 // SynthesizeFlows byte for byte. The records passed to fn are valid
-// only until fn returns: the spilled stream reuses its buffers, so fn
-// must copy what it keeps. A non-nil error from fn aborts the stream
-// and is returned.
+// only until fn returns: the stream reuses its buffers, so fn must copy
+// what it keeps. A non-nil error from fn aborts the stream and is
+// returned.
+//
+// A batch is synthesized in parallel, day i of it in slots[i], then its
+// days' runs are delivered in order. A day's in-memory run still lives
+// in its slot's run buffer while it is delivered, which is before the
+// next batch reuses the slot. One delivery chunk serves every day.
 func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
 	lo, hi := w.clampDays(from, to)
 	if hi < lo {
 		return nil
 	}
 	window := stats.Workers(hi - lo + 1)
-	if opts.SpillBudget > 0 {
-		return w.streamSpilled(lo, hi, window, opts, fn)
-	}
-	for base := lo; base <= hi; base += window {
-		n := min(window, hi-base+1)
-		chunk := make([][]netflow.Record, n)
-		stats.Parallel(n, func(_, i int) {
-			day := w.synthesizeDay(base+i, opts, nil, nil)
-			sortByTime(day)
-			chunk[i] = day
-		})
-		for i, recs := range chunk {
-			if err := fn(w.Date(base+i), recs); err != nil {
-				return err
-			}
-			chunk[i] = nil // release the day before synthesizing the next batch
-		}
-	}
-	return nil
-}
-
-// daySlot is what one in-flight day of a spilled stream keeps from batch
-// to batch: the run buffer its synthesis appends to and the scratch that
-// puts each run in time order. Both grow to the largest run the slot has
-// held, so later days reuse them instead of regrowing from nothing.
-type daySlot struct {
-	run   []netflow.Record
-	order timeScratch
-}
-
-// streamSpilled streams days [lo, hi] under the spill budget, window
-// days at a time: a batch is synthesized in parallel, day i of it in
-// slots[i], then its days' merged runs are delivered in order. A day's
-// in-memory remainder still lives in its slot's run buffer while it is
-// delivered, which is before the next batch reuses the slot. One
-// delivery chunk serves every day.
-func (w *World) streamSpilled(lo, hi, window int, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
 	slots := make([]daySlot, window)
 	runs := make([]dayRuns, window)
 	errs := make([]error, window)
@@ -184,6 +116,15 @@ func (w *World) streamSpilled(lo, hi, window int, opts FlowOptions, fn func(day 
 		}
 	}
 	return nil
+}
+
+// daySlot is what one in-flight day of a stream keeps from batch to
+// batch: the run buffer its synthesis appends to and the scratch that
+// puts each run in time order. Both grow to the largest run the slot has
+// held, so later days reuse them instead of regrowing from nothing.
+type daySlot struct {
+	run   []netflow.Record
+	order timeScratch
 }
 
 // synthesizeDayRuns synthesizes one day under the spill budget into

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -236,39 +235,5 @@ func TestStreamFlowsPropagatesError(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("callback ran %d times after error, want 2", calls)
-	}
-}
-
-// TestMergeByTimeHeapPath forces the overlap path and checks the k-way
-// merge against a stable sort of the concatenation — the exact contract
-// the fast path relies on.
-func TestMergeByTimeHeapPath(t *testing.T) {
-	t0 := date(2006, 10, 1)
-	rec := func(sec int, srcLow byte) netflow.Record {
-		return netflow.Record{
-			SrcAddr: netaddr.MakeAddr(60, 0, 0, srcLow),
-			DstAddr: netaddr.MakeAddr(30, 0, 0, 1),
-			First:   netflow.TimeOf(t0.Add(time.Duration(sec) * time.Second)),
-		}
-	}
-	slices := [][]netflow.Record{
-		{rec(0, 1), rec(10, 2), rec(20, 3)},
-		{},
-		{rec(5, 4), rec(10, 5), rec(30, 6)}, // overlaps slice 0, ties at sec 10
-		{rec(10, 7), rec(40, 8)},
-	}
-	got := mergeByTime(slices)
-	var want []netflow.Record
-	for _, s := range slices {
-		want = append(want, s...)
-	}
-	sort.SliceStable(want, func(i, j int) bool { return want[i].First < want[j].First })
-	if len(got) != len(want) {
-		t.Fatalf("merged %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: merge gave src %v, stable sort %v", i, got[i].SrcAddr, want[i].SrcAddr)
-		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // memory per day is the budget, the run's sort scratch, one block per
 // segment and the delivery chunk, regardless of day size.
 //
-// Byte-identity with the in-memory path: runs are spilled in generation
+// Byte-identity with an unspilled day: runs are spilled in generation
 // order and the merge breaks timestamp ties by run index, which is
 // exactly what one stable sort of the whole day produces. The record
 // generators never observe the spilling (the RNG streams are untouched),
@@ -50,13 +50,11 @@ type daySpiller struct {
 
 // checkpoint is called between generator invocations: when the
 // in-memory run exceeds the budget it is spilled in time order and the
-// (emptied) buffer returned. On spill failure the error is recorded and
-// synthesis continues unspilled; the caller surfaces sp.err at day end.
+// (emptied) buffer returned. A zero budget never spills. On spill
+// failure the error is recorded and synthesis continues unspilled; the
+// caller surfaces sp.err at day end.
 func (sp *daySpiller) checkpoint(out []netflow.Record) []netflow.Record {
-	if sp.err != nil {
-		return out
-	}
-	if len(out)*recordMemBytes < sp.budget {
+	if sp.err != nil || sp.budget <= 0 || len(out)*recordMemBytes < sp.budget {
 		return out
 	}
 	return sp.spill(out)
@@ -123,10 +121,10 @@ func (r *dayRuns) cleanup() {
 }
 
 // deliver merges the day's runs in time order into chunk and hands it to
-// fn each time it fills, then once more with the rest. fn is called at
-// least once, so empty days still announce themselves, matching the
-// in-memory path. chunk is reused from call to call, so fn must not keep
-// it. The day's segment files are removed on return, whether or not the
+// fn each time it fills, then once more with the rest; a day that never
+// spilled is handed over whole, in one call. fn is called at least once,
+// so empty days still announce themselves. chunk is reused from call to
+// call, so fn must not keep it. The day's segment files are removed on return, whether or not the
 // merge succeeded.
 func (r *dayRuns) deliver(chunk []netflow.Record, fn func(records []netflow.Record) error) error {
 	if len(r.paths) == 0 {
@@ -256,9 +254,8 @@ func (c *runCursor) close() {
 
 // runMerge is the k-way merge of sorted runs by First, breaking ties by
 // run index: the order one stable sort of the runs' concatenation
-// produces. It serves both spilled-day reconstruction (segment cursors
-// plus the in-memory remainder) and cross-day merging (in-memory
-// cursors). The runs are the leaves k..2k-1 of a loser tree in heap
+// produces. It reconstructs a spilled day from its segment cursors plus
+// the in-memory remainder. The runs are the leaves k..2k-1 of a loser tree in heap
 // layout: tree[n], for each internal node n ≥ 1, holds the run that lost
 // the match played there, and tree[0] the overall winner. Taking the
 // winner's record replays only the matches on its leaf's path to the

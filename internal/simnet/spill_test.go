@@ -131,8 +131,36 @@ func TestStreamFlowsSpillBadDir(t *testing.T) {
 	}
 }
 
+// TestStreamFlowsZeroBudgetNeverSpills checks a zero budget keeps every
+// day in memory: no segment appears in SpillDir while the days are
+// delivered, and each day arrives in one call.
+func TestStreamFlowsZeroBudgetNeverSpills(t *testing.T) {
+	w := getWorld(t)
+	opts := FlowOptions{BenignSourcesPerDay: 60, CandidateExtras: true, SpillDir: t.TempDir()}
+	calls, flows := 0, 0
+	err := w.StreamFlows(date(2006, 10, 1), date(2006, 10, 4), opts, func(day time.Time, recs []netflow.Record) error {
+		calls++
+		flows += len(recs)
+		left, err := os.ReadDir(opts.SpillDir)
+		if err != nil {
+			return err
+		}
+		if len(left) != 0 {
+			t.Fatalf("%s: %d segments in SpillDir under a zero budget, first %s",
+				day.Format(time.DateOnly), len(left), left[0].Name())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 4 || flows == 0 {
+		t.Fatalf("%d deliveries of %d flows over 4 days, want one per day", calls, flows)
+	}
+}
+
 // TestDayRunsDeliverEmpty checks an empty day still announces itself,
-// matching the in-memory path's contract.
+// as an unspilled day's one delivery does.
 func TestDayRunsDeliverEmpty(t *testing.T) {
 	r := &dayRuns{}
 	calls := 0
@@ -207,9 +235,9 @@ func checkNoSegments(t *testing.T, dir string) {
 	}
 }
 
-// TestRunMergeMatchesStableSort checks the merge of a spilled day, and
-// mergeByTime over the same runs, against a stable sort of the runs'
-// concatenation, on the shapes where a k-way merge goes wrong.
+// TestRunMergeMatchesStableSort checks the merge of a spilled day
+// against a stable sort of the runs' concatenation, on the shapes where
+// a k-way merge goes wrong.
 func TestRunMergeMatchesStableSort(t *testing.T) {
 	rng := stats.NewRNG(41)
 	const b = segmentBlockRecords
@@ -273,13 +301,6 @@ func TestRunMergeMatchesStableSort(t *testing.T) {
 			}
 			recordsIdentical(t, "spilled merge", got, want)
 			checkNoSegments(t, dir)
-
-			perRun := make([][]netflow.Record, len(runs))
-			for i, run := range runs {
-				perRun[i] = slices.Clone(run)
-				sortByTime(perRun[i])
-			}
-			recordsIdentical(t, "mergeByTime", mergeByTime(perRun), want)
 		})
 	}
 }

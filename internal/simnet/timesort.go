@@ -165,8 +165,8 @@ func permute(records []netflow.Record, perm []uint32) {
 
 // sortByTime stable-sorts records by flow start time in place, with
 // scratch from s. Stable, so records with equal timestamps keep
-// generation order: per-day sorts followed by mergeByTime reproduce one
-// stable sort of the whole log.
+// generation order: per-day sorts followed by concatenation reproduce
+// one stable sort of the whole log.
 func (s *timeScratch) sortByTime(records []netflow.Record) {
 	permute(records, s.timeOrder(records))
 }
