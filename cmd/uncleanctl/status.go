@@ -111,8 +111,13 @@ func writeStatus(w io.Writer, client *http.Client, base string, nEvents int) err
 
 	writeFeedTable(w, mesh)
 
-	// SLOs and the rolling serving windows.
+	// SLOs and the rolling serving windows. The feed table above already
+	// shows each feed's loads and failures, so the mesh's per-feed
+	// windows are not repeated here.
 	for _, m := range mets.Metrics {
+		if strings.HasPrefix(m.Name, "unclean_feedmesh_") {
+			continue
+		}
 		switch m.Kind {
 		case "slo":
 			fmt.Fprintf(w, "\nslo %s:", m.Series())

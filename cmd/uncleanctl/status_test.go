@@ -197,6 +197,66 @@ func TestWriteStatusFeedMeshTable(t *testing.T) {
 	}
 }
 
+// The serving windows list the DNSBL's own series but not the feed
+// mesh's per-feed load windows and SLO, which the feed table already
+// shows as LOADS and FAILS.
+func TestWriteStatusSkipsFeedMeshWindows(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"ready": true, "checks": {"feed_mesh": {"ok": true, "detail": "2/2 feeds healthy"}}, "info": {}}`))
+	})
+	serveMesh(t, mux, feedmesh.Status{Round: 3, HealthyFeeds: 2, TotalFeeds: 2,
+		Feeds: []feedmesh.FeedStatus{
+			{Name: "a", State: feedmesh.StateHealthy, Quality: 1, Weight: 1, Loads: 3},
+			{Name: "b", State: feedmesh.StateHealthy, Quality: 1, Weight: 1, Loads: 3},
+		}})
+	var feeds strings.Builder
+	for _, f := range []string{"a", "b"} {
+		feeds.WriteString(`
+			{"name": "unclean_feedmesh_load_attempts", "labels": {"feed": "` + f + `"}, "kind": "windowed_counter",
+			 "windows": {"1m": {"total": 3, "rate_per_second": 0.05}}},
+			{"name": "unclean_feedmesh_load_ok", "labels": {"feed": "` + f + `"}, "kind": "windowed_counter",
+			 "windows": {"1m": {"total": 3, "rate_per_second": 0.05}}},
+			{"name": "unclean_feedmesh_load_success", "labels": {"feed": "` + f + `"},
+			 "kind": "slo", "target": 0.9, "burn_rate": {"5m": 0, "1h": 0}},`)
+	}
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"metrics": [` + feeds.String() + `
+			{"name": "unclean_dnsbl_availability", "labels": {"zone": "bl.unclean.example"},
+			 "kind": "slo", "target": 0.999, "burn_rate": {"5m": 0.5}},
+			{"name": "unclean_dnsbl_window_query_seconds", "labels": {"zone": "bl.unclean.example"},
+			 "kind": "windowed_histogram", "windows": {"1m": {"count": 7}}},
+			{"name": "unclean_dnsbl_window_errors_total", "kind": "windowed_counter",
+			 "windows": {"1m": {"total": 2, "rate_per_second": 0.03}}}
+		]}`))
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	var out strings.Builder
+	if err := writeStatus(&out, &http.Client{Timeout: time.Second}, ts.URL, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if strings.Contains(got, "unclean_feedmesh_") {
+		t.Errorf("feed mesh windows printed below the feed table:\n%s", got)
+	}
+	for _, want := range []string{
+		"slo unclean_dnsbl_availability{zone=bl.unclean.example}: target 99.9%  burn[5m]=0.5\n",
+		"unclean_dnsbl_window_query_seconds{zone=bl.unclean.example} last 1m: 7 observed\n",
+		"unclean_dnsbl_window_errors_total last 1m: 2 (0.03/s)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("status output missing %q:\n%s", want, got)
+		}
+	}
+	if states := feedStates(got); states["a"] != "healthy" || states["b"] != "healthy" {
+		t.Errorf("feed table reads %v, want a and b healthy:\n%s", states, got)
+	}
+}
+
 // A feed in the healthy state that has never loaded is shown as
 // never-loaded, the word /readyz uses, not healthy.
 func TestWriteStatusNeverLoadedFeed(t *testing.T) {

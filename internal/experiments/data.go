@@ -98,14 +98,6 @@ func Build(cfg Config) (*Dataset, error) {
 	spamSet := acc.spam.Spammers()
 	spDetect.End()
 
-	// The flow log, each day synthesized again straight into its slot.
-	spLog := obs.StartSpan("build/log")
-	ds.Flows, err = world.SynthesizeCounted(UncleanFrom, UncleanTo, opts, perDay)
-	spLog.End()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: flow log: %w", err)
-	}
-
 	spControl := obs.StartSpan("build/control")
 	controlSet, err := DrawControl(world, cfg.Seed)
 	spControl.End()
@@ -142,6 +134,16 @@ func Build(cfg Config) (*Dataset, error) {
 		"Control addresses acquired from the observed network", controlSet)
 	ds.Inventory = inv
 	spReports.End()
+
+	// The flow log, each day synthesized again straight into its slot.
+	// It is placed last, so the collection its allocation starts also
+	// reclaims the garbage of the control draw and the reports.
+	spLog := obs.StartSpan("build/log")
+	ds.Flows, err = world.SynthesizeCounted(UncleanFrom, UncleanTo, opts, perDay)
+	spLog.End()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: flow log: %w", err)
+	}
 	return ds, nil
 }
 

@@ -268,8 +268,9 @@ func (s Set) Difference(other Set) Set {
 }
 
 // Filter returns the subset of addresses for which keep returns true.
+// Its working list is sized once, to the whole set.
 func (s Set) Filter(keep func(netaddr.Addr) bool) Set {
-	var out []uint32
+	out := make([]uint32, 0, s.Len())
 	s.Each(func(a netaddr.Addr) bool {
 		if keep(a) {
 			out = append(out, uint32(a))

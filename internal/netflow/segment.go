@@ -8,11 +8,12 @@ import (
 )
 
 // Spill-segment record codec: the compact fixed-width binary form flow
-// records take when a synthesis run spills to disk. Unlike the V5
-// export encoding, whose timestamps are milliseconds of 32-bit exporter
-// uptime, this form is lossless: it stores every field as the Record
-// holds it, timestamps as their Unix nanoseconds, in the record's own 56
-// bytes, so a record survives a disk round trip unchanged.
+// records take when a synthesized day spills to its hour segments on
+// disk. Unlike the V5 export encoding, whose timestamps are milliseconds
+// of 32-bit exporter uptime, this form is lossless: it stores every
+// field as the Record holds it, timestamps as their Unix nanoseconds, in
+// the record's own 56 bytes, so a record survives a disk round trip
+// unchanged.
 //
 // Layout (little-endian, 56 bytes):
 //
@@ -53,14 +54,6 @@ func EncodeSegmentRecord(buf []byte, r *Record) {
 	buf[51] = r.Proto
 	buf[52] = r.TOS
 	buf[53], buf[54], buf[55] = 0, 0, 0
-}
-
-// SegmentRecordFirst returns the First timestamp of the encoded record
-// at the start of buf, without decoding the rest: the key a merge of
-// time-ordered segments compares. buf must hold at least
-// SegmentRecordSize bytes.
-func SegmentRecordFirst(buf []byte) Time {
-	return Time(segLE.Uint64(buf[24:32]))
 }
 
 // DecodeSegmentRecord parses one spill record from buf: the record that

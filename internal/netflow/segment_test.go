@@ -1,7 +1,6 @@
 package netflow
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -51,18 +50,5 @@ func TestSegmentDecodeTruncated(t *testing.T) {
 	var r Record
 	if err := DecodeSegmentRecord(make([]byte, SegmentRecordSize-1), &r); err == nil {
 		t.Fatal("truncated buffer decoded without error")
-	}
-}
-
-// TestSegmentRecordFirst checks the merge key read from the encoded
-// bytes is the record's First, across the int64 range.
-func TestSegmentRecordFirst(t *testing.T) {
-	for _, ns := range []int64{0, 1, -1, 1159660800e9, math.MaxInt64, math.MinInt64} {
-		r := Record{First: Time(ns), SrcAddr: 7}
-		var buf [SegmentRecordSize]byte
-		EncodeSegmentRecord(buf[:], &r)
-		if got := SegmentRecordFirst(buf[:]); got != Time(ns) {
-			t.Fatalf("SegmentRecordFirst = %d, want %d", got, ns)
-		}
 	}
 }

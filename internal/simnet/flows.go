@@ -20,17 +20,21 @@ type FlowOptions struct {
 	// the occasional legitimate client (the innocent population).
 	CandidateExtras bool
 	// SpillBudget caps the approximate bytes of in-memory records one
-	// day's synthesis holds before spilling a sorted run to a temp
-	// segment file (see spill.go). Zero never spills: each day is held
-	// whole in memory and delivered in one call. StreamFlows honors the
-	// budget; SynthesizeFlows, which returns the complete log anyway,
-	// ignores it. A record takes recordMemBytes (56) in memory, so a
-	// 32 MiB budget holds about 599,000 records. Sorting a run takes 24
-	// bytes of scratch per record on top of that, so peak synthesis
-	// memory is roughly workers × SpillBudget × (1 + 24/56).
+	// day's synthesis holds before spilling them to its hour segments,
+	// temp files of the records whose First falls in each hour of the
+	// day (see spill.go). Zero never spills: each day is held whole in
+	// memory and delivered in one call. StreamFlows honors the budget;
+	// SynthesizeFlows, which returns the complete log anyway, ignores it.
+	// A record takes recordMemBytes (56) in memory, and a day never holds
+	// more than spillRecords (8,192) however large the budget. While
+	// synthesizing, each day slot holds at most min(SpillBudget, 8,192
+	// records) plus one generator call's records, and 24 segment writers
+	// of 32 KiB; while delivering, the stream holds one hour of one day
+	// and its sort scratch (24 bytes per record).
 	SpillBudget int
 	// SpillDir is where spill segments are created; empty means the
-	// system temp directory. Segments are removed as they are consumed.
+	// system temp directory. Segments are removed as their day is
+	// delivered.
 	SpillDir string
 }
 
@@ -63,21 +67,24 @@ func (w *World) SynthesizeFlows(from, to time.Time, opts FlowOptions) []netflow.
 // days at a time and hands time-sorted records to fn in chronological
 // order. Peak memory is one batch of days, not the whole window, while
 // day synthesis still saturates the shared worker pool. With
-// opts.SpillBudget set, each day's synthesis additionally spills sorted
-// runs to disk and the day streams back as a k-way merge in bounded
-// chunks — fn may then see several calls with the same day timestamp,
-// and peak memory stays near workers × SpillBudget regardless of day
-// size. With a zero budget nothing spills and each day arrives in one
-// call. Either way, concatenating the records across calls reproduces
-// SynthesizeFlows byte for byte. The records passed to fn are valid
-// only until fn returns: the stream reuses its buffers, so fn must copy
-// what it keeps. A non-nil error from fn aborts the stream and is
+// opts.SpillBudget set, a day whose synthesis fills its buffer of
+// min(budget, 8,192 records) is spilled to disk as hour segments and
+// streams back one hour per call — fn may then see several calls with
+// the same day timestamp, and peak memory stays near one buffer per
+// slot plus one hour of one day however large the days. A day that
+// never fills its buffer, and with a zero budget every day, arrives in
+// one call. Either way, concatenating the records across calls
+// reproduces SynthesizeFlows byte for byte. The records passed to fn are
+// valid only until fn returns: the stream reuses its buffers, so fn must
+// copy what it keeps. A non-nil error from fn aborts the stream and is
 // returned.
 //
-// A batch is synthesized in parallel, day i of it in slots[i], then its
-// days' runs are delivered in order. A day's in-memory run still lives
-// in its slot's run buffer while it is delivered, which is before the
-// next batch reuses the slot. One delivery chunk serves every day.
+// A batch of stats.Workers(days) days is synthesized in parallel, day i
+// of it in slots[i], then its days are delivered in order: segments are
+// written only while a batch is synthesized and removed as each day is
+// delivered. A day kept in memory still lives in its slot's buffer while
+// it is delivered, which is before the next batch reuses the slot. One
+// hour buffer serves every spilled day.
 func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
 	lo, hi := w.clampDays(from, to)
 	if hi < lo {
@@ -85,13 +92,12 @@ func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day ti
 	}
 	window := stats.Workers(hi - lo + 1)
 	slots := make([]daySlot, window)
-	runs := make([]dayRuns, window)
 	errs := make([]error, window)
-	chunk := make([]netflow.Record, spillChunkRecords)
+	var reader hourReader
 	for base := lo; base <= hi; base += window {
-		batch := runs[:min(window, hi-base+1)]
+		batch := slots[:min(window, hi-base+1)]
 		stats.Parallel(len(batch), func(_, i int) {
-			batch[i], errs[i] = w.synthesizeDayRuns(base+i, opts, &slots[i])
+			errs[i] = w.synthesizeSlot(base+i, opts, &batch[i])
 		})
 		var err error
 		for _, e := range errs[:len(batch)] {
@@ -102,7 +108,7 @@ func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day ti
 		}
 		for i := 0; i < len(batch) && err == nil; i++ {
 			day := w.Date(base + i)
-			err = batch[i].deliver(chunk, func(recs []netflow.Record) error {
+			err = reader.deliver(&batch[i], func(recs []netflow.Record) error {
 				return fn(day, recs)
 			})
 		}
@@ -110,7 +116,7 @@ func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day ti
 			// Delivered and failed days have removed their segments
 			// already; drop the rest before reporting.
 			for i := range batch {
-				batch[i].cleanup()
+				batch[i].spill.cleanup()
 			}
 			return err
 		}
@@ -119,33 +125,42 @@ func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day ti
 }
 
 // daySlot is what one in-flight day of a stream keeps from batch to
-// batch: the run buffer its synthesis appends to and the scratch that
-// puts each run in time order. Both grow to the largest run the slot has
-// held, so later days reuse them instead of regrowing from nothing.
+// batch: the buffer its synthesis appends to, the scratch that puts a
+// day kept in memory in time order, and the spiller with its hour
+// segments' writers. The buffer and scratch grow to the most records
+// the slot has held, so later days reuse them instead of regrowing from
+// nothing.
 type daySlot struct {
-	run   []netflow.Record
+	recs  []netflow.Record
 	order timeScratch
+	spill daySpiller
 }
 
-// synthesizeDayRuns synthesizes one day under the spill budget into
-// slot's buffers, returning its sorted runs; the in-memory run is the
-// slot's run buffer.
-func (w *World) synthesizeDayRuns(d int, opts FlowOptions, slot *daySlot) (dayRuns, error) {
-	sp := &daySpiller{dir: opts.SpillDir, budget: opts.SpillBudget, order: &slot.order}
-	out := w.synthesizeDay(d, opts, slot.run[:0], sp)
-	slot.run = out
-	if sp.err != nil {
-		sp.cleanup()
-		return dayRuns{}, sp.err
+// synthesizeSlot synthesizes day d under the spill budget into slot:
+// afterwards the day is either spilled to its hour segments or, sorted,
+// in slot.recs.
+func (w *World) synthesizeSlot(d int, opts FlowOptions, slot *daySlot) error {
+	slot.spill.reset(opts.SpillDir, spillLimit(opts.SpillBudget), netflow.TimeOf(w.Date(d)))
+	return slot.finish(w.synthesizeDay(d, opts, slot.recs[:0], &slot.spill))
+}
+
+// finish ends a synthesized day in its slot: out, the records its
+// synthesis still holds, are spilled if the day has spilled and put in
+// time order in slot.recs if not.
+func (slot *daySlot) finish(out []netflow.Record) error {
+	out, err := slot.spill.finish(out)
+	slot.recs = out
+	if err != nil {
+		return err
 	}
 	slot.order.sortByTime(out)
-	return dayRuns{mem: out, paths: sp.paths, counts: sp.counts}, nil
+	return nil
 }
 
 // A checkpointer sees a day's buffer between generator calls and
-// returns the buffer synthesis goes on appending to: a spiller writes an
-// over-budget run to disk (spill.go), a fold hands whole chunks to its
-// folder (fold.go). Neither the generators nor their RNG streams notice.
+// returns the buffer synthesis goes on appending to: a spiller writes a
+// full buffer to its hour segments (spill.go), a fold hands whole chunks
+// to its folder (fold.go). Neither the generators nor their RNG streams notice.
 type checkpointer interface {
 	checkpoint(out []netflow.Record) []netflow.Record
 }

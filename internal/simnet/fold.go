@@ -106,14 +106,20 @@ func (w *World) SynthesizeCounted(from, to time.Time, opts FlowOptions, perDay [
 		return nil, fmt.Errorf("simnet: %d day counts for a window of %d days", len(perDay), n)
 	}
 	offs := make([]int, n+1)
+	largest := 0
 	for i, c := range perDay {
 		if c < 0 {
 			return nil, fmt.Errorf("simnet: %s counted %d records", w.Date(lo+i).Format(time.DateOnly), c)
 		}
 		offs[i+1] = offs[i] + c
+		largest = max(largest, c)
 	}
 	log := make([]netflow.Record, offs[n])
+	// Each worker's sort scratch is sized once, for the largest day.
 	order := make([]timeScratch, stats.Workers(n))
+	for i := range order {
+		order[i].reserve(largest)
+	}
 	errs := make([]error, n)
 	stats.Parallel(n, func(worker, i int) {
 		// The slot's capacity is the day's count, so a day that outgrows

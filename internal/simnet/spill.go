@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"time"
 	"unsafe"
 
 	"unclean/internal/netflow"
@@ -13,307 +15,261 @@ import (
 // External-memory flow synthesis. A day's traffic at paper scale is
 // millions of 56-byte records; holding a whole day (let alone a
 // worker-pool batch of days) in memory is what capped the old pipeline.
-// With FlowOptions.SpillBudget set, synthesis accumulates records until
-// the budget is exceeded, then spills the run to a temp segment file in
-// the compact netflow segment encoding, written in stable time order
-// (timeOrder). The day is then reconstructed as a k-way merge of its
-// sorted runs — segment files are read back a block at a time, so peak
-// memory per day is the budget, the run's sort scratch, one block per
-// segment and the delivery chunk, regardless of day size.
+// With FlowOptions.SpillBudget set, a day's synthesis holds at most
+// min(budget, spillRecords) records between generator calls: whenever
+// its buffer reaches that limit, every record in it is appended, in
+// generation order and unsorted, to a temp segment file for its hour of
+// the day, in the compact netflow segment encoding. Once a day has
+// spilled, the rest of it is spilled at its end too, so a spilled day
+// lives wholly on disk as up to 24 hour segments. At delivery each hour
+// is read back into one reused buffer, put in stable time order there
+// and handed over, so delivering holds one hour and its sort scratch
+// however large the day.
 //
-// Byte-identity with an unspilled day: runs are spilled in generation
-// order and the merge breaks timestamp ties by run index, which is
-// exactly what one stable sort of the whole day produces. The record
-// generators never observe the spilling (the RNG streams are untouched),
-// so spilled and unspilled synthesis yield identical flow sequences.
+// Byte-identity with an unspilled day: every generator keeps a record's
+// First inside its day (a record outside it would go to the first or
+// last hour, which keeps the order), so the hours in order partition the
+// day's time order, and an hour's records reach its segment in
+// generation order, so its stable sort orders them exactly as one stable
+// sort of the whole day does. The record generators never observe the
+// spilling (the RNG streams are untouched), so spilled and unspilled
+// synthesis yield identical flow sequences.
 
 // recordMemBytes is the in-memory size of one record for budget
 // accounting: 56 bytes of plain data, the size of its segment encoding.
 var recordMemBytes = int(unsafe.Sizeof(netflow.Record{}))
 
-// spillChunkRecords is the delivery granularity of a merged spilled day.
-const spillChunkRecords = 8192
+// spillRecords caps the records a spilling day holds before it writes
+// them to its hour segments (448 KiB), whatever the budget.
+const spillRecords = 8192
 
-// segmentBlockRecords is how many records a segment cursor reads from
-// its file at a time: 224 KiB per open segment.
-const segmentBlockRecords = 4096
+// dayHours is the number of hour segments a spilled day is split into.
+const dayHours = 24
 
-// daySpiller accumulates one day's spilled runs.
-type daySpiller struct {
-	dir    string
-	budget int
-	order  *timeScratch // orders each run for its encode
-	paths  []string
-	counts []int
-	err    error
+// hourWriterBytes is the write buffer of one open hour segment: the 24
+// of a day make 768 KiB per slot.
+const hourWriterBytes = 32 << 10
+
+// segmentBlockRecords is how many records an hour segment is read back
+// in at a time (56 KiB).
+const segmentBlockRecords = 1024
+
+// spillLimit is the number of records a day streamed under budget
+// holds before it spills: min(budget, spillRecords) in records, at
+// least one. A zero budget never spills.
+func spillLimit(budget int) int {
+	if budget <= 0 {
+		return 0
+	}
+	return max(1, min(budget/recordMemBytes, spillRecords))
 }
 
-// checkpoint is called between generator invocations: when the
-// in-memory run exceeds the budget it is spilled in time order and the
-// (emptied) buffer returned. A zero budget never spills. On spill
-// failure the error is recorded and synthesis continues unspilled; the
-// caller surfaces sp.err at day end.
-func (sp *daySpiller) checkpoint(out []netflow.Record) []netflow.Record {
-	if sp.err != nil || sp.budget <= 0 || len(out)*recordMemBytes < sp.budget {
-		return out
+// hourOf returns the hour of the day starting at day that t falls in,
+// with times before the day in its first hour and times after it in its
+// last.
+func hourOf(t, day netflow.Time) int {
+	if t < day {
+		return 0
 	}
-	return sp.spill(out)
+	// uint64(t - day) is the exact distance even when t - day overflows.
+	return int(min(uint64(t-day)/uint64(time.Hour), dayHours-1))
 }
 
-func (sp *daySpiller) spill(out []netflow.Record) []netflow.Record {
-	if len(out) == 0 {
-		return out
-	}
-	f, err := os.CreateTemp(sp.dir, "unclean-spill-*.seg")
+// hourSegment is one hour of a spilled day on disk: the n records whose
+// First falls in the hour, in generation order. While the day is
+// synthesized the file is open behind w; the writer is kept for the
+// slot's next day.
+type hourSegment struct {
+	path string
+	n    int
+	f    *os.File
+	w    *bufio.Writer
+}
+
+// create opens the segment's file in dir.
+func (s *hourSegment) create(dir string) error {
+	f, err := os.CreateTemp(dir, "unclean-spill-*.seg")
 	if err != nil {
-		sp.err = fmt.Errorf("simnet: creating spill segment: %w", err)
+		return fmt.Errorf("simnet: creating spill segment: %w", err)
+	}
+	s.f, s.path = f, f.Name()
+	if s.w == nil {
+		s.w = bufio.NewWriterSize(f, hourWriterBytes)
+	} else {
+		s.w.Reset(f)
+	}
+	return nil
+}
+
+// close flushes and closes an open segment.
+func (s *hourSegment) close() error {
+	if s.f == nil {
+		return nil
+	}
+	err := s.w.Flush()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	s.f = nil
+	if err != nil {
+		return fmt.Errorf("simnet: writing spill segment: %w", err)
+	}
+	return nil
+}
+
+// daySpiller is the checkpointer of one day streamed under a spill
+// budget: whenever the day's buffer holds limit records, they go to the
+// day's hour segments and the buffer starts again from empty. A zero
+// limit keeps the whole day in the buffer.
+type daySpiller struct {
+	dir     string
+	limit   int
+	day     netflow.Time // the first instant of the day
+	hours   [dayHours]hourSegment
+	spilled bool
+	err     error
+}
+
+// reset readies the spiller for a new day, keeping its writers.
+func (sp *daySpiller) reset(dir string, limit int, day netflow.Time) {
+	sp.dir, sp.limit, sp.day = dir, limit, day
+	sp.spilled, sp.err = false, nil
+	for h := range sp.hours {
+		sp.hours[h].path, sp.hours[h].n = "", 0
+	}
+}
+
+// checkpoint is called between generator invocations: once the buffer
+// holds the limit, its records are spilled and the emptied buffer
+// returned.
+func (sp *daySpiller) checkpoint(out []netflow.Record) []netflow.Record {
+	if sp.limit == 0 || len(out) < sp.limit {
 		return out
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var buf [netflow.SegmentRecordSize]byte
-	// The run is encoded in time order without moving its records.
-	for _, i := range sp.order.timeOrder(out) {
-		netflow.EncodeSegmentRecord(buf[:], &out[i])
-		if _, err := bw.Write(buf[:]); err != nil {
-			sp.err = fmt.Errorf("simnet: writing spill segment: %w", err)
-			break
-		}
-	}
-	if sp.err == nil {
-		if err := bw.Flush(); err != nil {
-			sp.err = fmt.Errorf("simnet: writing spill segment: %w", err)
-		}
-	}
-	if cerr := f.Close(); cerr != nil && sp.err == nil {
-		sp.err = fmt.Errorf("simnet: closing spill segment: %w", cerr)
-	}
-	if sp.err != nil {
-		os.Remove(f.Name())
-		return out
-	}
-	sp.paths = append(sp.paths, f.Name())
-	sp.counts = append(sp.counts, len(out))
+	sp.spill(out)
 	return out[:0]
 }
 
-// cleanup removes any spilled segment files.
+// spill appends records to their hour segments, creating each segment
+// with its first record. After a failure the day's records are dropped:
+// finish reports the error and the day is never delivered.
+func (sp *daySpiller) spill(records []netflow.Record) {
+	sp.spilled = true
+	var buf [netflow.SegmentRecordSize]byte
+	for i := range records {
+		if sp.err != nil {
+			return
+		}
+		seg := &sp.hours[hourOf(records[i].First, sp.day)]
+		if seg.f == nil {
+			if sp.err = seg.create(sp.dir); sp.err != nil {
+				return
+			}
+		}
+		netflow.EncodeSegmentRecord(buf[:], &records[i])
+		if _, err := seg.w.Write(buf[:]); err != nil {
+			sp.err = fmt.Errorf("simnet: writing spill segment: %w", err)
+			return
+		}
+		seg.n++
+	}
+}
+
+// finish ends the day's synthesis: a day that has spilled spills the
+// rest of its records too and closes its segments. It returns the
+// records the day keeps in memory, all of a day that never spilled and
+// none of one that did. On failure every segment is removed.
+func (sp *daySpiller) finish(out []netflow.Record) ([]netflow.Record, error) {
+	if sp.spilled {
+		sp.spill(out)
+		out = out[:0]
+	}
+	for h := range sp.hours {
+		if err := sp.hours[h].close(); err != nil && sp.err == nil {
+			sp.err = err
+		}
+	}
+	if sp.err != nil {
+		sp.cleanup()
+		return out[:0], sp.err
+	}
+	return out, nil
+}
+
+// cleanup removes the day's closed segment files.
 func (sp *daySpiller) cleanup() {
-	for _, p := range sp.paths {
-		os.Remove(p)
-	}
-	sp.paths = nil
-}
-
-// dayRuns is one synthesized day as a sequence of sorted runs: zero or
-// more on-disk segments (in spill order) plus the final in-memory run.
-type dayRuns struct {
-	mem    []netflow.Record
-	paths  []string
-	counts []int
-}
-
-// cleanup removes the day's segment files without delivering them.
-func (r *dayRuns) cleanup() {
-	for _, p := range r.paths {
-		os.Remove(p)
-	}
-	r.paths = nil
-}
-
-// deliver merges the day's runs in time order into chunk and hands it to
-// fn each time it fills, then once more with the rest; a day that never
-// spilled is handed over whole, in one call. fn is called at least once,
-// so empty days still announce themselves. chunk is reused from call to
-// call, so fn must not keep it. The day's segment files are removed on return, whether or not the
-// merge succeeded.
-func (r *dayRuns) deliver(chunk []netflow.Record, fn func(records []netflow.Record) error) error {
-	if len(r.paths) == 0 {
-		return fn(r.mem)
-	}
-	defer r.cleanup()
-	runs := make([]runCursor, len(r.paths)+1)
-	defer func() {
-		for i := range runs {
-			runs[i].close()
+	for h := range sp.hours {
+		s := &sp.hours[h]
+		if s.path != "" {
+			os.Remove(s.path)
 		}
-	}()
-	const blockBytes = segmentBlockRecords * netflow.SegmentRecordSize
-	blocks := make([]byte, len(r.paths)*blockBytes)
-	for i, p := range r.paths {
-		if err := runs[i].openSegment(p, r.counts[i], blocks[i*blockBytes:(i+1)*blockBytes]); err != nil {
+		s.path, s.n = "", 0
+	}
+}
+
+// hourReader is what a stream's deliveries share from day to day: the
+// hour buffer a spilled day is read back into, its sort scratch and the
+// block segments are read through. The buffer grows to the largest hour
+// the stream has delivered.
+type hourReader struct {
+	hour  []netflow.Record
+	order timeScratch
+	block []byte
+}
+
+// deliver hands the day synthesized in slot to fn in time order. A day
+// that never spilled is in slot.recs, already sorted, and goes in one
+// call, so an empty day still announces itself. A spilled day goes an
+// hour at a time, one call per hour segment, each hour read into the
+// reused buffer and sorted there; the buffer is reused from call to
+// call, so fn must not keep it. A spilled day's segments are removed on
+// return, whether or not its delivery succeeded.
+func (r *hourReader) deliver(slot *daySlot, fn func(records []netflow.Record) error) error {
+	sp := &slot.spill
+	if !sp.spilled {
+		return fn(slot.recs)
+	}
+	defer sp.cleanup()
+	for h := range sp.hours {
+		s := &sp.hours[h]
+		if s.n == 0 {
+			continue
+		}
+		r.hour = slices.Grow(r.hour[:0], s.n)[:s.n]
+		if err := r.read(s.path); err != nil {
+			return err
+		}
+		r.order.sortByTime(r.hour)
+		if err := fn(r.hour); err != nil {
 			return err
 		}
 	}
-	// The in-memory remainder is the youngest run, so it merges last on
-	// timestamp ties — the order a whole-day stable sort would produce.
-	runs[len(r.paths)].setMem(r.mem)
-
-	m := newRunMerge(runs)
-	delivered := false
-	for {
-		n, err := m.fill(chunk)
-		if err != nil {
-			return err
-		}
-		if n == 0 && delivered {
-			return nil
-		}
-		if err := fn(chunk[:n]); err != nil {
-			return err
-		}
-		delivered = true
-		if n < len(chunk) {
-			return nil
-		}
-	}
+	return nil
 }
 
-// runCursor walks one sorted run: an in-memory slice, or a spill segment
-// read a block at a time into buf. While live, key is the current
-// record's First.
-type runCursor struct {
-	key  netflow.Time
-	live bool
-	// In-memory run: recs[pos] is the current record.
-	recs []netflow.Record
-	pos  int
-	// Segment-backed run: block holds the unconsumed records of the last
-	// block read, the current one first; remaining counts the records
-	// still in the file.
-	f         *os.File
-	path      string
-	buf       []byte
-	block     []byte
-	remaining int
-}
-
-// setMem points the cursor at an in-memory run.
-func (c *runCursor) setMem(recs []netflow.Record) {
-	*c = runCursor{recs: recs, live: len(recs) > 0}
-	if c.live {
-		c.key = recs[0].First
-	}
-}
-
-// openSegment points the cursor at a segment file of count records and
-// reads its first block into buf, which holds segmentBlockRecords.
-func (c *runCursor) openSegment(path string, count int, buf []byte) error {
+// read fills the hour buffer from the segment file at path, a block at a
+// time.
+func (r *hourReader) read(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("simnet: opening spill segment: %w", err)
 	}
-	*c = runCursor{f: f, path: path, buf: buf, remaining: count}
-	return c.readBlock()
-}
-
-// readBlock reads the segment's next block, clearing live at its end.
-func (c *runCursor) readBlock() error {
-	n := min(c.remaining, segmentBlockRecords)
-	if n == 0 {
-		c.live = false
-		return nil
+	defer f.Close()
+	if r.block == nil {
+		r.block = make([]byte, segmentBlockRecords*netflow.SegmentRecordSize)
 	}
-	c.block = c.buf[:n*netflow.SegmentRecordSize]
-	if _, err := io.ReadFull(c.f, c.block); err != nil {
-		return fmt.Errorf("simnet: reading spill segment %s: %w", c.path, err)
+	const size = netflow.SegmentRecordSize
+	for rest := r.hour; len(rest) > 0; {
+		n := min(len(rest), segmentBlockRecords)
+		block := r.block[:n*size]
+		if _, err := io.ReadFull(f, block); err != nil {
+			return fmt.Errorf("simnet: reading spill segment %s: %w", path, err)
+		}
+		for i := range rest[:n] {
+			// The block holds whole records, so the decode cannot fail.
+			_ = netflow.DecodeSegmentRecord(block[i*size:], &rest[i])
+		}
+		rest = rest[n:]
 	}
-	c.remaining -= n
-	c.key = netflow.SegmentRecordFirst(c.block)
-	c.live = true
 	return nil
-}
-
-// take writes the current record to dst, decoding it if it comes from a
-// segment, and moves to the next one.
-func (c *runCursor) take(dst *netflow.Record) error {
-	if c.f == nil {
-		*dst = c.recs[c.pos]
-		c.pos++
-		if c.live = c.pos < len(c.recs); c.live {
-			c.key = c.recs[c.pos].First
-		}
-		return nil
-	}
-	// The block holds whole records, so the decode cannot fail.
-	_ = netflow.DecodeSegmentRecord(c.block, dst)
-	c.block = c.block[netflow.SegmentRecordSize:]
-	if len(c.block) == 0 {
-		return c.readBlock()
-	}
-	c.key = netflow.SegmentRecordFirst(c.block)
-	return nil
-}
-
-// close releases a segment-backed cursor's file.
-func (c *runCursor) close() {
-	if c.f != nil {
-		c.f.Close()
-		c.f = nil
-	}
-}
-
-// runMerge is the k-way merge of sorted runs by First, breaking ties by
-// run index: the order one stable sort of the runs' concatenation
-// produces. It reconstructs a spilled day from its segment cursors plus
-// the in-memory remainder. The runs are the leaves k..2k-1 of a loser tree in heap
-// layout: tree[n], for each internal node n ≥ 1, holds the run that lost
-// the match played there, and tree[0] the overall winner. Taking the
-// winner's record replays only the matches on its leaf's path to the
-// root, about log2(k) key compares.
-type runMerge struct {
-	runs []runCursor
-	tree []int
-}
-
-// newRunMerge plays the initial tournament over one or more runs.
-func newRunMerge(runs []runCursor) *runMerge {
-	k := len(runs)
-	m := &runMerge{runs: runs, tree: make([]int, k)}
-	win := make([]int, 2*k) // win[n]: the winner of node n's subtree
-	for i := range runs {
-		win[k+i] = i
-	}
-	for n := k - 1; n > 0; n-- {
-		a, b := win[2*n], win[2*n+1]
-		if m.less(b, a) {
-			a, b = b, a
-		}
-		win[n], m.tree[n] = a, b
-	}
-	m.tree[0] = win[1]
-	return m
-}
-
-// less reports whether run a's current record comes before run b's: a
-// live run before an exhausted one, then the earlier key, then the lower
-// run index. Exhaustion is a flag, not a sentinel key, so no record's
-// timestamp can tie with an exhausted run.
-func (m *runMerge) less(a, b int) bool {
-	ra, rb := &m.runs[a], &m.runs[b]
-	if !ra.live || !rb.live {
-		return ra.live
-	}
-	return ra.key < rb.key || ra.key == rb.key && a < b
-}
-
-// fill writes the next records in merge order to dst and returns how
-// many it wrote: len(dst) unless the runs ran out first.
-func (m *runMerge) fill(dst []netflow.Record) (int, error) {
-	k := len(m.runs)
-	for i := range dst {
-		w := m.tree[0]
-		if !m.runs[w].live {
-			return i, nil
-		}
-		if err := m.runs[w].take(&dst[i]); err != nil {
-			return i, err
-		}
-		for n := (w + k) / 2; n > 0; n /= 2 {
-			if l := m.tree[n]; m.less(l, w) {
-				m.tree[n], w = w, l
-			}
-		}
-		m.tree[0] = w
-	}
-	return len(dst), nil
 }

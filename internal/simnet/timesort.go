@@ -14,15 +14,15 @@ import (
 // over the records themselves copies each one O(log² n) times; instead
 // the order is computed over compact (key, index) pairs by an LSD radix
 // sort, which is stable by construction (as in ipset/sort.go), and the
-// records then move once — or, for a spilled run, never: the run is
-// encoded straight through the order.
+// records then move once.
 
 // passBits is the widest digit a counting pass sorts: 2048 counters.
 const passBits = 11
 
 // timeScratch is timeOrder's working memory, 24 bytes per record: two
 // key buffers and two index buffers for the ping-pong passes. It grows
-// to the largest run it has ordered and is reused from run to run.
+// to the most records it has ordered at once (a day, or an hour of a
+// spilled day) and is reused from sort to sort.
 type timeScratch struct {
 	keys []uint64
 	idx  []uint32
@@ -71,8 +71,7 @@ func appendPasses(dst []timePass, ns bool, n int) []timePass {
 // until s orders another run.
 func (s *timeScratch) timeOrder(records []netflow.Record) []uint32 {
 	n := len(records)
-	s.keys = slices.Grow(s.keys[:0], 2*n)
-	s.idx = slices.Grow(s.idx[:0], 2*n)
+	s.reserve(n)
 	b := pingPong{k: s.keys[:n], tk: s.keys[n : 2*n], p: s.idx[:n], tp: s.idx[n : 2*n]}
 	if n == 0 {
 		return b.p
@@ -101,6 +100,12 @@ func (s *timeScratch) timeOrder(records []netflow.Record) []uint32 {
 	}
 	b.sort(appendPasses(passes[:0], false, bits.Len64(hi/uint64(time.Second))))
 	return b.p
+}
+
+// reserve grows s to order up to n records at once.
+func (s *timeScratch) reserve(n int) {
+	s.keys = slices.Grow(s.keys[:0], 2*n)
+	s.idx = slices.Grow(s.idx[:0], 2*n)
 }
 
 // pingPong holds the keys k and their record indexes p that the counting

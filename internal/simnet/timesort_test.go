@@ -1,12 +1,10 @@
 package simnet
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"os"
 	"slices"
 	"testing"
 	"time"
@@ -33,28 +31,7 @@ func encodeRecords(records []netflow.Record) []byte {
 	return out
 }
 
-// spillBytes spills records as one run and returns the segment file.
-func spillBytes(t *testing.T, records []netflow.Record) []byte {
-	t.Helper()
-	sp := &daySpiller{dir: t.TempDir(), order: new(timeScratch)}
-	sp.spill(records)
-	if sp.err != nil {
-		t.Fatal(sp.err)
-	}
-	if len(sp.paths) == 0 {
-		return nil
-	}
-	defer sp.cleanup()
-	data, err := os.ReadFile(sp.paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// checkTimeOrder runs records through both uses of timeOrder — the
-// in-place sort and the spill encoding — and compares each against the
-// reference sort.
+// checkTimeOrder holds sortByTime to the reference sort.
 func checkTimeOrder(t *testing.T, label string, records []netflow.Record) {
 	t.Helper()
 	want := slices.Clone(records)
@@ -66,10 +43,6 @@ func checkTimeOrder(t *testing.T, label string, records []netflow.Record) {
 		if got[i] != want[i] {
 			t.Fatalf("%s: sortByTime record %d is %v, reference has %v", label, i, &got[i], &want[i])
 		}
-	}
-	spilled := spillBytes(t, slices.Clone(records))
-	if wantBytes := encodeRecords(want); !bytes.Equal(spilled, wantBytes) {
-		t.Fatalf("%s: spilled run (%d bytes) differs from the reference order (%d bytes)", label, len(spilled), len(wantBytes))
 	}
 }
 
@@ -169,8 +142,8 @@ func TestSortByTimeSynthesizedDays(t *testing.T) {
 }
 
 // TestStreamFlowsSpilledMatchesReference checks whole spilled days —
-// every spilled run, the merge and the in-memory remainder — against
-// the reference sort of the same days synthesized in memory.
+// every hour segment and the days kept in memory — against the
+// reference sort of the same days synthesized in memory.
 func TestStreamFlowsSpilledMatchesReference(t *testing.T) {
 	w := getWorld(t)
 	base := FlowOptions{BenignSourcesPerDay: 60, CandidateExtras: true}
